@@ -30,7 +30,7 @@ from exitsim import (
     run_adaptive_captioning,
     speedup_ratio,
 )
-from exitsim.bandit import exit_layer_indices
+from exitsim.cascade import exit_layer_indices
 from exitsim.cli import ABLATION_SCHEMA, _train_ablation
 
 

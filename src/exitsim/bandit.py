@@ -13,7 +13,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .cascade import (
     ExitDecision,
     TokenTrace,
     decide_exit,
+    exit_layer_indices,
+    run_caption,
 )
 
 STATE_FORMAT = "exitsim-bandit-state"
@@ -355,61 +358,45 @@ def run_adaptive_captioning(
     state and log of an earlier run resumes it: counters keep rising and
     the same object is returned updated.  ``max_tokens`` caps the total
     round counter; a caption cut off by the cap is flagged truncated.
+    Every caption is played by ``run_caption`` with a per-token policy
+    that selects an arm, exits, and folds the reward into the state.
     """
+    if max_caption_length < 1:
+        raise ValueError(f"max_caption_length must be >= 1, got {max_caption_length}")
     if log is None:
         log = BanditLog()
     image_iter = iter(images)
-    next_id = 0
+    first_id = 0
     if state is None:
         try:
             first = next(image_iter)
         except StopIteration:
             raise BanditError("image stream is empty: nothing to initialize on")
-        _, init_traces = _image_parts(first, next_id)
-        next_id += 1
-        state = initialize(actions, init_traces, params, gamma, log)
+        state = initialize(actions, _image_parts(first, 0)[1], params, gamma, log)
+        first_id = 1
     elif not state.initialized:
         raise BanditError(
             "resumed state has unplayed arms: run initialize() first"
         )
+
+    def adapt(trace: TokenTrace) -> ExitDecision:
+        alpha = ucb_select(state)
+        decision = decide_exit(trace, alpha)
+        r = reward(decision, params)
+        update(state, alpha, r)
+        log.append(state.t, alpha, decision.exit_layer, r)
+        return decision
+
     captions: list[CaptionRun] = []
-    budget_spent = max_tokens is not None and state.t >= max_tokens
-    for item in image_iter:
-        if budget_spent:
+    for fallback_id, item in enumerate(image_iter, start=first_id):
+        if max_tokens is not None and state.t >= max_tokens:
             break
-        image_id, traces = _image_parts(item, next_id)
-        next_id += 1
-        source = iter(traces)
-        decisions: list[ExitDecision] = []
-        terminated = False
-        truncated = False
-        while len(decisions) < max_caption_length:
-            if max_tokens is not None and state.t >= max_tokens:
-                budget_spent = True
-                truncated = True
-                break
-            trace = next(source, None)
-            if trace is None:
-                truncated = True
-                break
-            alpha = ucb_select(state)
-            decision = decide_exit(trace, alpha)
-            r = reward(decision, params)
-            update(state, alpha, r)
-            log.append(state.t, alpha, decision.exit_layer, r)
-            decisions.append(decision)
-            if decision.token_id == eos_id:
-                terminated = True
-                break
-        if decisions:
-            captions.append(
-                CaptionRun(
-                    image_id=image_id,
-                    tokens=tuple(decisions),
-                    terminated_by_eos=terminated,
-                    truncated=truncated,
-                )
-            )
+        image_id, traces = _image_parts(item, fallback_id)
+        if max_tokens is not None:
+            traces = islice(traces, max_tokens - state.t)
+        caption = run_caption(traces, adapt, max_caption_length, eos_id, image_id)
+        if len(caption):
+            captions.append(caption)
     return AdaptiveRun(captions=captions, log=log, state=state)
 
 
@@ -439,26 +426,10 @@ class OracleEstimate:
         return tuple(top - e for e in self.expected_rewards)
 
     def expected(self, alpha: float) -> float:
-        return self.expected_rewards[self._index(alpha)]
+        return self.expected_rewards[ActionSet(self.thresholds).index(alpha)]
 
     def gap(self, alpha: float) -> float:
-        return self.gaps[self._index(alpha)]
-
-    def _index(self, alpha: float) -> int:
-        try:
-            return self.thresholds.index(alpha)
-        except ValueError:
-            raise ValueError(
-                f"arm {alpha!r} is not covered by this oracle"
-            ) from None
-
-
-def exit_layer_indices(confidences: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized exit rule: 0-based exit layer per row of confidences."""
-    early = confidences[:, :-1] >= alpha
-    has_early = early.any(axis=1)
-    first = early.argmax(axis=1)
-    return np.where(has_early, first, confidences.shape[1] - 1)
+        return self.gaps[ActionSet(self.thresholds).index(alpha)]
 
 
 def expected_reward_oracle(

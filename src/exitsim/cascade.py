@@ -10,7 +10,10 @@ layer is the unconditional fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 DEFAULT_EOS_ID = 0
 DEFAULT_MAX_CAPTION_LENGTH = 20
@@ -111,10 +114,6 @@ class CaptionRun:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
 
 def decide_exit(trace: TokenTrace, alpha: float) -> ExitDecision:
     """Return the first layer i < N whose confidence is >= ``alpha``.
@@ -135,20 +134,34 @@ def decide_exit(trace: TokenTrace, alpha: float) -> ExitDecision:
     return ExitDecision(len(layers), token, conf, first_conf)
 
 
+def exit_layer_indices(confidences: np.ndarray, alpha: float) -> np.ndarray:
+    """Batch form of ``decide_exit``: the 0-based exit layer of every row
+    of a (tokens, layers) confidence array."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"exit threshold {alpha!r} outside [0, 1]")
+    early = confidences[:, :-1] >= alpha
+    has_early = early.any(axis=1)
+    first = early.argmax(axis=1)
+    return np.where(has_early, first, confidences.shape[1] - 1)
+
+
 def run_caption(
     trace_source: Iterable[TokenTrace],
-    alpha: float,
+    alpha: float | Callable[[TokenTrace], ExitDecision],
     max_caption_length: int = DEFAULT_MAX_CAPTION_LENGTH,
     eos_id: int = DEFAULT_EOS_ID,
     image_id: int | str = 0,
 ) -> CaptionRun:
     """Emit tokens from ``trace_source`` until eos or the length cap.
 
+    ``alpha`` is either a fixed exit threshold or a policy that decides
+    each trace's exit itself, such as the online threshold adapter.
     Each emitted token comes from the exiting layer of its trace, which
     is what makes the threshold observable in the output sequence.
     """
     if max_caption_length < 1:
         raise ValueError(f"max_caption_length must be >= 1, got {max_caption_length}")
+    decide = alpha if callable(alpha) else partial(decide_exit, alpha=alpha)
     source = iter(trace_source)
     decisions: list[ExitDecision] = []
     terminated = False
@@ -158,7 +171,7 @@ def run_caption(
         if trace is None:
             truncated = True
             break
-        decision = decide_exit(trace, alpha)
+        decision = decide(trace)
         decisions.append(decision)
         if decision.token_id == eos_id:
             terminated = True

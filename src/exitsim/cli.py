@@ -36,17 +36,18 @@ from .bandit import (
 from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
     ExitHistogram,
-    TokenTrace,
     TraceValidationError,
-    decide_exit,
+    exit_layer_indices,
     speedup_ratio,
 )
 from .distill import (
     CheckpointError,
     StepSchedule,
     ToyConfig,
+    ToyCascade,
+    ToyTask,
     TrainingError,
-    forward_traces,
+    forward,
     init_cascade,
     layer_accuracies,
     load_cascade,
@@ -56,6 +57,7 @@ from .distill import (
     train_exits,
 )
 from .synth import (
+    ImageTraces,
     SyntheticConfidenceModel,
     TraceFormatError,
     distort,
@@ -195,15 +197,20 @@ def _policy_cell(
     tokens: int,
     max_len: int,
 ) -> dict:
-    """One adaptive (or single-arm fixed) run plus its replay metrics.
+    """One adaptive (or single-arm fixed) run and its metrics.
 
-    The image stream is regenerated from the model seed for the run and
-    once more for the accuracy replay, so every cell that shares a seed
-    consumes identical images regardless of policy.
+    The image stream is regenerated from the model seed, so every cell
+    that shares a seed consumes identical images regardless of policy.
+    Accuracy is scored against the targets of the images the run consumed.
     """
-    images = image_stream(model, model.stream_rng(0), max_len)
+    targets = {}
+
+    def remember(image: ImageTraces) -> ImageTraces:
+        targets[image.image_id] = image.targets
+        return image
+
     run = run_adaptive_captioning(
-        images,
+        map(remember, image_stream(model, model.stream_rng(0), max_len)),
         actions,
         params,
         gamma=gamma,
@@ -214,46 +221,38 @@ def _policy_cell(
     hist = ExitHistogram.empty(model.n_layers)
     for layer in run.log.exit_layers:
         hist.record(layer)
-    mean_reward = sum(run.log.rewards) / len(run.log.rewards)
-
-    replay = image_stream(model, model.stream_rng(0), max_len)
-    next(replay)  # the first image was spent on arm initialization
-    hits = 0
-    total = 0
-    for caption, image in zip(run.captions, replay):
-        if caption.image_id != image.image_id:
-            raise RuntimeError(
-                f"replay misaligned: caption {caption.image_id} vs image "
-                f"{image.image_id}"
-            )
-        for pos, decision in enumerate(caption.tokens):
-            hits += decision.token_id == image.targets[pos]
-            total += 1
+    hits = sum(
+        decision.token_id == targets[caption.image_id][pos]
+        for caption in run.captions
+        for pos, decision in enumerate(caption.tokens)
+    )
+    total = sum(len(caption) for caption in run.captions)
     return {
         "speedup": speedup_ratio(hist),
         "accuracy": hits / total if total else float("nan"),
-        "mean_reward": mean_reward,
-        "run": run,
+        "mean_reward": sum(run.log.rewards) / len(run.log.rewards),
     }
 
 
-def _collect_tokens(
-    images: Iterable, need_targets: bool, source_name: str
-) -> tuple[list[TokenTrace], list[int]]:
-    traces: list[TokenTrace] = []
+def _trace_arrays(
+    images: Iterable[ImageTraces], source_name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tokens, layers) confidences and token ids, plus the targets."""
+    traces = []
     targets: list[int] = []
     for image in images:
-        if need_targets and image.targets is None:
+        if image.targets is None:
             raise TraceFormatError(
                 f"{source_name}: image {image.image_id} has no targets; "
                 f"accuracy cannot be computed"
             )
         traces.extend(image.traces)
-        if image.targets is not None:
-            targets.extend(image.targets)
+        targets.extend(image.targets)
     if not traces:
         raise TraceFormatError(f"{source_name}: no traces found")
-    return traces, targets
+    confidences = np.array([trace.confidences for trace in traces])
+    token_ids = np.array([trace.token_ids for trace in traces])
+    return confidences, token_ids, np.array(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +306,25 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
     if (config["traces"] is None) == (config["model"] is None):
         raise ConfigError("provide exactly one of --traces or --model")
     if config["traces"] is not None:
-        traces, targets = _collect_tokens(
-            read_traces(config["traces"]), True, config["traces"]
+        confidences, token_ids, targets = _trace_arrays(
+            read_traces(config["traces"]), config["traces"]
         )
-        n_layers = traces[0].n_layers
     else:
         model = load_cascade(config["model"])
         rng = np.random.default_rng(config["seed"])
         task = make_task(model.config, rng)
-        traces = []
-        targets = []
-        for example in task.heldout:
-            traces.extend(forward_traces(model, example))
-            targets.extend(int(t) for t in example.targets)
-        n_layers = model.config.n_layers
+        probs = np.concatenate([forward(model, example) for example in task.heldout])
+        confidences, token_ids = probs.max(axis=2), probs.argmax(axis=2)
+        targets = np.concatenate([example.targets for example in task.heldout])
 
+    n_tokens, n_layers = confidences.shape
     rows = []
     for alpha in config["alphas"]:
-        hist = ExitHistogram.empty(n_layers)
-        hits = 0
-        for trace, target in zip(traces, targets):
-            decision = decide_exit(trace, alpha)
-            hist.record(decision.exit_layer)
-            hits += decision.token_id == target
-        mean_exit = sum(
-            (i + 1) * c for i, c in enumerate(hist.counts)
-        ) / hist.total
-        rows.append(
-            (alpha, speedup_ratio(hist), hits / len(traces), mean_exit)
-        )
+        exits = exit_layer_indices(confidences, alpha)
+        hist = ExitHistogram(np.bincount(exits, minlength=n_layers).tolist())
+        hits = int((token_ids[np.arange(n_tokens), exits] == targets).sum())
+        mean_exit = (int(exits.sum()) + n_tokens) / n_tokens  # 1-based layers
+        rows.append((alpha, speedup_ratio(hist), hits / n_tokens, mean_exit))
     _write_csv(
         _out_path(args, "sweep_threshold.csv"),
         config,
@@ -344,7 +333,7 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
     )
     summary = {
         "config": {k: config[k] for k in sorted(config)},
-        "n_tokens": len(traces),
+        "n_tokens": n_tokens,
         "outputs": ["sweep_threshold.csv", "sweep_threshold_summary.json"],
     }
     _write_summary(_out_path(args, "sweep_threshold_summary.json"), summary)
@@ -487,7 +476,7 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
     return 0
 
 
-ABLATION_SCHEMA = {
+TOY_SCHEMA = {
     "stage1_epochs": ("int", 800),
     "stage2_epochs": ("int", 600),
     "learning_rate": ("float", 1.0),
@@ -500,12 +489,16 @@ ABLATION_SCHEMA = {
     "margin": ("float", 0.3),
     "label_noise": ("float", 0.1),
 }
+ABLATION_SCHEMA = TOY_SCHEMA
 
 ABLATION_VARIANTS = ("ce", "kl", "both")
 
 
-def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
-    """Train the backbone once, then each loss variant from a fresh copy."""
+def _stage_one(
+    config: dict,
+) -> tuple[ToyTask, ToyCascade, StepSchedule, list[float]]:
+    """Build the toy task, cascade and schedule from a TOY_SCHEMA config,
+    then train and freeze the backbone."""
     toy = ToyConfig()
     rng = np.random.default_rng(config["seed"])
     task = make_task(
@@ -524,7 +517,13 @@ def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
         decay=config["decay"],
         every=config["decay_every"],
     )
-    train_backbone(model, task.train, config["stage1_epochs"], schedule)
+    history = train_backbone(model, task.train, config["stage1_epochs"], schedule)
+    return task, model, schedule, history
+
+
+def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
+    """Train the backbone once, then each loss variant from a fresh copy."""
+    task, model, schedule, _ = _stage_one(config)
     accuracies = {}
     for terms in ABLATION_VARIANTS:
         variant = copy.deepcopy(model)
@@ -625,43 +624,15 @@ def cmd_lambda_sweep(args: argparse.Namespace) -> int:
 
 
 TRAIN_TOY_SCHEMA = {
-    "stage1_epochs": ("int", 800),
-    "stage2_epochs": ("int", 600),
+    **TOY_SCHEMA,
     "loss_terms": ("str", "both"),
-    "learning_rate": ("float", 1.0),
-    "decay": ("float", 0.5),
-    "decay_every": ("int", 200),
-    "n_train": ("int", 512),
-    "n_heldout": ("int", 1024),
-    "tokens_per_example": ("int", 8),
-    "n_classes": ("int", 4),
-    "margin": ("float", 0.3),
-    "label_noise": ("float", 0.1),
     "checkpoint": ("str", "toy_cascade.json"),
 }
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
     config = effective_config(args, TRAIN_TOY_SCHEMA)
-    toy = ToyConfig()
-    rng = np.random.default_rng(config["seed"])
-    task = make_task(
-        toy,
-        rng,
-        n_train=config["n_train"],
-        n_heldout=config["n_heldout"],
-        tokens_per_example=config["tokens_per_example"],
-        n_classes=config["n_classes"],
-        margin=config["margin"],
-        label_noise=config["label_noise"],
-    )
-    model = init_cascade(toy, rng)
-    schedule = StepSchedule(
-        initial=config["learning_rate"],
-        decay=config["decay"],
-        every=config["decay_every"],
-    )
-    stage1 = train_backbone(model, task.train, config["stage1_epochs"], schedule)
+    task, model, schedule, stage1 = _stage_one(config)
     stage2 = train_exits(
         model,
         task.train,

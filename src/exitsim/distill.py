@@ -223,6 +223,20 @@ def finetune_loss(final_probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, DEFAULT_PROB_FLOOR)).mean())
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise KL(p || q) over the last axis and its gradient with
+    respect to p's logits, p * (log p - log q - KL).
+
+    Both logs are floored at DEFAULT_PROB_FLOOR; zero-mass components of
+    p add nothing to the divergence.
+    """
+    diff = np.log(np.maximum(p, DEFAULT_PROB_FLOOR)) - np.log(
+        np.maximum(q, DEFAULT_PROB_FLOOR)
+    )
+    kl = np.where(p > 0.0, p * diff, 0.0).sum(axis=-1)
+    return kl, p * (diff - kl[..., None])
+
+
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) in nats, student distribution first.
 
@@ -235,10 +249,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"need matching vectors, got {p.shape} and {q.shape}")
-    logp = np.log(np.maximum(p, DEFAULT_PROB_FLOOR))
-    logq = np.log(np.maximum(q, DEFAULT_PROB_FLOOR))
-    value = float(np.where(p > 0.0, p * (logp - logq), 0.0).sum())
-    return max(value, 0.0)
+    return max(float(_kl_rows(p, q)[0]), 0.0)
 
 
 def exit_loss(
@@ -253,10 +264,8 @@ def exit_loss(
             f"shape {teacher_probs.shape}"
         )
     ce = finetune_loss(student_probs, targets)
-    kl = float(
-        np.mean([kl_divergence(s, t) for s, t in zip(student_probs, teacher_probs)])
-    )
-    return LossBreakdown(ce=ce, kl=kl)
+    kl_rows, _ = _kl_rows(np.asarray(student_probs, float), np.asarray(teacher_probs, float))
+    return LossBreakdown(ce=ce, kl=float(np.maximum(kl_rows, 0.0).mean()))
 
 
 @dataclass(frozen=True)
@@ -298,13 +307,7 @@ def _ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _kl_grad_logits(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
     """Gradient of mean KL(student || teacher) w.r.t. student logits."""
-    logp = np.log(np.maximum(student, DEFAULT_PROB_FLOOR))
-    logq = np.log(np.maximum(teacher, DEFAULT_PROB_FLOOR))
-    diff = logp - logq
-    per_row_kl = (np.where(student > 0.0, student * diff, 0.0)).sum(
-        axis=1, keepdims=True
-    )
-    return student * (diff - per_row_kl) / len(student)
+    return _kl_rows(student, teacher)[1] / len(student)
 
 
 def _backbone_backward(
@@ -365,11 +368,9 @@ def _exits_backward(
             total += float(-np.log(np.maximum(picked, DEFAULT_PROB_FLOOR)).mean())
             g_logits += _ce_grad_logits(probs, targets)
         if loss_terms in ("kl", "both"):
-            logp = np.log(np.maximum(probs, DEFAULT_PROB_FLOOR))
-            logq = np.log(np.maximum(teacher, DEFAULT_PROB_FLOOR))
-            kl_rows = np.where(probs > 0.0, probs * (logp - logq), 0.0).sum(axis=1)
+            kl_rows, kl_grad = _kl_rows(probs, teacher)
             total += float(np.maximum(kl_rows, 0.0).mean())
-            g_logits += _kl_grad_logits(probs, teacher)
+            g_logits += kl_grad / len(targets)
         g_weights.append(states[i].T @ g_logits)
         g_biases.append(g_logits.sum(axis=0))
     return total, g_weights, g_biases

@@ -41,7 +41,7 @@ from exitsim import (
     train_backbone,
     write_traces,
 )
-from exitsim.bandit import exit_layer_indices
+from exitsim.cascade import exit_layer_indices
 from exitsim.cli import ABLATION_SCHEMA, _train_ablation, main as cli_main
 from exitsim.distill import ToyConfig
 

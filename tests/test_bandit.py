@@ -307,6 +307,26 @@ def test_adaptive_run_empty_stream_raises():
         )
 
 
+def test_adaptive_run_rejects_nonpositive_caption_cap():
+    actions, params = ActionSet((0.5,)), RewardParams(n_layers=2)
+    with pytest.raises(ValueError):
+        run_adaptive_captioning(
+            _images([[0.3, 0.6]], 3), actions, params, max_caption_length=0
+        )
+    pulled = []
+
+    def stream():
+        # Stands in for an endless image stream, bounded so that a loop
+        # which never rejects the cap ends instead of hanging.
+        while len(pulled) < 1000:
+            pulled.append(len(pulled))
+            yield make_image([[0.3, 0.6]], image_id=pulled[-1])
+
+    with pytest.raises(ValueError):
+        run_adaptive_captioning(stream(), actions, params, max_caption_length=0)
+    assert pulled == []
+
+
 def test_adaptive_run_rejects_uninitialized_resume():
     state = BanditState.fresh(ActionSet((0.5,)))
     with pytest.raises(BanditError):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from exitsim import (
     run_caption,
     speedup_ratio,
 )
+from exitsim.cascade import exit_layer_indices
 
 from conftest import make_trace
 
@@ -65,6 +67,8 @@ def test_token_comes_from_the_exiting_layer():
 def test_threshold_outside_unit_interval_rejected(alpha):
     with pytest.raises(ValueError):
         decide_exit(make_trace([0.5, 0.5]), alpha)
+    with pytest.raises(ValueError):
+        exit_layer_indices(np.array([[0.5, 0.5]]), alpha)
 
 
 def test_trace_needs_two_layers():
@@ -166,7 +170,19 @@ def test_caption_scripted_exits():
     assert [d.token_id for d in run.tokens] == [2, 4, 0]
     assert run.terminated_by_eos
     assert run.image_id == "img-9"
-    assert run.length == 3
+    assert len(run) == 3
+
+
+def test_caption_takes_a_per_trace_policy():
+    traces = [make_trace([0.4, 0.8, 0.9]), make_trace([0.2, 0.3, 0.5])]
+    seen = []
+
+    def policy(trace):
+        seen.append(trace)
+        return decide_exit(trace, 0.7)
+
+    assert run_caption(traces, policy) == run_caption(traces, 0.7)
+    assert seen == traces
 
 
 def test_caption_rejects_nonpositive_cap():
@@ -181,7 +197,7 @@ def test_caption_run_is_reproducible():
 
 def test_caption_run_is_a_plain_record():
     run = CaptionRun(image_id=1, tokens=(), terminated_by_eos=False)
-    assert run.length == 0
+    assert len(run) == 0
     assert not run.truncated
 
 

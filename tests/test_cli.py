@@ -1,6 +1,7 @@
 """Command-line interface: config precedence, outputs, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,26 @@ def test_sweep_requires_exactly_one_source(tmp_path, capsys):
         capsys,
     )
     assert code2 == 2
+
+
+def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
+    out = str(tmp_path)
+    args = ["gen-traces", "--n-images", "3", "--max-len", "4", "--out-dir", out]
+    assert run_cli(args, capsys)[0] == 0
+    code, _, err = run_cli(
+        [
+            "sweep-threshold",
+            "--traces",
+            os.path.join(out, "traces.txt"),
+            "--alphas",
+            "1.5",
+            "--out-dir",
+            out,
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: config:")
 
 
 def test_token_budget_below_arm_count_exits_2(tmp_path, capsys):
@@ -428,6 +449,65 @@ def test_ablation_tiny_structure(tmp_path, capsys):
     for key in ("layer1_both_minus_ce", "deepest_exit_spread", "teacher_accuracy"):
         assert key in summary
     assert 0.0 <= summary["teacher_accuracy"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# pinned simulator outputs
+#
+# SHA-256 of every output file at seed 7 and tiny sizes.  The commands run
+# with relative paths inside tmp_path, because the configs echo --traces
+# into the outputs.  The toy-cascade commands (ablation, train-toy,
+# sweep-threshold --model) are not pinned: their matmul bits may follow
+# the BLAS thread count.
+
+PINNED_OUTPUTS = {
+    "bandit": (
+        [["bandit", *FAST_BANDIT]],
+        {
+            "bandit_log.csv": "e629ce59b86afbbd29b5f066af0a63700b73f0e73c1da51674ab49f29cc78e66",
+            "bandit_summary.json": "794a1aba465c046a69abc17fe3fc0f85be150fe2bd482446b305da9f8e76a423",
+        },
+    ),
+    "compare-distortion": (
+        [["compare-distortion", "--sigmas", "0,2", *FAST_BANDIT]],
+        {
+            "compare_distortion.csv": "a576654c8a34edd66b22063887a50c62cef9221744b4e52d0bd33deeda065bf3",
+            "compare_distortion_summary.json": "c7e96db24f4fa91c8ce4cbbda37cdf6f4ded527bd0c2f7158e5ffc434bd2879b",
+        },
+    ),
+    "lambda-sweep": (
+        [["lambda-sweep", "--lambdas", "0.5,2", *FAST_BANDIT]],
+        {
+            "lambda_sweep.csv": "13beab363e506bd81c6775912f6e7bdad90349edf16fa8f4a101fa7e7d595c50",
+            "lambda_sweep_summary.json": "b526ddc6062a14bd50848c826416f2a7d54eb5015a8ac94a50f8ed396fb381db",
+        },
+    ),
+    "gen-traces+sweep-threshold": (
+        [
+            ["gen-traces", "--n-images", "20", "--max-len", "8"],
+            ["sweep-threshold", "--traces", "out/traces.txt"],
+        ],
+        {
+            "gen_traces_summary.json": "fb06ba59871a4c7da1442a5f1e17ee8dc58cdb9385171a339988f0f34bb854fe",
+            "sweep_threshold.csv": "51008406d2cb96d38eece22095b494a07626712dbacd4fa1fc32493f4b00bcf4",
+            "sweep_threshold_summary.json": "d5e5cb263f80fc881afc13098e6fac30f2530534d3cf25483896a444d73ecfc4",
+            "traces.txt": "9b67aa8fbd807c41d366dd66a0b5d584098464fd2deb48e54c736d31e2dc9af1",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_simulator_outputs_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands, digests = PINNED_OUTPUTS[name]
+    for argv in commands:
+        assert run_cli([*argv, "--out-dir", "out"], capsys)[0] == 0
+    got = {
+        entry: hashlib.sha256(open(os.path.join("out", entry), "rb").read()).hexdigest()
+        for entry in sorted(os.listdir("out"))
+    }
+    assert got == digests
 
 
 # ---------------------------------------------------------------------------
