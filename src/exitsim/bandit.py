@@ -28,6 +28,7 @@ from .cascade import (
     exit_layer_indices,
     run_caption,
 )
+from .synth import ImageTraces
 
 STATE_FORMAT = "exitsim-bandit-state"
 STATE_VERSION = 1
@@ -121,13 +122,15 @@ class RewardParams:
         return (-1.0 - self.mu * self.latency[-1], 1.0)
 
 
+def _check_exit_layer(exit_layer: int, n_layers: int) -> None:
+    if not 1 <= exit_layer <= n_layers:
+        raise ValueError(f"exit layer {exit_layer} outside [1, {n_layers}]")
+
+
 def reward(decision: ExitDecision, params: RewardParams) -> float:
     """Confidence gain over layer 1 minus the scaled latency of the exit."""
     i = decision.exit_layer
-    if not 1 <= i <= params.n_layers:
-        raise ValueError(
-            f"exit layer {i} outside [1, {params.n_layers}]"
-        )
+    _check_exit_layer(i, params.n_layers)
     gain = decision.confidence - decision.first_layer_confidence
     return gain - params.mu * params.latency[i - 1]
 
@@ -330,13 +333,32 @@ class AdaptiveRun:
     state: BanditState
 
 
-def _image_parts(
-    item: object, fallback_id: int
-) -> tuple[int | str, Sequence[TokenTrace]]:
-    traces = getattr(item, "traces", None)
-    if traces is not None:
-        return getattr(item, "image_id", fallback_id), traces
-    return fallback_id, item  # plain sequence of traces
+def _as_image(item: object, fallback_id: int) -> ImageTraces:
+    """An ImageTraces as is; a plain sequence of TokenTrace stacked into one."""
+    if isinstance(item, ImageTraces):
+        return item
+    return ImageTraces.from_traces(fallback_id, item)
+
+
+def _arm_table(
+    image: ImageTraces, thresholds: np.ndarray, params: RewardParams
+) -> tuple[list, list, list, list]:
+    """Every arm's outcome on every token of an image, as (T, K) lists:
+    0-based exit layer, emitted token id, exit confidence and reward.
+
+    The rewards are formed with the same float64 operations as ``reward``,
+    so they are bit-identical to it.  Exits past ``params.n_layers`` get
+    a placeholder reward; the caller rejects them when they are played.
+    """
+    conf = image.confidences
+    exits = exit_layer_indices(conf, thresholds)
+    rows = np.arange(len(conf))[:, None]
+    exit_conf = conf[rows, exits]
+    emitted = image.token_ids[rows, exits]
+    latency = np.asarray(params.latency)
+    cost = latency[np.minimum(exits, len(latency) - 1)]
+    rewards = (exit_conf - conf[:, :1]) - params.mu * cost
+    return exits.tolist(), emitted.tolist(), exit_conf.tolist(), rewards.tolist()
 
 
 def run_adaptive_captioning(
@@ -352,14 +374,15 @@ def run_adaptive_captioning(
 ) -> AdaptiveRun:
     """Caption an image stream while adapting the exit threshold online.
 
-    Each image is either an ImageTraces-like object or a plain sequence
-    of TokenTrace.  When no prior state is given, the first image is
-    spent playing every arm once and produces no caption.  Passing the
-    state and log of an earlier run resumes it: counters keep rising and
-    the same object is returned updated.  ``max_tokens`` caps the total
+    Each image is either an ImageTraces or a plain sequence of
+    TokenTrace.  When no prior state is given, the first image is spent
+    playing every arm once and produces no caption.  Passing the state
+    and log of an earlier run resumes it: counters keep rising and the
+    same object is returned updated.  ``max_tokens`` caps the total
     round counter; a caption cut off by the cap is flagged truncated.
     Every caption is played by ``run_caption`` with a per-token policy
-    that selects an arm, exits, and folds the reward into the state.
+    that selects an arm, looks up that arm's exit in the image's arm
+    table, and folds the reward into the state.
     """
     if max_caption_length < 1:
         raise ValueError(f"max_caption_length must be >= 1, got {max_caption_length}")
@@ -372,29 +395,41 @@ def run_adaptive_captioning(
             first = next(image_iter)
         except StopIteration:
             raise BanditError("image stream is empty: nothing to initialize on")
-        state = initialize(actions, _image_parts(first, 0)[1], params, gamma, log)
+        state = initialize(actions, _as_image(first, 0).traces, params, gamma, log)
         first_id = 1
     elif not state.initialized:
         raise BanditError(
             "resumed state has unplayed arms: run initialize() first"
         )
-
-    def adapt(trace: TokenTrace) -> ExitDecision:
-        alpha = ucb_select(state)
-        decision = decide_exit(trace, alpha)
-        r = reward(decision, params)
-        update(state, alpha, r)
-        log.append(state.t, alpha, decision.exit_layer, r)
-        return decision
+    thresholds = np.asarray(state.actions.thresholds)
+    arm = {alpha: k for k, alpha in enumerate(state.actions.thresholds)}
 
     captions: list[CaptionRun] = []
     for fallback_id, item in enumerate(image_iter, start=first_id):
         if max_tokens is not None and state.t >= max_tokens:
             break
-        image_id, traces = _image_parts(item, fallback_id)
+        image = _as_image(item, fallback_id)
+        exits, emitted, exit_conf, rewards = _arm_table(image, thresholds, params)
+        first_conf = image.confidences[:, 0].tolist()
+
+        def adapt(pos: int) -> ExitDecision:
+            alpha = ucb_select(state)
+            k = arm[alpha]
+            layer = exits[pos][k] + 1
+            _check_exit_layer(layer, params.n_layers)
+            r = rewards[pos][k]
+            update(state, alpha, r)
+            log.append(state.t, alpha, layer, r)
+            return ExitDecision(
+                layer, emitted[pos][k], exit_conf[pos][k], first_conf[pos]
+            )
+
+        positions = range(len(image))
         if max_tokens is not None:
-            traces = islice(traces, max_tokens - state.t)
-        caption = run_caption(traces, adapt, max_caption_length, eos_id, image_id)
+            positions = islice(positions, max_tokens - state.t)
+        caption = run_caption(
+            positions, adapt, max_caption_length, eos_id, image.image_id
+        )
         if len(caption):
             captions.append(caption)
     return AdaptiveRun(captions=captions, log=log, state=state)

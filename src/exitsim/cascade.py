@@ -134,28 +134,41 @@ def decide_exit(trace: TokenTrace, alpha: float) -> ExitDecision:
     return ExitDecision(len(layers), token, conf, first_conf)
 
 
-def exit_layer_indices(confidences: np.ndarray, alpha: float) -> np.ndarray:
+def exit_layer_indices(
+    confidences: np.ndarray, alpha: float | Sequence[float] | np.ndarray
+) -> np.ndarray:
     """Batch form of ``decide_exit``: the 0-based exit layer of every row
-    of a (tokens, layers) confidence array."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"exit threshold {alpha!r} outside [0, 1]")
-    early = confidences[:, :-1] >= alpha
-    has_early = early.any(axis=1)
-    first = early.argmax(axis=1)
-    return np.where(has_early, first, confidences.shape[1] - 1)
+    of a (tokens, layers) confidence array.
+
+    ``alpha`` is one threshold, giving shape (tokens,), or a 1-D grid of
+    K thresholds, giving shape (tokens, K) from a single broadcast.
+    """
+    alphas = np.asarray(alpha, dtype=np.float64)
+    if alphas.ndim > 1:
+        raise ValueError(f"thresholds must be a scalar or 1-D, got {alphas.shape}")
+    in_range = (alphas >= 0.0) & (alphas <= 1.0)  # False for NaN
+    if not in_range.all():
+        bad = alpha if alphas.ndim == 0 else float(alphas[~in_range][0])
+        raise ValueError(f"exit threshold {bad!r} outside [0, 1]")
+    clears = confidences[:, :, None] >= alphas.reshape(-1)
+    clears[:, -1] = True  # the final layer is the unconditional fallback
+    exits = clears.argmax(axis=1)  # first True along the layers
+    return exits if alphas.ndim else exits[:, 0]
 
 
 def run_caption(
-    trace_source: Iterable[TokenTrace],
-    alpha: float | Callable[[TokenTrace], ExitDecision],
+    trace_source: Iterable,
+    alpha: float | Callable[..., ExitDecision],
     max_caption_length: int = DEFAULT_MAX_CAPTION_LENGTH,
     eos_id: int = DEFAULT_EOS_ID,
     image_id: int | str = 0,
 ) -> CaptionRun:
     """Emit tokens from ``trace_source`` until eos or the length cap.
 
-    ``alpha`` is either a fixed exit threshold or a policy that decides
-    each trace's exit itself, such as the online threshold adapter.
+    ``alpha`` is either a fixed exit threshold applied to each
+    ``TokenTrace`` of the source, or a policy called with each item of
+    the source that decides its exit itself, such as the online
+    threshold adapter (which is fed token positions).
     Each emitted token comes from the exiting layer of its trace, which
     is what makes the threshold observable in the output sequence.
     """

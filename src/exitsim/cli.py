@@ -17,6 +17,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 from itertools import islice
@@ -96,22 +97,24 @@ def _floats(value: object, key: str) -> tuple[float, ...]:
 def _coerce(key: str, value: object, kind: str) -> object:
     if value is None:
         return None
+    if kind not in ("int", "float", "str", "floatlist"):
+        raise ConfigError(f"unknown option kind {kind!r} for {key}")
     try:
         if kind == "int":
             if isinstance(value, bool) or int(value) != float(value):
                 raise ValueError
             return int(value)
-        if kind == "float":
-            return float(value)
         if kind == "str":
             if not isinstance(value, str):
                 raise ValueError
             return value
-        if kind == "floatlist":
-            return _floats(value, key)
-    except (TypeError, ValueError):
+        coerced = float(value) if kind == "float" else _floats(value, key)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
-    raise ConfigError(f"unknown option kind {kind!r} for {key}")
+    numbers = coerced if kind == "floatlist" else (coerced,)
+    if not all(math.isfinite(x) for x in numbers):
+        raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
+    return coerced
 
 
 def effective_config(
@@ -189,6 +192,14 @@ def _action_set(config: dict) -> ActionSet:
     return ActionSet(tuple(config["alphas"]))
 
 
+def _check_token_budget(config: dict, actions: ActionSet) -> None:
+    if config["tokens"] < len(actions):
+        raise ConfigError(
+            f"tokens must cover one pull per arm: {config['tokens']} < "
+            f"{len(actions)}"
+        )
+
+
 def _policy_cell(
     model: SyntheticConfidenceModel,
     actions: ActionSet,
@@ -238,21 +249,19 @@ def _trace_arrays(
     images: Iterable[ImageTraces], source_name: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tokens, layers) confidences and token ids, plus the targets."""
-    traces = []
-    targets: list[int] = []
+    confidences, token_ids, targets = [], [], []
     for image in images:
         if image.targets is None:
             raise TraceFormatError(
                 f"{source_name}: image {image.image_id} has no targets; "
                 f"accuracy cannot be computed"
             )
-        traces.extend(image.traces)
+        confidences.append(image.confidences)
+        token_ids.append(image.token_ids)
         targets.extend(image.targets)
-    if not traces:
+    if not confidences:
         raise TraceFormatError(f"{source_name}: no traces found")
-    confidences = np.array([trace.confidences for trace in traces])
-    token_ids = np.array([trace.token_ids for trace in traces])
-    return confidences, token_ids, np.array(targets)
+    return np.concatenate(confidences), np.concatenate(token_ids), np.array(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +368,7 @@ def cmd_bandit(args: argparse.Namespace) -> int:
     )
     actions = _action_set(config)
     params = _reward_params(config, model.n_layers)
-    if config["tokens"] < len(actions):
-        raise ConfigError(
-            f"tokens must cover one pull per arm: {config['tokens']} < "
-            f"{len(actions)}"
-        )
+    _check_token_budget(config, actions)
     images = image_stream(model, model.stream_rng(0), config["max_len"])
     run = run_adaptive_captioning(
         images,
@@ -421,6 +426,7 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
     adaptive_actions = _action_set(config)
     fixed_actions = ActionSet((config["fixed_alpha"],))
     params = _reward_params(config, base.n_layers)
+    _check_token_budget(config, adaptive_actions)
 
     rows = []
     margins = {}
@@ -586,6 +592,7 @@ def cmd_lambda_sweep(args: argparse.Namespace) -> int:
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
     )
     actions = _action_set(config)
+    _check_token_budget(config, actions)
     rows = []
     oracle_best = {}
     mean_rewards = {}
@@ -714,7 +721,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (TraceFormatError, CheckpointError, TraceValidationError) as exc:
         return _fail("input", exc, 3)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("input", exc, 3)
     except (TrainingError, BanditError) as exc:
         return _fail("runtime", exc, 4)

@@ -21,11 +21,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TokenTrace
+from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TokenTrace, TraceValidationError
 
 DEFAULT_SEED = 7
 
@@ -214,30 +214,115 @@ def sample_trace(
     return sample_batch(model, 1, rng).trace(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageTraces:
     """One image's token traces, with true targets when known.
 
     This is both the unit the caption loop consumes and the record type
-    of the trace file format.  ``targets`` is None for corpora exported
-    without reference tokens; accuracy metrics are then unavailable.
+    of the trace file format.  The traces are held as two (tokens,
+    layers) arrays: per-layer confidences and per-layer token ids.
+    ``targets`` is None for corpora exported without reference tokens;
+    accuracy metrics are then unavailable.
     """
 
     image_id: int | str
-    traces: tuple[TokenTrace, ...]
+    confidences: np.ndarray  # (T, N) float64 in [0, 1]
+    token_ids: np.ndarray  # (T, N) int64, nonnegative
     targets: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.traces:
+        conf = np.asarray(self.confidences, dtype=np.float64)
+        ids = np.asarray(self.token_ids)
+        if conf.ndim != 2 or len(conf) < 1:
             raise ValueError(f"image {self.image_id!r} has no traces")
-        if self.targets is not None and len(self.targets) != len(self.traces):
+        if conf.shape[1] < 2:
+            raise TraceValidationError(
+                f"image {self.image_id!r}: traces need at least 2 layers, got "
+                f"{conf.shape[1]}"
+            )
+        if ids.shape != conf.shape:
+            raise TraceValidationError(
+                f"image {self.image_id!r}: {conf.shape} confidences vs "
+                f"{ids.shape} token ids"
+            )
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise TraceValidationError(
+                f"image {self.image_id!r}: token ids must be integers, got "
+                f"{ids.dtype}"
+            )
+        in_range = (conf >= 0.0) & (conf <= 1.0)  # False for NaN
+        if not in_range.all():
+            tok, layer = np.argwhere(~in_range)[0]
+            raise TraceValidationError(
+                f"image {self.image_id!r}: token {tok + 1} layer {layer + 1} "
+                f"confidence {float(conf[tok, layer])!r} outside [0, 1]"
+            )
+        if ids.min() < 0:
+            tok, layer = np.argwhere(ids < 0)[0]
+            raise TraceValidationError(
+                f"image {self.image_id!r}: token {tok + 1} layer {layer + 1} "
+                f"token id {int(ids[tok, layer])} is negative"
+            )
+        if self.targets is not None and len(self.targets) != len(conf):
             raise ValueError(
                 f"image {self.image_id!r}: {len(self.targets)} targets vs "
-                f"{len(self.traces)} traces"
+                f"{len(conf)} traces"
             )
+        # Read-only views of the given arrays, not copies: callers hand
+        # over arrays they no longer write to.
+        conf = conf.view()
+        ids = ids.astype(np.int64, copy=False).view()
+        conf.flags.writeable = False
+        ids.flags.writeable = False
+        object.__setattr__(self, "confidences", conf)
+        object.__setattr__(self, "token_ids", ids)
+
+    @classmethod
+    def from_traces(
+        cls,
+        image_id: int | str,
+        traces: Iterable[TokenTrace],
+        targets: Sequence[int] | None = None,
+    ) -> "ImageTraces":
+        """Stack per-token traces into an image; all need one layer count."""
+        traces = tuple(traces)
+        widths = sorted({trace.n_layers for trace in traces})
+        if len(widths) > 1:
+            raise TraceValidationError(
+                f"image {image_id!r}: traces mix layer counts {widths}"
+            )
+        shape = (len(traces), widths[0] if widths else 0)
+        return cls(
+            image_id,
+            np.array([t.confidences for t in traces], dtype=np.float64).reshape(shape),
+            np.array([t.token_ids for t in traces], dtype=np.int64).reshape(shape),
+            None if targets is None else tuple(targets),
+        )
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return self.confidences.shape[0]
+
+    @property
+    def n_layers(self) -> int:
+        return self.confidences.shape[1]
+
+    @property
+    def traces(self) -> tuple[TokenTrace, ...]:
+        """The tokens as ``TokenTrace`` records, built on each access."""
+        return tuple(
+            TokenTrace.from_arrays(conf, ids)
+            for conf, ids in zip(self.confidences.tolist(), self.token_ids.tolist())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ImageTraces):
+            return NotImplemented
+        return (
+            self.image_id == other.image_id
+            and self.targets == other.targets
+            and np.array_equal(self.confidences, other.confidences)
+            and np.array_equal(self.token_ids, other.token_ids)
+        )
 
 
 def sample_image(
@@ -255,8 +340,9 @@ def sample_image(
     batch = sample_batch(model, max_len, rng)
     return ImageTraces(
         image_id=image_id,
-        traces=tuple(batch.trace(i) for i in range(max_len)),
-        targets=tuple(int(t) for t in batch.targets),
+        confidences=batch.confidences,
+        token_ids=batch.token_ids,
+        targets=tuple(batch.targets.tolist()),
     )
 
 
@@ -313,18 +399,17 @@ def _validate_image(
     ident = str(image.image_id)
     if not ident or any(ch.isspace() for ch in ident):
         raise ValueError(f"image id {ident!r} is empty or contains whitespace")
-    for trace in image.traces:
-        if trace.n_layers != n_layers:
-            raise ValueError(
-                f"image {ident}: trace has {trace.n_layers} layers, file "
-                f"header says {n_layers}"
-            )
-        for layer in trace.layers:
-            if layer.token_id >= vocab_size:
-                raise ValueError(
-                    f"image {ident}: token id {layer.token_id} >= vocab "
-                    f"size {vocab_size}"
-                )
+    if image.n_layers != n_layers:
+        raise ValueError(
+            f"image {ident}: trace has {image.n_layers} layers, file "
+            f"header says {n_layers}"
+        )
+    too_big = image.token_ids >= vocab_size
+    if too_big.any():
+        raise ValueError(
+            f"image {ident}: token id {image.token_ids[too_big][0]} >= vocab "
+            f"size {vocab_size}"
+        )
     if image.targets is not None:
         for t in image.targets:
             if not 0 <= t < vocab_size:
@@ -351,22 +436,21 @@ def write_traces(
         )
         for image in images:
             _validate_image(image, n_layers, vocab_size)
-            fields = [str(image.image_id), str(len(image.traces))]
-            for pos, trace in enumerate(image.traces):
-                if image.targets is None:
-                    fields.append("-")
-                else:
-                    fields.append(str(image.targets[pos]))
-                for layer in trace.layers:
-                    fields.append(f"{layer.confidence:.17g}:{layer.token_id}")
+            targets = image.targets or ("-",) * len(image)
+            fields = [str(image.image_id), str(len(image))]
+            for target, confs, ids in zip(
+                targets, image.confidences.tolist(), image.token_ids.tolist()
+            ):
+                fields.append(str(target))
+                fields.extend(f"{c:.17g}:{t}" for c, t in zip(confs, ids))
             fh.write(" ".join(fields) + "\n")
             count += 1
     return count
 
 
 def read_header(path: str) -> TraceFileHeader:
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_header(fh.readline())
+    _, line = next(_ascii_lines(path), (1, ""))
+    return _parse_header(line)
 
 
 def _parse_header(line: str) -> TraceFileHeader:
@@ -433,7 +517,8 @@ def _parse_image_line(
             f"line {lineno}: expected {expected} fields for {n_tokens} tokens "
             f"of {n} layers, got {len(fields)}"
         )
-    traces: list[TokenTrace] = []
+    confidences: list[float] = []
+    token_ids: list[int] = []
     targets: list[int | None] = []
     pos = 2
     for tok in range(n_tokens):
@@ -455,8 +540,6 @@ def _parse_image_line(
                     f"[0, {header.vocab_size})"
                 )
             targets.append(target)
-        confs: list[float] = []
-        ids: list[int] = []
         for layer in range(n):
             field = fields[pos]
             pos += 1
@@ -484,9 +567,8 @@ def _parse_image_line(
                     f"line {lineno}: token {tok + 1} layer {layer + 1} token "
                     f"id {token_id} outside [0, {header.vocab_size})"
                 )
-            confs.append(conf)
-            ids.append(token_id)
-        traces.append(TokenTrace.from_arrays(confs, ids))
+            confidences.append(conf)
+            token_ids.append(token_id)
     known = [t for t in targets if t is not None]
     if known and len(known) != n_tokens:
         raise TraceFormatError(
@@ -494,20 +576,31 @@ def _parse_image_line(
         )
     return ImageTraces(
         image_id=image_id,
-        traces=tuple(traces),
+        confidences=np.array(confidences).reshape(n_tokens, n),
+        token_ids=np.array(token_ids, dtype=np.int64).reshape(n_tokens, n),
         targets=tuple(known) if known else None,
     )
+
+
+def _ascii_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a trace file; a non-ASCII byte is a format error."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise TraceFormatError(f"line {lineno}: non-ASCII byte")
+            yield lineno, line
 
 
 def read_traces(path: str) -> Iterator[ImageTraces]:
     """Stream images from a trace file, validating as it goes.
 
-    Raises TraceFormatError with a line number on any malformed record,
-    and rejects files written by unknown future format versions.
+    Raises TraceFormatError with a line number on any malformed record
+    or non-ASCII byte, and rejects files written by unknown future format
+    versions.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = _parse_header(fh.readline())
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
+    lines = _ascii_lines(path)
+    _, first = next(lines, (1, ""))
+    header = _parse_header(first)
+    for lineno, line in lines:
+        if line.strip():
             yield _parse_image_line(line, lineno, header)

@@ -15,7 +15,7 @@ def make_trace(confidences, token_ids=None):
 
 def make_image(conf_rows, image_id=0, targets=None):
     traces = tuple(make_trace(row) for row in conf_rows)
-    return ImageTraces(image_id=image_id, traces=traces, targets=targets)
+    return ImageTraces.from_traces(image_id, traces, targets)
 
 
 class FixedTraceModel:

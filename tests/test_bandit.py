@@ -13,6 +13,8 @@ from exitsim import (
     BanditError,
     BanditLog,
     BanditState,
+    CaptionRun,
+    ImageTraces,
     OracleEstimate,
     RewardParams,
     decide_exit,
@@ -352,7 +354,7 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
             make_trace(conf[j].tolist(), token_ids=ids[j].tolist())
             for j in range(8)
         )
-        images.append(ImageTraces(image_id=i, traces=traces))
+        images.append(ImageTraces.from_traces(i, traces))
     alpha = 0.5
     run = run_adaptive_captioning(
         images,
@@ -370,6 +372,74 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
             image_id=caption.image_id,
         )
         assert caption == fixed
+
+
+def test_adaptive_run_matches_per_token_reference_loop():
+    # The per-image arm table must replay the plain per-token loop
+    # (select, exit rule, reward, update) bit for bit, including a
+    # caption cut part-way by the token budget.
+    rng = np.random.default_rng(5)
+    n_layers, max_len, budget, gamma = 6, 7, 101, 1.3
+    images = [
+        ImageTraces(i, rng.random((9, n_layers)), rng.integers(0, 4, (9, n_layers)))
+        for i in range(40)
+    ]
+    actions = ActionSet((0.2, 0.4, 0.6, 0.8, 1.0))
+    params = RewardParams(n_layers=n_layers, lam=0.7)
+    run = run_adaptive_captioning(
+        images,
+        actions,
+        params,
+        gamma=gamma,
+        max_caption_length=max_len,
+        eos_id=0,
+        max_tokens=budget,
+    )
+
+    log = BanditLog()
+    state = initialize(actions, images[0].traces, params, gamma, log)
+    captions = []
+    for img in images[1:]:
+        if state.t >= budget:
+            break
+        decisions = []
+        for trace in img.traces[: min(max_len, budget - state.t)]:
+            alpha = ucb_select(state)
+            decision = decide_exit(trace, alpha)
+            r = reward(decision, params)
+            update(state, alpha, r)
+            log.append(state.t, alpha, decision.exit_layer, r)
+            decisions.append(decision)
+            if decision.token_id == 0:
+                break
+        eos = decisions[-1].token_id == 0
+        truncated = not eos and len(decisions) < max_len
+        captions.append(CaptionRun(img.image_id, tuple(decisions), eos, truncated))
+
+    assert run.captions[-1].truncated and len(run.captions[-1]) > 0
+    assert len(set(log.arms)) > 1
+    assert run.log.arms == log.arms
+    assert run.log.exit_layers == log.exit_layers
+    assert run.log.rewards == log.rewards
+    assert run.state.q == state.q
+    assert run.state.pulls == state.pulls
+    assert run.captions == captions
+
+
+def test_adaptive_run_rejects_an_exit_past_the_reward_layers_when_played():
+    params = RewardParams(n_layers=3)
+    actions = ActionSet((0.5,))
+    state = initialize(actions, [make_trace([0.3, 0.6, 0.9])], params)
+    # Token 2 would exit at layer 4, but eos at token 1 ends the caption.
+    ends_early = ImageTraces(
+        0, np.array([[0.9] * 4, [0.1] * 4]), np.array([[0] * 4, [1] * 4])
+    )
+    run = run_adaptive_captioning([ends_early], actions, params, state=state)
+    assert len(run.captions[0]) == 1
+    with pytest.raises(ValueError, match="exit layer 4"):
+        run_adaptive_captioning(
+            [make_image([[0.1, 0.1, 0.1, 0.1]])], actions, params, state=state
+        )
 
 
 def test_adaptive_run_is_deterministic():

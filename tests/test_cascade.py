@@ -71,6 +71,22 @@ def test_threshold_outside_unit_interval_rejected(alpha):
         exit_layer_indices(np.array([[0.5, 0.5]]), alpha)
 
 
+def test_exit_layer_indices_takes_a_threshold_grid():
+    rng = np.random.default_rng(3)
+    conf = rng.random((60, 6))
+    conf[::7, 2] = 0.5  # ties with a grid point exit (>= is inclusive)
+    conf[::11, 0] = 1.0
+    alphas = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    table = exit_layer_indices(conf, alphas)
+    assert table.shape == (60, 5)
+    for k, alpha in enumerate(alphas):
+        np.testing.assert_array_equal(table[:, k], exit_layer_indices(conf, alpha))
+    assert exit_layer_indices(conf, [0.5]).shape == (60, 1)
+    for bad in ([0.2, math.nan], [0.2, 1.5], np.array([-0.1, 0.5])):
+        with pytest.raises(ValueError, match="outside"):
+            exit_layer_indices(conf, bad)
+
+
 def test_trace_needs_two_layers():
     with pytest.raises(TraceValidationError):
         TokenTrace.from_arrays([0.5], [1])

@@ -201,6 +201,71 @@ def test_token_budget_below_arm_count_exits_2(tmp_path, capsys):
     assert err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("command", ["compare-distortion", "lambda-sweep"])
+def test_token_budget_below_arm_count_exits_2_in_every_adaptive_command(
+    command, tmp_path, capsys
+):
+    code, _, err = run_cli(
+        [command, "--tokens", "5", "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: config: tokens must cover one pull per arm")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bandit", "--gamma", "nan"],
+        ["bandit", "--lam", "inf"],
+        ["bandit", "--alphas", "0.1,nan"],
+        ["gen-traces", "--sigma", "nan"],
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: config:") and "finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tokens": Infinity, "gamma": NaN}')
+    code, _, err = run_cli(
+        ["bandit", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: config:")
+
+
+def test_out_dir_naming_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code, _, err = run_cli(
+        ["gen-traces", "--n-images", "2", "--out-dir", str(blocker)], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: input:")
+    assert err.count("\n") == 1
+
+
+def test_non_ascii_traces_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(
+        b"exitsim-traces 1 layers=2 vocab=8 source=x\n"
+        b"img 1 3 0.5:1 0.25:2\n"
+        b"caf\xc3\xa9 1 3 0.5:1 0.25:2\n"
+    )
+    code, _, err = run_cli(
+        ["sweep-threshold", "--traces", str(bad), "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 3
+    assert err.startswith("error: input: line 3")
+
+
 def test_runtime_failure_exits_4(tmp_path, capsys):
     # Ten arms cannot be initialized from a two-token first image.
     code, _, err = run_cli(

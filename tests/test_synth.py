@@ -15,6 +15,7 @@ from exitsim import (
     SyntheticConfidenceModel,
     TokenTrace,
     TraceFormatError,
+    TraceValidationError,
     decide_exit,
     distort,
     image_stream,
@@ -199,11 +200,54 @@ def test_confidence_matrix_property(sigma, growth, n):
 def test_image_traces_validation():
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
     with pytest.raises(ValueError):
-        ImageTraces(image_id=0, traces=())
+        ImageTraces.from_traces(0, ())
     with pytest.raises(ValueError):
-        ImageTraces(image_id=0, traces=(trace,), targets=(1, 2))
-    image = ImageTraces(image_id=0, traces=(trace,), targets=(1,))
+        ImageTraces.from_traces(0, (trace,), targets=(1, 2))
+    image = ImageTraces.from_traces(0, (trace,), targets=(1,))
     assert len(image) == 1
+
+
+def test_image_traces_rejects_bad_arrays():
+    ok = np.full((2, 3), 0.5)
+    ids = np.ones((2, 3), dtype=np.int64)
+    nan = ok.copy()
+    nan[1, 2] = np.nan
+    with pytest.raises(TraceValidationError, match="token 2 layer 3"):
+        ImageTraces(0, nan, ids)
+    with pytest.raises(TraceValidationError, match="outside"):
+        ImageTraces(0, ok + 0.6, ids)
+    negative = ids.copy()
+    negative[0, 1] = -1
+    with pytest.raises(TraceValidationError, match="negative"):
+        ImageTraces(0, ok, negative)
+    with pytest.raises(TraceValidationError, match="2 layers"):
+        ImageTraces(0, ok[:, :1], ids[:, :1])
+    with pytest.raises(TraceValidationError):
+        ImageTraces(0, ok, ids[:, :2])
+    with pytest.raises(TraceValidationError, match="integers"):
+        ImageTraces(0, ok, ids.astype(float))
+    with pytest.raises(ValueError, match="no traces"):
+        ImageTraces(0, ok[:0], ids[:0])
+    with pytest.raises(ValueError, match="targets"):
+        ImageTraces(0, ok, ids, targets=(1,))
+
+
+def test_image_traces_is_a_value():
+    conf = np.array([[0.25, 0.75], [0.5, 1.0]])
+    ids = np.array([[3, 4], [0, 0]])
+    image = ImageTraces("a", conf, ids, targets=(4, 0))
+    with pytest.raises(ValueError):
+        image.confidences[0, 0] = 0.5
+    assert image.token_ids.dtype == np.int64
+    assert image.n_layers == 2 and len(image) == 2
+    assert image == ImageTraces.from_traces("a", image.traces, [4, 0])
+    assert image != ImageTraces("a", image.confidences, image.token_ids)
+    assert image.traces[1] == TokenTrace.from_arrays([0.5, 1.0], [0, 0])
+    with pytest.raises(TraceValidationError, match="layer counts"):
+        ImageTraces.from_traces(
+            0, [TokenTrace.from_arrays([0.5, 0.5], [1, 1]),
+                TokenTrace.from_arrays([0.5, 0.5, 0.5], [1, 1, 1])]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +295,14 @@ def test_write_then_read_round_trips_exactly(tmp_path):
     loaded = list(read_traces(path))
     # image ids come back as strings; everything else must be bit-equal
     assert loaded == [
-        ImageTraces(str(img.image_id), img.traces, img.targets) for img in images
+        ImageTraces.from_traces(str(img.image_id), img.traces, img.targets)
+        for img in images
     ]
 
 
 def test_round_trip_without_targets(tmp_path):
     trace = TokenTrace.from_arrays([0.1, 0.9], [3, 4])
-    image = ImageTraces(image_id="a", traces=(trace, trace))
+    image = ImageTraces.from_traces("a", (trace, trace))
     path = str(tmp_path / "t.txt")
     write_traces(path, [image], 2, 8)
     (loaded,) = read_traces(path)
@@ -287,7 +332,7 @@ def test_confidences_round_trip_bit_exactly(tmp_path):
     trace_rows = [
         TokenTrace.from_arrays(confs[i : i + 2], [1, 2]) for i in range(0, 64, 2)
     ]
-    image = ImageTraces(image_id=0, traces=tuple(trace_rows))
+    image = ImageTraces.from_traces(0, trace_rows)
     path = str(tmp_path / "bits.txt")
     write_traces(path, [image], 2, 8)
     (loaded,) = read_traces(path)
@@ -336,6 +381,20 @@ def test_reader_flags_malformed_records(tmp_path, record, fragment):
         list(read_traces(path))
 
 
+def test_reader_rejects_non_ascii_bytes_with_line_number(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(
+        b"exitsim-traces 1 layers=2 vocab=8 source=x\n"
+        b"img 1 3 0.5:1 0.25:2\n"
+        b"caf\xc3\xa9 1 3 0.5:1 0.25:2\n"
+    )
+    with pytest.raises(TraceFormatError, match="line 3: non-ASCII"):
+        list(read_traces(str(path)))
+    path.write_bytes(b"exitsim-traces 1 layers=2 vocab=8 source=\xff\n")
+    with pytest.raises(TraceFormatError, match="line 1"):
+        read_header(str(path))
+
+
 def test_reader_reports_correct_line_number(tmp_path):
     model = SyntheticConfidenceModel()
     good = sample_image(model, model.stream_rng(0), max_len=2, image_id="ok")
@@ -361,7 +420,7 @@ def test_reader_skips_blank_lines(tmp_path):
 
 def test_writer_validates_against_header(tmp_path):
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
-    image = ImageTraces(image_id=0, traces=(trace,))
+    image = ImageTraces.from_traces(0, (trace,))
     path = str(tmp_path / "bad.txt")
     with pytest.raises(ValueError, match="layers"):
         write_traces(path, [image], 3, 8)
@@ -369,9 +428,9 @@ def test_writer_validates_against_header(tmp_path):
         write_traces(path, [image], 2, 2)
     with pytest.raises(ValueError, match="source"):
         write_traces(path, [image], 2, 8, source="two words")
-    spaced = ImageTraces(image_id="a b", traces=(trace,))
+    spaced = ImageTraces.from_traces("a b", (trace,))
     with pytest.raises(ValueError, match="whitespace"):
         write_traces(path, [spaced], 2, 8)
-    bad_target = ImageTraces(image_id=1, traces=(trace,), targets=(9,))
+    bad_target = ImageTraces.from_traces(1, (trace,), targets=(9,))
     with pytest.raises(ValueError, match="target"):
         write_traces(path, [bad_target], 2, 8)
