@@ -42,8 +42,6 @@ from .synth import (
     read_traces,
     sample_batch,
     sample_image,
-    sample_trace,
-    token_stream,
     write_traces,
 )
 from .distill import (
@@ -60,7 +58,6 @@ from .distill import (
     exit_objective,
     finetune_loss,
     forward,
-    forward_traces,
     gradient_check,
     init_cascade,
     kl_divergence,

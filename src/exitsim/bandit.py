@@ -9,12 +9,11 @@ every arm on a common set of sampled traces.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
     CaptionRun,
     ExitDecision,
-    TokenTrace,
-    decide_exit,
     exit_layer_indices,
     run_caption,
 )
@@ -39,7 +36,8 @@ ORACLE_SEED = 1000003
 
 
 class BanditError(RuntimeError):
-    """Bandit state misuse: uninitialized selection or exhausted init source."""
+    """Bandit state misuse: uninitialized selection or an image too short
+    to initialize on."""
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,12 @@ class RewardParams:
     def __post_init__(self) -> None:
         if self.n_layers < 2:
             raise ValueError(f"n_layers must be >= 2, got {self.n_layers}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.mu is None:
             object.__setattr__(self, "mu", 1.0 / self.n_layers)
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not math.isfinite(self.mu) or self.mu <= 0:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if self.latency is None:
             schedule = (0.0,) + tuple(
                 self.lam * i for i in range(2, self.n_layers + 1)
@@ -109,6 +107,8 @@ class RewardParams:
                 f"latency schedule has {len(self.latency)} entries for "
                 f"{self.n_layers} layers"
             )
+        if not all(math.isfinite(x) for x in self.latency):
+            raise ValueError(f"latency schedule must be finite, got {self.latency}")
         if self.latency[0] != 0.0:
             raise ValueError(
                 f"layer 1 latency must be 0, got {self.latency[0]!r}"
@@ -151,8 +151,10 @@ class BanditState:
             raise ValueError(
                 f"state arrays must match the {k}-arm action set"
             )
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if not math.isfinite(self.gamma) or self.gamma < 1.0:
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        if not all(math.isfinite(x) for x in self.q):
+            raise ValueError(f"q values must be finite, got {self.q}")
         if self.t < 0 or any(n < 0 for n in self.pulls):
             raise ValueError("counters must be nonnegative")
 
@@ -263,64 +265,34 @@ class BanditLog:
             counts[arm] = counts.get(arm, 0) + 1
         return counts
 
-    def to_csv(
-        self,
-        path: str,
-        oracle: "OracleEstimate",
-        preamble: Sequence[str] = (),
-    ) -> None:
-        """Write the log with a cumulative pseudo-regret column.
-
-        ``preamble`` lines are emitted as '#' comments before the header
-        so run configuration can ride along with the data.
-        """
-        regret = regret_curve(self, oracle)
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            for line in preamble:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"]
-            )
-            for i in range(len(self.rounds)):
-                writer.writerow(
-                    [
-                        self.rounds[i],
-                        repr(self.arms[i]),
-                        self.exit_layers[i],
-                        repr(self.rewards[i]),
-                        repr(float(regret[i])),
-                    ]
-                )
-
 
 def initialize(
     actions: ActionSet,
-    trace_source: Iterable[TokenTrace],
+    image: ImageTraces,
     params: RewardParams,
     gamma: float = 1.0,
     log: BanditLog | None = None,
 ) -> BanditState:
-    """Play every arm exactly once on consecutive traces.
+    """Play every arm exactly once: arm k on token k of ``image``.
 
     After this the round counter equals the arm count and every arm's Q
     is its single observed reward, which is what the selection rule
-    needs before its first real round.
+    needs before its first real round.  An image with fewer tokens than
+    arms raises BanditError.
     """
+    if len(image) < len(actions):
+        raise BanditError(
+            f"image {image.image_id!r} has {len(image)} tokens: initialization "
+            f"needs one per arm ({len(actions)})"
+        )
     state = BanditState.fresh(actions, gamma)
-    source = iter(trace_source)
-    for alpha in actions.thresholds:
-        trace = next(source, None)
-        if trace is None:
-            raise BanditError(
-                f"trace source exhausted during initialization: needed "
-                f"{len(actions)} traces"
-            )
-        decision = decide_exit(trace, alpha)
-        r = reward(decision, params)
-        update(state, alpha, r)
+    exits, _, _, rewards = _arm_table(image, np.asarray(actions.thresholds), params)
+    for k, alpha in enumerate(actions.thresholds):
+        layer = exits[k][k] + 1
+        _check_exit_layer(layer, params.n_layers)
+        update(state, alpha, rewards[k][k])
         if log is not None:
-            log.append(state.t, alpha, decision.exit_layer, r)
+            log.append(state.t, alpha, layer, rewards[k][k])
     return state
 
 
@@ -333,36 +305,37 @@ class AdaptiveRun:
     state: BanditState
 
 
-def _as_image(item: object, fallback_id: int) -> ImageTraces:
-    """An ImageTraces as is; a plain sequence of TokenTrace stacked into one."""
-    if isinstance(item, ImageTraces):
-        return item
-    return ImageTraces.from_traces(fallback_id, item)
+def _exit_rewards(
+    conf: np.ndarray, exits: np.ndarray, params: RewardParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exit confidence and reward of 0-based ``exits`` over a (tokens,
+    layers) confidence array; ``exits`` is (tokens,) or (tokens, K).
+
+    The rewards are formed with the same float64 operations as ``reward``,
+    so they are bit-identical to it.  Exits past ``params.n_layers`` get
+    a placeholder reward; callers reject them when they are played.
+    """
+    rows = np.arange(len(conf)).reshape((-1,) + (1,) * (exits.ndim - 1))
+    exit_conf = conf[rows, exits]
+    latency = np.asarray(params.latency)
+    cost = latency[np.minimum(exits, len(latency) - 1)]
+    return exit_conf, (exit_conf - conf[rows, 0]) - params.mu * cost
 
 
 def _arm_table(
     image: ImageTraces, thresholds: np.ndarray, params: RewardParams
 ) -> tuple[list, list, list, list]:
     """Every arm's outcome on every token of an image, as (T, K) lists:
-    0-based exit layer, emitted token id, exit confidence and reward.
-
-    The rewards are formed with the same float64 operations as ``reward``,
-    so they are bit-identical to it.  Exits past ``params.n_layers`` get
-    a placeholder reward; the caller rejects them when they are played.
-    """
+    0-based exit layer, emitted token id, exit confidence and reward."""
     conf = image.confidences
     exits = exit_layer_indices(conf, thresholds)
-    rows = np.arange(len(conf))[:, None]
-    exit_conf = conf[rows, exits]
-    emitted = image.token_ids[rows, exits]
-    latency = np.asarray(params.latency)
-    cost = latency[np.minimum(exits, len(latency) - 1)]
-    rewards = (exit_conf - conf[:, :1]) - params.mu * cost
+    emitted = image.token_ids[np.arange(len(conf))[:, None], exits]
+    exit_conf, rewards = _exit_rewards(conf, exits, params)
     return exits.tolist(), emitted.tolist(), exit_conf.tolist(), rewards.tolist()
 
 
 def run_adaptive_captioning(
-    images: Iterable,
+    images: Iterable[ImageTraces],
     actions: ActionSet,
     params: RewardParams,
     gamma: float = 1.0,
@@ -374,11 +347,10 @@ def run_adaptive_captioning(
 ) -> AdaptiveRun:
     """Caption an image stream while adapting the exit threshold online.
 
-    Each image is either an ImageTraces or a plain sequence of
-    TokenTrace.  When no prior state is given, the first image is spent
-    playing every arm once and produces no caption.  Passing the state
-    and log of an earlier run resumes it: counters keep rising and the
-    same object is returned updated.  ``max_tokens`` caps the total
+    When no prior state is given, the first image is spent playing
+    every arm once (``initialize``) and produces no caption.  Passing
+    the state and log of an earlier run resumes it: counters keep rising
+    and the same object is returned updated.  ``max_tokens`` caps the total
     round counter; a caption cut off by the cap is flagged truncated.
     Every caption is played by ``run_caption`` with a per-token policy
     that selects an arm, looks up that arm's exit in the image's arm
@@ -389,14 +361,11 @@ def run_adaptive_captioning(
     if log is None:
         log = BanditLog()
     image_iter = iter(images)
-    first_id = 0
     if state is None:
-        try:
-            first = next(image_iter)
-        except StopIteration:
+        first = next(image_iter, None)
+        if first is None:
             raise BanditError("image stream is empty: nothing to initialize on")
-        state = initialize(actions, _as_image(first, 0).traces, params, gamma, log)
-        first_id = 1
+        state = initialize(actions, first, params, gamma, log)
     elif not state.initialized:
         raise BanditError(
             "resumed state has unplayed arms: run initialize() first"
@@ -405,10 +374,9 @@ def run_adaptive_captioning(
     arm = {alpha: k for k, alpha in enumerate(state.actions.thresholds)}
 
     captions: list[CaptionRun] = []
-    for fallback_id, item in enumerate(image_iter, start=first_id):
+    for image in image_iter:
         if max_tokens is not None and state.t >= max_tokens:
             break
-        image = _as_image(item, fallback_id)
         exits, emitted, exit_conf, rewards = _arm_table(image, thresholds, params)
         first_conf = image.confidences[:, 0].tolist()
 
@@ -490,13 +458,9 @@ def expected_reward_oracle(
             f"model emits {conf.shape[1]} layers, reward params expect "
             f"{params.n_layers}"
         )
-    latency = np.asarray(params.latency)
-    first = conf[:, 0]
     expected = []
-    for alpha in actions.thresholds:
-        idx = exit_layer_indices(conf, alpha)
-        exit_conf = conf[np.arange(conf.shape[0]), idx]
-        rewards = (exit_conf - first) - params.mu * latency[idx]
+    for alpha in actions.thresholds:  # one arm at a time bounds peak memory
+        _, rewards = _exit_rewards(conf, exit_layer_indices(conf, alpha), params)
         expected.append(float(rewards.mean()))
     return OracleEstimate(
         thresholds=actions.thresholds,
@@ -521,16 +485,23 @@ def regret_curve(log: BanditLog, oracle: OracleEstimate) -> np.ndarray:
 
 
 def regret_bound(oracle: OracleEstimate, horizon: int, gamma: float) -> float:
-    """Logarithmic pseudo-regret bound for the UCB rule at a horizon.
+    """UCB1's logarithmic pseudo-regret curve at a horizon, as a reference.
 
     4 * gamma * sum over suboptimal arms of ln(T) / gap, plus
     (pi^2 / 3 + 1) times the sum of the gaps.  Arms whose estimated gap
     is exactly zero are treated as co-optimal and contribute nothing.
+
+    This is the UCB1 form (Auer, Cesa-Bianchi & Fischer, 2002), derived
+    for rewards in [0, 1] and an exploration width of sqrt(2 ln t / n).
+    This simulator's rewards span [-1 - mu * o_N, 1] (``RewardParams.bounds``)
+    and its width is gamma * sqrt(ln t / n), so those preconditions do not
+    hold: the value is a reference curve to compare regret against, not
+    a guarantee.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not math.isfinite(gamma) or gamma < 1.0:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     log_t = math.log(horizon)
     exploration = sum(
         log_t / g for k, g in enumerate(oracle.gaps)

@@ -209,15 +209,6 @@ class ExitHistogram:
             raise ValueError(f"n_layers must be >= 1, got {n_layers}")
         return cls([0] * n_layers)
 
-    @classmethod
-    def from_decisions(
-        cls, decisions: Iterable[ExitDecision], n_layers: int
-    ) -> "ExitHistogram":
-        hist = cls.empty(n_layers)
-        for decision in decisions:
-            hist.record(decision.exit_layer)
-        return hist
-
     def record(self, exit_layer: int) -> None:
         if not 1 <= exit_layer <= len(self.counts):
             raise ValueError(

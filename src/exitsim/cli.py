@@ -193,10 +193,11 @@ def _action_set(config: dict) -> ActionSet:
 
 
 def _check_token_budget(config: dict, actions: ActionSet) -> None:
-    if config["tokens"] < len(actions):
+    """Initialization pulls every arm once; at least one round must follow."""
+    if config["tokens"] <= len(actions):
         raise ConfigError(
-            f"tokens must cover one pull per arm: {config['tokens']} < "
-            f"{len(actions)}"
+            f"tokens must cover one pull per arm and one round after: "
+            f"{config['tokens']} <= {len(actions)}"
         )
 
 
@@ -240,7 +241,7 @@ def _policy_cell(
     total = sum(len(caption) for caption in run.captions)
     return {
         "speedup": speedup_ratio(hist),
-        "accuracy": hits / total if total else float("nan"),
+        "accuracy": hits / total,
         "mean_reward": sum(run.log.rewards) / len(run.log.rewards),
     }
 
@@ -294,7 +295,7 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
         source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
     )
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
+        "config": config,
         "n_images": count,
         "n_tokens": count * config["max_len"],
         "outputs": [config["out"], "gen_traces_summary.json"],
@@ -341,7 +342,7 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
         rows,
     )
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
+        "config": config,
         "n_tokens": n_tokens,
         "outputs": ["sweep_threshold.csv", "sweep_threshold_summary.json"],
     }
@@ -382,15 +383,19 @@ def cmd_bandit(args: argparse.Namespace) -> int:
     oracle = expected_reward_oracle(
         model, actions, params, samples=config["oracle_samples"]
     )
-    run.log.to_csv(
-        _out_path(args, "bandit_log.csv"), oracle, preamble=_echo_lines(config)
+    log = run.log
+    regret = regret_curve(log, oracle).tolist()
+    _write_csv(
+        _out_path(args, "bandit_log.csv"),
+        config,
+        ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"],
+        zip(log.rounds, log.arms, log.exit_layers, log.rewards, regret),
     )
-    regret = regret_curve(run.log, oracle)
-    counts = run.log.arm_counts()
+    counts = log.arm_counts()
     empirical_best = max(counts, key=lambda a: (counts[a], -a))
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
-        "rounds": len(run.log),
+        "config": config,
+        "rounds": len(log),
         "arm_frequencies": {repr(a): counts.get(a, 0) for a in actions.thresholds},
         "oracle_best_arm": oracle.best_threshold,
         "oracle_expected_rewards": {
@@ -398,9 +403,9 @@ def cmd_bandit(args: argparse.Namespace) -> int:
             for a, e in zip(oracle.thresholds, oracle.expected_rewards)
         },
         "empirical_best_arm": empirical_best,
-        "mean_reward": sum(run.log.rewards) / len(run.log.rewards),
-        "pseudo_regret": float(regret[-1]),
-        "regret_bound": regret_bound(oracle, len(run.log), config["gamma"]),
+        "mean_reward": sum(log.rewards) / len(log),
+        "pseudo_regret": regret[-1],
+        "regret_bound": regret_bound(oracle, len(log), config["gamma"]),
         "outputs": ["bandit_log.csv", "bandit_summary.json"],
     }
     _write_summary(_out_path(args, "bandit_summary.json"), summary)
@@ -471,7 +476,7 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
         rows,
     )
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
+        "config": config,
         "adaptive_minus_fixed_mean_reward": margins,
         "oracle_best_arm": oracle_best,
         "outputs": ["compare_distortion.csv", "compare_distortion_summary.json"],
@@ -561,7 +566,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     )
     deepest = n_layers - 2
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
+        "config": config,
         "layer1_both_minus_ce": accuracies["both"][0] - accuracies["ce"][0],
         "deepest_exit_spread": max(
             abs(accuracies["both"][deepest] - accuracies["ce"][deepest]),
@@ -621,7 +626,7 @@ def cmd_lambda_sweep(args: argparse.Namespace) -> int:
         rows,
     )
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
+        "config": config,
         "oracle_best_arm": oracle_best,
         "mean_reward": mean_rewards,
         "outputs": ["lambda_sweep.csv", "lambda_sweep_summary.json"],
@@ -650,7 +655,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     path = _out_path(args, config["checkpoint"])
     save_cascade(model, path)
     summary = {
-        "config": {k: config[k] for k in sorted(config)},
+        "config": config,
         "stage1_loss": {
             "first": stage1[0] if stage1 else None,
             "last": stage1[-1] if stage1 else None,

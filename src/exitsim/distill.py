@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .cascade import LayerOutcome, TokenTrace
 
 DEFAULT_PROB_FLOOR = 1e-12
 CHECKPOINT_FORMAT = "exitsim-toy-cascade"
@@ -197,19 +196,6 @@ def forward(model: ToyCascade, example: SyntheticExample) -> np.ndarray:
     return _head_probs(model, states)
 
 
-def forward_traces(model: ToyCascade, example: SyntheticExample) -> tuple[TokenTrace, ...]:
-    """Run the cascade and package each position as a TokenTrace."""
-    probs = forward(model, example)
-    traces = []
-    for t in range(probs.shape[0]):
-        layers = tuple(
-            LayerOutcome(float(probs[t, i].max()), int(probs[t, i].argmax()))
-            for i in range(probs.shape[1])
-        )
-        traces.append(TokenTrace(layers=layers))
-    return tuple(traces)
-
-
 def finetune_loss(final_probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy of the final head against the hard targets."""
     if final_probs.ndim != 2 or len(final_probs) != len(targets):
@@ -277,8 +263,10 @@ class StepSchedule:
     every: int = 50
 
     def __post_init__(self) -> None:
-        if self.initial <= 0:
-            raise ValueError(f"initial rate must be positive, got {self.initial}")
+        if not math.isfinite(self.initial) or self.initial <= 0:
+            raise ValueError(
+                f"initial rate must be finite and positive, got {self.initial}"
+            )
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.every < 1:
@@ -670,13 +658,14 @@ def save_cascade(model: ToyCascade, path: str) -> None:
 def load_cascade(path: str) -> ToyCascade:
     """Read a checkpoint written by save_cascade.
 
-    Raises CheckpointError on a wrong format tag, unknown version, or
-    dimensions that disagree with the stored config.
+    Raises CheckpointError on bytes that are not UTF-8 JSON, a wrong
+    format tag, unknown version, or dimensions that disagree with the
+    stored config.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must be a JSON object")

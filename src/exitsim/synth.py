@@ -82,6 +82,10 @@ class SyntheticConfidenceModel:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):  # annotations are strings here
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.n_layers < 2:
             raise ValueError(f"n_layers must be >= 2, got {self.n_layers}")
         if self.vocab_size < 2:
@@ -172,11 +176,6 @@ class TraceBatch:
     def __len__(self) -> int:
         return self.confidences.shape[0]
 
-    def trace(self, index: int) -> TokenTrace:
-        return TokenTrace.from_arrays(
-            self.confidences[index], self.token_ids[index]
-        )
-
 
 def sample_batch(
     model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
@@ -205,13 +204,6 @@ def sample_batch(
         token_ids=token_ids.astype(np.int64),
         targets=targets.astype(np.int64),
     )
-
-
-def sample_trace(
-    model: SyntheticConfidenceModel, rng: np.random.Generator
-) -> TokenTrace:
-    """Draw a single token trace."""
-    return sample_batch(model, 1, rng).trace(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,18 +349,6 @@ def image_stream(
     while True:
         yield sample_image(model, rng, max_len, image_id)
         image_id += 1
-
-
-def token_stream(
-    model: SyntheticConfidenceModel,
-    rng: np.random.Generator,
-    block: int = 4096,
-) -> Iterator[TokenTrace]:
-    """Endless stream of single token traces, sampled in blocks."""
-    while True:
-        batch = sample_batch(model, block, rng)
-        for i in range(block):
-            yield batch.trace(i)
 
 
 # ---------------------------------------------------------------------------

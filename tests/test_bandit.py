@@ -17,6 +17,8 @@ from exitsim import (
     ImageTraces,
     OracleEstimate,
     RewardParams,
+    StepSchedule,
+    SyntheticConfidenceModel,
     decide_exit,
     expected_reward_oracle,
     initialize,
@@ -237,46 +239,116 @@ def test_state_gamma_floor():
         BanditState.fresh(ActionSet((0.5,)), gamma=0.5)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: RewardParams(n_layers=3, lam=NAN), id="lam-nan"),
+        pytest.param(lambda: RewardParams(n_layers=3, lam=math.inf), id="lam-inf"),
+        pytest.param(lambda: RewardParams(n_layers=3, mu=NAN), id="mu-nan"),
+        pytest.param(
+            lambda: RewardParams(n_layers=3, latency=(0.0, NAN, 2.0)),
+            id="latency-nan",
+        ),
+        pytest.param(
+            lambda: BanditState.fresh(ActionSet((0.5,)), gamma=NAN), id="gamma-nan"
+        ),
+        pytest.param(
+            lambda: BanditState(ActionSet((0.5,)), [NAN], [1], 1, 1.0), id="q-nan"
+        ),
+        pytest.param(
+            lambda: regret_bound(OracleEstimate((0.5,), (0.0,), 1), 10, NAN),
+            id="regret-bound-gamma-nan",
+        ),
+        pytest.param(lambda: SyntheticConfidenceModel(sigma=NAN), id="sigma-nan"),
+        pytest.param(lambda: SyntheticConfidenceModel(growth=NAN), id="growth-nan"),
+        pytest.param(
+            lambda: SyntheticConfidenceModel(noise_scale=NAN), id="noise-scale-nan"
+        ),
+        pytest.param(
+            lambda: SyntheticConfidenceModel(difficulty_low=NAN),
+            id="difficulty-low-nan",
+        ),
+        pytest.param(
+            lambda: SyntheticConfidenceModel(difficulty_high=math.inf),
+            id="difficulty-high-inf",
+        ),
+        pytest.param(lambda: StepSchedule(initial=NAN), id="schedule-initial-nan"),
+    ],
+)
+def test_library_rejects_non_finite_numbers(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # initialize
 
 
 def test_initialize_plays_every_arm_once():
     actions = ActionSet((0.2, 0.5, 0.8))
-    traces = [make_trace([0.3, 0.6, 0.9])] * 3
+    image = make_image([[0.3, 0.6, 0.9]] * 4)
     params = RewardParams(n_layers=3)
     log = BanditLog()
-    state = initialize(actions, traces, params, log=log)
+    state = initialize(actions, image, params, log=log)
     assert state.pulls == [1, 1, 1]
     assert state.t == 3
     assert state.initialized
     assert len(log) == 3
+    assert log.rounds == [1, 2, 3]
     assert log.arms == [0.2, 0.5, 0.8]
+    assert log.exit_layers == [1, 2, 3]
 
 
 def test_initialize_q_values_are_the_observed_rewards():
-    # Same trace for all arms, so rewards are hand-checkable:
+    # Same token for all arms, so rewards are hand-checkable:
     # alpha=0.2 exits layer 1 (r=0); alpha=0.5 exits layer 2
     # (0.6-0.3 - 2/3 = -0.3667); alpha=0.8 falls through to layer 3
     # (0.9-0.3 - 1 = -0.4).
     actions = ActionSet((0.2, 0.5, 0.8))
-    traces = [make_trace([0.3, 0.6, 0.9])] * 3
-    state = initialize(actions, traces, RewardParams(n_layers=3))
+    image = make_image([[0.3, 0.6, 0.9]] * 3)
+    state = initialize(actions, image, RewardParams(n_layers=3))
     assert state.q[0] == 0.0
     assert state.q[1] == pytest.approx((0.6 - 0.3) - 2.0 / 3.0, abs=1e-12)
     assert state.q[2] == pytest.approx((0.9 - 0.3) - 1.0, abs=1e-12)
 
 
+def test_initialize_plays_arm_k_on_token_k():
+    # Each token exits at a different layer for each arm, so the log
+    # shows which token every arm was played on.
+    actions = ActionSet((0.5, 0.7))
+    rows = [[0.6, 0.8, 0.9], [0.1, 0.2, 0.95], [0.9, 0.9, 0.9]]
+    log = BanditLog()
+    state = initialize(actions, make_image(rows), RewardParams(n_layers=3), log=log)
+    assert log.exit_layers == [1, 3]  # token 1 at 0.5, token 2 at 0.7
+    assert state.q[0] == 0.0
+    assert state.q[1] == pytest.approx((0.95 - 0.1) - 1.0, abs=1e-12)
+
+
 def test_initialize_single_arm_consumes_one_trace():
-    traces = iter([make_trace([0.3, 0.6]), make_trace([0.4, 0.7])])
-    initialize(ActionSet((0.5,)), traces, RewardParams(n_layers=2))
-    assert next(traces).confidences == (0.4, 0.7)  # second trace untouched
+    log = BanditLog()
+    state = initialize(
+        ActionSet((0.5,)), make_image([[0.3, 0.6], [0.7, 0.4]]),
+        RewardParams(n_layers=2), log=log,
+    )
+    assert state.t == 1 and log.exit_layers == [2]  # token 2 never played
+    assert state.q == [(0.6 - 0.3) - 0.5 * 2.0]
 
 
 def test_initialize_exhausted_source_raises():
-    with pytest.raises(BanditError):
+    with pytest.raises(BanditError, match="needs one per arm"):
         initialize(
-            ActionSet((0.2, 0.5)), [make_trace([0.3, 0.6])], RewardParams(n_layers=2)
+            ActionSet((0.2, 0.5)), make_image([[0.3, 0.6]]), RewardParams(n_layers=2)
+        )
+
+
+def test_initialize_rejects_an_exit_past_the_reward_layers():
+    with pytest.raises(ValueError, match="exit layer 4"):
+        initialize(
+            ActionSet((0.5,)), make_image([[0.1, 0.1, 0.1, 0.9]]),
+            RewardParams(n_layers=3),
         )
 
 
@@ -397,7 +469,12 @@ def test_adaptive_run_matches_per_token_reference_loop():
     )
 
     log = BanditLog()
-    state = initialize(actions, images[0].traces, params, gamma, log)
+    state = BanditState.fresh(actions, gamma)
+    for alpha, trace in zip(actions.thresholds, images[0].traces):
+        decision = decide_exit(trace, alpha)
+        r = reward(decision, params)
+        update(state, alpha, r)
+        log.append(state.t, alpha, decision.exit_layer, r)
     captions = []
     for img in images[1:]:
         if state.t >= budget:
@@ -429,7 +506,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
 def test_adaptive_run_rejects_an_exit_past_the_reward_layers_when_played():
     params = RewardParams(n_layers=3)
     actions = ActionSet((0.5,))
-    state = initialize(actions, [make_trace([0.3, 0.6, 0.9])], params)
+    state = initialize(actions, make_image([[0.3, 0.6, 0.9]]), params)
     # Token 2 would exit at layer 4, but eos at token 1 ends the caption.
     ends_early = ImageTraces(
         0, np.array([[0.9] * 4, [0.1] * 4]), np.array([[0] * 4, [1] * 4])
@@ -540,24 +617,6 @@ def test_log_arm_counts_window():
     assert log.arm_counts(last=2) == {0.5: 1, 0.2: 1}
 
 
-def test_log_to_csv_layout(tmp_path):
-    log = BanditLog()
-    log.append(1, 0.5, 2, 0.25)
-    log.append(2, 0.6, 3, -0.125)
-    oracle = OracleEstimate(
-        thresholds=(0.5, 0.6), expected_rewards=(0.3, 0.2), samples=1
-    )
-    path = tmp_path / "log.csv"
-    log.to_csv(str(path), oracle, preamble=["alphas=[0.5, 0.6]"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# alphas=[0.5, 0.6]"
-    assert lines[1] == "t,arm,exit_layer,reward,cumulative_pseudo_regret"
-    assert lines[2].split(",") == ["1", "0.5", "2", "0.25", "0.0"]
-    row = lines[3].split(",")
-    assert row[:4] == ["2", "0.6", "3", "-0.125"]
-    assert float(row[4]) == pytest.approx(0.1, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # oracle and regret
 
@@ -598,8 +657,6 @@ def test_oracle_scripted_three_trace_hand_average():
 
 
 def test_oracle_common_random_numbers_are_reproducible():
-    from exitsim import SyntheticConfidenceModel
-
     model = SyntheticConfidenceModel()
     args = (model, ActionSet.default_grid(), RewardParams(n_layers=12))
     a = expected_reward_oracle(*args, samples=2000)

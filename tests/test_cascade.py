@@ -287,9 +287,9 @@ def test_histogram_record_validates_layer():
 
 
 def test_histogram_from_decisions():
-    traces = [make_trace([0.9, 0.2]), make_trace([0.1, 0.2])]
-    decisions = [decide_exit(t, 0.5) for t in traces]
-    hist = ExitHistogram.from_decisions(decisions, n_layers=2)
+    hist = ExitHistogram.empty(2)
+    for trace in [make_trace([0.9, 0.2]), make_trace([0.1, 0.2])]:
+        hist.record(decide_exit(trace, 0.5).exit_layer)
     assert hist.counts == [1, 1]
 
 
@@ -305,5 +305,7 @@ def test_histogram_from_decisions():
 def test_histogram_total_matches_caption_length(confs, alpha):
     traces = [make_trace(row) for row in confs]
     run = run_caption(traces, alpha, max_caption_length=100, eos_id=-1)
-    hist = ExitHistogram.from_decisions(run.tokens, n_layers=4)
+    hist = ExitHistogram.empty(4)
+    for decision in run.tokens:
+        hist.record(decision.exit_layer)
     assert hist.total == len(run)

@@ -193,24 +193,29 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
     assert err.startswith("error: config:")
 
 
+# Initialization pulls each of the 10 default arms once; a budget of 10
+# would leave no round after it.
 def test_token_budget_below_arm_count_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["bandit", "--tokens", "5", "--out-dir", str(tmp_path)], capsys
-    )
-    assert code == 2
-    assert err.startswith("error: config:")
+    for tokens in ("5", "10"):
+        code, _, err = run_cli(
+            ["bandit", "--tokens", tokens, "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: config: tokens must cover one pull per arm")
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["compare-distortion", "lambda-sweep"])
 def test_token_budget_below_arm_count_exits_2_in_every_adaptive_command(
     command, tmp_path, capsys
 ):
-    code, _, err = run_cli(
-        [command, "--tokens", "5", "--out-dir", str(tmp_path)], capsys
-    )
-    assert code == 2
-    assert err.startswith("error: config: tokens must cover one pull per arm")
-    assert os.listdir(tmp_path) == []
+    for tokens in ("5", "10"):
+        code, _, err = run_cli(
+            [command, "--tokens", tokens, "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: config: tokens must cover one pull per arm")
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -264,6 +269,17 @@ def test_non_ascii_traces_file_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert err.startswith("error: input: line 3")
+
+
+def test_non_utf8_checkpoint_exits_3(tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(b'{"format": "\xff"}\n')
+    code, _, err = run_cli(
+        ["sweep-threshold", "--model", str(bad), "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 3
+    assert err.startswith("error: input:")
 
 
 def test_runtime_failure_exits_4(tmp_path, capsys):
@@ -401,6 +417,31 @@ def test_bandit_log_matches_summary_counts(tmp_path, capsys):
     assert counted == 200
     last_regret = float(rows[-1][4])
     assert last_regret == pytest.approx(summary["pseudo_regret"], abs=1e-9)
+
+
+def test_bandit_log_csv_layout(tmp_path, capsys):
+    out = str(tmp_path)
+    code, _, _ = run_cli(
+        ["bandit", *FAST_BANDIT, "--alphas", "0.5,0.6", "--out-dir", out], capsys
+    )
+    assert code == 0
+    lines = open(os.path.join(out, "bandit_log.csv")).read().splitlines()
+    n_comments = sum(line.startswith("#") for line in lines)
+    assert all(line.startswith("# ") for line in lines[:n_comments])
+    assert "# alphas=[0.5, 0.6]" in lines[:n_comments]
+    rows = list(csv.reader(lines[n_comments:]))
+    assert rows[0] == ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"]
+    assert [row[1] for row in rows[1:3]] == ["0.5", "0.6"]  # initialization
+    summary = read_summary(out, "bandit_summary.json")
+    expected = {float(a): e for a, e in summary["oracle_expected_rewards"].items()}
+    best = max(expected.values())
+    regret = 0.0
+    for t, (round_, arm, layer, reward, cumulative) in enumerate(rows[1:], start=1):
+        assert int(round_) == t
+        assert float(arm) in expected and 1 <= int(layer) <= 12
+        assert repr(float(reward)) == reward and repr(float(cumulative)) == cumulative
+        regret += best - expected[float(arm)]
+        assert float(cumulative) == pytest.approx(regret, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from exitsim import (
     TokenTrace,
     TraceFormatError,
     TraceValidationError,
-    decide_exit,
     distort,
     image_stream,
     read_header,
@@ -24,8 +23,6 @@ from exitsim import (
     run_caption,
     sample_batch,
     sample_image,
-    sample_trace,
-    token_stream,
     write_traces,
 )
 
@@ -121,14 +118,15 @@ def test_eos_rate_tracks_eos_prob():
     assert abs(rate - model.eos_prob) < 0.02
 
 
-def test_sample_trace_and_batch_agree_on_shapes():
+def test_sample_batch_shapes_and_dtypes():
     model = SyntheticConfidenceModel()
-    trace = sample_trace(model, model.stream_rng(0))
-    assert isinstance(trace, TokenTrace)
-    assert trace.n_layers == model.n_layers
     batch = sample_batch(model, 3, model.stream_rng(0))
     assert len(batch) == 3
-    assert batch.trace(0).confidences == tuple(batch.confidences[0])
+    assert batch.confidences.shape == (3, model.n_layers)
+    assert batch.token_ids.shape == (3, model.n_layers)
+    assert batch.targets.shape == (3,)
+    assert batch.confidences.dtype == np.float64
+    assert batch.token_ids.dtype == np.int64 and batch.targets.dtype == np.int64
 
 
 def test_sample_image_and_streams():
@@ -138,11 +136,10 @@ def test_sample_image_and_streams():
     assert len(image) == 6
     assert image.targets is not None and len(image.targets) == 6
 
+    assert image.confidences.shape == image.token_ids.shape == (6, model.n_layers)
+
     ids = [img.image_id for img in islice(image_stream(model, model.stream_rng(0), 4), 5)]
     assert ids == [0, 1, 2, 3, 4]
-
-    tokens = list(islice(token_stream(model, model.stream_rng(0), block=8), 10))
-    assert all(t.n_layers == model.n_layers for t in tokens)
 
 
 def test_model_validation():
