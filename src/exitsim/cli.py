@@ -58,6 +58,7 @@ from .distill import (
     train_exits,
 )
 from .synth import (
+    DEFAULT_SEED,
     ImageTraces,
     SyntheticConfidenceModel,
     TraceFormatError,
@@ -66,9 +67,6 @@ from .synth import (
     read_traces,
     write_traces,
 )
-
-DEFAULT_SEED = 7
-DEFAULT_GRID = [i / 10 for i in range(1, 11)]
 
 
 class ConfigError(ValueError):
@@ -305,7 +303,7 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
 
 
 SWEEP_SCHEMA = {
-    "alphas": ("floatlist", tuple(DEFAULT_GRID)),
+    "alphas": ("floatlist", ActionSet.default_grid().thresholds),
     "traces": ("str", None),
     "model": ("str", None),
 }
@@ -323,9 +321,9 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
         model = load_cascade(config["model"])
         rng = np.random.default_rng(config["seed"])
         task = make_task(model.config, rng)
-        probs = np.concatenate([forward(model, example) for example in task.heldout])
+        probs = forward(model, task.heldout)
         confidences, token_ids = probs.max(axis=2), probs.argmax(axis=2)
-        targets = np.concatenate([example.targets for example in task.heldout])
+        targets = task.heldout.targets
 
     n_tokens, n_layers = confidences.shape
     rows = []
@@ -351,7 +349,7 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
 
 
 BANDIT_SCHEMA = {
-    "alphas": ("floatlist", tuple(DEFAULT_GRID)),
+    "alphas": ("floatlist", ActionSet.default_grid().thresholds),
     "sigma": ("float", 0.0),
     "tokens": ("int", 100_000),
     "gamma": ("float", 1.0),
@@ -416,7 +414,7 @@ COMPARE_SCHEMA = {
     "sigmas": ("floatlist", (0.0, 1.0, 2.0)),
     "tokens": ("int", 200_000),
     "fixed_alpha": ("float", 0.6),
-    "alphas": ("floatlist", tuple(DEFAULT_GRID)),
+    "alphas": ("floatlist", ActionSet.default_grid().thresholds),
     "gamma": ("float", 1.0),
     "lam": ("float", 1.0),
     "mu": ("float", None),
@@ -583,7 +581,7 @@ LAMBDA_SCHEMA = {
     "lambdas": ("floatlist", (0.5, 1.0, 2.0)),
     "sigma": ("float", 0.0),
     "tokens": ("int", 100_000),
-    "alphas": ("floatlist", tuple(DEFAULT_GRID)),
+    "alphas": ("floatlist", ActionSet.default_grid().thresholds),
     "gamma": ("float", 1.0),
     "mu": ("float", None),
     "max_len": ("int", DEFAULT_MAX_CAPTION_LENGTH),

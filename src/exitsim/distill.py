@@ -60,7 +60,7 @@ class ToyConfig:
 
 @dataclass(frozen=True)
 class SyntheticExample:
-    """One training item: a feature row per token position plus targets."""
+    """A block of token rows: one feature row per token plus its target."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -76,7 +76,9 @@ class SyntheticExample:
                 f"targets shape {self.targets.shape} does not match "
                 f"{len(self.features)} feature rows"
             )
-        if len(self.targets) and self.targets.min() < 0:
+        if len(self.targets) == 0:
+            raise ValueError("need at least one row")
+        if self.targets.min() < 0:
             raise ValueError("targets must be non-negative token ids")
 
 
@@ -176,24 +178,19 @@ def _hidden_states(model: ToyCascade, features: np.ndarray) -> list[np.ndarray]:
     return states
 
 
-def _head_probs(model: ToyCascade, states: Sequence[np.ndarray]) -> np.ndarray:
-    """(rows, n_layers, vocab) probabilities from every head."""
-    rows = states[0].shape[0]
-    out = np.empty((rows, model.config.n_layers, model.config.vocab_size))
-    for i in range(model.config.n_layers - 1):
+def forward(model: ToyCascade, example: SyntheticExample) -> np.ndarray:
+    """Probability vector from every head at every row of the block.
+
+    Returns an array of shape (rows, n_layers, vocab_size); the last
+    layer slot is the teacher head.
+    """
+    cfg = model.config
+    states = _hidden_states(model, example.features)
+    out = np.empty((len(example.targets), cfg.n_layers, cfg.vocab_size))
+    for i in range(cfg.n_layers - 1):
         out[:, i, :] = softmax(states[i] @ model.exit_weights[i] + model.exit_biases[i])
     out[:, -1, :] = softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
     return out
-
-
-def forward(model: ToyCascade, example: SyntheticExample) -> np.ndarray:
-    """Probability vector from every head at every token position.
-
-    Returns an array of shape (tokens, n_layers, vocab_size); the last
-    layer slot is the teacher head.
-    """
-    states = _hidden_states(model, example.features)
-    return _head_probs(model, states)
 
 
 def finetune_loss(final_probs: np.ndarray, targets: np.ndarray) -> float:
@@ -276,16 +273,6 @@ class StepSchedule:
         return self.initial * self.decay ** (epoch // self.every)
 
 
-def _stack_examples(
-    examples: Sequence[SyntheticExample],
-) -> tuple[np.ndarray, np.ndarray]:
-    if not examples:
-        raise ValueError("need at least one example")
-    features = np.concatenate([e.features for e in examples], axis=0)
-    targets = np.concatenate([e.targets for e in examples], axis=0)
-    return features, targets
-
-
 def _ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of mean CE with respect to the logits: (p - onehot)/rows."""
     grad = probs.copy()
@@ -299,11 +286,10 @@ def _kl_grad_logits(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
 
 
 def _backbone_backward(
-    model: ToyCascade,
-    features: np.ndarray,
-    targets: np.ndarray,
+    model: ToyCascade, example: SyntheticExample
 ) -> tuple[float, list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
     """Loss and gradients for stage one (backbone + teacher head)."""
+    features, targets = example.features, example.targets
     states = _hidden_states(model, features)
     logits = states[-1] @ model.teacher_weight + model.teacher_bias
     probs = softmax(logits)
@@ -325,25 +311,32 @@ def _backbone_backward(
     return loss, g_weights, g_biases, g_teacher_w, g_teacher_b
 
 
+def _frozen_inputs(
+    model: ToyCascade, example: SyntheticExample, loss_terms: str
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Check ``loss_terms``, then run the frozen backbone once: the
+    per-layer states and the teacher probabilities stage two reads."""
+    if loss_terms not in LOSS_TERM_CHOICES:
+        raise ValueError(
+            f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
+        )
+    states = _hidden_states(model, example.features)
+    return states, softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+
+
 def _exits_backward(
     model: ToyCascade,
-    features: np.ndarray,
+    states: Sequence[np.ndarray],
+    teacher: np.ndarray,
     targets: np.ndarray,
     loss_terms: str,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Summed exit loss and per-head gradients for stage two.
 
-    The backbone is fixed, so gradients never flow below the heads and
-    each head's gradient is independent of the others.
+    ``states`` and ``teacher`` come from ``_frozen_inputs``.  The
+    backbone is fixed, so gradients never flow below the heads and each
+    head's gradient is independent of the others.
     """
-    if loss_terms not in LOSS_TERM_CHOICES:
-        raise ValueError(
-            f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
-        )
-    states = _hidden_states(model, features)
-    teacher = softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
-    rows = np.arange(len(targets))
-
     total = 0.0
     g_weights = []
     g_biases = []
@@ -352,8 +345,7 @@ def _exits_backward(
         probs = softmax(logits)
         g_logits = np.zeros_like(logits)
         if loss_terms in ("ce", "both"):
-            picked = probs[rows, targets]
-            total += float(-np.log(np.maximum(picked, DEFAULT_PROB_FLOOR)).mean())
+            total += finetune_loss(probs, targets)
             g_logits += _ce_grad_logits(probs, targets)
         if loss_terms in ("kl", "both"):
             kl_rows, kl_grad = _kl_rows(probs, teacher)
@@ -366,7 +358,7 @@ def _exits_backward(
 
 def train_backbone(
     model: ToyCascade,
-    examples: Sequence[SyntheticExample],
+    example: SyntheticExample,
     epochs: int,
     schedule: StepSchedule,
 ) -> list[float]:
@@ -380,12 +372,11 @@ def train_backbone(
         raise TrainingError("backbone is frozen; stage one already ran")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    features, targets = _stack_examples(examples)
-    if targets.max() >= model.config.vocab_size:
+    if example.targets.max() >= model.config.vocab_size:
         raise ValueError("target id outside the model vocabulary")
     history = []
     for epoch in range(epochs):
-        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(model, features, targets)
+        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(model, example)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
         history.append(loss)
@@ -401,26 +392,28 @@ def train_backbone(
 
 def train_exits(
     model: ToyCascade,
-    examples: Sequence[SyntheticExample],
+    example: SyntheticExample,
     epochs: int,
     schedule: StepSchedule,
     loss_terms: str = "both",
 ) -> list[float]:
     """Stage two: descend the summed exit losses over heads 1..N-1.
 
-    Requires a frozen backbone; only exit head parameters move.
-    Returns the per-epoch summed-loss history.
+    Requires a frozen backbone; only exit head parameters move.  The
+    backbone runs once per call, not once per epoch.  Returns the
+    per-epoch summed-loss history.
     """
     if not model.frozen:
         raise TrainingError("freeze the backbone (stage one) before exit training")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    features, targets = _stack_examples(examples)
+    targets = example.targets
     if targets.max() >= model.config.vocab_size:
         raise ValueError("target id outside the model vocabulary")
+    states, teacher = _frozen_inputs(model, example, loss_terms)
     history = []
     for epoch in range(epochs):
-        loss, g_w, g_b = _exits_backward(model, features, targets, loss_terms)
+        loss, g_w, g_b = _exits_backward(model, states, teacher, targets, loss_terms)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
         history.append(loss)
@@ -432,13 +425,10 @@ def train_exits(
 
 
 def layer_accuracies(
-    model: ToyCascade, examples: Sequence[SyntheticExample]
+    model: ToyCascade, example: SyntheticExample
 ) -> tuple[float, ...]:
     """Exact-match accuracy of every head, exits first, teacher last."""
-    features, targets = _stack_examples(examples)
-    states = _hidden_states(model, features)
-    probs = _head_probs(model, states)
-    hits = probs.argmax(axis=2) == targets[:, None]
+    hits = forward(model, example).argmax(axis=2) == example.targets[:, None]
     return tuple(float(v) for v in hits.mean(axis=0))
 
 
@@ -462,7 +452,7 @@ def _unflatten(vector: np.ndarray, templates: Sequence[np.ndarray]) -> list[np.n
 
 
 def backbone_objective(
-    model: ToyCascade, examples: Sequence[SyntheticExample]
+    model: ToyCascade, example: SyntheticExample
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[float, np.ndarray]]]:
     """Stage-one loss as a function of the flat backbone parameters.
 
@@ -470,7 +460,6 @@ def backbone_objective(
     any such vector to (loss, flat analytic gradient).  The model
     itself is never mutated.
     """
-    features, targets = _stack_examples(examples)
     templates = (
         list(model.layer_weights)
         + list(model.layer_biases)
@@ -488,7 +477,7 @@ def backbone_objective(
             teacher_weight=parts[2 * n],
             teacher_bias=parts[2 * n + 1],
         )
-        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(probe, features, targets)
+        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(probe, example)
         return loss, _flatten(g_w + g_b + [g_tw, g_tb])
 
     return x0, objective
@@ -496,11 +485,11 @@ def backbone_objective(
 
 def exit_objective(
     model: ToyCascade,
-    examples: Sequence[SyntheticExample],
+    example: SyntheticExample,
     loss_terms: str = "both",
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[float, np.ndarray]]]:
     """Stage-two summed exit loss as a function of the flat head params."""
-    features, targets = _stack_examples(examples)
+    states, teacher = _frozen_inputs(model, example, loss_terms)
     templates = list(model.exit_weights) + list(model.exit_biases)
     x0 = _flatten(templates)
     n = len(model.exit_weights)
@@ -510,7 +499,9 @@ def exit_objective(
         probe = dataclasses.replace(
             model, exit_weights=parts[:n], exit_biases=parts[n:]
         )
-        loss, g_w, g_b = _exits_backward(probe, features, targets, loss_terms)
+        loss, g_w, g_b = _exits_backward(
+            probe, states, teacher, example.targets, loss_terms
+        )
         return loss, _flatten(g_w + g_b)
 
     return x0, objective
@@ -551,10 +542,11 @@ def gradient_check(
 
 @dataclass(frozen=True)
 class ToyTask:
-    """Train/heldout split over one fixed parity labeling."""
+    """Train/heldout split over one fixed parity labeling, one row block
+    per split."""
 
-    train: tuple[SyntheticExample, ...]
-    heldout: tuple[SyntheticExample, ...]
+    train: SyntheticExample
+    heldout: SyntheticExample
 
 
 def make_task(
@@ -576,7 +568,8 @@ def make_task(
     keeping the boundary crisp.  A ``label_noise`` fraction of training
     targets is resampled uniformly; held-out targets stay clean, so
     held-out accuracy measures the true boundary and soft teacher
-    labels carry real value over the corrupted hard ones.
+    labels carry real value over the corrupted hard ones.  Each split is
+    one block of ``n * tokens_per_example`` rows.
     """
     if n_train < 1 or n_heldout < 1:
         raise ValueError("need at least one example per split")
@@ -601,7 +594,7 @@ def make_task(
     if not 0.0 <= label_noise <= 1.0:
         raise ValueError(f"label_noise {label_noise} outside [0, 1]")
 
-    def draw_rows(n_rows: int, noisy: bool) -> tuple[np.ndarray, np.ndarray]:
+    def draw_rows(n_rows: int, noisy: bool) -> SyntheticExample:
         feats = []
         got = 0
         while got < n_rows:
@@ -617,19 +610,12 @@ def make_task(
         if noisy and label_noise > 0:
             flip = rng.random(n_rows) < label_noise
             y = np.where(flip, rng.integers(0, n_classes, n_rows), y)
-        return x, y
+        return SyntheticExample(features=x, targets=y)
 
-    def pack(n_examples: int, noisy: bool) -> tuple[SyntheticExample, ...]:
-        x, y = draw_rows(n_examples * tokens_per_example, noisy)
-        return tuple(
-            SyntheticExample(
-                features=x[i * tokens_per_example : (i + 1) * tokens_per_example],
-                targets=y[i * tokens_per_example : (i + 1) * tokens_per_example],
-            )
-            for i in range(n_examples)
-        )
-
-    return ToyTask(train=pack(n_train, True), heldout=pack(n_heldout, False))
+    # Train rows are drawn first: the split order is part of the task.
+    train = draw_rows(n_train * tokens_per_example, noisy=True)
+    heldout = draw_rows(n_heldout * tokens_per_example, noisy=False)
+    return ToyTask(train=train, heldout=heldout)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +645,9 @@ def load_cascade(path: str) -> ToyCascade:
     """Read a checkpoint written by save_cascade.
 
     Raises CheckpointError on bytes that are not UTF-8 JSON, a wrong
-    format tag, unknown version, or dimensions that disagree with the
-    stored config.
+    format tag, unknown version, dimensions that disagree with the
+    stored config, or a non-finite parameter (``json`` parses ``NaN``
+    and ``Infinity``).
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -694,6 +681,13 @@ def load_cascade(path: str) -> ToyCascade:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint contents: {exc}") from exc
     _validate_shapes(model, path)
+    for name in (
+        "layer_weights", "layer_biases", "exit_weights", "exit_biases",
+        "teacher_weight", "teacher_bias",
+    ):
+        # A list of arrays and a single array both iterate to arrays.
+        if not all(np.isfinite(part).all() for part in getattr(model, name)):
+            raise CheckpointError(f"{path}: {name} holds a non-finite value")
     return model
 
 

@@ -217,12 +217,13 @@ def _toy_fixture():
     config = ToyConfig(input_dim=6, hidden_dim=8, n_layers=3, vocab_size=5)
     model = init_cascade(config, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    examples = tuple(
-        SyntheticExample(
-            features=rng.normal(size=(3, config.input_dim)),
-            targets=rng.integers(0, config.vocab_size, 3),
-        )
+    draws = [
+        (rng.normal(size=(3, config.input_dim)), rng.integers(0, config.vocab_size, 3))
         for _ in range(4)
+    ]
+    examples = SyntheticExample(
+        features=np.concatenate([f for f, _ in draws]),
+        targets=np.concatenate([t for _, t in draws]),
     )
     return model, examples
 

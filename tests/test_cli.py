@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import exitsim
-from exitsim import load_cascade, read_traces
+from exitsim import ToyConfig, init_cascade, load_cascade, read_traces, save_cascade
 from exitsim.cli import main
 
 FAST_BANDIT = ["--tokens", "200", "--oracle-samples", "500", "--max-len", "12"]
@@ -280,6 +281,23 @@ def test_non_utf8_checkpoint_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert err.startswith("error: input:")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_checkpoint_weight_exits_3(bad, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_cascade(init_cascade(ToyConfig(), np.random.default_rng(0)), str(path))
+    blob = json.loads(path.read_text())
+    blob["teacher_weight"][0][0] = bad  # json writes NaN / Infinity
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["sweep-threshold", "--model", str(path), "--out-dir", str(out)], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: input:")
+    assert "teacher_weight" in err
+    assert not (out / "sweep_threshold.csv").exists()
 
 
 def test_runtime_failure_exits_4(tmp_path, capsys):

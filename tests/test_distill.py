@@ -29,6 +29,7 @@ from exitsim import (
     train_backbone,
     train_exits,
 )
+from exitsim import distill
 from exitsim.distill import _kl_grad_logits, softmax
 
 SMALL = ToyConfig(input_dim=6, hidden_dim=8, n_layers=3, vocab_size=5)
@@ -38,12 +39,20 @@ def small_model(seed=0):
     return init_cascade(SMALL, np.random.default_rng(seed))
 
 
+def stack(draws):
+    """One row block from (features, targets) draws, in draw order."""
+    features, targets = zip(*draws)
+    return SyntheticExample(
+        features=np.concatenate(features), targets=np.concatenate(targets)
+    )
+
+
 def small_examples(seed=1, n=4, tokens=3):
     rng = np.random.default_rng(seed)
-    return tuple(
-        SyntheticExample(
-            features=rng.normal(size=(tokens, SMALL.input_dim)),
-            targets=rng.integers(0, SMALL.vocab_size, tokens),
+    return stack(
+        (
+            rng.normal(size=(tokens, SMALL.input_dim)),
+            rng.integers(0, SMALL.vocab_size, tokens),
         )
         for _ in range(n)
     )
@@ -52,14 +61,13 @@ def small_examples(seed=1, n=4, tokens=3):
 def blob_task(seed=2, n_examples=64, tokens=4):
     """Two well-separated gaussian clusters, labeled 1 and 2."""
     rng = np.random.default_rng(seed)
-    examples = []
+    draws = []
     for _ in range(n_examples):
         signs = rng.choice([-1.0, 1.0], size=tokens)
         feats = rng.normal(scale=0.3, size=(tokens, SMALL.input_dim))
         feats[:, 0] += 2.0 * signs
-        targets = np.where(signs > 0, 1, 2)
-        examples.append(SyntheticExample(features=feats, targets=targets))
-    return tuple(examples)
+        draws.append((feats, np.where(signs > 0, 1, 2)))
+    return stack(draws)
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +82,13 @@ def test_zero_parameters_give_uniform_heads():
         b[:] = 0.0
     model.teacher_weight[:] = 0.0
     model.teacher_bias[:] = 0.0
-    probs = forward(model, small_examples(n=1)[0])
+    probs = forward(model, small_examples(n=1))
     assert np.allclose(probs, 1.0 / SMALL.vocab_size, atol=0)
 
 
 def test_probabilities_sum_to_one():
     model = small_model()
-    probs = forward(model, small_examples(n=1)[0])
+    probs = forward(model, small_examples(n=1))
     assert probs.shape == (3, SMALL.n_layers, SMALL.vocab_size)
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
     assert np.all(probs >= 0.0)
@@ -90,7 +98,7 @@ def test_fresh_exit_heads_start_uniform():
     # Exit heads are zero-initialized, so before stage two every exit
     # emits the uniform distribution no matter what the backbone does.
     model = small_model()
-    example = small_examples(n=1)[0]
+    example = small_examples(n=1)
     confidences = forward(model, example).max(axis=2)
     assert np.allclose(confidences[:, :-1], 1.0 / SMALL.vocab_size, rtol=1e-6)
 
@@ -99,7 +107,7 @@ def test_forward_exposes_all_heads():
     # The (tokens, layers) confidence and token-id arrays that
     # sweep-threshold --model reads off forward().
     model = small_model()
-    example = small_examples(n=1)[0]
+    example = small_examples(n=1)
     probs = forward(model, example)
     confidences, token_ids = probs.max(axis=2), probs.argmax(axis=2)
     shape = (len(example.targets), SMALL.n_layers)
@@ -363,15 +371,34 @@ def test_unknown_loss_terms_rejected():
     train_backbone(model, small_examples(), 0, StepSchedule())
     with pytest.raises(ValueError):
         train_exits(model, small_examples(), 1, StepSchedule(), loss_terms="mse")
+    # checked before any epoch, and before the objective is first called
+    with pytest.raises(ValueError):
+        train_exits(model, small_examples(), 0, StepSchedule(), loss_terms="mse")
+    with pytest.raises(ValueError):
+        exit_objective(model, small_examples(), loss_terms="mse")
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 7])
+def test_exit_training_runs_the_backbone_once(epochs, monkeypatch):
+    model = small_model()
+    train_backbone(model, small_examples(), 0, StepSchedule())
+    calls = []
+    real = distill._hidden_states
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distill, "_hidden_states", counting)
+    train_exits(model, small_examples(), epochs, StepSchedule())
+    assert len(calls) == 1
 
 
 def test_target_outside_vocab_rejected():
     model = small_model()
-    bad = (
-        SyntheticExample(
-            features=np.zeros((2, SMALL.input_dim)),
-            targets=np.array([0, SMALL.vocab_size]),
-        ),
+    bad = SyntheticExample(
+        features=np.zeros((2, SMALL.input_dim)),
+        targets=np.array([0, SMALL.vocab_size]),
     )
     with pytest.raises(ValueError):
         train_backbone(model, bad, 1, StepSchedule())
@@ -385,7 +412,7 @@ def test_make_task_is_deterministic():
     config = ToyConfig()
     a = make_task(config, np.random.default_rng(5), n_train=16, n_heldout=16)
     b = make_task(config, np.random.default_rng(5), n_train=16, n_heldout=16)
-    for x, y in zip(a.train, b.train):
+    for x, y in ((a.train, b.train), (a.heldout, b.heldout)):
         assert np.array_equal(x.features, y.features)
         assert np.array_equal(x.targets, y.targets)
 
@@ -395,27 +422,23 @@ def test_make_task_labels_and_margins():
     task = make_task(
         config, np.random.default_rng(8), n_train=64, n_heldout=256, n_classes=4
     )
-    assert len(task.train) == 64
-    assert len(task.heldout) == 256
+    # one block per split: examples times the default 8 tokens each
+    assert task.train.features.shape == (64 * 8, config.input_dim)
+    assert len(task.heldout.targets) == 256 * 8
 
     def parity_labels(features):
         b0 = (features[:, 0] > 0) ^ (features[:, 1] > 0)
         b1 = (features[:, 2] > 0) ^ (features[:, 3] > 0)
         return (b0.astype(int) << 1) | b1.astype(int)
 
-    mismatches = 0
-    total = 0
-    for example in task.heldout:
-        # defining coordinates keep a clear margin around zero
-        assert np.all(np.abs(example.features[:, :4]) >= 0.3)
-        # held-out labels are exactly the parity rule
-        assert np.array_equal(example.targets, parity_labels(example.features))
-    for example in task.train:
-        labels = parity_labels(example.features)
-        mismatches += int(np.sum(labels != example.targets))
-        total += len(labels)
+    heldout = task.heldout
+    # defining coordinates keep a clear margin around zero
+    assert np.all(np.abs(heldout.features[:, :4]) >= 0.3)
+    # held-out labels are exactly the parity rule
+    assert np.array_equal(heldout.targets, parity_labels(heldout.features))
+    mismatches = parity_labels(task.train.features) != task.train.targets
     # train labels carry the injected noise: about 7.5% disagree
-    assert 0.02 < mismatches / total < 0.15
+    assert 0.02 < mismatches.mean() < 0.15
 
 
 def test_make_task_validation():
@@ -442,6 +465,8 @@ def test_synthetic_example_validation():
         SyntheticExample(features=np.zeros((2, 4)), targets=np.array([0]))
     with pytest.raises(ValueError):
         SyntheticExample(features=np.zeros((1, 4)), targets=np.array([-1]))
+    with pytest.raises(ValueError, match="at least one row"):
+        SyntheticExample(features=np.zeros((0, 4)), targets=np.zeros(0, dtype=int))
 
 
 def test_toy_config_validation():
@@ -471,7 +496,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.backbone_bytes() == model.backbone_bytes()
     for a, b in zip(loaded.exit_weights, model.exit_weights):
         assert np.array_equal(a, b)
-    example = small_examples(n=1)[0]
+    example = small_examples(n=1)
     assert np.array_equal(forward(loaded, example), forward(model, example))
 
 
