@@ -36,8 +36,8 @@ ORACLE_SEED = 1000003
 
 
 class BanditError(RuntimeError):
-    """Bandit state misuse: uninitialized selection or an image too short
-    to initialize on."""
+    """Bandit state misuse: uninitialized selection, an image too short
+    to initialize on, or a non-finite state to save."""
 
 
 @dataclass(frozen=True)
@@ -199,14 +199,36 @@ class BanditState:
         )
 
     def save(self, path: str) -> None:
+        """Write the snapshot as JSON; a non-finite value raises BanditError
+        and leaves no file."""
+        try:
+            text = json.dumps(
+                self.to_snapshot(), indent=2, sort_keys=True, allow_nan=False
+            )
+        except ValueError as exc:
+            raise BanditError(f"bandit state is not finite: {exc}") from None
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.to_snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path: str) -> "BanditState":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_snapshot(json.load(fh))
+
+
+def _ucb_index(state: BanditState) -> int:
+    """Index of the arm with the largest Q + gamma * sqrt(ln t / pulls);
+    ties go to the smallest.  Every arm must have been pulled."""
+    q, pulls, gamma = state.q, state.pulls, state.gamma
+    log_t = math.log(state.t)
+    best_index = 0
+    best_value = -math.inf
+    for k in range(len(q)):
+        value = q[k] + gamma * math.sqrt(log_t / pulls[k])
+        if value > best_value:
+            best_value = value
+            best_index = k
+    return best_index
 
 
 def ucb_select(state: BanditState) -> float:
@@ -217,23 +239,31 @@ def ucb_select(state: BanditState) -> float:
             "bandit state has unplayed arms: call initialize() before "
             "ucb_select()"
         )
-    log_t = math.log(state.t)
-    best_index = 0
-    best_value = -math.inf
-    for k in range(len(state.actions)):
-        value = state.q[k] + state.gamma * math.sqrt(log_t / state.pulls[k])
-        if value > best_value:
-            best_value = value
-            best_index = k
-    return state.actions.thresholds[best_index]
+    return state.actions.thresholds[_ucb_index(state)]
+
+
+def _fold(state: BanditState, k: int, observed_reward: float) -> None:
+    state.pulls[k] += 1
+    state.q[k] += (observed_reward - state.q[k]) / state.pulls[k]
+    state.t += 1
 
 
 def update(state: BanditState, alpha: float, observed_reward: float) -> None:
     """Fold one observed reward into the chosen arm's running mean."""
-    k = state.actions.index(alpha)
-    state.pulls[k] += 1
-    state.q[k] += (observed_reward - state.q[k]) / state.pulls[k]
-    state.t += 1
+    _fold(state, state.actions.index(alpha), observed_reward)
+
+
+def sum_left_to_right(values: Iterable[float], start: float = 0.0) -> float:
+    """Plain left-to-right float sum.
+
+    Bit-identical to ``sum()`` on Python 3.11; from 3.12 ``sum()`` uses
+    compensated summation, which would move the last bits of reported
+    means.
+    """
+    total = start
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass
@@ -290,7 +320,7 @@ def initialize(
     for k, alpha in enumerate(actions.thresholds):
         layer = exits[k][k] + 1
         _check_exit_layer(layer, params.n_layers)
-        update(state, alpha, rewards[k][k])
+        _fold(state, k, rewards[k][k])
         if log is not None:
             log.append(state.t, alpha, layer, rewards[k][k])
     return state
@@ -370,8 +400,8 @@ def run_adaptive_captioning(
         raise BanditError(
             "resumed state has unplayed arms: run initialize() first"
         )
-    thresholds = np.asarray(state.actions.thresholds)
-    arm = {alpha: k for k, alpha in enumerate(state.actions.thresholds)}
+    alphas = state.actions.thresholds
+    thresholds = np.asarray(alphas)
 
     captions: list[CaptionRun] = []
     for image in image_iter:
@@ -381,13 +411,12 @@ def run_adaptive_captioning(
         first_conf = image.confidences[:, 0].tolist()
 
         def adapt(pos: int) -> ExitDecision:
-            alpha = ucb_select(state)
-            k = arm[alpha]
+            k = _ucb_index(state)
             layer = exits[pos][k] + 1
             _check_exit_layer(layer, params.n_layers)
             r = rewards[pos][k]
-            update(state, alpha, r)
-            log.append(state.t, alpha, layer, r)
+            _fold(state, k, r)
+            log.append(state.t, alphas[k], layer, r)
             return ExitDecision(
                 layer, emitted[pos][k], exit_conf[pos][k], first_conf[pos]
             )
@@ -503,11 +532,11 @@ def regret_bound(oracle: OracleEstimate, horizon: int, gamma: float) -> float:
     if not math.isfinite(gamma) or gamma < 1.0:
         raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     log_t = math.log(horizon)
-    exploration = sum(
+    exploration = sum_left_to_right(
         log_t / g for k, g in enumerate(oracle.gaps)
         if k != oracle.best_index and g > 0.0
     )
-    slack = sum(
+    slack = sum_left_to_right(
         g for k, g in enumerate(oracle.gaps)
         if k != oracle.best_index
     )

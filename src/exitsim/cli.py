@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -28,11 +29,14 @@ import numpy as np
 from .bandit import (
     ActionSet,
     BanditError,
+    BanditLog,
+    BanditState,
     RewardParams,
     expected_reward_oracle,
     regret_bound,
     regret_curve,
     run_adaptive_captioning,
+    sum_left_to_right,
 )
 from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
@@ -59,18 +63,27 @@ from .distill import (
 )
 from .synth import (
     DEFAULT_SEED,
+    IMAGE_CHUNK,
     ImageTraces,
     SyntheticConfidenceModel,
     TraceFormatError,
     distort,
+    draw_tokens,
+    finish_tokens,
     image_stream,
     read_traces,
+    split_images,
     write_traces,
 )
 
 
 class ConfigError(ValueError):
     """Invalid, unknown, or missing configuration values."""
+
+
+class OutputError(RuntimeError):
+    """A result cannot be written faithfully, such as a non-finite number
+    in a JSON summary."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +184,12 @@ def _write_csv(
 
 
 def _write_summary(path: str, summary: dict) -> None:
-    text = json.dumps(summary, sort_keys=True, indent=2)
+    """Write the summary as strict JSON and echo it to stdout; a
+    non-finite number raises OutputError and leaves no file."""
+    try:
+        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OutputError(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
         fh.write("\n")
@@ -199,49 +217,97 @@ def _check_token_budget(config: dict, actions: ActionSet) -> None:
         )
 
 
-def _policy_cell(
-    model: SyntheticConfidenceModel,
-    actions: ActionSet,
-    params: RewardParams,
+@dataclass
+class _Cell:
+    """One policy's running aggregates over a command's shared stream.
+
+    Only aggregates are kept, not per-round logs or captions, so a
+    command's cells can all run at once in little memory.
+    """
+
+    actions: ActionSet
+    params: RewardParams
+    state: BanditState | None = None
+    reward_sum: float = 0.0
+    hits: int = 0
+    emitted: int = 0
+    hist: ExitHistogram = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.hist = ExitHistogram.empty(self.params.n_layers)
+
+    def done(self, tokens: int) -> bool:
+        return self.state is not None and self.state.t >= tokens
+
+    def play(
+        self,
+        images: list[ImageTraces],
+        gamma: float,
+        tokens: int,
+        max_len: int,
+        eos_id: int,
+    ) -> None:
+        """Resume this cell's run over ``images`` until its token budget."""
+        run = run_adaptive_captioning(
+            images,
+            self.actions,
+            self.params,
+            gamma=gamma,
+            max_caption_length=max_len,
+            eos_id=eos_id,
+            max_tokens=tokens,
+            state=self.state,
+            log=BanditLog(),
+        )
+        self.state = run.state
+        for layer in run.log.exit_layers:
+            self.hist.record(layer)
+        self.reward_sum = sum_left_to_right(run.log.rewards, self.reward_sum)
+        targets = {image.image_id: image.targets for image in images}
+        for caption in run.captions:
+            truth = targets[caption.image_id]
+            self.hits += sum(
+                decision.token_id == truth[pos]
+                for pos, decision in enumerate(caption.tokens)
+            )
+            self.emitted += len(caption)
+
+    def metrics(self) -> dict:
+        return {
+            "speedup": speedup_ratio(self.hist),
+            "accuracy": self.hits / self.emitted,
+            "mean_reward": self.reward_sum / self.state.t,
+        }
+
+
+def _run_lockstep(
+    base: SyntheticConfidenceModel,
+    groups: Sequence[tuple[SyntheticConfidenceModel, Sequence[_Cell]]],
     gamma: float,
     tokens: int,
     max_len: int,
-) -> dict:
-    """One adaptive (or single-arm fixed) run and its metrics.
+) -> None:
+    """Run every cell over one image stream until each has played
+    ``tokens`` rounds.
 
-    The image stream is regenerated from the model seed, so every cell
-    that shares a seed consumes identical images regardless of policy.
-    Accuracy is scored against the targets of the images the run consumed.
+    ``groups`` pairs each distortion level of ``base`` with the cells
+    played at it.  The stream is drawn once from the base seed,
+    ``IMAGE_CHUNK`` images at a time; each chunk is finished once per
+    group and fed to every cell of it still under budget.  So every cell
+    sees the images a run of its own on ``image_stream`` would, whatever
+    its policy.  Accuracy is scored against the targets of those images.
     """
-    targets = {}
-
-    def remember(image: ImageTraces) -> ImageTraces:
-        targets[image.image_id] = image.targets
-        return image
-
-    run = run_adaptive_captioning(
-        map(remember, image_stream(model, model.stream_rng(0), max_len)),
-        actions,
-        params,
-        gamma=gamma,
-        max_caption_length=max_len,
-        eos_id=model.eos_id,
-        max_tokens=tokens,
-    )
-    hist = ExitHistogram.empty(model.n_layers)
-    for layer in run.log.exit_layers:
-        hist.record(layer)
-    hits = sum(
-        decision.token_id == targets[caption.image_id][pos]
-        for caption in run.captions
-        for pos, decision in enumerate(caption.tokens)
-    )
-    total = sum(len(caption) for caption in run.captions)
-    return {
-        "speedup": speedup_ratio(hist),
-        "accuracy": hits / total,
-        "mean_reward": sum(run.log.rewards) / len(run.log.rewards),
-    }
+    rng = base.stream_rng(0)
+    start_id = 0
+    while not all(cell.done(tokens) for _, cells in groups for cell in cells):
+        draws = draw_tokens(base, max_len, rng, IMAGE_CHUNK)
+        for model, cells in groups:
+            playing = [cell for cell in cells if not cell.done(tokens)]
+            if playing:
+                images = split_images(finish_tokens(model, draws), max_len, start_id)
+                for cell in playing:
+                    cell.play(images, gamma, tokens, max_len, model.eos_id)
+        start_id += IMAGE_CHUNK
 
 
 def _trace_arrays(
@@ -401,7 +467,7 @@ def cmd_bandit(args: argparse.Namespace) -> int:
             for a, e in zip(oracle.thresholds, oracle.expected_rewards)
         },
         "empirical_best_arm": empirical_best,
-        "mean_reward": sum(log.rewards) / len(log),
+        "mean_reward": sum_left_to_right(log.rewards) / len(log),
         "pseudo_regret": regret[-1],
         "regret_bound": regret_bound(oracle, len(log), config["gamma"]),
         "outputs": ["bandit_log.csv", "bandit_summary.json"],
@@ -431,37 +497,36 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
     params = _reward_params(config, base.n_layers)
     _check_token_budget(config, adaptive_actions)
 
+    fixed_name = f"fixed-{config['fixed_alpha']:g}"
+    groups = []
+    for sigma in config["sigmas"]:
+        cells = {
+            policy: _Cell(actions, params)
+            for policy, actions in (
+                (fixed_name, fixed_actions),
+                ("adaptive", adaptive_actions),
+            )
+        }
+        groups.append((sigma, distort(base, sigma), cells))
+    _run_lockstep(
+        base,
+        [(model, list(cells.values())) for _, model, cells in groups],
+        config["gamma"],
+        config["tokens"],
+        config["max_len"],
+    )
+
     rows = []
     margins = {}
     oracle_best = {}
-    for sigma in config["sigmas"]:
-        model = distort(base, sigma)
-        cells = {}
-        for policy, actions in (
-            (f"fixed-{config['fixed_alpha']:g}", fixed_actions),
-            ("adaptive", adaptive_actions),
-        ):
-            cell = _policy_cell(
-                model,
-                actions,
-                params,
-                config["gamma"],
-                config["tokens"],
-                config["max_len"],
-            )
-            cells[policy] = cell
+    for sigma, model, cells in groups:
+        metrics = {policy: cell.metrics() for policy, cell in cells.items()}
+        for policy, m in metrics.items():
             rows.append(
-                (
-                    sigma,
-                    policy,
-                    cell["speedup"],
-                    cell["accuracy"],
-                    cell["mean_reward"],
-                )
+                (sigma, policy, m["speedup"], m["accuracy"], m["mean_reward"])
             )
-        fixed_name = f"fixed-{config['fixed_alpha']:g}"
         margins[repr(sigma)] = (
-            cells["adaptive"]["mean_reward"] - cells[fixed_name]["mean_reward"]
+            metrics["adaptive"]["mean_reward"] - metrics[fixed_name]["mean_reward"]
         )
         oracle = expected_reward_oracle(
             model, adaptive_actions, params, samples=config["oracle_samples"]
@@ -596,27 +661,24 @@ def cmd_lambda_sweep(args: argparse.Namespace) -> int:
     )
     actions = _action_set(config)
     _check_token_budget(config, actions)
+    cells = [
+        _Cell(actions, RewardParams(model.n_layers, mu=config.get("mu"), lam=lam))
+        for lam in config["lambdas"]
+    ]
+    _run_lockstep(
+        model, [(model, cells)], config["gamma"], config["tokens"], config["max_len"]
+    )
     rows = []
     oracle_best = {}
     mean_rewards = {}
-    for lam in config["lambdas"]:
-        params = RewardParams(
-            n_layers=model.n_layers, mu=config.get("mu"), lam=lam
-        )
-        cell = _policy_cell(
-            model,
-            actions,
-            params,
-            config["gamma"],
-            config["tokens"],
-            config["max_len"],
-        )
-        rows.append((lam, cell["speedup"], cell["accuracy"]))
+    for lam, cell in zip(config["lambdas"], cells):
+        metrics = cell.metrics()
+        rows.append((lam, metrics["speedup"], metrics["accuracy"]))
         oracle = expected_reward_oracle(
-            model, actions, params, samples=config["oracle_samples"]
+            model, actions, cell.params, samples=config["oracle_samples"]
         )
         oracle_best[repr(lam)] = oracle.best_threshold
-        mean_rewards[repr(lam)] = cell["mean_reward"]
+        mean_rewards[repr(lam)] = metrics["mean_reward"]
     _write_csv(
         _out_path(args, "lambda_sweep.csv"),
         config,
@@ -726,7 +788,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail("input", exc, 3)
     except OSError as exc:
         return _fail("input", exc, 3)
-    except (TrainingError, BanditError) as exc:
+    except (TrainingError, BanditError, OutputError) as exc:
         return _fail("runtime", exc, 4)
     except (ConfigError, ValueError) as exc:
         return _fail("config", exc, 2)

@@ -29,9 +29,14 @@ CHECKPOINT_VERSION = 1
 
 LOSS_TERM_CHOICES = ("ce", "kl", "both")
 
+# make_task refuses a margin that keeps fewer drawn rows than this share:
+# its rejection loop would run ~1/share times longer than at no margin.
+MIN_ROW_ACCEPTANCE = 1e-3
+
 
 class TrainingError(RuntimeError):
-    """Training aborted: bad state or a non-finite loss."""
+    """Training aborted: bad state, a non-finite loss, or a non-finite
+    parameter to save."""
 
 
 class CheckpointError(ValueError):
@@ -591,6 +596,14 @@ def make_task(
         )
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
+    # A row survives when each of its 2 * n_bits defining coordinates is
+    # at least ``margin`` from zero.
+    acceptance = math.erfc(margin / math.sqrt(2.0)) ** (2 * n_bits)
+    if acceptance < MIN_ROW_ACCEPTANCE:
+        raise ValueError(
+            f"margin {margin} keeps a {acceptance:.3g} share of drawn rows, "
+            f"below the {MIN_ROW_ACCEPTANCE:g} floor"
+        )
     if not 0.0 <= label_noise <= 1.0:
         raise ValueError(f"label_noise {label_noise} outside [0, 1]")
 
@@ -623,7 +636,10 @@ def make_task(
 
 
 def save_cascade(model: ToyCascade, path: str) -> None:
-    """Write the model as a versioned JSON checkpoint."""
+    """Write the model as a versioned JSON checkpoint.
+
+    A non-finite parameter raises TrainingError and leaves no file.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -636,9 +652,12 @@ def save_cascade(model: ToyCascade, path: str) -> None:
         "teacher_weight": model.teacher_weight.tolist(),
         "teacher_bias": model.teacher_bias.tolist(),
     }
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise TrainingError(f"model has a non-finite parameter: {exc}") from None
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load_cascade(path: str) -> ToyCascade:

@@ -21,13 +21,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TokenTrace, TraceValidationError
 
 DEFAULT_SEED = 7
+
+# Images drawn and finished together by ``image_stream``.
+IMAGE_CHUNK = 64
 
 FORMAT_NAME = "exitsim-traces"
 FORMAT_VERSION = 1
@@ -128,7 +131,7 @@ class SyntheticConfidenceModel:
 
     def confidence_matrix(self, n_tokens: int, rng: np.random.Generator) -> np.ndarray:
         """Sample an (n_tokens, n_layers) block of confidences only."""
-        return _draw_confidences(self, n_tokens, rng)
+        return _confidences(self, _draw_block(self, n_tokens, rng, token_ids=False))
 
 
 def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenceModel:
@@ -136,30 +139,81 @@ def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenc
     return dataclasses.replace(model, sigma=sigma)
 
 
-def _draw_confidences(
-    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
-) -> np.ndarray:
+class TokenDraws(NamedTuple):
+    """The stream's random variates for a block of tokens, one row each.
+
+    Nothing here depends on the distortion level ``sigma``, so one draw
+    can be finished (``finish_tokens``) at any number of levels of the
+    model it was drawn from.  The last four fields are None when only
+    confidences were drawn.
+    """
+
+    difficulty: np.ndarray  # (n,) uniform on [difficulty_low, difficulty_high]
+    clean: np.ndarray  # (n,) bool: the token refines without a ceiling
+    ceiling_jitter: np.ndarray  # (n,) standard normal
+    noise: np.ndarray  # (n, N) normal with sd noise_scale
+    u_correct: np.ndarray | None = None  # (n,) uniform
+    is_eos: np.ndarray | None = None  # (n,) bool
+    nominal: np.ndarray | None = None  # (n,) non-eos candidate targets
+    wrong: np.ndarray | None = None  # (n,) wrong-guess candidates
+
+
+def _draw_block(
+    model: SyntheticConfidenceModel,
+    n_tokens: int,
+    rng: np.random.Generator,
+    token_ids: bool = True,
+) -> TokenDraws:
     # Draw order is part of the stream contract: difficulty, clean mask,
-    # ceiling jitter, layer noise.  Tests pin stream content by seed.
+    # ceiling jitter, layer noise, then the correctness uniform, eos mask,
+    # nominal targets and wrong guesses.  Tests pin stream content by seed.
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be >= 1, got {n_tokens}")
     difficulty = rng.uniform(model.difficulty_low, model.difficulty_high, n_tokens)
     clean = rng.random(n_tokens) < model.clean_fraction
     ceiling_jitter = rng.normal(0.0, 1.0, n_tokens)
     noise = rng.normal(0.0, model.noise_scale, (n_tokens, model.n_layers))
+    if not token_ids:
+        return TokenDraws(difficulty, clean, ceiling_jitter, noise)
+    u_correct = rng.random(n_tokens)
+    is_eos = rng.random(n_tokens) < model.eos_prob
+    nominal = rng.integers(1, model.vocab_size, n_tokens)
+    wrong = rng.integers(1, model.vocab_size, n_tokens)
+    return TokenDraws(
+        difficulty, clean, ceiling_jitter, noise, u_correct, is_eos, nominal, wrong
+    )
+
+
+def draw_tokens(
+    model: SyntheticConfidenceModel,
+    n_tokens: int,
+    rng: np.random.Generator,
+    n_images: int = 1,
+) -> TokenDraws:
+    """Draw ``n_images`` blocks of ``n_tokens`` tokens, one block after
+    another in stream order, stacked into one set of rows."""
+    if n_images < 1:
+        raise ValueError(f"n_images must be >= 1, got {n_images}")
+    blocks = [_draw_block(model, n_tokens, rng) for _ in range(n_images)]
+    if n_images == 1:
+        return blocks[0]
+    return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
+
+
+def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarray:
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
-    rise = model.growth * (layer_index[None, :] - difficulty[:, None])
+    rise = model.growth * (layer_index[None, :] - draws.difficulty[:, None])
     center_logit = math.log(model.ceiling_center / (1.0 - model.ceiling_center))
     ceiling = (
         center_logit
-        + model.ceiling_spread * ceiling_jitter
+        + model.ceiling_spread * draws.ceiling_jitter
         - model.sigma * model.ceiling_drop_rate
     )
-    ceiling = np.where(clean, np.inf, ceiling)
+    ceiling = np.where(draws.clean, np.inf, ceiling)
     z = (
         np.minimum(rise, ceiling[:, None])
         - model.sigma * model.base_drop_rate
-        + noise
+        + draws.noise
     )
     return np.clip(_sigmoid(z), 0.0, 1.0)
 
@@ -177,33 +231,37 @@ class TraceBatch:
         return self.confidences.shape[0]
 
 
-def sample_batch(
-    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
-) -> TraceBatch:
-    """Draw ``n_tokens`` independent tokens from the model.
+def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBatch:
+    """Turn drawn variates into tokens at ``model``'s distortion level.
 
-    Per-layer token ids are consistent: one wrong guess per token, and a
-    layer emits the true target iff a single per-token uniform falls
-    under its confidence, so correctness is monotone in confidence.
-    Wrong guesses never use the eos id, keeping caption lengths governed
-    by ``eos_prob`` alone.
+    Every step is elementwise per row, so finishing a stack of blocks
+    gives the rows that finishing each block alone would.  Per-layer
+    token ids are consistent: one wrong guess per token, and a layer
+    emits the true target iff a single per-token uniform falls under its
+    confidence, so correctness is monotone in confidence.  Wrong guesses
+    never use the eos id, keeping caption lengths governed by
+    ``eos_prob`` alone.
     """
-    conf = _draw_confidences(model, n_tokens, rng)
+    conf = _confidences(model, draws)
     v = model.vocab_size
-    u_correct = rng.random(n_tokens)
-    is_eos = rng.random(n_tokens) < model.eos_prob
-    nominal = rng.integers(1, v, n_tokens)  # non-eos candidate targets
-    targets = np.where(is_eos, model.eos_id, nominal)
-    wrong = rng.integers(1, v, n_tokens)
-    collide = wrong == targets
-    wrong = np.where(collide, 1 + (wrong % (v - 1)), wrong)
-    correct = u_correct[:, None] < conf
+    targets = np.where(draws.is_eos, model.eos_id, draws.nominal)
+    collide = draws.wrong == targets
+    wrong = np.where(collide, 1 + (draws.wrong % (v - 1)), draws.wrong)
+    correct = draws.u_correct[:, None] < conf
     token_ids = np.where(correct, targets[:, None], wrong[:, None])
     return TraceBatch(
         confidences=conf,
         token_ids=token_ids.astype(np.int64),
         targets=targets.astype(np.int64),
     )
+
+
+def sample_batch(
+    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
+) -> TraceBatch:
+    """Draw ``n_tokens`` independent tokens from the model: one block of
+    ``draw_tokens``, finished at the model's distortion level."""
+    return finish_tokens(model, draw_tokens(model, n_tokens, rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,17 +396,41 @@ def sample_image(
     )
 
 
+def split_images(
+    batch: TraceBatch, max_len: int, start_id: int = 0
+) -> list[ImageTraces]:
+    """Cut a finished stack of ``max_len``-token blocks into images with
+    consecutive ids; each image holds read-only views of the batch rows."""
+    targets = batch.targets.tolist()
+    return [
+        ImageTraces(
+            image_id=start_id + i,
+            confidences=batch.confidences[lo : lo + max_len],
+            token_ids=batch.token_ids[lo : lo + max_len],
+            targets=tuple(targets[lo : lo + max_len]),
+        )
+        for i, lo in enumerate(range(0, len(batch), max_len))
+    ]
+
+
 def image_stream(
     model: SyntheticConfidenceModel,
     rng: np.random.Generator,
     max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
     start_id: int = 0,
 ) -> Iterator[ImageTraces]:
-    """Endless stream of freshly sampled images with increasing ids."""
+    """Endless stream of freshly sampled images with increasing ids.
+
+    Images are drawn ``IMAGE_CHUNK`` at a time and finished together;
+    each is the image ``sample_image`` would draw at that point of the
+    stream.  The generator therefore runs up to one chunk ahead of its
+    consumer on ``rng``.
+    """
     image_id = start_id
     while True:
-        yield sample_image(model, rng, max_len, image_id)
-        image_id += 1
+        draws = draw_tokens(model, max_len, rng, IMAGE_CHUNK)
+        yield from split_images(finish_tokens(model, draws), max_len, image_id)
+        image_id += IMAGE_CHUNK
 
 
 # ---------------------------------------------------------------------------

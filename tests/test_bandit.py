@@ -205,6 +205,7 @@ def test_update_rejects_unknown_arm():
     state = BanditState.fresh(ActionSet((0.5,)))
     with pytest.raises(ValueError):
         update(state, 0.6, 0.1)
+    assert state.pulls == [0] and state.q == [0.0] and state.t == 0
 
 
 @settings(max_examples=50)
@@ -581,6 +582,17 @@ def test_state_snapshot_round_trip(tmp_path):
     state.save(str(path))
     loaded = BanditState.load(str(path))
     assert loaded == state
+
+
+def test_state_save_refuses_non_finite_values(tmp_path):
+    # q is mutable, so a NaN reward folded in after construction can
+    # reach save(); it must raise and leave no file behind.
+    state = BanditState.fresh(ActionSet((0.1, 0.9)))
+    update(state, 0.1, float("nan"))
+    path = tmp_path / "state.json"
+    with pytest.raises(BanditError, match="not finite"):
+        state.save(str(path))
+    assert not path.exists()
 
 
 def test_state_snapshot_rejects_future_version(tmp_path):

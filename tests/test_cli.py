@@ -11,7 +11,22 @@ import numpy as np
 import pytest
 
 import exitsim
-from exitsim import ToyConfig, init_cascade, load_cascade, read_traces, save_cascade
+from exitsim import (
+    IMAGE_CHUNK,
+    ActionSet,
+    ExitHistogram,
+    RewardParams,
+    SyntheticConfidenceModel,
+    ToyConfig,
+    distort,
+    image_stream,
+    init_cascade,
+    load_cascade,
+    read_traces,
+    run_adaptive_captioning,
+    save_cascade,
+)
+from exitsim import cli
 from exitsim.cli import main
 
 FAST_BANDIT = ["--tokens", "200", "--oracle-samples", "500", "--max-len", "12"]
@@ -320,6 +335,48 @@ def test_runtime_failure_exits_4(tmp_path, capsys):
     assert err.startswith("error: runtime:")
 
 
+def test_non_finite_summary_exits_4_and_writes_no_summary(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "regret_bound", lambda *args: float("nan"))
+    code, out, err = run_cli(
+        ["bandit", *FAST_BANDIT, "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 4
+    assert err.startswith("error: runtime:")
+    assert out == ""
+    assert not (tmp_path / "bandit_summary.json").exists()
+
+
+def test_write_summary_refuses_non_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "summary.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(cli.OutputError):
+            cli._write_summary(str(path), {"config": {}, "value": bad})
+        assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_unreachable_margin_exits_2_at_once(tmp_path):
+    # Each row would survive with probability ~5e-11: the task draw must
+    # be refused before it starts, not loop forever.
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "exitsim.cli", "train-toy",
+            "--margin", "3", "--n-train", "1", "--n-heldout", "1",
+            "--stage1-epochs", "1", "--stage2-epochs", "1",
+            "--out-dir", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: config: margin 3.0")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # gen-traces and sweep-threshold
 
@@ -353,6 +410,20 @@ def test_gen_traces_then_sweep(tmp_path, capsys):
     assert all(a >= b - 1e-12 for a, b in zip(speedups, speedups[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(depths, depths[1:]))
     assert all(1.0 <= s <= 12.0 for s in speedups)
+
+
+def test_gen_traces_writes_exactly_n_images(tmp_path, capsys):
+    # The stream draws whole chunks; the file must still stop at n_images.
+    out = str(tmp_path)
+    code, _, _ = run_cli(
+        ["gen-traces", "--n-images", "70", "--max-len", "3", "--out-dir", out],
+        capsys,
+    )
+    assert code == 0
+    assert 70 % IMAGE_CHUNK != 0
+    images = read_traces(os.path.join(out, "traces.txt"))
+    assert [image.image_id for image in images] == [str(i) for i in range(70)]
+    assert read_summary(out, "gen_traces_summary.json")["n_images"] == 70
 
 
 def test_gen_traces_seed_changes_bytes(tmp_path, capsys):
@@ -517,6 +588,56 @@ def test_lambda_sweep_structure(tmp_path, capsys):
     assert [float(r[0]) for r in rows[1:]] == [0.5, 1.0]
     summary = read_summary(out, "lambda_sweep_summary.json")
     assert set(summary["oracle_best_arm"]) == {"0.5", "1.0"}
+
+
+def test_lockstep_cells_match_independent_runs():
+    # One shared stream, finished per sigma and fed chunk by chunk, must
+    # leave each cell where a run of its own over image_stream ends.  The
+    # budget ends mid-chunk, and the cells close in different chunks.
+    base = SyntheticConfidenceModel(seed=5)
+    params = RewardParams(n_layers=base.n_layers, lam=0.7)
+    policies = (ActionSet((0.6,)), ActionSet((0.2, 0.5, 0.8, 1.0)))
+    budget, max_len, gamma = 1001, 6, 1.2
+    groups = [
+        (distort(base, sigma), [cli._Cell(actions, params) for actions in policies])
+        for sigma in (0.0, 3.0)
+    ]
+    cli._run_lockstep(base, groups, gamma, budget, max_len)
+
+    closing_chunks = set()
+    for model, cells in groups:
+        for actions, cell in zip(policies, cells):
+            images = {}
+            stream = image_stream(model, base.stream_rng(0), max_len)
+            run = run_adaptive_captioning(
+                (images.setdefault(image.image_id, image) for image in stream),
+                actions,
+                params,
+                gamma=gamma,
+                max_caption_length=max_len,
+                eos_id=model.eos_id,
+                max_tokens=budget,
+            )
+            closing_chunks.add(run.captions[-1].image_id // IMAGE_CHUNK)
+            hist = ExitHistogram.empty(model.n_layers)
+            for layer in run.log.exit_layers:
+                hist.record(layer)
+            reward_sum = 0.0
+            for r in run.log.rewards:
+                reward_sum += r
+            hits = sum(
+                decision.token_id == images[caption.image_id].targets[pos]
+                for caption in run.captions
+                for pos, decision in enumerate(caption.tokens)
+            )
+            assert cell.state.t == run.state.t == budget
+            assert cell.state.q == run.state.q
+            assert cell.state.pulls == run.state.pulls
+            assert cell.hist == hist
+            assert cell.reward_sum == reward_sum
+            assert cell.hits == hits
+            assert cell.emitted == sum(len(caption) for caption in run.captions)
+    assert len(closing_chunks) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,8 @@ def test_make_task_validation():
         make_task(config, rng, n_classes=64)
     with pytest.raises(ValueError):
         make_task(config, rng, margin=-0.1)
+    with pytest.raises(ValueError, match="share of drawn rows"):
+        make_task(config, rng, margin=3.0)
     with pytest.raises(ValueError):
         make_task(config, rng, label_noise=1.5)
     with pytest.raises(ValueError):
@@ -506,6 +508,15 @@ def test_checkpoint_bytes_are_stable(tmp_path):
     save_cascade(model, p1)
     save_cascade(model, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_checkpoint_save_refuses_non_finite_parameters(tmp_path):
+    model = small_model()
+    model.exit_weights[0][0, 0] = float("nan")
+    path = tmp_path / "model.json"
+    with pytest.raises(TrainingError, match="non-finite"):
+        save_cascade(model, str(path))
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_foreign_and_future_files(tmp_path):

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim import (
+    IMAGE_CHUNK,
     ImageTraces,
     SyntheticConfidenceModel,
     TokenTrace,
     TraceFormatError,
     TraceValidationError,
     distort,
+    draw_tokens,
+    finish_tokens,
     image_stream,
     read_header,
     read_traces,
@@ -140,6 +143,53 @@ def test_sample_image_and_streams():
 
     ids = [img.image_id for img in islice(image_stream(model, model.stream_rng(0), 4), 5)]
     assert ids == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("max_len", [1, 20])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
+def test_image_stream_chunks_match_per_image_draws(sigma, max_len):
+    # image_stream draws and finishes a chunk of images at once; each
+    # image must be the one a per-image sample_batch draw would give,
+    # including in a chunk the consumer stops part-way through.
+    model = distort(SyntheticConfidenceModel(seed=3), sigma)
+    n_images = 2 * IMAGE_CHUNK + 5
+    streamed = list(islice(image_stream(model, model.stream_rng(0), max_len), n_images))
+    rng = model.stream_rng(0)
+    for image_id, image in enumerate(streamed):
+        batch = sample_batch(model, max_len, rng)
+        assert image.image_id == image_id
+        assert np.array_equal(image.confidences, batch.confidences)
+        assert np.array_equal(image.token_ids, batch.token_ids)
+        assert image.targets == tuple(batch.targets.tolist())
+
+
+def test_one_draw_finishes_at_every_sigma():
+    # The draw step holds no sigma: finishing one draw at a distortion
+    # level gives what sampling that level from the same stream does.
+    base = SyntheticConfidenceModel(seed=11)
+    draws = draw_tokens(base, 6, base.stream_rng(0), n_images=3)
+    for sigma in (0.0, 0.5, 2.0):
+        model = distort(base, sigma)
+        finished = finish_tokens(model, draws)
+        rng = model.stream_rng(0)
+        blocks = [sample_batch(model, 6, rng) for _ in range(3)]
+        assert np.array_equal(
+            finished.confidences, np.concatenate([b.confidences for b in blocks])
+        )
+        assert np.array_equal(
+            finished.token_ids, np.concatenate([b.token_ids for b in blocks])
+        )
+        assert np.array_equal(
+            finished.targets, np.concatenate([b.targets for b in blocks])
+        )
+
+
+def test_draw_tokens_validation():
+    model = SyntheticConfidenceModel()
+    with pytest.raises(ValueError):
+        draw_tokens(model, 0, model.stream_rng(0))
+    with pytest.raises(ValueError):
+        draw_tokens(model, 4, model.stream_rng(0), n_images=0)
 
 
 def test_model_validation():
