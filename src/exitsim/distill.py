@@ -53,6 +53,10 @@ class ToyConfig:
     vocab_size: int = 32
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field.name} must be an int, got {value!r}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.hidden_dim < 1:
@@ -161,25 +165,60 @@ def init_cascade(config: ToyConfig, rng: np.random.Generator) -> ToyCascade:
     )
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` by pairwise halving.
+
+    max rounds nothing, so any pairing gives the same bits.  The first
+    halving writes the last axis to the front of a fresh array; every
+    later one then compares two contiguous blocks in one long loop,
+    where a reduction over narrow rows runs one short loop per row.
+    """
+    m = np.moveaxis(x, -1, 0)
+    while len(m) > 1:
+        half = len(m) // 2
+        top = np.empty_like(m[:half], order="C")
+        np.maximum(m[:half], m[half : 2 * half], out=top)
+        if len(m) % 2:
+            np.maximum(top[0], m[-1], out=top[0])
+        m = top
+    return m[0][..., None]
+
+
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-stable softmax over the last axis, written into ``out`` when
+    given (``out`` may be ``logits`` itself)."""
+    shifted = np.subtract(logits, _row_max(logits), out=out)
+    exp = np.exp(shifted, out=out)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-stable softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return _softmax(logits)
 
 
-def _hidden_states(model: ToyCascade, features: np.ndarray) -> list[np.ndarray]:
-    """Per-layer activations for a (rows, input_dim) feature block."""
+def _hidden_states(
+    model: ToyCascade,
+    features: np.ndarray,
+    states: list[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Per-layer activations for a (rows, input_dim) feature block,
+    written into ``states`` (one (rows, hidden_dim) buffer per layer)
+    when given."""
     if features.ndim != 2 or features.shape[1] != model.config.input_dim:
         raise ValueError(
             f"features shape {features.shape} incompatible with input_dim "
             f"{model.config.input_dim}"
         )
-    states = []
+    if states is None:
+        shape = (len(features), model.config.hidden_dim)
+        states = [np.empty(shape) for _ in model.layer_weights]
     h = features
-    for w, b in zip(model.layer_weights, model.layer_biases):
-        h = np.tanh(h @ w + b)
-        states.append(h)
+    for w, b, out in zip(model.layer_weights, model.layer_biases, states):
+        np.matmul(h, w, out=out)
+        out += b
+        h = np.tanh(out, out=out)
     return states
 
 
@@ -208,21 +247,35 @@ def finetune_loss(final_probs: np.ndarray, targets: np.ndarray) -> float:
     if len(targets) == 0:
         raise ValueError("need at least one target")
     picked = final_probs[np.arange(len(targets)), targets]
-    return float(-np.log(np.maximum(picked, DEFAULT_PROB_FLOOR)).mean())
+    return float(-_floored_log(picked).mean())
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _floored_log(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(max(probs, DEFAULT_PROB_FLOOR)), into ``out`` when given."""
+    floored = np.maximum(probs, DEFAULT_PROB_FLOOR, out=out)
+    return np.log(floored, out=floored)
+
+
+def _kl_rows(
+    p: np.ndarray, log_q: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise KL(p || q) over the last axis and its gradient with
     respect to p's logits, p * (log p - log q - KL).
 
-    Both logs are floored at DEFAULT_PROB_FLOOR; zero-mass components of
-    p add nothing to the divergence.
+    ``log_q`` is ``_floored_log(q)``; log p is floored the same way, and
+    zero-mass components of p add nothing to the divergence.  The
+    gradient is written into ``out`` when given.
     """
-    diff = np.log(np.maximum(p, DEFAULT_PROB_FLOOR)) - np.log(
-        np.maximum(q, DEFAULT_PROB_FLOOR)
-    )
-    kl = np.where(p > 0.0, p * diff, 0.0).sum(axis=-1)
-    return kl, p * (diff - kl[..., None])
+    diff = _floored_log(p, out=out)
+    diff -= log_q
+    terms = p * diff
+    positive = p > 0.0
+    if not positive.all():
+        terms = np.where(positive, terms, 0.0)
+    kl = terms.sum(axis=-1)
+    diff -= kl[..., None]
+    diff *= p
+    return kl, diff
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -237,7 +290,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"need matching vectors, got {p.shape} and {q.shape}")
-    return max(float(_kl_rows(p, q)[0]), 0.0)
+    return max(float(_kl_rows(p, _floored_log(q))[0]), 0.0)
 
 
 def exit_loss(
@@ -252,7 +305,10 @@ def exit_loss(
             f"shape {teacher_probs.shape}"
         )
     ce = finetune_loss(student_probs, targets)
-    kl_rows, _ = _kl_rows(np.asarray(student_probs, float), np.asarray(teacher_probs, float))
+    kl_rows, _ = _kl_rows(
+        np.asarray(student_probs, float),
+        _floored_log(np.asarray(teacher_probs, float)),
+    )
     return LossBreakdown(ce=ce, kl=float(np.maximum(kl_rows, 0.0).mean()))
 
 
@@ -279,40 +335,66 @@ class StepSchedule:
 
 
 def _ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of mean CE with respect to the logits: (p - onehot)/rows."""
-    grad = probs.copy()
-    grad[np.arange(len(targets)), targets] -= 1.0
-    return grad / len(targets)
+    """Gradient of mean CE with respect to the logits, (p - onehot)/rows,
+    written over ``probs``."""
+    probs[np.arange(len(targets)), targets] -= 1.0
+    probs /= len(targets)
+    return probs
 
 
 def _kl_grad_logits(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
     """Gradient of mean KL(student || teacher) w.r.t. student logits."""
-    return _kl_rows(student, teacher)[1] / len(student)
+    return _kl_rows(student, _floored_log(teacher))[1] / len(student)
+
+
+# Per-layer states, teacher logits, g_h, g_z: see _backbone_buffers.
+_BackboneBuffers = tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _backbone_buffers(config: ToyConfig, rows: int) -> _BackboneBuffers:
+    """Scratch for ``_backbone_backward`` on a block of ``rows`` rows: the
+    per-layer states, the teacher logits, and the g_h / g_z rows."""
+    hidden = (rows, config.hidden_dim)
+    states = [np.empty(hidden) for _ in range(config.n_layers)]
+    logits = np.empty((rows, config.vocab_size))
+    return states, logits, np.empty(hidden), np.empty(hidden)
 
 
 def _backbone_backward(
-    model: ToyCascade, example: SyntheticExample
+    model: ToyCascade,
+    example: SyntheticExample,
+    buffers: _BackboneBuffers,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
-    """Loss and gradients for stage one (backbone + teacher head)."""
+    """Loss and gradients for stage one (backbone + teacher head).
+
+    Every (rows, width) intermediate lives in ``buffers`` (from
+    ``_backbone_buffers``); the returned gradients are fresh arrays.
+    """
+    states, logits, g_h, g_z = buffers
     features, targets = example.features, example.targets
-    states = _hidden_states(model, features)
-    logits = states[-1] @ model.teacher_weight + model.teacher_bias
-    probs = softmax(logits)
+    _hidden_states(model, features, states)
+    np.matmul(states[-1], model.teacher_weight, out=logits)
+    logits += model.teacher_bias
+    probs = _softmax(logits, out=logits)
     loss = finetune_loss(probs, targets)
 
     g_logits = _ce_grad_logits(probs, targets)
     g_teacher_w = states[-1].T @ g_logits
     g_teacher_b = g_logits.sum(axis=0)
-    g_h = g_logits @ model.teacher_weight.T
+    np.matmul(g_logits, model.teacher_weight.T, out=g_h)
 
     g_weights: list[np.ndarray] = [None] * len(model.layer_weights)  # type: ignore[list-item]
     g_biases: list[np.ndarray] = [None] * len(model.layer_biases)  # type: ignore[list-item]
     for i in range(len(model.layer_weights) - 1, -1, -1):
-        g_z = g_h * (1.0 - states[i] ** 2)
+        # g_h * (1 - s**2); s**2 is np.square(s), which is s * s.
+        np.multiply(states[i], states[i], out=g_z)
+        np.subtract(1.0, g_z, out=g_z)
+        g_z *= g_h
         below = features if i == 0 else states[i - 1]
         g_weights[i] = below.T @ g_z
         g_biases[i] = g_z.sum(axis=0)
-        g_h = g_z @ model.layer_weights[i].T
+        if i > 0:  # nothing reads the input's gradient
+            np.matmul(g_z, model.layer_weights[i].T, out=g_h)
     return loss, g_weights, g_biases, g_teacher_w, g_teacher_b
 
 
@@ -320,42 +402,55 @@ def _frozen_inputs(
     model: ToyCascade, example: SyntheticExample, loss_terms: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Check ``loss_terms``, then run the frozen backbone once: the
-    per-layer states and the teacher probabilities stage two reads."""
+    per-layer states and the teacher's floored log-probabilities, the
+    two things stage two reads."""
     if loss_terms not in LOSS_TERM_CHOICES:
         raise ValueError(
             f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
         )
     states = _hidden_states(model, example.features)
-    return states, softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+    teacher = softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+    return states, _floored_log(teacher, out=teacher)
 
 
 def _exits_backward(
     model: ToyCascade,
     states: Sequence[np.ndarray],
-    teacher: np.ndarray,
+    log_q: np.ndarray,
     targets: np.ndarray,
     loss_terms: str,
+    buffers: np.ndarray,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Summed exit loss and per-head gradients for stage two.
 
-    ``states`` and ``teacher`` come from ``_frozen_inputs``.  The
-    backbone is fixed, so gradients never flow below the heads and each
-    head's gradient is independent of the others.
+    ``states`` and ``log_q`` come from ``_frozen_inputs``; ``buffers`` is
+    a (2, rows, vocab) scratch array whose two blocks hold each head's
+    logits and its KL term in turn.  The backbone is fixed, so gradients
+    never flow below the heads and each head's gradient is independent
+    of the others.
     """
+    logits, kl_grad = buffers
+    rows = len(targets)
     total = 0.0
     g_weights = []
     g_biases = []
     for i in range(model.config.n_layers - 1):
-        logits = states[i] @ model.exit_weights[i] + model.exit_biases[i]
-        probs = softmax(logits)
-        g_logits = np.zeros_like(logits)
+        np.matmul(states[i], model.exit_weights[i], out=logits)
+        logits += model.exit_biases[i]
+        probs = _softmax(logits, out=logits)
         if loss_terms in ("ce", "both"):
             total += finetune_loss(probs, targets)
-            g_logits += _ce_grad_logits(probs, targets)
         if loss_terms in ("kl", "both"):
-            kl_rows, kl_grad = _kl_rows(probs, teacher)
+            kl_rows, _ = _kl_rows(probs, log_q, out=kl_grad)
             total += float(np.maximum(kl_rows, 0.0).mean())
-            g_logits += kl_grad / len(targets)
+            kl_grad /= rows
+        # The CE gradient overwrites probs, so it comes after the KL term.
+        if loss_terms == "kl":
+            g_logits = kl_grad
+        else:
+            g_logits = _ce_grad_logits(probs, targets)
+            if loss_terms == "both":
+                g_logits += kl_grad
         g_weights.append(states[i].T @ g_logits)
         g_biases.append(g_logits.sum(axis=0))
     return total, g_weights, g_biases
@@ -379,9 +474,10 @@ def train_backbone(
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if example.targets.max() >= model.config.vocab_size:
         raise ValueError("target id outside the model vocabulary")
+    buffers = _backbone_buffers(model.config, len(example.targets))
     history = []
     for epoch in range(epochs):
-        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(model, example)
+        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(model, example, buffers)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
         history.append(loss)
@@ -415,10 +511,13 @@ def train_exits(
     targets = example.targets
     if targets.max() >= model.config.vocab_size:
         raise ValueError("target id outside the model vocabulary")
-    states, teacher = _frozen_inputs(model, example, loss_terms)
+    states, log_q = _frozen_inputs(model, example, loss_terms)
+    buffers = np.empty((2,) + log_q.shape)
     history = []
     for epoch in range(epochs):
-        loss, g_w, g_b = _exits_backward(model, states, teacher, targets, loss_terms)
+        loss, g_w, g_b = _exits_backward(
+            model, states, log_q, targets, loss_terms, buffers
+        )
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
         history.append(loss)
@@ -472,6 +571,7 @@ def backbone_objective(
     )
     x0 = _flatten(templates)
     n = len(model.layer_weights)
+    buffers = _backbone_buffers(model.config, len(example.targets))
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         parts = _unflatten(x, templates)
@@ -482,7 +582,7 @@ def backbone_objective(
             teacher_weight=parts[2 * n],
             teacher_bias=parts[2 * n + 1],
         )
-        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(probe, example)
+        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(probe, example, buffers)
         return loss, _flatten(g_w + g_b + [g_tw, g_tb])
 
     return x0, objective
@@ -494,7 +594,8 @@ def exit_objective(
     loss_terms: str = "both",
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[float, np.ndarray]]]:
     """Stage-two summed exit loss as a function of the flat head params."""
-    states, teacher = _frozen_inputs(model, example, loss_terms)
+    states, log_q = _frozen_inputs(model, example, loss_terms)
+    buffers = np.empty((2,) + log_q.shape)
     templates = list(model.exit_weights) + list(model.exit_biases)
     x0 = _flatten(templates)
     n = len(model.exit_weights)
@@ -505,7 +606,7 @@ def exit_objective(
             model, exit_weights=parts[:n], exit_biases=parts[n:]
         )
         loss, g_w, g_b = _exits_backward(
-            probe, states, teacher, example.targets, loss_terms
+            probe, states, log_q, example.targets, loss_terms, buffers
         )
         return loss, _flatten(g_w + g_b)
 
@@ -664,9 +765,10 @@ def load_cascade(path: str) -> ToyCascade:
     """Read a checkpoint written by save_cascade.
 
     Raises CheckpointError on bytes that are not UTF-8 JSON, a wrong
-    format tag, unknown version, dimensions that disagree with the
-    stored config, or a non-finite parameter (``json`` parses ``NaN``
-    and ``Infinity``).
+    format tag, unknown version, a config dimension that is not an
+    integer, a ``frozen`` flag that is not a JSON boolean, dimensions
+    that disagree with the stored config, or a non-finite parameter
+    (``json`` parses ``NaN`` and ``Infinity``).
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -687,6 +789,10 @@ def load_cascade(path: str) -> ToyCascade:
         )
     try:
         config = ToyConfig(**payload["config"])
+        if not isinstance(payload["frozen"], bool):
+            raise TypeError(
+                f"frozen must be true or false, got {payload['frozen']!r}"
+            )
         model = ToyCascade(
             config=config,
             layer_weights=[np.array(w, dtype=float) for w in payload["layer_weights"]],
@@ -695,7 +801,7 @@ def load_cascade(path: str) -> ToyCascade:
             exit_biases=[np.array(b, dtype=float) for b in payload["exit_biases"]],
             teacher_weight=np.array(payload["teacher_weight"], dtype=float),
             teacher_bias=np.array(payload["teacher_bias"], dtype=float),
-            frozen=bool(payload["frozen"]),
+            frozen=payload["frozen"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint contents: {exc}") from exc

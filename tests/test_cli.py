@@ -315,6 +315,32 @@ def test_non_finite_checkpoint_weight_exits_3(bad, tmp_path, capsys):
     assert not (out / "sweep_threshold.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("n_layers", 6.0, "n_layers"),  # a float dimension
+        ("hidden_dim", True, "hidden_dim"),  # bool is an int subclass
+        ("frozen", "false", "frozen"),  # any non-empty string is truthy
+    ],
+)
+def test_checkpoint_field_of_the_wrong_type_exits_3(
+    key, value, named, tmp_path, capsys
+):
+    path = tmp_path / "model.json"
+    save_cascade(init_cascade(ToyConfig(), np.random.default_rng(0)), str(path))
+    blob = json.loads(path.read_text())
+    (blob["config"] if key in blob["config"] else blob)[key] = value
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["sweep-threshold", "--model", str(path), "--out-dir", str(out)], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: input:")
+    assert named in err
+    assert not (out / "sweep_threshold.csv").exists()
+
+
 def test_runtime_failure_exits_4(tmp_path, capsys):
     # Ten arms cannot be initialized from a two-token first image.
     code, _, err = run_cli(

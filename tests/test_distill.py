@@ -71,6 +71,91 @@ def blob_task(seed=2, n_examples=64, tokens=4):
 
 
 # ---------------------------------------------------------------------------
+# Allocating reference formulas.  The training code works in per-call
+# buffers and in place; it must reproduce these one-expression forms bit
+# for bit, so every test below compares with np.array_equal.
+
+FLOOR = distill.DEFAULT_PROB_FLOOR
+
+
+def reference_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def reference_kl_rows(p, q):
+    diff = np.log(np.maximum(p, FLOOR)) - np.log(np.maximum(q, FLOOR))
+    kl = np.where(p > 0.0, p * diff, 0.0).sum(axis=-1)
+    return kl, p * (diff - kl[..., None])
+
+
+def reference_ce_grad(probs, targets):
+    grad = probs.copy()
+    grad[np.arange(len(targets)), targets] -= 1.0
+    return grad / len(targets)
+
+
+def reference_states(model, features):
+    states = []
+    h = features
+    for w, b in zip(model.layer_weights, model.layer_biases):
+        h = np.tanh(h @ w + b)
+        states.append(h)
+    return states
+
+
+def reference_backbone_backward(model, example):
+    features, targets = example.features, example.targets
+    states = reference_states(model, features)
+    probs = reference_softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+    loss = -np.log(np.maximum(probs[np.arange(len(targets)), targets], FLOOR)).mean()
+    g_logits = reference_ce_grad(probs, targets)
+    g_teacher_w = states[-1].T @ g_logits
+    g_teacher_b = g_logits.sum(axis=0)
+    g_h = g_logits @ model.teacher_weight.T
+    n = len(model.layer_weights)
+    g_weights, g_biases = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        g_z = g_h * (1.0 - states[i] ** 2)
+        below = features if i == 0 else states[i - 1]
+        g_weights[i] = below.T @ g_z
+        g_biases[i] = g_z.sum(axis=0)
+        g_h = g_z @ model.layer_weights[i].T
+    return float(loss), g_weights, g_biases, g_teacher_w, g_teacher_b
+
+
+def reference_exits_backward(model, example, terms):
+    targets = example.targets
+    states = reference_states(model, example.features)
+    teacher = reference_softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+    total = 0.0
+    g_weights, g_biases = [], []
+    for i in range(model.config.n_layers - 1):
+        logits = states[i] @ model.exit_weights[i] + model.exit_biases[i]
+        probs = reference_softmax(logits)
+        g_logits = np.zeros_like(logits)
+        if terms in ("ce", "both"):
+            total += float(-np.log(np.maximum(
+                probs[np.arange(len(targets)), targets], FLOOR)).mean())
+            g_logits += reference_ce_grad(probs, targets)
+        if terms in ("kl", "both"):
+            kl_rows, kl_grad = reference_kl_rows(probs, teacher)
+            total += float(np.maximum(kl_rows, 0.0).mean())
+            g_logits += kl_grad / len(targets)
+        g_weights.append(states[i].T @ g_logits)
+        g_biases.append(g_logits.sum(axis=0))
+    return total, g_weights, g_biases
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+DATASETS = {"small": small_examples, "blob": blob_task}
+
+
+# ---------------------------------------------------------------------------
 # forward pass
 
 
@@ -125,10 +210,25 @@ def test_init_is_deterministic():
 
 
 def test_softmax_is_shift_stable():
-    logits = np.array([[1000.0, 1000.0, 999.0]])
-    probs = softmax(logits)
-    assert np.isfinite(probs).all()
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(4)
+    for logits in (
+        np.array([[1000.0, 1000.0, 999.0]]),
+        1000.0 + rng.normal(size=(6, 33)),  # an odd width
+        -1000.0 + rng.normal(size=(2, 3, 5)),  # 3-D, far below zero
+    ):
+        probs = softmax(logits)
+        assert np.isfinite(probs).all()
+        assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 32, 33])
+def test_softmax_matches_the_reference_bitwise(width):
+    rng = np.random.default_rng(width)
+    logits = 4.0 * rng.normal(size=(17, width))
+    logits[3] = 7.0  # a row of ties
+    logits[5, -1] = logits[5].max() + 1.0  # the max in the odd leftover slot
+    for block in (logits, logits.reshape(17, 1, width), np.stack([logits, -logits])):
+        assert np.array_equal(softmax(block), reference_softmax(block))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +285,29 @@ def test_kl_handles_zero_reference_mass():
     value = kl_divergence(p, q)
     assert np.isfinite(value)
     assert value > 10.0  # mass where the floored reference has ~none
+    # zero mass on both sides, and a student that is exactly one-hot
+    for p, q in ((np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.0, 0.5])),
+                 (np.array([0.0, 1.0]), np.array([1.0, 0.0]))):
+        value = kl_divergence(p, q)
+        assert np.isfinite(value) and value >= 0.0
+        assert value == max(float(reference_kl_rows(p, q)[0]), 0.0)
+
+
+def test_kl_rows_match_the_reference_bitwise():
+    rng = np.random.default_rng(11)
+    p = rng.dirichlet(np.ones(7), size=9)
+    q = rng.dirichlet(np.ones(7), size=9)
+    q[0, 2] = 0.0
+    masked = np.where(p < 0.1, 0.0, p)
+    # A zero-mass term is 0 * finite either way; the mask shows on a NaN
+    # entry, which it drops from that row's divergence.
+    masked[1, 3] = np.nan
+    for student in (p, masked):
+        kl, grad = distill._kl_rows(student, distill._floored_log(q))
+        want_kl, want_grad = reference_kl_rows(student, q)
+        assert np.array_equal(kl, want_kl)
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+    assert np.isfinite(kl[1])
 
 
 def test_exit_loss_composition():
@@ -261,6 +384,88 @@ def test_exit_gradient_matches_finite_differences(terms):
         w += 0.05 * rng.normal(size=w.shape)
     x0, objective = exit_objective(model, small_examples(), loss_terms=terms)
     assert gradient_check(objective, x0, n_probes=100) < 1e-4
+
+
+@pytest.mark.parametrize("data", sorted(DATASETS))
+def test_backbone_gradient_matches_the_reference_bitwise(data):
+    model = small_model()
+    example = DATASETS[data]()
+    x0, objective = backbone_objective(model, example)
+    loss, grad = objective(x0)
+    want_loss, g_w, g_b, g_tw, g_tb = reference_backbone_backward(model, example)
+    assert loss == want_loss
+    assert np.array_equal(grad, flat(g_w + g_b + [g_tw, g_tb]))
+
+
+@pytest.mark.parametrize("terms", ["ce", "kl", "both"])
+@pytest.mark.parametrize("data", sorted(DATASETS))
+def test_exit_gradient_matches_the_reference_bitwise(terms, data):
+    model = small_model()
+    example = DATASETS[data]()
+    train_backbone(model, example, 5, StepSchedule(0.2))
+    rng = np.random.default_rng(3)
+    for w in model.exit_weights:
+        w += 0.05 * rng.normal(size=w.shape)
+    x0, objective = exit_objective(model, example, loss_terms=terms)
+    loss, grad = objective(x0)
+    want_loss, g_w, g_b = reference_exits_backward(model, example, terms)
+    assert loss == want_loss
+    assert np.array_equal(grad, flat(g_w + g_b))
+
+
+@pytest.mark.parametrize("terms", ["ce", "kl", "both"])
+@pytest.mark.parametrize("data", sorted(DATASETS))
+def test_training_matches_the_reference_bitwise(terms, data):
+    example = DATASETS[data]()
+    schedule = StepSchedule(0.5, 0.5, 3)
+    model, reference = small_model(), small_model()
+    history = train_backbone(model, example, 6, schedule)
+    want = []
+    for epoch in range(6):
+        loss, g_w, g_b, g_tw, g_tb = reference_backbone_backward(reference, example)
+        want.append(loss)
+        lr = schedule.rate(epoch)
+        for i in range(len(reference.layer_weights)):
+            reference.layer_weights[i] -= lr * g_w[i]
+            reference.layer_biases[i] -= lr * g_b[i]
+        reference.teacher_weight -= lr * g_tw
+        reference.teacher_bias -= lr * g_tb
+    assert history == want
+    assert model.backbone_bytes() == reference.backbone_bytes()
+
+    history = train_exits(model, example, 6, schedule, loss_terms=terms)
+    want = []
+    for epoch in range(6):
+        loss, g_w, g_b = reference_exits_backward(reference, example, terms)
+        want.append(loss)
+        lr = schedule.rate(epoch)
+        for i in range(len(reference.exit_weights)):
+            reference.exit_weights[i] -= lr * g_w[i]
+            reference.exit_biases[i] -= lr * g_b[i]
+    assert history == want
+    for got, ref in zip(
+        model.exit_weights + model.exit_biases,
+        reference.exit_weights + reference.exit_biases,
+    ):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_objectives_do_not_reuse_returned_gradients():
+    # The objectives keep per-call buffers; a later call must not write
+    # into the gradient an earlier call returned.
+    model = small_model()
+    example = small_examples()
+    train_backbone(model, example, 0, StepSchedule())
+    rng = np.random.default_rng(6)
+    for x0, objective in (
+        backbone_objective(model, example),
+        exit_objective(model, example, loss_terms="both"),
+    ):
+        _, first = objective(x0)
+        kept = first.copy()
+        _, second = objective(x0 + 0.1 * rng.normal(size=x0.shape))
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(first, kept)
 
 
 def test_kl_gradient_vanishes_at_matching_distributions():
@@ -480,6 +685,10 @@ def test_toy_config_validation():
         ToyConfig(input_dim=0)
     with pytest.raises(ValueError):
         ToyConfig(hidden_dim=0)
+    with pytest.raises(ValueError, match="n_layers must be an int"):
+        ToyConfig(n_layers=6.0)
+    with pytest.raises(ValueError, match="hidden_dim must be an int"):
+        ToyConfig(hidden_dim=True)
 
 
 # ---------------------------------------------------------------------------
