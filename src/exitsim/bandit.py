@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,9 +22,8 @@ from .cascade import (
     CaptionRun,
     ExitDecision,
     exit_layer_indices,
-    run_caption,
 )
-from .synth import ImageTraces
+from .synth import ImageTraces, SyntheticConfidenceModel, confidence_matrices
 
 STATE_FORMAT = "exitsim-bandit-state"
 STATE_VERSION = 1
@@ -316,13 +314,16 @@ def initialize(
             f"needs one per arm ({len(actions)})"
         )
     state = BanditState.fresh(actions, gamma)
-    exits, _, _, rewards = _arm_table(image, np.asarray(actions.thresholds), params)
+    exits, _, rewards, width = _arm_table(
+        image.confidences, image.token_ids, np.asarray(actions.thresholds), params
+    )
     for k, alpha in enumerate(actions.thresholds):
-        layer = exits[k][k] + 1
+        i = k * width + k
+        layer = exits[i] + 1
         _check_exit_layer(layer, params.n_layers)
-        _fold(state, k, rewards[k][k])
+        _fold(state, k, rewards[i])
         if log is not None:
-            log.append(state.t, alpha, layer, rewards[k][k])
+            log.append(state.t, alpha, layer, rewards[i])
     return state
 
 
@@ -335,33 +336,80 @@ class AdaptiveRun:
     state: BanditState
 
 
-def _exit_rewards(
-    conf: np.ndarray, exits: np.ndarray, params: RewardParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exit confidence and reward of 0-based ``exits`` over a (tokens,
-    layers) confidence array; ``exits`` is (tokens,) or (tokens, K).
-
-    The rewards are formed with the same float64 operations as ``reward``,
-    so they are bit-identical to it.  Exits past ``params.n_layers`` get
-    a placeholder reward; callers reject them when they are played.
-    """
+def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
+    """Confidence gain over layer 1 at 0-based ``exits`` of a (tokens,
+    layers) confidence array; ``exits`` is (tokens,) or (tokens, K)."""
     rows = np.arange(len(conf)).reshape((-1,) + (1,) * (exits.ndim - 1))
-    exit_conf = conf[rows, exits]
+    return conf[rows, exits] - conf[rows, 0]
+
+
+def _rewards(gain: np.ndarray, exits: np.ndarray, params: RewardParams) -> np.ndarray:
+    """``gain`` minus the scaled latency of 0-based ``exits``: the float64
+    operations of ``reward``, so bit-identical to it.  Exits past
+    ``params.n_layers`` get a placeholder; callers reject them when played.
+    """
     latency = np.asarray(params.latency)
-    cost = latency[np.minimum(exits, len(latency) - 1)]
-    return exit_conf, (exit_conf - conf[rows, 0]) - params.mu * cost
+    return gain - params.mu * latency[np.minimum(exits, len(latency) - 1)]
+
+
+class _ArmTable(NamedTuple):
+    """Every arm's outcome on every row of a block, as flat row-major
+    lists: arm k on row r is entry ``r * width + k``.  Flat lists keep
+    the garbage collector off a chunk's rows."""
+
+    exits: list  # 0-based exit layer
+    emitted: list  # emitted token id
+    rewards: list
+    width: int  # the arm count K
 
 
 def _arm_table(
-    image: ImageTraces, thresholds: np.ndarray, params: RewardParams
-) -> tuple[list, list, list, list]:
-    """Every arm's outcome on every token of an image, as (T, K) lists:
-    0-based exit layer, emitted token id, exit confidence and reward."""
-    conf = image.confidences
+    conf: np.ndarray,
+    token_ids: np.ndarray,
+    thresholds: np.ndarray,
+    params: RewardParams,
+) -> _ArmTable:
+    """The outcome of every arm on every row of a (rows, layers) block of
+    confidences and token ids, from one broadcast."""
     exits = exit_layer_indices(conf, thresholds)
-    emitted = image.token_ids[np.arange(len(conf))[:, None], exits]
-    exit_conf, rewards = _exit_rewards(conf, exits, params)
-    return exits.tolist(), emitted.tolist(), exit_conf.tolist(), rewards.tolist()
+    emitted = np.take_along_axis(token_ids, exits, axis=1)
+    rewards = _rewards(_gains(conf, exits), exits, params)
+    return _ArmTable(
+        exits.ravel().tolist(), emitted.ravel().tolist(),
+        rewards.ravel().tolist(), len(thresholds),
+    )
+
+
+def _play_image(
+    state: BanditState,
+    table: _ArmTable,
+    start: int,
+    n_rows: int,
+    params: RewardParams,
+    max_caption_length: int,
+    eos_id: int,
+    max_tokens: int | None,
+) -> list[int]:
+    """The round kernel: caption the image in rows ``start`` to
+    ``start + n_rows`` of ``table``, one UCB round per token, until an
+    emitted eos, the length cap or the token budget.  Returns the arm
+    index played in each round; ``state`` is updated in place.
+    """
+    stop = start + min(n_rows, max_caption_length)
+    if max_tokens is not None:
+        stop = min(stop, start + max_tokens - state.t)
+    exits, emitted, rewards, width = table
+    n_layers = params.n_layers
+    arms = []
+    for row in range(start, stop):
+        k = _ucb_index(state)
+        i = row * width + k
+        _check_exit_layer(exits[i] + 1, n_layers)
+        _fold(state, k, rewards[i])
+        arms.append(k)
+        if emitted[i] == eos_id:
+            break
+    return arms
 
 
 def run_adaptive_captioning(
@@ -381,10 +429,10 @@ def run_adaptive_captioning(
     every arm once (``initialize``) and produces no caption.  Passing
     the state and log of an earlier run resumes it: counters keep rising
     and the same object is returned updated.  ``max_tokens`` caps the total
-    round counter; a caption cut off by the cap is flagged truncated.
-    Every caption is played by ``run_caption`` with a per-token policy
-    that selects an arm, looks up that arm's exit in the image's arm
-    table, and folds the reward into the state.
+    round counter; a caption cut off by the cap is flagged truncated, as
+    is one whose image ends before eos and the length cap.  Each caption
+    is played by the round kernel ``_play_image`` over the image's arm
+    table; the log and the caption are read back from the arms it played.
     """
     if max_caption_length < 1:
         raise ValueError(f"max_caption_length must be >= 1, got {max_caption_length}")
@@ -407,28 +455,27 @@ def run_adaptive_captioning(
     for image in image_iter:
         if max_tokens is not None and state.t >= max_tokens:
             break
-        exits, emitted, exit_conf, rewards = _arm_table(image, thresholds, params)
-        first_conf = image.confidences[:, 0].tolist()
-
-        def adapt(pos: int) -> ExitDecision:
-            k = _ucb_index(state)
-            layer = exits[pos][k] + 1
-            _check_exit_layer(layer, params.n_layers)
-            r = rewards[pos][k]
-            _fold(state, k, r)
-            log.append(state.t, alphas[k], layer, r)
-            return ExitDecision(
-                layer, emitted[pos][k], exit_conf[pos][k], first_conf[pos]
-            )
-
-        positions = range(len(image))
-        if max_tokens is not None:
-            positions = islice(positions, max_tokens - state.t)
-        caption = run_caption(
-            positions, adapt, max_caption_length, eos_id, image.image_id
+        table = _arm_table(image.confidences, image.token_ids, thresholds, params)
+        t = state.t
+        arms = _play_image(
+            state, table, 0, len(image), params, max_caption_length, eos_id,
+            max_tokens,
         )
-        if len(caption):
-            captions.append(caption)
+        exits, emitted, rewards, width = table
+        conf = image.confidences.tolist()
+        decisions = []
+        for row, k in enumerate(arms):
+            i = row * width + k
+            layer = exits[i] + 1
+            log.append(t + row + 1, alphas[k], layer, rewards[i])
+            decisions.append(ExitDecision(
+                layer, emitted[i], conf[row][layer - 1], conf[row][0]
+            ))
+        eos = decisions[-1].token_id == eos_id
+        captions.append(CaptionRun(
+            image.image_id, tuple(decisions), eos,
+            not eos and len(decisions) < max_caption_length,
+        ))
     return AdaptiveRun(captions=captions, log=log, state=state)
 
 
@@ -478,24 +525,58 @@ def expected_reward_oracle(
     comparisons are paired and the argmax is stable at moderate sample
     counts.  The seed is deliberately independent of run seeds.
     """
+    _check_samples(samples)
+    conf = model.confidence_matrix(samples, np.random.default_rng(seed))
+    return _oracle_estimates(conf, actions, [params], samples)[0]
+
+
+def shared_oracles(
+    models: Sequence[SyntheticConfidenceModel],
+    actions: ActionSet,
+    params: Sequence[RewardParams],
+    samples: int = 200_000,
+    seed: int = ORACLE_SEED,
+) -> list[list[OracleEstimate]]:
+    """``expected_reward_oracle`` for every model and reward shape, from
+    one draw of the oracle's variates: ``result[i][j]`` is the estimate
+    for ``models[i]`` under ``params[j]``.  The models may differ only in
+    ``sigma``; each arm's exits are found once per model.
+    """
+    _check_samples(samples)
+    estimates = []
+    for conf in confidence_matrices(models, samples, np.random.default_rng(seed)):
+        estimates.append(_oracle_estimates(conf, actions, params, samples))
+        del conf  # freed before the next matrix is finished
+    return estimates
+
+
+def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    conf = model.confidence_matrix(samples, rng)
-    if conf.shape[1] != params.n_layers:
-        raise ValueError(
-            f"model emits {conf.shape[1]} layers, reward params expect "
-            f"{params.n_layers}"
-        )
-    expected = []
+
+
+def _oracle_estimates(
+    conf: np.ndarray,
+    actions: ActionSet,
+    params: Sequence[RewardParams],
+    samples: int,
+) -> list[OracleEstimate]:
+    for p in params:
+        if conf.shape[1] != p.n_layers:
+            raise ValueError(
+                f"model emits {conf.shape[1]} layers, reward params expect "
+                f"{p.n_layers}"
+            )
+    expected = [[] for _ in params]
     for alpha in actions.thresholds:  # one arm at a time bounds peak memory
-        _, rewards = _exit_rewards(conf, exit_layer_indices(conf, alpha), params)
-        expected.append(float(rewards.mean()))
-    return OracleEstimate(
-        thresholds=actions.thresholds,
-        expected_rewards=tuple(expected),
-        samples=samples,
-    )
+        exits = exit_layer_indices(conf, alpha)
+        gain = _gains(conf, exits)
+        for p, means in zip(params, expected):
+            means.append(float(_rewards(gain, exits, p).mean()))
+    return [
+        OracleEstimate(actions.thresholds, tuple(means), samples)
+        for means in expected
+    ]
 
 
 def regret_curve(log: BanditLog, oracle: OracleEstimate) -> np.ndarray:

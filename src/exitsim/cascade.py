@@ -150,9 +150,10 @@ def exit_layer_indices(
     if not in_range.all():
         bad = alpha if alphas.ndim == 0 else float(alphas[~in_range][0])
         raise ValueError(f"exit threshold {bad!r} outside [0, 1]")
-    clears = confidences[:, :, None] >= alphas.reshape(-1)
-    clears[:, -1] = True  # the final layer is the unconditional fallback
-    exits = clears.argmax(axis=1)  # first True along the layers
+    # (tokens, K, layers): the layer axis is contiguous for the argmax.
+    clears = confidences[:, None, :] >= alphas.reshape(-1, 1)
+    clears[:, :, -1] = True  # the final layer is the unconditional fallback
+    exits = clears.argmax(axis=2)  # first True along the layers
     return exits if alphas.ndim else exits[:, 0]
 
 

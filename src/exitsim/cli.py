@@ -32,10 +32,14 @@ from .bandit import (
     BanditLog,
     BanditState,
     RewardParams,
+    _arm_table,
+    _play_image,
     expected_reward_oracle,
+    initialize,
     regret_bound,
     regret_curve,
     run_adaptive_captioning,
+    shared_oracles,
     sum_left_to_right,
 )
 from .cascade import (
@@ -66,13 +70,14 @@ from .synth import (
     IMAGE_CHUNK,
     ImageTraces,
     SyntheticConfidenceModel,
+    TraceBatch,
     TraceFormatError,
+    check_traces,
     distort,
     draw_tokens,
     finish_tokens,
     image_stream,
     read_traces,
-    split_images,
     write_traces,
 )
 
@@ -208,6 +213,13 @@ def _action_set(config: dict) -> ActionSet:
     return ActionSet(tuple(config["alphas"]))
 
 
+def _check_positive(config: dict, *keys: str) -> None:
+    """Reject counts below 1 before any work or output."""
+    for key in keys:
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
+
+
 def _check_token_budget(config: dict, actions: ActionSet) -> None:
     """Initialization pulls every arm once; at least one round must follow."""
     if config["tokens"] <= len(actions):
@@ -241,36 +253,43 @@ class _Cell:
 
     def play(
         self,
-        images: list[ImageTraces],
+        batch: TraceBatch,
         gamma: float,
         tokens: int,
         max_len: int,
         eos_id: int,
     ) -> None:
-        """Resume this cell's run over ``images`` until its token budget."""
-        run = run_adaptive_captioning(
-            images,
-            self.actions,
-            self.params,
-            gamma=gamma,
-            max_caption_length=max_len,
-            eos_id=eos_id,
-            max_tokens=tokens,
-            state=self.state,
-            log=BanditLog(),
-        )
-        self.state = run.state
-        for layer in run.log.exit_layers:
-            self.hist.record(layer)
-        self.reward_sum = sum_left_to_right(run.log.rewards, self.reward_sum)
-        targets = {image.image_id: image.targets for image in images}
-        for caption in run.captions:
-            truth = targets[caption.image_id]
-            self.hits += sum(
-                decision.token_id == truth[pos]
-                for pos, decision in enumerate(caption.tokens)
+        """Resume this cell's run over the ``max_len``-token images of a
+        validated chunk until its token budget; the first image of a new
+        run goes to ``initialize``."""
+        conf, ids = batch.confidences, batch.token_ids
+        table = _arm_table(conf, ids, np.asarray(self.actions.thresholds), self.params)
+        start = 0
+        if self.state is None:
+            log = BanditLog()
+            first = ImageTraces(0, conf[:max_len], ids[:max_len])
+            self.state = initialize(self.actions, first, self.params, gamma, log)
+            for layer in log.exit_layers:
+                self.hist.record(layer)
+            self.reward_sum = sum_left_to_right(log.rewards, self.reward_sum)
+            start = max_len
+        exits, emitted, rewards, width = table
+        targets = batch.targets.tolist()
+        counts = self.hist.counts
+        reward_sum, hits = self.reward_sum, self.hits
+        for lo in range(start, len(conf), max_len):
+            if self.state.t >= tokens:
+                break
+            arms = _play_image(
+                self.state, table, lo, max_len, self.params, max_len, eos_id, tokens
             )
-            self.emitted += len(caption)
+            for row, k in enumerate(arms, lo):
+                i = row * width + k
+                counts[exits[i]] += 1
+                reward_sum += rewards[i]
+                hits += emitted[i] == targets[row]
+            self.emitted += len(arms)
+        self.reward_sum, self.hits = reward_sum, hits
 
     def metrics(self) -> dict:
         return {
@@ -292,10 +311,11 @@ def _run_lockstep(
 
     ``groups`` pairs each distortion level of ``base`` with the cells
     played at it.  The stream is drawn once from the base seed,
-    ``IMAGE_CHUNK`` images at a time; each chunk is finished once per
-    group and fed to every cell of it still under budget.  So every cell
-    sees the images a run of its own on ``image_stream`` would, whatever
-    its policy.  Accuracy is scored against the targets of those images.
+    ``IMAGE_CHUNK`` images at a time; each chunk is finished and
+    validated once per group and fed to every cell of it still under
+    budget.  So every cell sees the images a run of its own on
+    ``image_stream`` would, whatever its policy.  Accuracy is scored
+    against the targets of those images.
     """
     rng = base.stream_rng(0)
     start_id = 0
@@ -304,9 +324,14 @@ def _run_lockstep(
         for model, cells in groups:
             playing = [cell for cell in cells if not cell.done(tokens)]
             if playing:
-                images = split_images(finish_tokens(model, draws), max_len, start_id)
+                batch = finish_tokens(model, draws)
+                check_traces(
+                    f"images {start_id}-{start_id + IMAGE_CHUNK - 1}",
+                    batch.confidences,
+                    batch.token_ids,
+                )
                 for cell in playing:
-                    cell.play(images, gamma, tokens, max_len, model.eos_id)
+                    cell.play(batch, gamma, tokens, max_len, model.eos_id)
         start_id += IMAGE_CHUNK
 
 
@@ -343,8 +368,7 @@ GEN_TRACES_SCHEMA = {
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
     config = effective_config(args, GEN_TRACES_SCHEMA)
-    if config["n_images"] < 1:
-        raise ConfigError(f"n_images must be >= 1, got {config['n_images']}")
+    _check_positive(config, "n_images", "max_len")
     model = distort(
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
     )
@@ -428,6 +452,7 @@ BANDIT_SCHEMA = {
 
 def cmd_bandit(args: argparse.Namespace) -> int:
     config = effective_config(args, BANDIT_SCHEMA)
+    _check_positive(config, "max_len", "oracle_samples")
     model = distort(
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
     )
@@ -491,6 +516,7 @@ COMPARE_SCHEMA = {
 
 def cmd_compare_distortion(args: argparse.Namespace) -> int:
     config = effective_config(args, COMPARE_SCHEMA)
+    _check_positive(config, "max_len", "oracle_samples")
     base = SyntheticConfidenceModel(seed=config["seed"])
     adaptive_actions = _action_set(config)
     fixed_actions = ActionSet((config["fixed_alpha"],))
@@ -516,10 +542,16 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
         config["max_len"],
     )
 
+    oracles = shared_oracles(
+        [model for _, model, _ in groups],
+        adaptive_actions,
+        [params],
+        samples=config["oracle_samples"],
+    )
     rows = []
     margins = {}
     oracle_best = {}
-    for sigma, model, cells in groups:
+    for (sigma, _, cells), [oracle] in zip(groups, oracles):
         metrics = {policy: cell.metrics() for policy, cell in cells.items()}
         for policy, m in metrics.items():
             rows.append(
@@ -527,9 +559,6 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
             )
         margins[repr(sigma)] = (
             metrics["adaptive"]["mean_reward"] - metrics[fixed_name]["mean_reward"]
-        )
-        oracle = expected_reward_oracle(
-            model, adaptive_actions, params, samples=config["oracle_samples"]
         )
         oracle_best[repr(sigma)] = oracle.best_threshold
     _write_csv(
@@ -656,6 +685,7 @@ LAMBDA_SCHEMA = {
 
 def cmd_lambda_sweep(args: argparse.Namespace) -> int:
     config = effective_config(args, LAMBDA_SCHEMA)
+    _check_positive(config, "max_len", "oracle_samples")
     model = distort(
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
     )
@@ -668,15 +698,18 @@ def cmd_lambda_sweep(args: argparse.Namespace) -> int:
     _run_lockstep(
         model, [(model, cells)], config["gamma"], config["tokens"], config["max_len"]
     )
+    [oracles] = shared_oracles(
+        [model],
+        actions,
+        [cell.params for cell in cells],
+        samples=config["oracle_samples"],
+    )
     rows = []
     oracle_best = {}
     mean_rewards = {}
-    for lam, cell in zip(config["lambdas"], cells):
+    for lam, cell, oracle in zip(config["lambdas"], cells, oracles):
         metrics = cell.metrics()
         rows.append((lam, metrics["speedup"], metrics["accuracy"]))
-        oracle = expected_reward_oracle(
-            model, actions, cell.params, samples=config["oracle_samples"]
-        )
         oracle_best[repr(lam)] = oracle.best_threshold
         mean_rewards[repr(lam)] = metrics["mean_reward"]
     _write_csv(

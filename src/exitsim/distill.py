@@ -342,11 +342,6 @@ def _ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _kl_grad_logits(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
-    """Gradient of mean KL(student || teacher) w.r.t. student logits."""
-    return _kl_rows(student, _floored_log(teacher))[1] / len(student)
-
-
 # Per-layer states, teacher logits, g_h, g_z: see _backbone_buffers.
 _BackboneBuffers = tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]
 

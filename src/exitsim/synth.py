@@ -41,12 +41,15 @@ class TraceFormatError(ValueError):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|),
+    so neither tail overflows."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=z >= 0)
+    return e
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ class SyntheticConfidenceModel:
 
     def confidence_matrix(self, n_tokens: int, rng: np.random.Generator) -> np.ndarray:
         """Sample an (n_tokens, n_layers) block of confidences only."""
-        return _confidences(self, _draw_block(self, n_tokens, rng, token_ids=False))
+        return next(confidence_matrices([self], n_tokens, rng))
 
 
 def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenceModel:
@@ -200,6 +203,20 @@ def draw_tokens(
     return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
 
 
+def confidence_matrices(
+    models: Sequence[SyntheticConfidenceModel],
+    n_tokens: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """``model.confidence_matrix(n_tokens, rng)`` for each of ``models``,
+    in turn, from one draw: the models may differ only in ``sigma``."""
+    for model in models:
+        if distort(model, models[0].sigma) != models[0]:
+            raise ValueError(f"{model} differs from {models[0]} beyond sigma")
+    draws = _draw_block(models[0], n_tokens, rng, token_ids=False)
+    return (_confidences(model, draws) for model in models)
+
+
 def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarray:
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
     rise = model.growth * (layer_index[None, :] - draws.difficulty[:, None])
@@ -210,12 +227,11 @@ def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarr
         - model.sigma * model.ceiling_drop_rate
     )
     ceiling = np.where(draws.clean, np.inf, ceiling)
-    z = (
-        np.minimum(rise, ceiling[:, None])
-        - model.sigma * model.base_drop_rate
-        + draws.noise
-    )
-    return np.clip(_sigmoid(z), 0.0, 1.0)
+    z = np.minimum(rise, ceiling[:, None], out=rise)
+    z -= model.sigma * model.base_drop_rate
+    z += draws.noise
+    conf = _sigmoid(z)
+    return np.clip(conf, 0.0, 1.0, out=conf)
 
 
 @dataclass(frozen=True)
@@ -264,6 +280,46 @@ def sample_batch(
     return finish_tokens(model, draw_tokens(model, n_tokens, rng))
 
 
+def check_traces(
+    label: str, confidences: np.ndarray, token_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (tokens, layers) block of confidences and token ids:
+    at least one token and two layers, matching shapes, confidences in
+    [0, 1] and nonnegative integer ids.  Returns them as float64 and
+    int64 arrays; errors name ``label`` and the 1-based token and layer.
+    """
+    conf = np.asarray(confidences, dtype=np.float64)
+    ids = np.asarray(token_ids)
+    if conf.ndim != 2 or len(conf) < 1:
+        raise ValueError(f"{label} has no traces")
+    if conf.shape[1] < 2:
+        raise TraceValidationError(
+            f"{label}: traces need at least 2 layers, got {conf.shape[1]}"
+        )
+    if ids.shape != conf.shape:
+        raise TraceValidationError(
+            f"{label}: {conf.shape} confidences vs {ids.shape} token ids"
+        )
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise TraceValidationError(
+            f"{label}: token ids must be integers, got {ids.dtype}"
+        )
+    in_range = (conf >= 0.0) & (conf <= 1.0)  # False for NaN
+    if not in_range.all():
+        tok, layer = np.argwhere(~in_range)[0]
+        raise TraceValidationError(
+            f"{label}: token {tok + 1} layer {layer + 1} confidence "
+            f"{float(conf[tok, layer])!r} outside [0, 1]"
+        )
+    if ids.min() < 0:
+        tok, layer = np.argwhere(ids < 0)[0]
+        raise TraceValidationError(
+            f"{label}: token {tok + 1} layer {layer + 1} token id "
+            f"{int(ids[tok, layer])} is negative"
+        )
+    return conf, ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class ImageTraces:
     """One image's token traces, with true targets when known.
@@ -281,38 +337,9 @@ class ImageTraces:
     targets: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        conf = np.asarray(self.confidences, dtype=np.float64)
-        ids = np.asarray(self.token_ids)
-        if conf.ndim != 2 or len(conf) < 1:
-            raise ValueError(f"image {self.image_id!r} has no traces")
-        if conf.shape[1] < 2:
-            raise TraceValidationError(
-                f"image {self.image_id!r}: traces need at least 2 layers, got "
-                f"{conf.shape[1]}"
-            )
-        if ids.shape != conf.shape:
-            raise TraceValidationError(
-                f"image {self.image_id!r}: {conf.shape} confidences vs "
-                f"{ids.shape} token ids"
-            )
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TraceValidationError(
-                f"image {self.image_id!r}: token ids must be integers, got "
-                f"{ids.dtype}"
-            )
-        in_range = (conf >= 0.0) & (conf <= 1.0)  # False for NaN
-        if not in_range.all():
-            tok, layer = np.argwhere(~in_range)[0]
-            raise TraceValidationError(
-                f"image {self.image_id!r}: token {tok + 1} layer {layer + 1} "
-                f"confidence {float(conf[tok, layer])!r} outside [0, 1]"
-            )
-        if ids.min() < 0:
-            tok, layer = np.argwhere(ids < 0)[0]
-            raise TraceValidationError(
-                f"image {self.image_id!r}: token {tok + 1} layer {layer + 1} "
-                f"token id {int(ids[tok, layer])} is negative"
-            )
+        conf, ids = check_traces(
+            f"image {self.image_id!r}", self.confidences, self.token_ids
+        )
         if self.targets is not None and len(self.targets) != len(conf):
             raise ValueError(
                 f"image {self.image_id!r}: {len(self.targets)} targets vs "
@@ -321,7 +348,7 @@ class ImageTraces:
         # Read-only views of the given arrays, not copies: callers hand
         # over arrays they no longer write to.
         conf = conf.view()
-        ids = ids.astype(np.int64, copy=False).view()
+        ids = ids.view()
         conf.flags.writeable = False
         ids.flags.writeable = False
         object.__setattr__(self, "confidences", conf)

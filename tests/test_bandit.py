@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from exitsim import (
     regret_curve,
     reward,
     run_adaptive_captioning,
+    distort,
     run_caption,
+    shared_oracles,
     ucb_select,
     update,
 )
@@ -504,6 +507,72 @@ def test_adaptive_run_matches_per_token_reference_loop():
     assert run.captions == captions
 
 
+def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budget):
+    """The loop the round kernel replaced: initialize, then one
+    ``run_caption`` per image with a closure that selects an arm,
+    applies the scalar exit rule, scores the reward and folds it."""
+    log = BanditLog()
+    image_iter = iter(images)
+    state = initialize(actions, next(image_iter), params, gamma, log)
+    captions = []
+    for image in image_iter:
+        if state.t >= budget:
+            break
+
+        def adapt(trace):
+            alpha = ucb_select(state)
+            decision = decide_exit(trace, alpha)
+            r = reward(decision, params)
+            update(state, alpha, r)
+            log.append(state.t, alpha, decision.exit_layer, r)
+            return decision
+
+        traces = islice(image.traces, budget - state.t)
+        caption = run_caption(traces, adapt, max_len, eos_id, image.image_id)
+        if len(caption):
+            captions.append(caption)
+    return captions, log, state
+
+
+@pytest.mark.parametrize("budget", [23, 58, 97, 10_000])
+def test_round_kernel_matches_the_run_caption_reference(budget):
+    # Images of 1 to 11 tokens against a cap of 7, so some end before the
+    # cap without eos; image 3 emits eos at position 0 on every arm; the
+    # smaller budgets cut a caption part-way.
+    rng = np.random.default_rng(8)
+    n_layers, max_len, gamma = 5, 7, 1.1
+    images = []
+    for i in range(30):
+        n = 4 if i == 0 else 1 + (i * 7) % 11
+        ids = rng.integers(0, 6, (n, n_layers))
+        if i == 3:
+            ids[0] = 0
+        images.append(ImageTraces(i, rng.random((n, n_layers)), ids))
+    actions = ActionSet((0.3, 0.55, 0.7, 0.9))
+    params = RewardParams(n_layers=n_layers, lam=0.8)
+    run = run_adaptive_captioning(
+        images, actions, params, gamma=gamma, max_caption_length=max_len,
+        eos_id=0, max_tokens=budget,
+    )
+    captions, log, state = reference_adaptive_run(
+        images, actions, params, gamma, max_len, 0, budget
+    )
+    assert run.captions == captions
+    assert (run.log.rounds, run.log.arms) == (log.rounds, log.arms)
+    assert (run.log.exit_layers, run.log.rewards) == (log.exit_layers, log.rewards)
+    assert (run.state.q, run.state.pulls, run.state.t) == (state.q, state.pulls, state.t)
+    by_id = {caption.image_id: caption for caption in run.captions}
+    assert by_id[3].terminated_by_eos and len(by_id[3]) == 1
+    assert any(
+        c.truncated and len(c) == len(images[c.image_id]) < max_len
+        for c in run.captions
+    )
+    if budget < 10_000:
+        last = run.captions[-1]
+        assert run.state.t == budget
+        assert last.truncated and len(last) < len(images[last.image_id])
+
+
 def test_adaptive_run_rejects_an_exit_past_the_reward_layers_when_played():
     params = RewardParams(n_layers=3)
     actions = ActionSet((0.5,))
@@ -674,6 +743,31 @@ def test_oracle_common_random_numbers_are_reproducible():
     a = expected_reward_oracle(*args, samples=2000)
     b = expected_reward_oracle(*args, samples=2000)
     assert a == b
+
+
+def test_shared_oracles_equal_one_oracle_per_sigma_and_lambda():
+    base = SyntheticConfidenceModel(seed=3)
+    models = [distort(base, sigma) for sigma in (0.0, 1.0, 2.5)]
+    actions = ActionSet.default_grid()
+    params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 1.0, 2.0)]
+    params.append(RewardParams(n_layers=12, mu=0.3))
+    for samples, seed in ((3000, 17), (1, 5), (2000, None)):
+        kwargs = {} if seed is None else {"seed": seed}
+        got = shared_oracles(models, actions, params, samples=samples, **kwargs)
+        assert len(got) == len(models)
+        for model, estimates in zip(models, got):
+            assert estimates == [
+                expected_reward_oracle(model, actions, p, samples=samples, **kwargs)
+                for p in params
+            ]
+
+
+def test_shared_oracles_validation():
+    model = SyntheticConfidenceModel()
+    with pytest.raises(ValueError, match="samples"):
+        shared_oracles([model], ActionSet((0.5,)), [RewardParams(12)], samples=0)
+    with pytest.raises(ValueError, match="layers"):
+        shared_oracles([model], ActionSet((0.5,)), [RewardParams(6)], samples=10)
 
 
 def test_oracle_rejects_layer_mismatch():

@@ -235,6 +235,35 @@ def test_token_budget_below_arm_count_exits_2_in_every_adaptive_command(
 
 
 @pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["gen-traces", "--max-len", "0"], "max_len"),
+        (["gen-traces", "--max-len", "-3"], "max_len"),
+        (["gen-traces", "--n-images", "0"], "n_images"),
+        (["bandit", "--oracle-samples", "0"], "oracle_samples"),
+        (["bandit", "--max-len", "0"], "max_len"),
+        (["compare-distortion", "--oracle-samples", "0"], "oracle_samples"),
+        (["compare-distortion", "--max-len", "0"], "max_len"),
+        (["lambda-sweep", "--oracle-samples", "-1"], "oracle_samples"),
+        (["lambda-sweep", "--max-len", "0"], "max_len"),
+    ],
+)
+def test_nonpositive_counts_exit_2_before_any_work(
+    argv, key, tmp_path, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the flags were checked")
+
+    monkeypatch.setattr(cli, "draw_tokens", no_work)
+    monkeypatch.setattr(cli, "image_stream", no_work)
+    out = tmp_path / "out"
+    code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: config: {key} must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bandit", "--gamma", "nan"],
@@ -617,13 +646,36 @@ def test_lambda_sweep_structure(tmp_path, capsys):
 
 
 def test_lockstep_cells_match_independent_runs():
+    for case in (
+        "mid-chunk", "off-grid-fixed-arm", "max-len-equals-arms", "chunk-boundary"
+    ):
+        _check_lockstep_case(case)
+
+
+def _check_lockstep_case(case):
     # One shared stream, finished per sigma and fed chunk by chunk, must
-    # leave each cell where a run of its own over image_stream ends.  The
-    # budget ends mid-chunk, and the cells close in different chunks.
+    # leave each cell where a run of its own over image_stream ends.
+    # mid-chunk: the budget ends mid-chunk, and the cells close in
+    # different chunks.  off-grid-fixed-arm: the fixed threshold is not
+    # on the adaptive grid.  max-len-equals-arms: initialization uses the
+    # whole first image.  chunk-boundary: without eos every caption runs
+    # to the cap, so the adaptive cells' budget ends on the last token of
+    # chunk 2 (the fixed cells, with one arm to initialize, go on into
+    # chunk 3).
     base = SyntheticConfidenceModel(seed=5)
-    params = RewardParams(n_layers=base.n_layers, lam=0.7)
-    policies = (ActionSet((0.6,)), ActionSet((0.2, 0.5, 0.8, 1.0)))
+    grid = (0.2, 0.5, 0.8, 1.0)
+    policies = (ActionSet((0.6,)), ActionSet(grid))
     budget, max_len, gamma = 1001, 6, 1.2
+    if case == "off-grid-fixed-arm":
+        policies = (ActionSet((0.65,)), ActionSet(grid))
+    elif case == "max-len-equals-arms":
+        max_len = len(grid)
+    elif case == "chunk-boundary":
+        base = SyntheticConfidenceModel(seed=5, eos_prob=0.0)
+        max_len = 5
+        # Image 0 initializes; images 1 .. 2 * IMAGE_CHUNK - 1 caption.
+        budget = len(grid) + (2 * IMAGE_CHUNK - 1) * max_len
+    params = RewardParams(n_layers=base.n_layers, lam=0.7)
     groups = [
         (distort(base, sigma), [cli._Cell(actions, params) for actions in policies])
         for sigma in (0.0, 3.0)
@@ -663,7 +715,28 @@ def test_lockstep_cells_match_independent_runs():
             assert cell.reward_sum == reward_sum
             assert cell.hits == hits
             assert cell.emitted == sum(len(caption) for caption in run.captions)
-    assert len(closing_chunks) > 1
+            if case == "chunk-boundary" and len(actions) == len(grid):
+                last = run.captions[-1]
+                assert last.image_id == 2 * IMAGE_CHUNK - 1
+                assert len(last) == max_len and not last.truncated
+    if case == "mid-chunk":
+        assert len(closing_chunks) > 1
+
+
+def test_lockstep_validates_each_finished_chunk(monkeypatch):
+    finish = cli.finish_tokens
+
+    def corrupt(model, draws):
+        batch = finish(model, draws)
+        batch.confidences[7, 3] = np.nan
+        return batch
+
+    monkeypatch.setattr(cli, "finish_tokens", corrupt)
+    base = SyntheticConfidenceModel(seed=5)
+    cells = [cli._Cell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers))]
+    with pytest.raises(exitsim.TraceValidationError, match="token 8 layer 4"):
+        cli._run_lockstep(base, [(base, cells)], 1.0, 50, 6)
+    assert cells[0].state is None
 
 
 # ---------------------------------------------------------------------------
@@ -854,3 +927,33 @@ def test_installed_script_runs(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.strip())["n_images"] == 2
+
+
+def test_run_all_experiments_quick_writes_every_output(tmp_path):
+    script = os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts", "run_all_experiments.py"
+    )
+    out = tmp_path / "results"
+    result = subprocess.run(
+        [sys.executable, script, "--quick", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = {
+        "traces": ["traces.txt", "gen_traces_summary.json",
+                   "sweep_threshold.csv", "sweep_threshold_summary.json"],
+        "bandit": ["bandit_log.csv", "bandit_summary.json"],
+        "compare": ["compare_distortion.csv", "compare_distortion_summary.json"],
+        "ablation": ["ablation.csv", "ablation_summary.json"],
+        "lambda": ["lambda_sweep.csv", "lambda_sweep_summary.json"],
+        "toy": ["toy_cascade.json", "train_toy_summary.json",
+                "sweep_threshold.csv", "sweep_threshold_summary.json"],
+    }
+    assert sorted(os.listdir(out)) == sorted(expected)
+    for name, files in expected.items():
+        assert sorted(os.listdir(out / name)) == sorted(files)
+        for entry in files:
+            assert (out / name / entry).stat().st_size > 0

@@ -30,7 +30,7 @@ from exitsim import (
     train_exits,
 )
 from exitsim import distill
-from exitsim.distill import _kl_grad_logits, softmax
+from exitsim.distill import softmax
 
 SMALL = ToyConfig(input_dim=6, hidden_dim=8, n_layers=3, vocab_size=5)
 
@@ -466,6 +466,11 @@ def test_objectives_do_not_reuse_returned_gradients():
         _, second = objective(x0 + 0.1 * rng.normal(size=x0.shape))
         assert not np.array_equal(second, kept)
         assert np.array_equal(first, kept)
+
+
+def _kl_grad_logits(student, teacher):
+    """Gradient of mean KL(student || teacher) w.r.t. student logits."""
+    return distill._kl_rows(student, distill._floored_log(teacher))[1] / len(student)
 
 
 def test_kl_gradient_vanishes_at_matching_distributions():

@@ -28,6 +28,7 @@ from exitsim import (
     sample_image,
     write_traces,
 )
+from exitsim.synth import _sigmoid, confidence_matrices
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_traces.txt")
 
@@ -181,6 +182,50 @@ def test_one_draw_finishes_at_every_sigma():
         )
         assert np.array_equal(
             finished.targets, np.concatenate([b.targets for b in blocks])
+        )
+
+
+def reference_sigmoid(z):
+    """The masked two-branch logistic the exact in-place form replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_the_masked_reference_bitwise():
+    rng = np.random.default_rng(3)
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array(
+        [0.0, -0.0, 750.0, -750.0, 1e-300, -1e-300, tiny, -tiny, 1e-310,
+         -1e-310, 36.7, -36.7, 745.2, -745.2, np.inf, -np.inf]
+    )
+    for z in (
+        edges,
+        rng.normal(0.0, 8.0, (257, 12)),
+        rng.uniform(-800.0, 800.0, 1001),
+        np.full((3, 4), -2.5),
+    ):
+        got, want = _sigmoid(z.copy()), reference_sigmoid(z)
+        assert got.shape == want.shape
+        # Bitwise: the sign of zero and every last bit must agree.
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))[0])
+
+
+def test_confidence_matrices_share_one_draw():
+    base = SyntheticConfidenceModel(seed=4)
+    models = [distort(base, sigma) for sigma in (2.0, 0.0, 0.5)]
+    got = list(confidence_matrices(models, 300, np.random.default_rng(9)))
+    for model, conf in zip(models, got):
+        want = model.confidence_matrix(300, np.random.default_rng(9))
+        assert conf.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="beyond sigma"):
+        confidence_matrices(
+            [base, dataclasses.replace(base, growth=2.0)], 10,
+            np.random.default_rng(0),
         )
 
 
