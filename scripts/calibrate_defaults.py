@@ -20,14 +20,15 @@ import numpy as np
 
 from exitsim import (
     ActionSet,
+    AdaptiveCell,
+    BanditLog,
     ExitHistogram,
     RewardParams,
     SyntheticConfidenceModel,
     distort,
     expected_reward_oracle,
-    image_stream,
     regret_curve,
-    run_adaptive_captioning,
+    run_lockstep,
     speedup_ratio,
 )
 from exitsim.cascade import exit_layer_indices
@@ -65,19 +66,15 @@ def ucb_convergence(actions, params, horizon, oracle_samples):
     for seed in (7, 8, 9):
         model = SyntheticConfidenceModel(seed=seed)
         started = time.monotonic()
-        run = run_adaptive_captioning(
-            image_stream(model, model.stream_rng(0), 20),
-            actions,
-            params,
-            max_tokens=horizon,
-        )
+        cell = AdaptiveCell(actions, params, BanditLog())
+        run_lockstep(model, [(model, [cell])], 1.0, horizon, 20)
         oracle = expected_reward_oracle(
             model, actions, params, samples=oracle_samples
         )
-        share = run.log.arm_counts(last=window).get(
+        share = cell.log.arm_counts(last=window).get(
             oracle.best_threshold, 0
         ) / window
-        regret = float(regret_curve(run.log, oracle)[-1])
+        regret = float(regret_curve(cell.log, oracle)[-1])
         print(
             f"seed={seed}: alpha*={oracle.best_threshold} "
             f"final-{window} share={share:.4f} R/T={regret / horizon:.6f} "
@@ -88,19 +85,18 @@ def ucb_convergence(actions, params, horizon, oracle_samples):
 def distortion_margins(base, actions, params, tokens):
     print("== adaptive minus fixed-0.6 mean-reward margins ==")
     fixed = ActionSet((0.6,))
-
-    def mean_reward(model, arm_set):
-        run = run_adaptive_captioning(
-            image_stream(model, model.stream_rng(0), 20),
-            arm_set,
-            params,
-            max_tokens=tokens,
+    sigmas = (0.0, 1.0, 2.0)
+    groups = [
+        (
+            distort(base, sigma),
+            [AdaptiveCell(arm_set, params) for arm_set in (actions, fixed)],
         )
-        return sum(run.log.rewards) / len(run.log.rewards)
-
-    for sigma in (0.0, 1.0, 2.0):
-        model = distort(base, sigma)
-        margin = mean_reward(model, actions) - mean_reward(model, fixed)
+        for sigma in sigmas
+    ]
+    run_lockstep(base, groups, 1.0, tokens, 20)
+    for sigma, (_, cells) in zip(sigmas, groups):
+        adaptive, fixed_arm = (cell.metrics()["mean_reward"] for cell in cells)
+        margin = adaptive - fixed_arm
         print(f"sigma={sigma}: margin={margin:+.6f}  ({tokens} tokens/cell)")
 
 

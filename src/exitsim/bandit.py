@@ -17,13 +17,21 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cascade import (
-    DEFAULT_EOS_ID,
-    DEFAULT_MAX_CAPTION_LENGTH,
-    CaptionRun,
     ExitDecision,
+    ExitHistogram,
     exit_layer_indices,
+    speedup_ratio,
 )
-from .synth import ImageTraces, SyntheticConfidenceModel, confidence_matrices
+from .synth import (
+    IMAGE_CHUNK,
+    ImageTraces,
+    SyntheticConfidenceModel,
+    TraceBatch,
+    check_traces,
+    confidence_matrices,
+    draw_tokens,
+    finish_tokens,
+)
 
 STATE_FORMAT = "exitsim-bandit-state"
 STATE_VERSION = 1
@@ -177,7 +185,15 @@ class BanditState:
         }
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "BanditState":
+    def from_snapshot(cls, snapshot: object) -> "BanditState":
+        """Rebuild a state from ``to_snapshot`` output.  A value that is
+        not an object, a missing key, a field of the wrong type or a
+        count that is not an integer raises ValueError naming the key."""
+        if not isinstance(snapshot, dict):
+            raise ValueError(
+                f"bandit state snapshot must be a JSON object, got "
+                f"{type(snapshot).__name__}"
+            )
         if snapshot.get("format") != STATE_FORMAT:
             raise ValueError(
                 f"not a bandit state snapshot: format "
@@ -188,12 +204,13 @@ class BanditState:
                 f"unsupported bandit state version {snapshot.get('version')!r} "
                 f"(this reader handles version {STATE_VERSION})"
             )
+        thresholds = _snapshot_field(snapshot, "thresholds", float, True)
         return cls(
-            actions=ActionSet(tuple(float(a) for a in snapshot["thresholds"])),
-            q=[float(x) for x in snapshot["q"]],
-            pulls=[int(n) for n in snapshot["pulls"]],
-            t=int(snapshot["t"]),
-            gamma=float(snapshot["gamma"]),
+            actions=ActionSet(tuple(thresholds)),
+            q=_snapshot_field(snapshot, "q", float, True),
+            pulls=_snapshot_field(snapshot, "pulls", int, True),
+            t=_snapshot_field(snapshot, "t", int),
+            gamma=_snapshot_field(snapshot, "gamma", float),
         )
 
     def save(self, path: str) -> None:
@@ -212,6 +229,28 @@ class BanditState:
     def load(cls, path: str) -> "BanditState":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_snapshot(json.load(fh))
+
+
+def _snapshot_field(snapshot: dict, key: str, kind: type, many: bool = False):
+    """``snapshot[key]`` as a ``kind`` (int, or float from any JSON
+    number), or as a list of them when ``many``.  Booleans are not
+    numbers here; anything else raises ValueError naming the key."""
+    if key not in snapshot:
+        raise ValueError(f"bandit state snapshot has no {key!r}")
+    value = snapshot[key]
+    if many != isinstance(value, list):
+        shape = "a list" if many else "one number"
+        raise ValueError(f"{key}: expected {shape}, got {type(value).__name__}")
+    numbers = (int,) if kind is int else (int, float)
+    out = []
+    for x in value if many else [value]:
+        if isinstance(x, bool) or not isinstance(x, numbers):
+            raise ValueError(f"{key}: expected {kind.__name__}, got {x!r}")
+        try:
+            out.append(kind(x))
+        except OverflowError:
+            raise ValueError(f"{key}: number out of range") from None
+    return out if many else out[0]
 
 
 def _ucb_index(state: BanditState) -> int:
@@ -327,15 +366,6 @@ def initialize(
     return state
 
 
-@dataclass
-class AdaptiveRun:
-    """Everything a threshold-adaptation run produced."""
-
-    captions: list[CaptionRun]
-    log: BanditLog
-    state: BanditState
-
-
 def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
     """Confidence gain over layer 1 at 0-based ``exits`` of a (tokens,
     layers) confidence array; ``exits`` is (tokens,) or (tokens, K)."""
@@ -412,71 +442,120 @@ def _play_image(
     return arms
 
 
-def run_adaptive_captioning(
-    images: Iterable[ImageTraces],
-    actions: ActionSet,
-    params: RewardParams,
-    gamma: float = 1.0,
-    max_caption_length: int = DEFAULT_MAX_CAPTION_LENGTH,
-    eos_id: int = DEFAULT_EOS_ID,
-    max_tokens: int | None = None,
-    state: BanditState | None = None,
-    log: BanditLog | None = None,
-) -> AdaptiveRun:
-    """Caption an image stream while adapting the exit threshold online.
+@dataclass
+class AdaptiveCell:
+    """One policy's run over a command's shared image stream.
 
-    When no prior state is given, the first image is spent playing
-    every arm once (``initialize``) and produces no caption.  Passing
-    the state and log of an earlier run resumes it: counters keep rising
-    and the same object is returned updated.  ``max_tokens`` caps the total
-    round counter; a caption cut off by the cap is flagged truncated, as
-    is one whose image ends before eos and the length cap.  Each caption
-    is played by the round kernel ``_play_image`` over the image's arm
-    table; the log and the caption are read back from the arms it played.
+    A cell keeps running aggregates: its exit histogram, reward sum,
+    hits and emitted count.  With a ``log`` it also records every round,
+    initialization included; without one its memory stays bounded, so a
+    command's cells can all run at once.
     """
-    if max_caption_length < 1:
-        raise ValueError(f"max_caption_length must be >= 1, got {max_caption_length}")
-    if log is None:
-        log = BanditLog()
-    image_iter = iter(images)
-    if state is None:
-        first = next(image_iter, None)
-        if first is None:
-            raise BanditError("image stream is empty: nothing to initialize on")
-        state = initialize(actions, first, params, gamma, log)
-    elif not state.initialized:
-        raise BanditError(
-            "resumed state has unplayed arms: run initialize() first"
-        )
-    alphas = state.actions.thresholds
-    thresholds = np.asarray(alphas)
 
-    captions: list[CaptionRun] = []
-    for image in image_iter:
-        if max_tokens is not None and state.t >= max_tokens:
-            break
-        table = _arm_table(image.confidences, image.token_ids, thresholds, params)
-        t = state.t
-        arms = _play_image(
-            state, table, 0, len(image), params, max_caption_length, eos_id,
-            max_tokens,
-        )
+    actions: ActionSet
+    params: RewardParams
+    log: BanditLog | None = None
+    state: BanditState | None = field(default=None, init=False)
+    reward_sum: float = field(default=0.0, init=False)
+    hits: int = field(default=0, init=False)
+    emitted: int = field(default=0, init=False)
+    hist: ExitHistogram = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.hist = ExitHistogram.empty(self.params.n_layers)
+
+    def done(self, tokens: int) -> bool:
+        return self.state is not None and self.state.t >= tokens
+
+    def play(
+        self,
+        batch: TraceBatch,
+        gamma: float,
+        tokens: int,
+        max_len: int,
+        eos_id: int,
+    ) -> None:
+        """Resume this cell's run over the ``max_len``-token images of a
+        validated chunk until its token budget; the first image of a new
+        run goes to ``initialize``."""
+        conf, ids = batch.confidences, batch.token_ids
+        alphas = self.actions.thresholds
+        table = _arm_table(conf, ids, np.asarray(alphas), self.params)
         exits, emitted, rewards, width = table
-        conf = image.confidences.tolist()
-        decisions = []
-        for row, k in enumerate(arms):
-            i = row * width + k
-            layer = exits[i] + 1
-            log.append(t + row + 1, alphas[k], layer, rewards[i])
-            decisions.append(ExitDecision(
-                layer, emitted[i], conf[row][layer - 1], conf[row][0]
-            ))
-        eos = decisions[-1].token_id == eos_id
-        captions.append(CaptionRun(
-            image.image_id, tuple(decisions), eos,
-            not eos and len(decisions) < max_caption_length,
-        ))
-    return AdaptiveRun(captions=captions, log=log, state=state)
+        counts = self.hist.counts
+        reward_sum, hits, log = self.reward_sum, self.hits, self.log
+        start = 0
+        if self.state is None:
+            first = ImageTraces(0, conf[:max_len], ids[:max_len])
+            self.state = initialize(self.actions, first, self.params, gamma, log)
+            for k in range(width):  # arm k played on token k
+                counts[exits[k * width + k]] += 1
+                reward_sum += rewards[k * width + k]
+            start = max_len
+        targets = batch.targets.tolist()
+        for lo in range(start, len(conf), max_len):
+            t = self.state.t
+            if t >= tokens:
+                break
+            arms = _play_image(
+                self.state, table, lo, max_len, self.params, max_len, eos_id, tokens
+            )
+            for row, k in enumerate(arms, lo):
+                i = row * width + k
+                counts[exits[i]] += 1
+                reward_sum += rewards[i]
+                hits += emitted[i] == targets[row]
+            if log is not None:
+                for row, k in enumerate(arms, lo):
+                    i = row * width + k
+                    log.append(t + row - lo + 1, alphas[k], exits[i] + 1, rewards[i])
+            self.emitted += len(arms)
+        self.reward_sum, self.hits = reward_sum, hits
+
+    def metrics(self) -> dict:
+        return {
+            "speedup": speedup_ratio(self.hist),
+            "accuracy": self.hits / self.emitted,
+            "mean_reward": self.reward_sum / self.state.t,
+        }
+
+
+def run_lockstep(
+    base: SyntheticConfidenceModel,
+    groups: Sequence[tuple[SyntheticConfidenceModel, Sequence[AdaptiveCell]]],
+    gamma: float,
+    tokens: int,
+    max_len: int,
+) -> None:
+    """Run every cell over one image stream of ``max_len``-token images
+    until each has played ``tokens`` rounds.
+
+    ``groups`` pairs each distortion level of ``base`` with the cells
+    played at it.  The stream is drawn once from the base seed,
+    ``IMAGE_CHUNK`` images at a time; each chunk is finished and
+    validated once per group and fed to every cell of it still under
+    budget.  So every cell sees the images a run of its own on
+    ``image_stream`` would, whatever its policy.  Accuracy is scored
+    against the targets of those images.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    rng = base.stream_rng(0)
+    start_id = 0
+    while not all(cell.done(tokens) for _, cells in groups for cell in cells):
+        draws = draw_tokens(base, max_len, rng, IMAGE_CHUNK)
+        for model, cells in groups:
+            playing = [cell for cell in cells if not cell.done(tokens)]
+            if playing:
+                batch = finish_tokens(model, draws)
+                check_traces(
+                    f"images {start_id}-{start_id + IMAGE_CHUNK - 1}",
+                    batch.confidences,
+                    batch.token_ids,
+                )
+                for cell in playing:
+                    cell.play(batch, gamma, tokens, max_len, model.eos_id)
+        start_id += IMAGE_CHUNK
 
 
 @dataclass(frozen=True)

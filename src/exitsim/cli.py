@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -28,17 +27,14 @@ import numpy as np
 
 from .bandit import (
     ActionSet,
+    AdaptiveCell,
     BanditError,
     BanditLog,
-    BanditState,
     RewardParams,
-    _arm_table,
-    _play_image,
     expected_reward_oracle,
-    initialize,
     regret_bound,
     regret_curve,
-    run_adaptive_captioning,
+    run_lockstep,
     shared_oracles,
     sum_left_to_right,
 )
@@ -67,15 +63,10 @@ from .distill import (
 )
 from .synth import (
     DEFAULT_SEED,
-    IMAGE_CHUNK,
     ImageTraces,
     SyntheticConfidenceModel,
-    TraceBatch,
     TraceFormatError,
-    check_traces,
     distort,
-    draw_tokens,
-    finish_tokens,
     image_stream,
     read_traces,
     write_traces,
@@ -229,110 +220,12 @@ def _check_token_budget(config: dict, actions: ActionSet) -> None:
         )
 
 
-@dataclass
-class _Cell:
-    """One policy's running aggregates over a command's shared stream.
-
-    Only aggregates are kept, not per-round logs or captions, so a
-    command's cells can all run at once in little memory.
-    """
-
-    actions: ActionSet
-    params: RewardParams
-    state: BanditState | None = None
-    reward_sum: float = 0.0
-    hits: int = 0
-    emitted: int = 0
-    hist: ExitHistogram = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.hist = ExitHistogram.empty(self.params.n_layers)
-
-    def done(self, tokens: int) -> bool:
-        return self.state is not None and self.state.t >= tokens
-
-    def play(
-        self,
-        batch: TraceBatch,
-        gamma: float,
-        tokens: int,
-        max_len: int,
-        eos_id: int,
-    ) -> None:
-        """Resume this cell's run over the ``max_len``-token images of a
-        validated chunk until its token budget; the first image of a new
-        run goes to ``initialize``."""
-        conf, ids = batch.confidences, batch.token_ids
-        table = _arm_table(conf, ids, np.asarray(self.actions.thresholds), self.params)
-        start = 0
-        if self.state is None:
-            log = BanditLog()
-            first = ImageTraces(0, conf[:max_len], ids[:max_len])
-            self.state = initialize(self.actions, first, self.params, gamma, log)
-            for layer in log.exit_layers:
-                self.hist.record(layer)
-            self.reward_sum = sum_left_to_right(log.rewards, self.reward_sum)
-            start = max_len
-        exits, emitted, rewards, width = table
-        targets = batch.targets.tolist()
-        counts = self.hist.counts
-        reward_sum, hits = self.reward_sum, self.hits
-        for lo in range(start, len(conf), max_len):
-            if self.state.t >= tokens:
-                break
-            arms = _play_image(
-                self.state, table, lo, max_len, self.params, max_len, eos_id, tokens
-            )
-            for row, k in enumerate(arms, lo):
-                i = row * width + k
-                counts[exits[i]] += 1
-                reward_sum += rewards[i]
-                hits += emitted[i] == targets[row]
-            self.emitted += len(arms)
-        self.reward_sum, self.hits = reward_sum, hits
-
-    def metrics(self) -> dict:
-        return {
-            "speedup": speedup_ratio(self.hist),
-            "accuracy": self.hits / self.emitted,
-            "mean_reward": self.reward_sum / self.state.t,
-        }
-
-
-def _run_lockstep(
-    base: SyntheticConfidenceModel,
-    groups: Sequence[tuple[SyntheticConfidenceModel, Sequence[_Cell]]],
-    gamma: float,
-    tokens: int,
-    max_len: int,
-) -> None:
-    """Run every cell over one image stream until each has played
-    ``tokens`` rounds.
-
-    ``groups`` pairs each distortion level of ``base`` with the cells
-    played at it.  The stream is drawn once from the base seed,
-    ``IMAGE_CHUNK`` images at a time; each chunk is finished and
-    validated once per group and fed to every cell of it still under
-    budget.  So every cell sees the images a run of its own on
-    ``image_stream`` would, whatever its policy.  Accuracy is scored
-    against the targets of those images.
-    """
-    rng = base.stream_rng(0)
-    start_id = 0
-    while not all(cell.done(tokens) for _, cells in groups for cell in cells):
-        draws = draw_tokens(base, max_len, rng, IMAGE_CHUNK)
-        for model, cells in groups:
-            playing = [cell for cell in cells if not cell.done(tokens)]
-            if playing:
-                batch = finish_tokens(model, draws)
-                check_traces(
-                    f"images {start_id}-{start_id + IMAGE_CHUNK - 1}",
-                    batch.confidences,
-                    batch.token_ids,
-                )
-                for cell in playing:
-                    cell.play(batch, gamma, tokens, max_len, model.eos_id)
-        start_id += IMAGE_CHUNK
+def _check_distinct(config: dict, key: str) -> None:
+    """Reject a repeated value: each value keys its own summary entry."""
+    values = config[key]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key}: duplicate value {value!r}")
 
 
 def _trace_arrays(
@@ -459,20 +352,14 @@ def cmd_bandit(args: argparse.Namespace) -> int:
     actions = _action_set(config)
     params = _reward_params(config, model.n_layers)
     _check_token_budget(config, actions)
-    images = image_stream(model, model.stream_rng(0), config["max_len"])
-    run = run_adaptive_captioning(
-        images,
-        actions,
-        params,
-        gamma=config["gamma"],
-        max_caption_length=config["max_len"],
-        eos_id=model.eos_id,
-        max_tokens=config["tokens"],
+    log = BanditLog()
+    cell = AdaptiveCell(actions, params, log)
+    run_lockstep(
+        model, [(model, [cell])], config["gamma"], config["tokens"], config["max_len"]
     )
     oracle = expected_reward_oracle(
         model, actions, params, samples=config["oracle_samples"]
     )
-    log = run.log
     regret = regret_curve(log, oracle).tolist()
     _write_csv(
         _out_path(args, "bandit_log.csv"),
@@ -517,6 +404,7 @@ COMPARE_SCHEMA = {
 def cmd_compare_distortion(args: argparse.Namespace) -> int:
     config = effective_config(args, COMPARE_SCHEMA)
     _check_positive(config, "max_len", "oracle_samples")
+    _check_distinct(config, "sigmas")
     base = SyntheticConfidenceModel(seed=config["seed"])
     adaptive_actions = _action_set(config)
     fixed_actions = ActionSet((config["fixed_alpha"],))
@@ -527,14 +415,14 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
     groups = []
     for sigma in config["sigmas"]:
         cells = {
-            policy: _Cell(actions, params)
+            policy: AdaptiveCell(actions, params)
             for policy, actions in (
                 (fixed_name, fixed_actions),
                 ("adaptive", adaptive_actions),
             )
         }
         groups.append((sigma, distort(base, sigma), cells))
-    _run_lockstep(
+    run_lockstep(
         base,
         [(model, list(cells.values())) for _, model, cells in groups],
         config["gamma"],
@@ -686,16 +574,19 @@ LAMBDA_SCHEMA = {
 def cmd_lambda_sweep(args: argparse.Namespace) -> int:
     config = effective_config(args, LAMBDA_SCHEMA)
     _check_positive(config, "max_len", "oracle_samples")
+    _check_distinct(config, "lambdas")
     model = distort(
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
     )
     actions = _action_set(config)
     _check_token_budget(config, actions)
     cells = [
-        _Cell(actions, RewardParams(model.n_layers, mu=config.get("mu"), lam=lam))
+        AdaptiveCell(
+            actions, RewardParams(model.n_layers, mu=config.get("mu"), lam=lam)
+        )
         for lam in config["lambdas"]
     ]
-    _run_lockstep(
+    run_lockstep(
         model, [(model, cells)], config["gamma"], config["tokens"], config["max_len"]
     )
     [oracles] = shared_oracles(

@@ -1,9 +1,23 @@
 """Shared helpers for the test suite."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from exitsim import ImageTraces, TokenTrace
+from exitsim import (
+    BanditLog,
+    ExitHistogram,
+    ImageTraces,
+    TokenTrace,
+    decide_exit,
+    image_stream,
+    initialize,
+    reward,
+    run_caption,
+    ucb_select,
+    update,
+)
 
 
 def make_trace(confidences, token_ids=None):
@@ -27,6 +41,67 @@ class FixedTraceModel:
     def confidence_matrix(self, n_tokens, rng):
         reps = -(-n_tokens // self.rows.shape[0])
         return np.tile(self.rows, (reps, 1))[:n_tokens]
+
+
+def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budget):
+    """The scalar adaptive loop the driver is checked against: initialize,
+    then one ``run_caption`` per image with a closure that selects an arm,
+    applies the scalar exit rule, scores the reward and folds it."""
+    log = BanditLog()
+    image_iter = iter(images)
+    state = initialize(actions, next(image_iter), params, gamma, log)
+    captions = []
+    for image in image_iter:
+        if state.t >= budget:
+            break
+
+        def adapt(trace):
+            alpha = ucb_select(state)
+            decision = decide_exit(trace, alpha)
+            r = reward(decision, params)
+            update(state, alpha, r)
+            log.append(state.t, alpha, decision.exit_layer, r)
+            return decision
+
+        traces = islice(image.traces, budget - state.t)
+        caption = run_caption(traces, adapt, max_len, eos_id, image.image_id)
+        if len(caption):
+            captions.append(caption)
+    return captions, log, state
+
+
+def assert_cell_matches_reference(cell, model, gamma, max_len, budget):
+    """Check an ``AdaptiveCell`` played on ``model``'s stream against
+    ``reference_adaptive_run`` over ``image_stream(model)``: state, exit
+    histogram, left-to-right reward sum, hits, emitted count, and the log
+    when the cell keeps one.  Returns the reference captions."""
+    images = {}
+    stream = image_stream(model, model.stream_rng(0), max_len)
+    captions, log, state = reference_adaptive_run(
+        (images.setdefault(image.image_id, image) for image in stream),
+        cell.actions, cell.params, gamma, max_len, model.eos_id, budget,
+    )
+    hist = ExitHistogram.empty(cell.params.n_layers)
+    for layer in log.exit_layers:
+        hist.record(layer)
+    reward_sum = 0.0
+    for r in log.rewards:
+        reward_sum += r
+    hits = sum(
+        decision.token_id == images[caption.image_id].targets[pos]
+        for caption in captions
+        for pos, decision in enumerate(caption.tokens)
+    )
+    assert (cell.state.q, cell.state.pulls, cell.state.t) == (
+        state.q, state.pulls, state.t
+    )
+    assert cell.hist == hist
+    assert cell.reward_sum == reward_sum
+    assert cell.hits == hits
+    assert cell.emitted == sum(len(caption) for caption in captions)
+    if cell.log is not None:
+        assert cell.log == log
+    return captions
 
 
 @pytest.fixture

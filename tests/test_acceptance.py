@@ -14,6 +14,8 @@ import pytest
 
 from exitsim import (
     ActionSet,
+    AdaptiveCell,
+    BanditLog,
     BanditState,
     ExitHistogram,
     RewardParams,
@@ -29,13 +31,12 @@ from exitsim import (
     exit_objective,
     expected_reward_oracle,
     gradient_check,
-    image_stream,
     init_cascade,
     kl_divergence,
     read_traces,
     regret_bound,
     regret_curve,
-    run_adaptive_captioning,
+    run_lockstep,
     sample_image,
     speedup_ratio,
     train_backbone,
@@ -65,23 +66,18 @@ def ucb_run():
     actions = ActionSet.default_grid()
     params = RewardParams(n_layers=model.n_layers)
     started = time.monotonic()
-    run = run_adaptive_captioning(
-        image_stream(model, model.stream_rng(0), 20),
-        actions,
-        params,
-        gamma=1.0,
-        max_tokens=HORIZON,
-    )
+    cell = AdaptiveCell(actions, params, BanditLog())
+    run_lockstep(model, [(model, [cell])], 1.0, HORIZON, 20)
     oracle = expected_reward_oracle(model, actions, params, samples=200_000)
     elapsed = time.monotonic() - started
-    return run, oracle, params, elapsed
+    return cell.log, oracle, params, elapsed
 
 
 def test_criterion_01_ucb_convergence(ucb_run):
-    run, oracle, _, elapsed = ucb_run
-    counts = run.log.arm_counts(last=FINAL_WINDOW)
+    log, oracle, _, elapsed = ucb_run
+    counts = log.arm_counts(last=FINAL_WINDOW)
     share = counts.get(oracle.best_threshold, 0) / FINAL_WINDOW
-    regret = float(regret_curve(run.log, oracle)[-1])
+    regret = float(regret_curve(log, oracle)[-1])
     cap = 0.10 * max(oracle.gaps)
     ok = share > 0.90 and regret / HORIZON <= cap and elapsed < 120.0
     report(
@@ -98,8 +94,8 @@ def test_criterion_01_ucb_convergence(ucb_run):
 
 
 def test_criterion_02_regret_bound(ucb_run):
-    run, oracle, _, _ = ucb_run
-    regret = float(regret_curve(run.log, oracle)[-1])
+    log, oracle, _, _ = ucb_run
+    regret = float(regret_curve(log, oracle)[-1])
     bound = regret_bound(oracle, HORIZON, gamma=1.0)
     ok = regret <= bound
     report(
@@ -112,9 +108,9 @@ def test_criterion_02_regret_bound(ucb_run):
 
 
 def test_criterion_03_reward_bounds(ucb_run):
-    run, _, params, _ = ucb_run
+    log, _, params, _ = ucb_run
     lo, hi = params.bounds()
-    rewards = np.array(run.log.rewards)
+    rewards = np.array(log.rewards)
     ok = bool(np.all(rewards >= lo) and np.all(rewards <= hi))
     ok = ok and (lo, hi) == (-2.0, 1.0)
     report(
@@ -305,16 +301,6 @@ def test_criterion_09_ablation_direction():
     assert elapsed < 300.0
 
 
-def _mean_reward(model, actions, params, tokens):
-    run = run_adaptive_captioning(
-        image_stream(model, model.stream_rng(0), 20),
-        actions,
-        params,
-        max_tokens=tokens,
-    )
-    return sum(run.log.rewards) / len(run.log.rewards)
-
-
 def test_criterion_10_distortion_adaptation():
     base = SyntheticConfidenceModel()
     adaptive = ActionSet.default_grid()
@@ -322,12 +308,16 @@ def test_criterion_10_distortion_adaptation():
     params = RewardParams(n_layers=base.n_layers)
     tokens = 200_000
     started = time.monotonic()
+    sigmas = (1.0, 2.0)
+    groups = [
+        (distort(base, sigma), [AdaptiveCell(arms, params) for arms in (adaptive, fixed)])
+        for sigma in sigmas
+    ]
+    run_lockstep(base, groups, 1.0, tokens, 20)
     margins = {}
-    for sigma in (1.0, 2.0):
-        model = distort(base, sigma)
-        margins[sigma] = _mean_reward(model, adaptive, params, tokens) - _mean_reward(
-            model, fixed, params, tokens
-        )
+    for sigma, (_, cells) in zip(sigmas, groups):
+        adaptive_reward, fixed_reward = (c.metrics()["mean_reward"] for c in cells)
+        margins[sigma] = adaptive_reward - fixed_reward
     best_clean = expected_reward_oracle(base, adaptive, params).best_threshold
     best_noisy = expected_reward_oracle(
         distort(base, 2.0), adaptive, params

@@ -10,31 +10,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim import (
+    IMAGE_CHUNK,
     ActionSet,
+    AdaptiveCell,
     BanditError,
     BanditLog,
     BanditState,
-    CaptionRun,
-    ImageTraces,
     OracleEstimate,
     RewardParams,
     StepSchedule,
     SyntheticConfidenceModel,
+    TraceBatch,
     decide_exit,
     expected_reward_oracle,
     initialize,
     regret_bound,
     regret_curve,
     reward,
-    run_adaptive_captioning,
     distort,
+    image_stream,
     run_caption,
+    run_lockstep,
     shared_oracles,
     ucb_select,
     update,
 )
 
-from conftest import FixedTraceModel, make_image, make_trace
+from exitsim import bandit
+from conftest import (
+    FixedTraceModel,
+    assert_cell_matches_reference,
+    make_image,
+    make_trace,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -357,286 +365,176 @@ def test_initialize_rejects_an_exit_past_the_reward_layers():
 
 
 # ---------------------------------------------------------------------------
-# run_adaptive_captioning
+# The adaptive driver: AdaptiveCell and run_lockstep
 
 
-def _images(rows_per_image, n_images):
-    return [
-        make_image(rows_per_image, image_id=i) for i in range(n_images)
-    ]
+def _drive(model, actions, params, budget, max_len, gamma=1.0, base=None):
+    """One logged cell played on ``model``'s images, drawn from ``base``."""
+    cell = AdaptiveCell(actions, params, BanditLog())
+    run_lockstep(base or model, [(model, [cell])], gamma, budget, max_len)
+    return cell
+
+
+def _batch(conf_rows, id_rows=None):
+    """A chunk of hand-written rows; ids default to the layer index and
+    every target is 0."""
+    conf = np.array(conf_rows, dtype=float)
+    if id_rows is None:
+        id_rows = np.tile(np.arange(1, conf.shape[1] + 1), (len(conf), 1))
+    return TraceBatch(conf, np.array(id_rows), np.zeros(len(conf), dtype=np.int64))
 
 
 def test_adaptive_run_spends_first_image_on_initialization():
-    rows = [[0.3, 0.6, 0.9]] * 5
-    images = _images(rows, 4)
-    run = run_adaptive_captioning(
-        images, ActionSet((0.2, 0.5)), RewardParams(n_layers=3), eos_id=-1
-    )
-    # Init consumed image 0; captions start at image 1.
-    assert [c.image_id for c in run.captions] == [1, 2, 3]
-    assert run.state.t == 2 + 3 * 5
-    assert len(run.log) == run.state.t
+    # Without eos every caption runs to the cap of 5: image 0 plays each
+    # arm once and captions nothing, images 1 to 3 caption.
+    model = SyntheticConfidenceModel(seed=3, eos_prob=0.0)
+    actions = ActionSet((0.2, 0.5))
+    params = RewardParams(n_layers=model.n_layers)
+    cell = _drive(model, actions, params, budget=2 + 3 * 5, max_len=5)
+    init_log = BanditLog()
+    first = next(image_stream(model, model.stream_rng(0), 5))
+    initialize(actions, first, params, log=init_log)
+    assert cell.log.arms[:2] == [0.2, 0.5]
+    assert cell.log.exit_layers[:2] == init_log.exit_layers
+    assert cell.log.rewards[:2] == init_log.rewards
+    assert cell.state.t == len(cell.log) == 2 + 3 * 5
+    assert cell.emitted == 3 * 5
+    assert cell.hist.total == cell.state.t
 
 
-def test_adaptive_run_empty_stream_raises():
-    with pytest.raises(BanditError):
-        run_adaptive_captioning(
-            [], ActionSet((0.5,)), RewardParams(n_layers=2)
-        )
-
-
-def test_adaptive_run_rejects_nonpositive_caption_cap():
-    actions, params = ActionSet((0.5,)), RewardParams(n_layers=2)
-    with pytest.raises(ValueError):
-        run_adaptive_captioning(
-            _images([[0.3, 0.6]], 3), actions, params, max_caption_length=0
-        )
-    pulled = []
-
-    def stream():
-        # Stands in for an endless image stream, bounded so that a loop
-        # which never rejects the cap ends instead of hanging.
-        while len(pulled) < 1000:
-            pulled.append(len(pulled))
-            yield make_image([[0.3, 0.6]], image_id=pulled[-1])
-
-    with pytest.raises(ValueError):
-        run_adaptive_captioning(stream(), actions, params, max_caption_length=0)
-    assert pulled == []
-
-
-def test_adaptive_run_rejects_uninitialized_resume():
-    state = BanditState.fresh(ActionSet((0.5,)))
-    with pytest.raises(BanditError):
-        run_adaptive_captioning(
-            _images([[0.3, 0.6]], 2),
-            ActionSet((0.5,)),
-            RewardParams(n_layers=2),
-            state=state,
-        )
+def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
+    draws = []
+    monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
+    model = SyntheticConfidenceModel()
+    cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=model.n_layers))
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            run_lockstep(model, [(model, [cell])], 1.0, 50, cap)
+    assert draws == [] and cell.state is None
 
 
 def test_single_arm_adaptive_run_matches_fixed_threshold():
-    # With one arm the adaptive loop must reproduce the plain caption
-    # loop decision for decision.
-    from exitsim import ImageTraces
-
-    rng = np.random.default_rng(11)
-    images = []
-    for i in range(6):
-        conf = rng.random((8, 4))
-        ids = rng.integers(0, 5, (8, 4))
-        traces = tuple(
-            make_trace(conf[j].tolist(), token_ids=ids[j].tolist())
-            for j in range(8)
-        )
-        images.append(ImageTraces.from_traces(i, traces))
-    alpha = 0.5
-    run = run_adaptive_captioning(
-        images,
-        ActionSet((alpha,)),
-        RewardParams(n_layers=4),
-        max_caption_length=8,
-        eos_id=0,
+    # With one arm the driver must reproduce the plain caption loop at
+    # that threshold decision for decision, a budget cut included.
+    model = SyntheticConfidenceModel(seed=11)
+    alpha, max_len, budget = 0.5, 8, 300
+    cell = _drive(
+        model, ActionSet((alpha,)), RewardParams(n_layers=model.n_layers),
+        budget, max_len,
     )
-    for caption in run.captions:
-        fixed = run_caption(
-            images[caption.image_id].traces,
-            alpha,
-            max_caption_length=8,
-            eos_id=0,
-            image_id=caption.image_id,
+    images = image_stream(model, model.stream_rng(0), max_len)
+    first = next(images)
+    layers = [decide_exit(first.traces[0], alpha).exit_layer]
+    hits = 0
+    for image in images:
+        if len(layers) >= budget:
+            break
+        traces = islice(image.traces, budget - len(layers))
+        caption = run_caption(traces, alpha, max_len, model.eos_id, image.image_id)
+        layers += [decision.exit_layer for decision in caption.tokens]
+        hits += sum(
+            decision.token_id == target
+            for decision, target in zip(caption.tokens, image.targets)
         )
-        assert caption == fixed
+    assert cell.log.exit_layers == layers
+    assert (cell.hits, cell.emitted) == (hits, budget - 1)
 
 
 def test_adaptive_run_matches_per_token_reference_loop():
-    # The per-image arm table must replay the plain per-token loop
-    # (select, exit rule, reward, update) bit for bit, including a
-    # caption cut part-way by the token budget.
-    rng = np.random.default_rng(5)
-    n_layers, max_len, budget, gamma = 6, 7, 101, 1.3
-    images = [
-        ImageTraces(i, rng.random((9, n_layers)), rng.integers(0, 4, (9, n_layers)))
-        for i in range(40)
-    ]
+    # The chunk arm tables must replay the plain per-token loop (select,
+    # exit rule, reward, update) bit for bit on a distorted finish of the
+    # drawn stream, including a caption cut part-way by the token budget.
+    base = SyntheticConfidenceModel(seed=5)
+    model = distort(base, 2.0)
+    max_len, budget, gamma = 7, 101, 1.3
     actions = ActionSet((0.2, 0.4, 0.6, 0.8, 1.0))
-    params = RewardParams(n_layers=n_layers, lam=0.7)
-    run = run_adaptive_captioning(
-        images,
-        actions,
-        params,
-        gamma=gamma,
-        max_caption_length=max_len,
-        eos_id=0,
-        max_tokens=budget,
-    )
+    params = RewardParams(n_layers=model.n_layers, lam=0.7)
+    cell = _drive(model, actions, params, budget, max_len, gamma, base)
 
+    images = image_stream(model, base.stream_rng(0), max_len)
     log = BanditLog()
     state = BanditState.fresh(actions, gamma)
-    for alpha, trace in zip(actions.thresholds, images[0].traces):
+    for alpha, trace in zip(actions.thresholds, next(images).traces):
         decision = decide_exit(trace, alpha)
         r = reward(decision, params)
         update(state, alpha, r)
         log.append(state.t, alpha, decision.exit_layer, r)
-    captions = []
-    for img in images[1:]:
+    caption_lengths = []
+    for img in images:
         if state.t >= budget:
             break
-        decisions = []
+        caption_lengths.append(0)
         for trace in img.traces[: min(max_len, budget - state.t)]:
             alpha = ucb_select(state)
             decision = decide_exit(trace, alpha)
             r = reward(decision, params)
             update(state, alpha, r)
             log.append(state.t, alpha, decision.exit_layer, r)
-            decisions.append(decision)
-            if decision.token_id == 0:
+            caption_lengths[-1] += 1
+            if decision.token_id == model.eos_id:
                 break
-        eos = decisions[-1].token_id == 0
-        truncated = not eos and len(decisions) < max_len
-        captions.append(CaptionRun(img.image_id, tuple(decisions), eos, truncated))
 
-    assert run.captions[-1].truncated and len(run.captions[-1]) > 0
     assert len(set(log.arms)) > 1
-    assert run.log.arms == log.arms
-    assert run.log.exit_layers == log.exit_layers
-    assert run.log.rewards == log.rewards
-    assert run.state.q == state.q
-    assert run.state.pulls == state.pulls
-    assert run.captions == captions
-
-
-def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budget):
-    """The loop the round kernel replaced: initialize, then one
-    ``run_caption`` per image with a closure that selects an arm,
-    applies the scalar exit rule, scores the reward and folds it."""
-    log = BanditLog()
-    image_iter = iter(images)
-    state = initialize(actions, next(image_iter), params, gamma, log)
-    captions = []
-    for image in image_iter:
-        if state.t >= budget:
-            break
-
-        def adapt(trace):
-            alpha = ucb_select(state)
-            decision = decide_exit(trace, alpha)
-            r = reward(decision, params)
-            update(state, alpha, r)
-            log.append(state.t, alpha, decision.exit_layer, r)
-            return decision
-
-        traces = islice(image.traces, budget - state.t)
-        caption = run_caption(traces, adapt, max_len, eos_id, image.image_id)
-        if len(caption):
-            captions.append(caption)
-    return captions, log, state
+    assert cell.log == log
+    assert (cell.state.q, cell.state.pulls, cell.state.t) == (
+        state.q, state.pulls, budget
+    )
+    assert cell.emitted == sum(caption_lengths)
+    assert decision.token_id != model.eos_id and caption_lengths[-1] < max_len
 
 
 @pytest.mark.parametrize("budget", [23, 58, 97, 10_000])
 def test_round_kernel_matches_the_run_caption_reference(budget):
-    # Images of 1 to 11 tokens against a cap of 7, so some end before the
-    # cap without eos; image 3 emits eos at position 0 on every arm; the
-    # smaller budgets cut a caption part-way.
-    rng = np.random.default_rng(8)
-    n_layers, max_len, gamma = 5, 7, 1.1
-    images = []
-    for i in range(30):
-        n = 4 if i == 0 else 1 + (i * 7) % 11
-        ids = rng.integers(0, 6, (n, n_layers))
-        if i == 3:
-            ids[0] = 0
-        images.append(ImageTraces(i, rng.random((n, n_layers)), ids))
+    # The smaller budgets cut a caption part-way; the largest runs over
+    # several chunks of the stream.
+    model = SyntheticConfidenceModel(seed=8)
+    max_len, gamma = 7, 1.1
     actions = ActionSet((0.3, 0.55, 0.7, 0.9))
-    params = RewardParams(n_layers=n_layers, lam=0.8)
-    run = run_adaptive_captioning(
-        images, actions, params, gamma=gamma, max_caption_length=max_len,
-        eos_id=0, max_tokens=budget,
-    )
-    captions, log, state = reference_adaptive_run(
-        images, actions, params, gamma, max_len, 0, budget
-    )
-    assert run.captions == captions
-    assert (run.log.rounds, run.log.arms) == (log.rounds, log.arms)
-    assert (run.log.exit_layers, run.log.rewards) == (log.exit_layers, log.rewards)
-    assert (run.state.q, run.state.pulls, run.state.t) == (state.q, state.pulls, state.t)
-    by_id = {caption.image_id: caption for caption in run.captions}
-    assert by_id[3].terminated_by_eos and len(by_id[3]) == 1
-    assert any(
-        c.truncated and len(c) == len(images[c.image_id]) < max_len
-        for c in run.captions
-    )
+    params = RewardParams(n_layers=model.n_layers, lam=0.8)
+    cell = _drive(model, actions, params, budget, max_len, gamma)
+    captions = assert_cell_matches_reference(cell, model, gamma, max_len, budget)
+    assert any(c.terminated_by_eos and len(c) < max_len for c in captions)
     if budget < 10_000:
-        last = run.captions[-1]
-        assert run.state.t == budget
-        assert last.truncated and len(last) < len(images[last.image_id])
+        assert cell.state.t == budget
+        assert captions[-1].truncated
+    else:
+        assert captions[-1].image_id >= IMAGE_CHUNK
 
 
 def test_adaptive_run_rejects_an_exit_past_the_reward_layers_when_played():
-    params = RewardParams(n_layers=3)
-    actions = ActionSet((0.5,))
-    state = initialize(actions, make_image([[0.3, 0.6, 0.9]]), params)
-    # Token 2 would exit at layer 4, but eos at token 1 ends the caption.
-    ends_early = ImageTraces(
-        0, np.array([[0.9] * 4, [0.1] * 4]), np.array([[0] * 4, [1] * 4])
-    )
-    run = run_adaptive_captioning([ends_early], actions, params, state=state)
-    assert len(run.captions[0]) == 1
+    # Four-layer rows against three reward layers, images of two tokens.
+    # Image 0 initializes (exit at layer 2).  Image 1 emits eos (id 0) at
+    # layer 1 on its first token, so its second token, which would exit
+    # at layer 4, is never played.
+    cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=3))
+    low = [0.1] * 4
+    first = _batch([[0.3, 0.6, 0.9, 0.9], low, [0.9] * 4, low],
+                   [[1] * 4, [1] * 4, [0] * 4, [1] * 4])
+    cell.play(first, 1.0, 100, 2, eos_id=0)
+    assert (cell.state.t, cell.emitted) == (2, 1)
     with pytest.raises(ValueError, match="exit layer 4"):
-        run_adaptive_captioning(
-            [make_image([[0.1, 0.1, 0.1, 0.1]])], actions, params, state=state
-        )
+        cell.play(_batch([low, low]), 1.0, 100, 2, eos_id=0)
 
 
 def test_adaptive_run_is_deterministic():
-    images = _images([[0.3, 0.6, 0.9], [0.8, 0.2, 0.5], [0.1, 0.9, 0.4]], 5)
-    kwargs = dict(
-        actions=ActionSet((0.2, 0.5, 0.8)),
-        params=RewardParams(n_layers=3),
-        eos_id=-1,
+    model = SyntheticConfidenceModel(seed=4)
+    args = (model, ActionSet((0.2, 0.5, 0.8)), RewardParams(n_layers=model.n_layers))
+    a, b = _drive(*args, 500, 12), _drive(*args, 500, 12)
+    assert a.log == b.log
+    assert a.state == b.state
+    assert (a.hist, a.reward_sum, a.hits, a.emitted) == (
+        b.hist, b.reward_sum, b.hits, b.emitted
     )
-    a = run_adaptive_captioning(images, **kwargs)
-    b = run_adaptive_captioning(images, **kwargs)
-    assert a.log.arms == b.log.arms
-    assert a.log.rewards == b.log.rewards
-    assert a.state.q == b.state.q
 
 
 def test_adaptive_run_honors_token_budget():
-    images = _images([[0.3, 0.6, 0.9]] * 10, 50)
-    run = run_adaptive_captioning(
-        images,
-        ActionSet((0.2, 0.5)),
-        RewardParams(n_layers=3),
-        eos_id=-1,
-        max_tokens=17,
+    # Without eos image 1 captions all 10 tokens and image 2 the first 5.
+    model = SyntheticConfidenceModel(seed=3, eos_prob=0.0)
+    cell = _drive(
+        model, ActionSet((0.2, 0.5)), RewardParams(n_layers=model.n_layers), 17, 10
     )
-    assert run.state.t == 17
-    assert len(run.log) == 17
-    assert run.captions[-1].truncated
-
-
-def test_adaptive_run_resumes_from_snapshot_identically():
-    images = _images([[0.3, 0.6, 0.9], [0.7, 0.4, 0.8]] * 3, 12)
-    actions = ActionSet((0.2, 0.5, 0.8))
-    params = RewardParams(n_layers=3)
-    first = run_adaptive_captioning(
-        images[:6], actions, params, eos_id=-1
-    )
-    snapshot = first.state.to_snapshot()
-    restored = BanditState.from_snapshot(json.loads(json.dumps(snapshot)))
-    rest = images[6:]
-    cont_a = run_adaptive_captioning(
-        rest, actions, params, state=first.state, eos_id=-1
-    )
-    cont_b = run_adaptive_captioning(
-        rest, actions, params, state=restored, eos_id=-1
-    )
-    assert cont_a.state.q == cont_b.state.q
-    assert cont_a.state.pulls == cont_b.state.pulls
-    assert cont_a.state.t == cont_b.state.t
-    assert cont_a.log.arms == cont_b.log.arms
+    assert cell.state.t == len(cell.log) == 17
+    assert cell.emitted == 15
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +575,82 @@ def test_state_snapshot_rejects_future_version(tmp_path):
 def test_state_snapshot_rejects_wrong_format():
     with pytest.raises(ValueError, match="format"):
         BanditState.from_snapshot({"format": "something-else", "version": 1})
+
+
+def _snapshot(**changes):
+    snapshot = BanditState(
+        ActionSet((0.1, 0.9)), q=[0.25, -0.5], pulls=[3, 4], t=7, gamma=1.5
+    ).to_snapshot()
+    snapshot.update(changes)
+    return snapshot
+
+
+@pytest.mark.parametrize(
+    "snapshot, key",
+    [
+        ({k: v for k, v in _snapshot().items() if k != "q"}, "'q'"),
+        ({k: v for k, v in _snapshot().items() if k != "t"}, "'t'"),
+        (_snapshot(pulls=[None, 4]), "pulls"),
+        (_snapshot(pulls=[True, 4]), "pulls"),
+        (_snapshot(pulls=[3.0, 4]), "pulls"),
+        (_snapshot(pulls=5), "pulls"),
+        (_snapshot(thresholds=0.5), "thresholds"),
+        (_snapshot(thresholds=["0.1", 0.9]), "thresholds"),
+        (_snapshot(q={"a": 1}), "q"),
+        (_snapshot(t=1.5), "t"),
+        (_snapshot(t=False), "t"),
+        (_snapshot(t=[7]), "t"),
+        (_snapshot(gamma="1.5"), "gamma"),
+        (_snapshot(gamma=10**400), "gamma"),
+        (None, "JSON object"),
+        ([_snapshot()], "JSON object"),
+        ("exitsim-bandit-state", "JSON object"),
+    ],
+)
+def test_state_snapshot_rejects_malformed_fields_naming_the_key(snapshot, key):
+    with pytest.raises(ValueError, match=key):
+        BanditState.from_snapshot(snapshot)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
+)
+_snapshot_fields = {
+    "format": st.just("exitsim-bandit-state"),
+    "version": st.just(1),
+    "thresholds": st.just([0.1, 0.9]),
+    "q": st.just([0.25, -0.5]),
+    "pulls": st.just([3, 4]),
+    "t": st.just(7),
+    "gamma": st.just(1.5),
+}
+
+
+@st.composite
+def _snapshot_like(draw):
+    """A valid snapshot with each key kept, dropped or replaced by any
+    JSON value, or any JSON value at all."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    snapshot = {}
+    for key, valid in _snapshot_fields.items():
+        choice = draw(st.sampled_from(("keep", "drop", "replace")))
+        if choice != "drop":
+            snapshot[key] = draw(valid if choice == "keep" else _json_values)
+    return snapshot
+
+
+@settings(max_examples=300, deadline=None)
+@given(_snapshot_like())
+def test_state_snapshot_parses_or_raises_value_error(snapshot):
+    try:
+        state = BanditState.from_snapshot(snapshot)
+    except ValueError:
+        return
+    assert BanditState.from_snapshot(state.to_snapshot()) == state
 
 
 # ---------------------------------------------------------------------------

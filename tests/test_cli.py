@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,20 +15,21 @@ import exitsim
 from exitsim import (
     IMAGE_CHUNK,
     ActionSet,
-    ExitHistogram,
+    AdaptiveCell,
     RewardParams,
     SyntheticConfidenceModel,
     ToyConfig,
     distort,
-    image_stream,
     init_cascade,
     load_cascade,
     read_traces,
-    run_adaptive_captioning,
+    run_lockstep,
     save_cascade,
 )
-from exitsim import cli
+from exitsim import bandit, cli
 from exitsim.cli import main
+
+from conftest import assert_cell_matches_reference
 
 FAST_BANDIT = ["--tokens", "200", "--oracle-samples", "500", "--max-len", "12"]
 
@@ -254,12 +256,37 @@ def test_nonpositive_counts_exit_2_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("sampling started before the flags were checked")
 
-    monkeypatch.setattr(cli, "draw_tokens", no_work)
+    monkeypatch.setattr(bandit, "draw_tokens", no_work)
     monkeypatch.setattr(cli, "image_stream", no_work)
     out = tmp_path / "out"
     code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
     assert code == 2
     assert err.startswith(f"error: config: {key} must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["compare-distortion", "--sigmas", "0,0"], "sigmas"),
+        (["compare-distortion", "--sigmas", "0,1,0.0"], "sigmas"),
+        (["lambda-sweep", "--lambdas", "1,1"], "lambdas"),
+        (["lambda-sweep", "--lambdas", "0.5,2,2.0"], "lambdas"),
+    ],
+)
+def test_duplicate_sweep_values_exit_2_before_any_work(
+    argv, key, tmp_path, capsys, monkeypatch
+):
+    # Each value keys its own entry in the summary, so a repeat would
+    # write more CSV rows than summary entries.
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the flags were checked")
+
+    monkeypatch.setattr(bandit, "draw_tokens", no_work)
+    out = tmp_path / "out"
+    code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: config: {key}: duplicate value")
     assert not out.exists()
 
 
@@ -677,46 +704,21 @@ def _check_lockstep_case(case):
         budget = len(grid) + (2 * IMAGE_CHUNK - 1) * max_len
     params = RewardParams(n_layers=base.n_layers, lam=0.7)
     groups = [
-        (distort(base, sigma), [cli._Cell(actions, params) for actions in policies])
+        (distort(base, sigma), [AdaptiveCell(actions, params) for actions in policies])
         for sigma in (0.0, 3.0)
     ]
-    cli._run_lockstep(base, groups, gamma, budget, max_len)
+    run_lockstep(base, groups, gamma, budget, max_len)
 
     closing_chunks = set()
     for model, cells in groups:
         for actions, cell in zip(policies, cells):
-            images = {}
-            stream = image_stream(model, base.stream_rng(0), max_len)
-            run = run_adaptive_captioning(
-                (images.setdefault(image.image_id, image) for image in stream),
-                actions,
-                params,
-                gamma=gamma,
-                max_caption_length=max_len,
-                eos_id=model.eos_id,
-                max_tokens=budget,
+            captions = assert_cell_matches_reference(
+                cell, model, gamma, max_len, budget
             )
-            closing_chunks.add(run.captions[-1].image_id // IMAGE_CHUNK)
-            hist = ExitHistogram.empty(model.n_layers)
-            for layer in run.log.exit_layers:
-                hist.record(layer)
-            reward_sum = 0.0
-            for r in run.log.rewards:
-                reward_sum += r
-            hits = sum(
-                decision.token_id == images[caption.image_id].targets[pos]
-                for caption in run.captions
-                for pos, decision in enumerate(caption.tokens)
-            )
-            assert cell.state.t == run.state.t == budget
-            assert cell.state.q == run.state.q
-            assert cell.state.pulls == run.state.pulls
-            assert cell.hist == hist
-            assert cell.reward_sum == reward_sum
-            assert cell.hits == hits
-            assert cell.emitted == sum(len(caption) for caption in run.captions)
+            assert cell.state.t == budget
+            closing_chunks.add(captions[-1].image_id // IMAGE_CHUNK)
             if case == "chunk-boundary" and len(actions) == len(grid):
-                last = run.captions[-1]
+                last = captions[-1]
                 assert last.image_id == 2 * IMAGE_CHUNK - 1
                 assert len(last) == max_len and not last.truncated
     if case == "mid-chunk":
@@ -724,18 +726,18 @@ def _check_lockstep_case(case):
 
 
 def test_lockstep_validates_each_finished_chunk(monkeypatch):
-    finish = cli.finish_tokens
+    finish = bandit.finish_tokens
 
     def corrupt(model, draws):
         batch = finish(model, draws)
         batch.confidences[7, 3] = np.nan
         return batch
 
-    monkeypatch.setattr(cli, "finish_tokens", corrupt)
+    monkeypatch.setattr(bandit, "finish_tokens", corrupt)
     base = SyntheticConfidenceModel(seed=5)
-    cells = [cli._Cell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers))]
+    cells = [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers))]
     with pytest.raises(exitsim.TraceValidationError, match="token 8 layer 4"):
-        cli._run_lockstep(base, [(base, cells)], 1.0, 50, 6)
+        run_lockstep(base, [(base, cells)], 1.0, 50, 6)
     assert cells[0].state is None
 
 
@@ -957,3 +959,26 @@ def test_run_all_experiments_quick_writes_every_output(tmp_path):
         assert sorted(os.listdir(out / name)) == sorted(files)
         for entry in files:
             assert (out / name / entry).stat().st_size > 0
+
+
+def test_calibrate_defaults_runs_at_tiny_sizes(capsys):
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts", "calibrate_defaults.py"
+    )
+    spec = importlib.util.spec_from_file_location("calibrate_defaults", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    base = SyntheticConfidenceModel()
+    actions = ActionSet.default_grid()
+    params = RewardParams(n_layers=base.n_layers)
+    script.ucb_convergence(actions, params, horizon=200, oracle_samples=2000)
+    script.distortion_margins(base, actions, params, tokens=200)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("seed=")] == [
+        "seed=7", "seed=8", "seed=9"
+    ]
+    assert [line.split(":")[0] for line in lines if line.startswith("sigma=")] == [
+        "sigma=0.0", "sigma=1.0", "sigma=2.0"
+    ]
+    assert all("share=" in line for line in lines if line.startswith("seed="))
+    assert all("margin=" in line for line in lines if line.startswith("sigma="))
