@@ -227,8 +227,14 @@ class BanditState:
 
     @classmethod
     def load(cls, path: str) -> "BanditState":
+        """Read a ``save`` file; contents that do not rebuild a state,
+        nesting too deep to parse included, raise ValueError."""
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_snapshot(json.load(fh))
+            try:
+                snapshot = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        return cls.from_snapshot(snapshot)
 
 
 def _snapshot_field(snapshot: dict, key: str, kind: type, many: bool = False):
@@ -537,9 +543,20 @@ def run_lockstep(
     budget.  So every cell sees the images a run of its own on
     ``image_stream`` would, whatever its policy.  Accuracy is scored
     against the targets of those images.
+
+    Initialization plays arm k on token k of the first image, so a
+    ``max_len`` below any cell's arm count raises ValueError before the
+    first draw.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    arms = max(
+        (len(cell.actions) for _, cells in groups for cell in cells), default=1
+    )
+    if max_len < arms:
+        raise ValueError(
+            f"max_len must cover one token per arm: {max_len} < {arms}"
+        )
     rng = base.stream_rng(0)
     start_id = 0
     while not all(cell.done(tokens) for _, cells in groups for cell in cells):

@@ -30,8 +30,8 @@ from .bandit import (
     AdaptiveCell,
     BanditError,
     BanditLog,
+    OracleEstimate,
     RewardParams,
-    expected_reward_oracle,
     regret_bound,
     regret_curve,
     run_lockstep,
@@ -133,7 +133,7 @@ def effective_config(
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -162,31 +162,40 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _write_csv(
-    path: str,
+def _write_outputs(
+    args: argparse.Namespace,
     config: dict,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    fields: dict,
+    first: str,
+    header: Sequence[str] | None = None,
+    rows: Iterable[Sequence[object]] = (),
 ) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for line in _echo_lines(config):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v for v in row]
-            )
+    """Write ``<command>_summary.json`` and echo it to stdout.
 
-
-def _write_summary(path: str, summary: dict) -> None:
-    """Write the summary as strict JSON and echo it to stdout; a
-    non-finite number raises OutputError and leaves no file."""
+    The summary holds ``config``, ``fields`` and the output names:
+    ``first``, the command's data file, then the summary itself.  With a
+    ``header``, ``first`` is written here as a CSV of ``rows`` under the
+    echoed config.  The summary is serialized as strict JSON before this
+    opens any file, so a non-finite number raises OutputError and the
+    CSV and summary are not written.
+    """
+    name = f"{args.command.replace('-', '_')}_summary.json"
+    summary = {"config": config, **fields, "outputs": [first, name]}
     try:
         text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise OutputError(f"{os.path.basename(path)}: {exc}") from None
-    with open(path, "w", encoding="ascii") as fh:
+        raise OutputError(f"{name}: {exc}") from None
+    if header is not None:
+        with open(_out_path(args, first), "w", encoding="ascii", newline="") as fh:
+            for line in _echo_lines(config):
+                fh.write(f"# {line}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(
+                    [repr(v) if isinstance(v, float) else v for v in row]
+                )
+    with open(_out_path(args, name), "w", encoding="ascii") as fh:
         fh.write(text)
         fh.write("\n")
     print(json.dumps(summary, sort_keys=True))
@@ -196,14 +205,6 @@ def _write_summary(path: str, summary: dict) -> None:
 # Shared evaluation helpers
 
 
-def _reward_params(config: dict, n_layers: int) -> RewardParams:
-    return RewardParams(n_layers=n_layers, mu=config.get("mu"), lam=config["lam"])
-
-
-def _action_set(config: dict) -> ActionSet:
-    return ActionSet(tuple(config["alphas"]))
-
-
 def _check_positive(config: dict, *keys: str) -> None:
     """Reject counts below 1 before any work or output."""
     for key in keys:
@@ -211,18 +212,8 @@ def _check_positive(config: dict, *keys: str) -> None:
             raise ConfigError(f"{key} must be >= 1, got {config[key]}")
 
 
-def _check_token_budget(config: dict, actions: ActionSet) -> None:
-    """Initialization pulls every arm once; at least one round must follow."""
-    if config["tokens"] <= len(actions):
-        raise ConfigError(
-            f"tokens must cover one pull per arm and one round after: "
-            f"{config['tokens']} <= {len(actions)}"
-        )
-
-
-def _check_distinct(config: dict, key: str) -> None:
+def _check_distinct(key: str, values: Sequence[float]) -> None:
     """Reject a repeated value: each value keys its own summary entry."""
-    values = config[key]
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"{key}: duplicate value {value!r}")
@@ -259,8 +250,7 @@ GEN_TRACES_SCHEMA = {
 }
 
 
-def cmd_gen_traces(args: argparse.Namespace) -> int:
-    config = effective_config(args, GEN_TRACES_SCHEMA)
+def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
     _check_positive(config, "n_images", "max_len")
     model = distort(
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
@@ -275,13 +265,8 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
         vocab_size=model.vocab_size,
         source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
     )
-    summary = {
-        "config": config,
-        "n_images": count,
-        "n_tokens": count * config["max_len"],
-        "outputs": [config["out"], "gen_traces_summary.json"],
-    }
-    _write_summary(_out_path(args, "gen_traces_summary.json"), summary)
+    fields = {"n_images": count, "n_tokens": count * config["max_len"]}
+    _write_outputs(args, config, fields, config["out"])
     return 0
 
 
@@ -292,8 +277,7 @@ SWEEP_SCHEMA = {
 }
 
 
-def cmd_sweep_threshold(args: argparse.Namespace) -> int:
-    config = effective_config(args, SWEEP_SCHEMA)
+def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
     if (config["traces"] is None) == (config["model"] is None):
         raise ConfigError("provide exactly one of --traces or --model")
     if config["traces"] is not None:
@@ -316,63 +300,113 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
         hits = int((token_ids[np.arange(n_tokens), exits] == targets).sum())
         mean_exit = (int(exits.sum()) + n_tokens) / n_tokens  # 1-based layers
         rows.append((alpha, speedup_ratio(hist), hits / n_tokens, mean_exit))
-    _write_csv(
-        _out_path(args, "sweep_threshold.csv"),
+    _write_outputs(
+        args,
         config,
+        {"n_tokens": n_tokens},
+        "sweep_threshold.csv",
         ["alpha", "speedup_ratio", "token_accuracy", "mean_exit_layer"],
         rows,
     )
-    summary = {
-        "config": config,
-        "n_tokens": n_tokens,
-        "outputs": ["sweep_threshold.csv", "sweep_threshold_summary.json"],
-    }
-    _write_summary(_out_path(args, "sweep_threshold_summary.json"), summary)
     return 0
 
 
-BANDIT_SCHEMA = {
+ADAPTIVE_SCHEMA = {
     "alphas": ("floatlist", ActionSet.default_grid().thresholds),
-    "sigma": ("float", 0.0),
-    "tokens": ("int", 100_000),
     "gamma": ("float", 1.0),
-    "lam": ("float", 1.0),
     "mu": ("float", None),
     "max_len": ("int", DEFAULT_MAX_CAPTION_LENGTH),
     "oracle_samples": ("int", 200_000),
 }
 
 
-def cmd_bandit(args: argparse.Namespace) -> int:
-    config = effective_config(args, BANDIT_SCHEMA)
+def _run_adaptive(
+    config: dict,
+    sigmas: Sequence[float],
+    lams: Sequence[float],
+    policies: dict[str, Sequence[float]],
+    logged: bool = False,
+) -> list[tuple[float, float, dict[str, AdaptiveCell], OracleEstimate]]:
+    """Run every policy at every distortion level and latency cost over
+    one image stream, then estimate the oracle over the ``alphas`` grid.
+
+    The flags of an ADAPTIVE_SCHEMA config plus ``tokens`` are checked
+    before any work.  ``policies`` maps each policy name to its
+    thresholds.  Returns one ``(sigma, lam, cells, oracle)`` per pair,
+    sigma-major, where ``cells`` maps each policy name to its cell.  With
+    ``logged`` every cell records its rounds in a ``BanditLog``.
+    """
     _check_positive(config, "max_len", "oracle_samples")
-    model = distort(
-        SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
-    )
-    actions = _action_set(config)
-    params = _reward_params(config, model.n_layers)
-    _check_token_budget(config, actions)
-    log = BanditLog()
-    cell = AdaptiveCell(actions, params, log)
+    _check_distinct("sigmas", sigmas)
+    _check_distinct("lambdas", lams)
+    grid = ActionSet(tuple(config["alphas"]))
+    actions = {name: ActionSet(tuple(a)) for name, a in policies.items()}
+    # Initialization pulls every arm once, on the first image's tokens,
+    # and at least one round must follow.
+    arms = max(len(a) for a in actions.values())
+    if config["tokens"] <= arms:
+        raise ConfigError(
+            f"tokens must cover one pull per arm and one round after: "
+            f"{config['tokens']} <= {arms}"
+        )
+    if config["max_len"] < arms:
+        raise ConfigError(
+            f"max_len must cover one token per arm: {config['max_len']} < {arms}"
+        )
+    base = SyntheticConfidenceModel(seed=config["seed"])
+    models = [distort(base, sigma) for sigma in sigmas]
+    shapes = [RewardParams(base.n_layers, mu=config["mu"], lam=lam) for lam in lams]
+    cells = [
+        [
+            {
+                name: AdaptiveCell(a, params, BanditLog() if logged else None)
+                for name, a in actions.items()
+            }
+            for params in shapes
+        ]
+        for _ in models
+    ]
     run_lockstep(
-        model, [(model, [cell])], config["gamma"], config["tokens"], config["max_len"]
+        base,
+        [
+            (model, [cell for by_name in row for cell in by_name.values()])
+            for model, row in zip(models, cells)
+        ],
+        config["gamma"],
+        config["tokens"],
+        config["max_len"],
     )
-    oracle = expected_reward_oracle(
-        model, actions, params, samples=config["oracle_samples"]
-    )
-    regret = regret_curve(log, oracle).tolist()
-    _write_csv(
-        _out_path(args, "bandit_log.csv"),
+    oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
+    return [
+        (sigma, lam, by_name, oracle)
+        for sigma, row, estimates in zip(sigmas, cells, oracles)
+        for lam, by_name, oracle in zip(lams, row, estimates)
+    ]
+
+
+BANDIT_SCHEMA = {
+    **ADAPTIVE_SCHEMA,
+    "sigma": ("float", 0.0),
+    "tokens": ("int", 100_000),
+    "lam": ("float", 1.0),
+}
+
+
+def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
+    [(_, _, cells, oracle)] = _run_adaptive(
         config,
-        ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"],
-        zip(log.rounds, log.arms, log.exit_layers, log.rewards, regret),
+        [config["sigma"]],
+        [config["lam"]],
+        {"adaptive": config["alphas"]},
+        logged=True,
     )
+    log = cells["adaptive"].log
+    regret = regret_curve(log, oracle).tolist()
     counts = log.arm_counts()
     empirical_best = max(counts, key=lambda a: (counts[a], -a))
-    summary = {
-        "config": config,
+    fields = {
         "rounds": len(log),
-        "arm_frequencies": {repr(a): counts.get(a, 0) for a in actions.thresholds},
+        "arm_frequencies": {repr(a): counts.get(a, 0) for a in oracle.thresholds},
         "oracle_best_arm": oracle.best_threshold,
         "oracle_expected_rewards": {
             repr(a): e
@@ -382,64 +416,39 @@ def cmd_bandit(args: argparse.Namespace) -> int:
         "mean_reward": sum_left_to_right(log.rewards) / len(log),
         "pseudo_regret": regret[-1],
         "regret_bound": regret_bound(oracle, len(log), config["gamma"]),
-        "outputs": ["bandit_log.csv", "bandit_summary.json"],
     }
-    _write_summary(_out_path(args, "bandit_summary.json"), summary)
+    _write_outputs(
+        args,
+        config,
+        fields,
+        "bandit_log.csv",
+        ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"],
+        zip(log.rounds, log.arms, log.exit_layers, log.rewards, regret),
+    )
     return 0
 
 
 COMPARE_SCHEMA = {
+    **ADAPTIVE_SCHEMA,
     "sigmas": ("floatlist", (0.0, 1.0, 2.0)),
     "tokens": ("int", 200_000),
     "fixed_alpha": ("float", 0.6),
-    "alphas": ("floatlist", ActionSet.default_grid().thresholds),
-    "gamma": ("float", 1.0),
     "lam": ("float", 1.0),
-    "mu": ("float", None),
-    "max_len": ("int", DEFAULT_MAX_CAPTION_LENGTH),
-    "oracle_samples": ("int", 200_000),
 }
 
 
-def cmd_compare_distortion(args: argparse.Namespace) -> int:
-    config = effective_config(args, COMPARE_SCHEMA)
-    _check_positive(config, "max_len", "oracle_samples")
-    _check_distinct(config, "sigmas")
-    base = SyntheticConfidenceModel(seed=config["seed"])
-    adaptive_actions = _action_set(config)
-    fixed_actions = ActionSet((config["fixed_alpha"],))
-    params = _reward_params(config, base.n_layers)
-    _check_token_budget(config, adaptive_actions)
-
+def cmd_compare_distortion(args: argparse.Namespace, config: dict) -> int:
     fixed_name = f"fixed-{config['fixed_alpha']:g}"
-    groups = []
-    for sigma in config["sigmas"]:
-        cells = {
-            policy: AdaptiveCell(actions, params)
-            for policy, actions in (
-                (fixed_name, fixed_actions),
-                ("adaptive", adaptive_actions),
-            )
-        }
-        groups.append((sigma, distort(base, sigma), cells))
-    run_lockstep(
-        base,
-        [(model, list(cells.values())) for _, model, cells in groups],
-        config["gamma"],
-        config["tokens"],
-        config["max_len"],
-    )
-
-    oracles = shared_oracles(
-        [model for _, model, _ in groups],
-        adaptive_actions,
-        [params],
-        samples=config["oracle_samples"],
+    runs = _run_adaptive(
+        config,
+        config["sigmas"],
+        [config["lam"]],
+        {fixed_name: (config["fixed_alpha"],), "adaptive": config["alphas"]},
     )
     rows = []
     margins = {}
     oracle_best = {}
-    for (sigma, _, cells), [oracle] in zip(groups, oracles):
+    for sigma, _, cells, oracle in runs:
         metrics = {policy: cell.metrics() for policy, cell in cells.items()}
         for policy, m in metrics.items():
             rows.append(
@@ -449,20 +458,13 @@ def cmd_compare_distortion(args: argparse.Namespace) -> int:
             metrics["adaptive"]["mean_reward"] - metrics[fixed_name]["mean_reward"]
         )
         oracle_best[repr(sigma)] = oracle.best_threshold
-    _write_csv(
-        _out_path(args, "compare_distortion.csv"),
+    _write_outputs(
+        args,
         config,
+        {"adaptive_minus_fixed_mean_reward": margins, "oracle_best_arm": oracle_best},
+        "compare_distortion.csv",
         ["sigma", "policy", "speedup", "token_accuracy", "mean_reward"],
         rows,
-    )
-    summary = {
-        "config": config,
-        "adaptive_minus_fixed_mean_reward": margins,
-        "oracle_best_arm": oracle_best,
-        "outputs": ["compare_distortion.csv", "compare_distortion_summary.json"],
-    }
-    _write_summary(
-        _out_path(args, "compare_distortion_summary.json"), summary
     )
     return 0
 
@@ -525,8 +527,7 @@ def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
     return accuracies
 
 
-def cmd_ablation(args: argparse.Namespace) -> int:
-    config = effective_config(args, ABLATION_SCHEMA)
+def cmd_ablation(args: argparse.Namespace, config: dict) -> int:
     accuracies = _train_ablation(config)
     n_layers = len(accuracies["ce"])
     rows = [
@@ -538,84 +539,54 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         )
         for layer in range(n_layers)
     ]
-    _write_csv(
-        _out_path(args, "ablation.csv"),
-        config,
-        ["layer", "accuracy_ce_only", "accuracy_kl_only", "accuracy_both"],
-        rows,
-    )
     deepest = n_layers - 2
-    summary = {
-        "config": config,
+    fields = {
         "layer1_both_minus_ce": accuracies["both"][0] - accuracies["ce"][0],
         "deepest_exit_spread": max(
             abs(accuracies["both"][deepest] - accuracies["ce"][deepest]),
             abs(accuracies["kl"][deepest] - accuracies["ce"][deepest]),
         ),
         "teacher_accuracy": accuracies["ce"][-1],
-        "outputs": ["ablation.csv", "ablation_summary.json"],
     }
-    _write_summary(_out_path(args, "ablation_summary.json"), summary)
+    _write_outputs(
+        args,
+        config,
+        fields,
+        "ablation.csv",
+        ["layer", "accuracy_ce_only", "accuracy_kl_only", "accuracy_both"],
+        rows,
+    )
     return 0
 
 
 LAMBDA_SCHEMA = {
+    **ADAPTIVE_SCHEMA,
     "lambdas": ("floatlist", (0.5, 1.0, 2.0)),
     "sigma": ("float", 0.0),
     "tokens": ("int", 100_000),
-    "alphas": ("floatlist", ActionSet.default_grid().thresholds),
-    "gamma": ("float", 1.0),
-    "mu": ("float", None),
-    "max_len": ("int", DEFAULT_MAX_CAPTION_LENGTH),
-    "oracle_samples": ("int", 200_000),
 }
 
 
-def cmd_lambda_sweep(args: argparse.Namespace) -> int:
-    config = effective_config(args, LAMBDA_SCHEMA)
-    _check_positive(config, "max_len", "oracle_samples")
-    _check_distinct(config, "lambdas")
-    model = distort(
-        SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
-    )
-    actions = _action_set(config)
-    _check_token_budget(config, actions)
-    cells = [
-        AdaptiveCell(
-            actions, RewardParams(model.n_layers, mu=config.get("mu"), lam=lam)
-        )
-        for lam in config["lambdas"]
-    ]
-    run_lockstep(
-        model, [(model, cells)], config["gamma"], config["tokens"], config["max_len"]
-    )
-    [oracles] = shared_oracles(
-        [model],
-        actions,
-        [cell.params for cell in cells],
-        samples=config["oracle_samples"],
+def cmd_lambda_sweep(args: argparse.Namespace, config: dict) -> int:
+    runs = _run_adaptive(
+        config, [config["sigma"]], config["lambdas"], {"adaptive": config["alphas"]}
     )
     rows = []
     oracle_best = {}
     mean_rewards = {}
-    for lam, cell, oracle in zip(config["lambdas"], cells, oracles):
-        metrics = cell.metrics()
+    for _, lam, cells, oracle in runs:
+        metrics = cells["adaptive"].metrics()
         rows.append((lam, metrics["speedup"], metrics["accuracy"]))
         oracle_best[repr(lam)] = oracle.best_threshold
         mean_rewards[repr(lam)] = metrics["mean_reward"]
-    _write_csv(
-        _out_path(args, "lambda_sweep.csv"),
+    _write_outputs(
+        args,
         config,
+        {"oracle_best_arm": oracle_best, "mean_reward": mean_rewards},
+        "lambda_sweep.csv",
         ["lambda", "speedup", "token_accuracy"],
         rows,
     )
-    summary = {
-        "config": config,
-        "oracle_best_arm": oracle_best,
-        "mean_reward": mean_rewards,
-        "outputs": ["lambda_sweep.csv", "lambda_sweep_summary.json"],
-    }
-    _write_summary(_out_path(args, "lambda_sweep_summary.json"), summary)
     return 0
 
 
@@ -626,8 +597,7 @@ TRAIN_TOY_SCHEMA = {
 }
 
 
-def cmd_train_toy(args: argparse.Namespace) -> int:
-    config = effective_config(args, TRAIN_TOY_SCHEMA)
+def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
     task, model, schedule, stage1 = _stage_one(config)
     stage2 = train_exits(
         model,
@@ -638,8 +608,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     )
     path = _out_path(args, config["checkpoint"])
     save_cascade(model, path)
-    summary = {
-        "config": config,
+    fields = {
         "stage1_loss": {
             "first": stage1[0] if stage1 else None,
             "last": stage1[-1] if stage1 else None,
@@ -650,9 +619,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         },
         "heldout_accuracy": list(layer_accuracies(model, task.heldout)),
         "train_accuracy": list(layer_accuracies(model, task.train)),
-        "outputs": [config["checkpoint"], "train_toy_summary.json"],
     }
-    _write_summary(_out_path(args, "train_toy_summary.json"), summary)
+    _write_outputs(args, config, fields, config["checkpoint"])
     return 0
 
 
@@ -696,18 +664,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Early-exit inference experiments on synthetic traces.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (func, schema) in COMMANDS.items():
+    for name, (_, schema) in COMMANDS.items():
         sub = subparsers.add_parser(name)
         _add_common(sub)
         _add_schema_flags(sub, schema)
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, schema = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command(args, effective_config(args, schema))
     except (TraceFormatError, CheckpointError, TraceValidationError) as exc:
         return _fail("input", exc, 3)
     except OSError as exc:

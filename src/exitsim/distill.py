@@ -768,7 +768,7 @@ def load_cascade(path: str) -> ToyCascade:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must be a JSON object")

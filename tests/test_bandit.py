@@ -413,6 +413,29 @@ def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
     assert draws == [] and cell.state is None
 
 
+def test_adaptive_run_rejects_a_caption_cap_below_the_arm_count(monkeypatch):
+    # Initialization plays arm k on token k of the first image, so the
+    # widest cell in any group sets the smallest cap.
+    draws = []
+    monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
+    base = SyntheticConfidenceModel()
+    params = RewardParams(n_layers=base.n_layers)
+    groups = [
+        (
+            distort(base, sigma),
+            [
+                AdaptiveCell(ActionSet((0.5,)), params),
+                AdaptiveCell(ActionSet((0.2, 0.5, 0.8)), params),
+            ],
+        )
+        for sigma in (0.0, 2.0)
+    ]
+    with pytest.raises(ValueError, match="one token per arm: 2 < 3"):
+        run_lockstep(base, groups, 1.0, 50, 2)
+    assert draws == []
+    assert all(cell.state is None for _, cells in groups for cell in cells)
+
+
 def test_single_arm_adaptive_run_matches_fixed_threshold():
     # With one arm the driver must reproduce the plain caption loop at
     # that threshold decision for decision, a budget cut included.
@@ -569,6 +592,15 @@ def test_state_snapshot_rejects_future_version(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(snapshot))
     with pytest.raises(ValueError, match="version"):
+        BanditState.load(str(path))
+
+
+def test_state_load_rejects_deeply_nested_json(tmp_path):
+    # The parser recurses once per bracket, so nesting past the
+    # interpreter's limit raises RecursionError inside json.load.
+    path = tmp_path / "state.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="not valid JSON"):
         BanditState.load(str(path))
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: config precedence, outputs, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -211,28 +212,27 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
     assert err.startswith("error: config:")
 
 
-# Initialization pulls each of the 10 default arms once; a budget of 10
-# would leave no round after it.
-def test_token_budget_below_arm_count_exits_2(tmp_path, capsys):
-    for tokens in ("5", "10"):
-        code, _, err = run_cli(
-            ["bandit", "--tokens", tokens, "--out-dir", str(tmp_path)], capsys
-        )
-        assert code == 2
-        assert err.startswith("error: config: tokens must cover one pull per arm")
-        assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("command", ["compare-distortion", "lambda-sweep"])
+# Initialization pulls each of the 10 default arms once, on the first
+# image's tokens: a budget of 10 would leave no round after it, and a
+# 5-token image cannot hold the ten pulls.
+@pytest.mark.parametrize("command", ["bandit", "compare-distortion", "lambda-sweep"])
 def test_token_budget_below_arm_count_exits_2_in_every_adaptive_command(
-    command, tmp_path, capsys
+    command, tmp_path, capsys, monkeypatch
 ):
-    for tokens in ("5", "10"):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the flags were checked")
+
+    monkeypatch.setattr(bandit, "draw_tokens", no_work)
+    for flags, message in (
+        (["--tokens", "5"], "tokens must cover one pull per arm"),
+        (["--tokens", "10"], "tokens must cover one pull per arm"),
+        (["--max-len", "5", "--tokens", "1000"], "max_len must cover one token"),
+    ):
         code, _, err = run_cli(
-            [command, "--tokens", tokens, "--out-dir", str(tmp_path)], capsys
+            [command, *flags, "--out-dir", str(tmp_path)], capsys
         )
         assert code == 2
-        assert err.startswith("error: config: tokens must cover one pull per arm")
+        assert err.startswith(f"error: config: {message}")
         assert os.listdir(tmp_path) == []
 
 
@@ -354,6 +354,25 @@ def test_non_utf8_checkpoint_exits_3(tmp_path, capsys):
     assert err.startswith("error: input:")
 
 
+@pytest.mark.parametrize(
+    "flag, code, category", [("--config", 2, "config"), ("--model", 3, "input")]
+)
+def test_deeply_nested_json_exits_without_a_traceback(
+    flag, code, category, tmp_path, capsys
+):
+    # The parser recurses once per bracket, so nesting past the
+    # interpreter's limit raises RecursionError inside json.load.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    got, _, err = run_cli(
+        ["sweep-threshold", flag, str(nested), "--out-dir", str(out)], capsys
+    )
+    assert got == code
+    assert err.startswith(f"error: {category}: {nested}: not valid JSON")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_checkpoint_weight_exits_3(bad, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -398,7 +417,8 @@ def test_checkpoint_field_of_the_wrong_type_exits_3(
 
 
 def test_runtime_failure_exits_4(tmp_path, capsys):
-    # Ten arms cannot be initialized from a two-token first image.
+    # Ten arms cannot be initialized from a two-token first image: the
+    # flag is refused before any work, as configuration.
     code, _, err = run_cli(
         [
             "bandit",
@@ -413,8 +433,9 @@ def test_runtime_failure_exits_4(tmp_path, capsys):
         ],
         capsys,
     )
-    assert code == 4
-    assert err.startswith("error: runtime:")
+    assert code == 2
+    assert err.startswith("error: config: max_len must cover one token per arm")
+    assert os.listdir(tmp_path) == []
 
 
 def test_non_finite_summary_exits_4_and_writes_no_summary(
@@ -427,15 +448,17 @@ def test_non_finite_summary_exits_4_and_writes_no_summary(
     assert code == 4
     assert err.startswith("error: runtime:")
     assert out == ""
-    assert not (tmp_path / "bandit_summary.json").exists()
+    assert os.listdir(tmp_path) == []  # no bandit_log.csv either
 
 
 def test_write_summary_refuses_non_finite_numbers(tmp_path, capsys):
-    path = tmp_path / "summary.json"
+    args = argparse.Namespace(command="bandit", out_dir=str(tmp_path))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(cli.OutputError):
-            cli._write_summary(str(path), {"config": {}, "value": bad})
-        assert not path.exists()
+            cli._write_outputs(
+                args, {}, {"value": bad}, "bandit_log.csv", ["t"], [(1,)]
+            )
+        assert os.listdir(tmp_path) == []
     assert capsys.readouterr().out == ""
 
 
