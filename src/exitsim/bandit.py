@@ -128,15 +128,11 @@ class RewardParams:
         return (-1.0 - self.mu * self.latency[-1], 1.0)
 
 
-def _check_exit_layer(exit_layer: int, n_layers: int) -> None:
-    if not 1 <= exit_layer <= n_layers:
-        raise ValueError(f"exit layer {exit_layer} outside [1, {n_layers}]")
-
-
 def reward(decision: ExitDecision, params: RewardParams) -> float:
     """Confidence gain over layer 1 minus the scaled latency of the exit."""
     i = decision.exit_layer
-    _check_exit_layer(i, params.n_layers)
+    if not 1 <= i <= params.n_layers:
+        raise ValueError(f"exit layer {i} outside [1, {params.n_layers}]")
     gain = decision.confidence - decision.first_layer_confidence
     return gain - params.mu * params.latency[i - 1]
 
@@ -296,14 +292,14 @@ def update(state: BanditState, alpha: float, observed_reward: float) -> None:
     _fold(state, state.actions.index(alpha), observed_reward)
 
 
-def sum_left_to_right(values: Iterable[float], start: float = 0.0) -> float:
+def sum_left_to_right(values: Iterable[float]) -> float:
     """Plain left-to-right float sum.
 
     Bit-identical to ``sum()`` on Python 3.11; from 3.12 ``sum()`` uses
     compensated summation, which would move the last bits of reported
     means.
     """
-    total = start
+    total = 0.0
     for value in values:
         total += value
     return total
@@ -351,7 +347,8 @@ def initialize(
     After this the round counter equals the arm count and every arm's Q
     is its single observed reward, which is what the selection rule
     needs before its first real round.  An image with fewer tokens than
-    arms raises BanditError.
+    arms raises BanditError, and one whose depth is not
+    ``params.n_layers`` raises ValueError.
     """
     if len(image) < len(actions):
         raise BanditError(
@@ -364,11 +361,9 @@ def initialize(
     )
     for k, alpha in enumerate(actions.thresholds):
         i = k * width + k
-        layer = exits[i] + 1
-        _check_exit_layer(layer, params.n_layers)
         _fold(state, k, rewards[i])
         if log is not None:
-            log.append(state.t, alpha, layer, rewards[i])
+            log.append(state.t, alpha, exits[i] + 1, rewards[i])
     return state
 
 
@@ -381,11 +376,18 @@ def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
 
 def _rewards(gain: np.ndarray, exits: np.ndarray, params: RewardParams) -> np.ndarray:
     """``gain`` minus the scaled latency of 0-based ``exits``: the float64
-    operations of ``reward``, so bit-identical to it.  Exits past
-    ``params.n_layers`` get a placeholder; callers reject them when played.
-    """
-    latency = np.asarray(params.latency)
-    return gain - params.mu * latency[np.minimum(exits, len(latency) - 1)]
+    operations of ``reward``, so bit-identical to it."""
+    return gain - params.mu * np.asarray(params.latency)[exits]
+
+
+def _check_layers(conf: np.ndarray, params: RewardParams) -> None:
+    """Refuse (rows, layers) confidences whose depth is not the reward
+    schedule's, before any of their exits is scored."""
+    if conf.shape[1] != params.n_layers:
+        raise ValueError(
+            f"model emits {conf.shape[1]} layers, reward params expect "
+            f"{params.n_layers}"
+        )
 
 
 class _ArmTable(NamedTuple):
@@ -406,7 +408,9 @@ def _arm_table(
     params: RewardParams,
 ) -> _ArmTable:
     """The outcome of every arm on every row of a (rows, layers) block of
-    confidences and token ids, from one broadcast."""
+    confidences and token ids, from one broadcast.  A block whose depth
+    is not ``params.n_layers`` raises ValueError."""
+    _check_layers(conf, params)
     exits = exit_layer_indices(conf, thresholds)
     emitted = np.take_along_axis(token_ids, exits, axis=1)
     rewards = _rewards(_gains(conf, exits), exits, params)
@@ -414,38 +418,6 @@ def _arm_table(
         exits.ravel().tolist(), emitted.ravel().tolist(),
         rewards.ravel().tolist(), len(thresholds),
     )
-
-
-def _play_image(
-    state: BanditState,
-    table: _ArmTable,
-    start: int,
-    n_rows: int,
-    params: RewardParams,
-    max_caption_length: int,
-    eos_id: int,
-    max_tokens: int | None,
-) -> list[int]:
-    """The round kernel: caption the image in rows ``start`` to
-    ``start + n_rows`` of ``table``, one UCB round per token, until an
-    emitted eos, the length cap or the token budget.  Returns the arm
-    index played in each round; ``state`` is updated in place.
-    """
-    stop = start + min(n_rows, max_caption_length)
-    if max_tokens is not None:
-        stop = min(stop, start + max_tokens - state.t)
-    exits, emitted, rewards, width = table
-    n_layers = params.n_layers
-    arms = []
-    for row in range(start, stop):
-        k = _ucb_index(state)
-        i = row * width + k
-        _check_exit_layer(exits[i] + 1, n_layers)
-        _fold(state, k, rewards[i])
-        arms.append(k)
-        if emitted[i] == eos_id:
-            break
-    return arms
 
 
 @dataclass
@@ -483,13 +455,17 @@ class AdaptiveCell:
     ) -> None:
         """Resume this cell's run over the ``max_len``-token images of a
         validated chunk until its token budget; the first image of a new
-        run goes to ``initialize``."""
+        run goes to ``initialize``.  A chunk whose depth is not the
+        reward schedule's raises ValueError before any round."""
         conf, ids = batch.confidences, batch.token_ids
         alphas = self.actions.thresholds
-        table = _arm_table(conf, ids, np.asarray(alphas), self.params)
-        exits, emitted, rewards, width = table
+        exits, emitted, rewards, width = _arm_table(
+            conf, ids, np.asarray(alphas), self.params
+        )
         counts = self.hist.counts
-        reward_sum, hits, log = self.reward_sum, self.hits, self.log
+        reward_sum, hits, n_emitted, log = (
+            self.reward_sum, self.hits, self.emitted, self.log
+        )
         start = 0
         if self.state is None:
             first = ImageTraces(0, conf[:max_len], ids[:max_len])
@@ -498,25 +474,26 @@ class AdaptiveCell:
                 counts[exits[k * width + k]] += 1
                 reward_sum += rewards[k * width + k]
             start = max_len
+        state = self.state
         targets = batch.targets.tolist()
+        # The round kernel: one UCB round per token of each image, until
+        # an emitted eos, the length cap or the token budget.
         for lo in range(start, len(conf), max_len):
-            t = self.state.t
-            if t >= tokens:
+            if state.t >= tokens:
                 break
-            arms = _play_image(
-                self.state, table, lo, max_len, self.params, max_len, eos_id, tokens
-            )
-            for row, k in enumerate(arms, lo):
+            for row in range(lo, lo + min(max_len, tokens - state.t)):
+                k = _ucb_index(state)
                 i = row * width + k
+                _fold(state, k, rewards[i])
                 counts[exits[i]] += 1
                 reward_sum += rewards[i]
                 hits += emitted[i] == targets[row]
-            if log is not None:
-                for row, k in enumerate(arms, lo):
-                    i = row * width + k
-                    log.append(t + row - lo + 1, alphas[k], exits[i] + 1, rewards[i])
-            self.emitted += len(arms)
-        self.reward_sum, self.hits = reward_sum, hits
+                n_emitted += 1
+                if log is not None:
+                    log.append(state.t, alphas[k], exits[i] + 1, rewards[i])
+                if emitted[i] == eos_id:
+                    break
+        self.reward_sum, self.hits, self.emitted = reward_sum, hits, n_emitted
 
     def metrics(self) -> dict:
         return {
@@ -546,7 +523,8 @@ def run_lockstep(
 
     Initialization plays arm k on token k of the first image, so a
     ``max_len`` below any cell's arm count raises ValueError before the
-    first draw.
+    first draw.  A cell whose reward schedule's depth differs from its
+    model's raises ValueError on the first chunk, before any round.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -658,11 +636,7 @@ def _oracle_estimates(
     samples: int,
 ) -> list[OracleEstimate]:
     for p in params:
-        if conf.shape[1] != p.n_layers:
-            raise ValueError(
-                f"model emits {conf.shape[1]} layers, reward params expect "
-                f"{p.n_layers}"
-            )
+        _check_layers(conf, p)
     expected = [[] for _ in params]
     for alpha in actions.thresholds:  # one arm at a time bounds peak memory
         exits = exit_layer_indices(conf, alpha)

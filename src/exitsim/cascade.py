@@ -222,23 +222,17 @@ class ExitHistogram:
         return sum(self.counts)
 
 
-def speedup_ratio(hist: ExitHistogram, n_layers: int | None = None) -> float:
+def speedup_ratio(hist: ExitHistogram) -> float:
     """Depth-cost ratio of an always-final-layer decoder to the early-exit one.
 
     With w_l tokens exiting at layer l this is (sum_l w_l * N) / (sum_l w_l * l),
     which lies in [1, N]: 1.0 iff every token ran the full stack, N iff every
     token left at layer 1.
     """
-    if n_layers is None:
-        n_layers = len(hist.counts)
-    if n_layers != len(hist.counts):
-        raise ValueError(
-            f"histogram has {len(hist.counts)} layers, caller said {n_layers}"
-        )
     total = hist.total
     if total == 0:
         raise ValueError("empty exit histogram: speedup is undefined")
     weighted_depth = sum(
         count * layer for layer, count in enumerate(hist.counts, start=1)
     )
-    return (total * n_layers) / weighted_depth
+    return (total * len(hist.counts)) / weighted_depth

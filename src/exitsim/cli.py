@@ -36,7 +36,6 @@ from .bandit import (
     regret_curve,
     run_lockstep,
     shared_oracles,
-    sum_left_to_right,
 )
 from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
@@ -46,6 +45,7 @@ from .cascade import (
     speedup_ratio,
 )
 from .distill import (
+    LOSS_TERM_CHOICES,
     CheckpointError,
     StepSchedule,
     ToyConfig,
@@ -400,22 +400,23 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
         {"adaptive": config["alphas"]},
         logged=True,
     )
-    log = cells["adaptive"].log
+    cell = cells["adaptive"]
+    state, log = cell.state, cell.log
     regret = regret_curve(log, oracle).tolist()
-    counts = log.arm_counts()
-    empirical_best = max(counts, key=lambda a: (counts[a], -a))
+    thresholds, pulls = state.actions.thresholds, state.pulls
     fields = {
-        "rounds": len(log),
-        "arm_frequencies": {repr(a): counts.get(a, 0) for a in oracle.thresholds},
+        "rounds": state.t,
+        "arm_frequencies": {repr(a): n for a, n in zip(thresholds, pulls)},
         "oracle_best_arm": oracle.best_threshold,
         "oracle_expected_rewards": {
             repr(a): e
             for a, e in zip(oracle.thresholds, oracle.expected_rewards)
         },
-        "empirical_best_arm": empirical_best,
-        "mean_reward": sum_left_to_right(log.rewards) / len(log),
+        # Thresholds increase, so a tie goes to the smallest.
+        "empirical_best_arm": thresholds[pulls.index(max(pulls))],
+        "mean_reward": cell.metrics()["mean_reward"],
         "pseudo_regret": regret[-1],
-        "regret_bound": regret_bound(oracle, len(log), config["gamma"]),
+        "regret_bound": regret_bound(oracle, state.t, config["gamma"]),
     }
     _write_outputs(
         args,
@@ -484,8 +485,6 @@ TOY_SCHEMA = {
 }
 ABLATION_SCHEMA = TOY_SCHEMA
 
-ABLATION_VARIANTS = ("ce", "kl", "both")
-
 
 def _stage_one(
     config: dict,
@@ -518,7 +517,7 @@ def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
     """Train the backbone once, then each loss variant from a fresh copy."""
     task, model, schedule, _ = _stage_one(config)
     accuracies = {}
-    for terms in ABLATION_VARIANTS:
+    for terms in LOSS_TERM_CHOICES:
         variant = copy.deepcopy(model)
         train_exits(
             variant, task.train, config["stage2_epochs"], schedule, loss_terms=terms
@@ -598,6 +597,11 @@ TRAIN_TOY_SCHEMA = {
 
 
 def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
+    if config["loss_terms"] not in LOSS_TERM_CHOICES:
+        raise ConfigError(
+            f"loss_terms must be one of {LOSS_TERM_CHOICES}, got "
+            f"{config['loss_terms']!r}"
+        )
     task, model, schedule, stage1 = _stage_one(config)
     stage2 = train_exits(
         model,

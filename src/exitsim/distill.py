@@ -762,8 +762,9 @@ def load_cascade(path: str) -> ToyCascade:
     Raises CheckpointError on bytes that are not UTF-8 JSON, a wrong
     format tag, unknown version, a config dimension that is not an
     integer, a ``frozen`` flag that is not a JSON boolean, dimensions
-    that disagree with the stored config, or a non-finite parameter
-    (``json`` parses ``NaN`` and ``Infinity``).
+    that disagree with the stored config, an integer parameter too
+    large for a float, or a non-finite parameter (``json`` parses
+    ``NaN`` and ``Infinity``).
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -798,7 +799,7 @@ def load_cascade(path: str) -> ToyCascade:
             teacher_bias=np.array(payload["teacher_bias"], dtype=float),
             frozen=payload["frozen"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint contents: {exc}") from exc
     _validate_shapes(model, path)
     for name in (
@@ -813,14 +814,13 @@ def load_cascade(path: str) -> ToyCascade:
 
 def _validate_shapes(model: ToyCascade, path: str) -> None:
     cfg = model.config
-    expected_layers = [(cfg.input_dim, cfg.hidden_dim)] + [
-        (cfg.hidden_dim, cfg.hidden_dim)
-    ] * (cfg.n_layers - 1)
     if len(model.layer_weights) != cfg.n_layers or len(model.layer_biases) != cfg.n_layers:
         raise CheckpointError(f"{path}: wrong number of backbone layers")
-    for w, b, shape in zip(model.layer_weights, model.layer_biases, expected_layers):
-        if w.shape != shape or b.shape != (cfg.hidden_dim,):
+    fan_in = cfg.input_dim
+    for w, b in zip(model.layer_weights, model.layer_biases):
+        if w.shape != (fan_in, cfg.hidden_dim) or b.shape != (cfg.hidden_dim,):
             raise CheckpointError(f"{path}: backbone parameter shape mismatch")
+        fan_in = cfg.hidden_dim
     head_shape = (cfg.hidden_dim, cfg.vocab_size)
     if (
         len(model.exit_weights) != cfg.n_layers - 1

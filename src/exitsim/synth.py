@@ -423,41 +423,31 @@ def sample_image(
     )
 
 
-def split_images(
-    batch: TraceBatch, max_len: int, start_id: int = 0
-) -> list[ImageTraces]:
-    """Cut a finished stack of ``max_len``-token blocks into images with
-    consecutive ids; each image holds read-only views of the batch rows."""
-    targets = batch.targets.tolist()
-    return [
-        ImageTraces(
-            image_id=start_id + i,
-            confidences=batch.confidences[lo : lo + max_len],
-            token_ids=batch.token_ids[lo : lo + max_len],
-            targets=tuple(targets[lo : lo + max_len]),
-        )
-        for i, lo in enumerate(range(0, len(batch), max_len))
-    ]
-
-
 def image_stream(
     model: SyntheticConfidenceModel,
     rng: np.random.Generator,
     max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
-    start_id: int = 0,
 ) -> Iterator[ImageTraces]:
-    """Endless stream of freshly sampled images with increasing ids.
+    """Endless stream of freshly sampled images with ids 0, 1, 2, ...
 
     Images are drawn ``IMAGE_CHUNK`` at a time and finished together;
     each is the image ``sample_image`` would draw at that point of the
-    stream.  The generator therefore runs up to one chunk ahead of its
-    consumer on ``rng``.
+    stream, and holds read-only views of its chunk's rows.  The
+    generator therefore runs up to one chunk ahead of its consumer on
+    ``rng``.
     """
-    image_id = start_id
+    image_id = 0
     while True:
-        draws = draw_tokens(model, max_len, rng, IMAGE_CHUNK)
-        yield from split_images(finish_tokens(model, draws), max_len, image_id)
-        image_id += IMAGE_CHUNK
+        batch = finish_tokens(model, draw_tokens(model, max_len, rng, IMAGE_CHUNK))
+        targets = batch.targets.tolist()
+        for lo in range(0, len(batch), max_len):
+            yield ImageTraces(
+                image_id=image_id,
+                confidences=batch.confidences[lo : lo + max_len],
+                token_ids=batch.token_ids[lo : lo + max_len],
+                targets=tuple(targets[lo : lo + max_len]),
+            )
+            image_id += 1
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +564,8 @@ def _parse_header(line: str) -> TraceFileHeader:
             f"line 1: layers/vocab must be integers, got "
             f"{values['layers']!r}/{values['vocab']!r}"
         )
-    if n_layers < 2 or vocab_size < 2:
+    # Token ids, all below the vocab size, are read into int64 arrays.
+    if n_layers < 2 or not 2 <= vocab_size <= 2**63:
         raise TraceFormatError(
             f"line 1: layers={n_layers} vocab={vocab_size} out of range"
         )

@@ -4,6 +4,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from exitsim import (
     BanditLog,
@@ -17,6 +18,15 @@ from exitsim import (
     run_caption,
     ucb_select,
     update,
+)
+
+
+# Any JSON value: the fuzz input for every JSON reader.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
 )
 
 

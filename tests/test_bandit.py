@@ -40,6 +40,7 @@ from exitsim import bandit
 from conftest import (
     FixedTraceModel,
     assert_cell_matches_reference,
+    json_values,
     make_image,
     make_trace,
 )
@@ -356,14 +357,6 @@ def test_initialize_exhausted_source_raises():
         )
 
 
-def test_initialize_rejects_an_exit_past_the_reward_layers():
-    with pytest.raises(ValueError, match="exit layer 4"):
-        initialize(
-            ActionSet((0.5,)), make_image([[0.1, 0.1, 0.1, 0.9]]),
-            RewardParams(n_layers=3),
-        )
-
-
 # ---------------------------------------------------------------------------
 # The adaptive driver: AdaptiveCell and run_lockstep
 
@@ -373,15 +366,6 @@ def _drive(model, actions, params, budget, max_len, gamma=1.0, base=None):
     cell = AdaptiveCell(actions, params, BanditLog())
     run_lockstep(base or model, [(model, [cell])], gamma, budget, max_len)
     return cell
-
-
-def _batch(conf_rows, id_rows=None):
-    """A chunk of hand-written rows; ids default to the layer index and
-    every target is 0."""
-    conf = np.array(conf_rows, dtype=float)
-    if id_rows is None:
-        id_rows = np.tile(np.arange(1, conf.shape[1] + 1), (len(conf), 1))
-    return TraceBatch(conf, np.array(id_rows), np.zeros(len(conf), dtype=np.int64))
 
 
 def test_adaptive_run_spends_first_image_on_initialization():
@@ -524,19 +508,30 @@ def test_round_kernel_matches_the_run_caption_reference(budget):
         assert captions[-1].image_id >= IMAGE_CHUNK
 
 
-def test_adaptive_run_rejects_an_exit_past_the_reward_layers_when_played():
-    # Four-layer rows against three reward layers, images of two tokens.
-    # Image 0 initializes (exit at layer 2).  Image 1 emits eos (id 0) at
-    # layer 1 on its first token, so its second token, which would exit
-    # at layer 4, is never played.
-    cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=3))
-    low = [0.1] * 4
-    first = _batch([[0.3, 0.6, 0.9, 0.9], low, [0.9] * 4, low],
-                   [[1] * 4, [1] * 4, [0] * 4, [1] * 4])
-    cell.play(first, 1.0, 100, 2, eos_id=0)
-    assert (cell.state.t, cell.emitted) == (2, 1)
-    with pytest.raises(ValueError, match="exit layer 4"):
-        cell.play(_batch([low, low]), 1.0, 100, 2, eos_id=0)
+@pytest.mark.parametrize("n_layers", [14, 11], ids=["deeper", "shallower"])
+def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
+    # At alpha = 1.0 every token of the seed-7 model runs all 12 layers.
+    # Every such exit lies within a 14-layer schedule, which would report
+    # speedup 14/12, so only a check on the depth itself refuses it.
+    model = SyntheticConfidenceModel(seed=7)
+    actions, params = ActionSet((1.0,)), RewardParams(n_layers=n_layers)
+    refused = f"model emits 12 layers, reward params expect {n_layers}"
+    image = next(image_stream(model, model.stream_rng(0), 20))
+    with pytest.raises(ValueError, match=refused):
+        initialize(actions, image, params)
+    batch = TraceBatch(image.confidences, image.token_ids, np.array(image.targets))
+    cell = AdaptiveCell(actions, params)
+    with pytest.raises(ValueError, match=refused):
+        cell.play(batch, 1.0, 100, 20, model.eos_id)
+    assert cell.state is None
+    cell = AdaptiveCell(actions, params)
+    with pytest.raises(ValueError, match=refused):
+        run_lockstep(model, [(model, [cell])], 1.0, 100, 20)
+    assert cell.state is None
+    with pytest.raises(ValueError, match=refused):
+        shared_oracles([model], actions, [params], samples=10)
+    matched = _drive(model, actions, RewardParams(n_layers=12), 100, 20)
+    assert matched.metrics()["speedup"] == 1.0
 
 
 def test_adaptive_run_is_deterministic():
@@ -644,12 +639,6 @@ def test_state_snapshot_rejects_malformed_fields_naming_the_key(snapshot, key):
         BanditState.from_snapshot(snapshot)
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=5), children, max_size=4),
-    max_leaves=12,
-)
 _snapshot_fields = {
     "format": st.just("exitsim-bandit-state"),
     "version": st.just(1),
@@ -666,12 +655,12 @@ def _snapshot_like(draw):
     """A valid snapshot with each key kept, dropped or replaced by any
     JSON value, or any JSON value at all."""
     if draw(st.booleans()):
-        return draw(_json_values)
+        return draw(json_values)
     snapshot = {}
     for key, valid in _snapshot_fields.items():
         choice = draw(st.sampled_from(("keep", "drop", "replace")))
         if choice != "drop":
-            snapshot[key] = draw(valid if choice == "keep" else _json_values)
+            snapshot[key] = draw(valid if choice == "keep" else json_values)
     return snapshot
 
 

@@ -269,13 +269,6 @@ def test_speedup_rejects_empty_histogram():
         speedup_ratio(ExitHistogram.empty(12))
 
 
-def test_speedup_rejects_layer_count_mismatch():
-    hist = ExitHistogram.empty(12)
-    hist.record(1)
-    with pytest.raises(ValueError):
-        speedup_ratio(hist, n_layers=10)
-
-
 def test_histogram_record_validates_layer():
     hist = ExitHistogram.empty(3)
     with pytest.raises(ValueError):

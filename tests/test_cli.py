@@ -416,6 +416,22 @@ def test_checkpoint_field_of_the_wrong_type_exits_3(
     assert not (out / "sweep_threshold.csv").exists()
 
 
+def test_checkpoint_weight_too_large_for_a_float_exits_3(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_cascade(init_cascade(ToyConfig(), np.random.default_rng(0)), str(path))
+    blob = json.loads(path.read_text())
+    blob["teacher_bias"][0] = 10**400  # a 401-digit JSON integer
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["sweep-threshold", "--model", str(path), "--out-dir", str(out)], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: input:")
+    assert "too large" in err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_4(tmp_path, capsys):
     # Ten arms cannot be initialized from a two-token first image: the
     # flag is refused before any work, as configuration.
@@ -794,6 +810,22 @@ def test_train_toy_checkpoint_drives_a_sweep(tmp_path, capsys):
     assert code == 0
     rows = read_csv_rows(os.path.join(out, "sweep_threshold.csv"))
     assert len(rows) == 11
+
+
+def test_train_toy_refuses_unknown_loss_terms_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("stage one ran")
+
+    monkeypatch.setattr(cli, "train_backbone", no_training)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["train-toy", "--loss-terms", "bogus", "--out-dir", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: config: loss_terms must be one of")
+    assert not out.exists()
 
 
 def test_ablation_tiny_structure(tmp_path, capsys):

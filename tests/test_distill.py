@@ -3,9 +3,13 @@
 import copy
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from exitsim import (
     CheckpointError,
@@ -31,6 +35,8 @@ from exitsim import (
 )
 from exitsim import distill
 from exitsim.distill import softmax
+
+from conftest import json_values
 
 SMALL = ToyConfig(input_dim=6, hidden_dim=8, n_layers=3, vocab_size=5)
 
@@ -760,3 +766,77 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     json.dump(blob, open(path, "w"))
     with pytest.raises(CheckpointError):
         load_cascade(path)
+
+
+def test_checkpoint_rejects_a_layer_count_no_memory_could_hold(tmp_path):
+    # The layer count is compared before any per-layer shape is built.
+    path = str(tmp_path / "model.json")
+    save_cascade(small_model(), path)
+    blob = json.load(open(path))
+    blob["config"]["n_layers"] = 10**15
+    json.dump(blob, open(path, "w"))
+    with pytest.raises(CheckpointError, match="backbone layers"):
+        load_cascade(path)
+
+
+def _key_paths(value, path=()):
+    """The path of ``value`` itself and of everything nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _key_paths(child, path + (key,))
+
+
+def _tiny_checkpoint():
+    """A saved 2-layer cascade two units wide, as the JSON it parses to."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        model = init_cascade(ToyConfig(2, 2, 2, 2), np.random.default_rng(0))
+        save_cascade(model, path)
+        with open(path) as fh:
+            return json.load(fh)
+
+
+@st.composite
+def _checkpoint_like(draw, valid):
+    """``valid`` with up to three of its values, at any depth and the
+    whole included, dropped or replaced by a JSON value, a number too
+    large for a float or a layer count no memory could hold."""
+    blob = copy.deepcopy(valid)
+    paths = list(_key_paths(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(paths))
+        new = draw(json_values | st.sampled_from([10**400, -(10**400), 2**63, 10**15]))
+        try:
+            parent = blob
+            for key in path[:-1]:
+                parent = parent[key]
+            if not path:
+                blob = new
+            elif draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the path
+    return blob
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(blob=_checkpoint_like(_tiny_checkpoint()))
+def test_load_cascade_parses_or_raises_checkpoint_error(tmp_path, blob):
+    path = str(tmp_path / "model.json")
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    try:
+        model = load_cascade(path)
+    except CheckpointError:
+        return
+    save_cascade(model, path)
+    assert load_cascade(path).backbone_bytes() == model.backbone_bytes()
+

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from exitsim import (
@@ -498,6 +498,18 @@ def test_reader_reports_correct_line_number(tmp_path):
         list(read_traces(path))
 
 
+def test_reader_refuses_a_vocab_past_the_int64_token_ids(tmp_path):
+    # Ids are read into int64 arrays, so the largest vocab is 2**63.
+    path = tmp_path / "huge.txt"
+    for vocab, fragment in ((2**63, "token id"), (2**63 + 1, "out of range")):
+        path.write_text(
+            f"exitsim-traces 1 layers=2 vocab={vocab} source=x\n"
+            f"img 1 3 0.5:1 0.25:{2**63}\n"
+        )
+        with pytest.raises(TraceFormatError, match=fragment):
+            list(read_traces(str(path)))
+
+
 def test_reader_skips_blank_lines(tmp_path):
     path = str(tmp_path / "blank.txt")
     with open(path, "w") as fh:
@@ -508,6 +520,59 @@ def test_reader_skips_blank_lines(tmp_path):
     images = list(read_traces(path))
     assert len(images) == 1
     assert images[0].targets == (3,)
+
+
+_trace_file_fields = st.sampled_from([
+    "", "x", "-", "-1", "0", "7", "9" * 21,
+    "\u00e9", "0.5:1", "0.5", "0.5:x", ":", "nan:1", "1e999:1", "1.5:1",
+    "0:-1", "0:8", "0:" + "9" * 21,
+])
+
+
+@st.composite
+def _trace_file_like(draw):
+    """Any bytes, or a valid two-layer trace file, its vocab size at or
+    past the int64 limit, with up to three record fields replaced,
+    dropped or doubled."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+    vocab = draw(st.sampled_from(["8", str(2**63), "9" * 25]))
+    header = f"exitsim-traces 1 layers=2 vocab={vocab} source=x"
+    records = [
+        ["img", "1", "3", "0.5:1", "0.25:2"],
+        ["0", "2", "-", "0.5:1", "1:0", "-", "-0.0:0", "0.25:7"],
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        line = draw(st.sampled_from(records))  # never emptied: 5+ fields
+        i = draw(st.integers(0, len(line) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "double"]))
+        if edit == "replace":
+            line[i] = draw(_trace_file_fields)
+        elif edit == "drop":
+            del line[i]
+        else:
+            line.insert(i, line[i])
+    lines = [header] + [" ".join(fields) for fields in records]
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_trace_file_like())
+def test_read_traces_parses_or_raises_trace_format_error(tmp_path, data):
+    path = str(tmp_path / "traces.txt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        header = read_header(path)
+        images = list(read_traces(path))
+    except TraceFormatError:
+        return
+    write_traces(path, images, header.n_layers, header.vocab_size, header.source)
+    assert list(read_traces(path)) == images
 
 
 def test_writer_validates_against_header(tmp_path):
