@@ -52,7 +52,7 @@ from .distill import (
     ToyCascade,
     ToyTask,
     TrainingError,
-    forward,
+    head_confidences,
     init_cascade,
     layer_accuracies,
     load_cascade,
@@ -177,7 +177,9 @@ def _write_outputs(
     ``header``, ``first`` is written here as a CSV of ``rows`` under the
     echoed config.  The summary is serialized as strict JSON before this
     opens any file, so a non-finite number raises OutputError and the
-    CSV and summary are not written.
+    CSV and summary are not written.  Each file is written in full to a
+    temporary file beside it and then renamed into place, so a failure
+    while writing (``rows`` raising, say) leaves neither behind.
     """
     name = f"{args.command.replace('-', '_')}_summary.json"
     summary = {"config": config, **fields, "outputs": [first, name]}
@@ -185,19 +187,30 @@ def _write_outputs(
         text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise OutputError(f"{name}: {exc}") from None
-    if header is not None:
-        with open(_out_path(args, first), "w", encoding="ascii", newline="") as fh:
-            for line in _echo_lines(config):
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [repr(v) if isinstance(v, float) else v for v in row]
-                )
-    with open(_out_path(args, name), "w", encoding="ascii") as fh:
-        fh.write(text)
-        fh.write("\n")
+    names = [first, name] if header is not None else [name]
+    paths = [_out_path(args, n) for n in names]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        if header is not None:
+            with open(temps[0], "w", encoding="ascii", newline="") as fh:
+                for line in _echo_lines(config):
+                    fh.write(f"# {line}\n")
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow(
+                        [repr(v) if isinstance(v, float) else v for v in row]
+                    )
+        with open(temps[-1], "w", encoding="ascii") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -288,8 +301,7 @@ def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
         model = load_cascade(config["model"])
         rng = np.random.default_rng(config["seed"])
         task = make_task(model.config, rng)
-        probs = forward(model, task.heldout)
-        confidences, token_ids = probs.max(axis=2), probs.argmax(axis=2)
+        confidences, token_ids = head_confidences(model, task.heldout)
         targets = task.heldout.targets
 
     n_tokens, n_layers = confidences.shape

@@ -19,7 +19,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import cycle
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -201,11 +202,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _hidden_states(
     model: ToyCascade,
     features: np.ndarray,
-    states: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Per-layer activations for a (rows, input_dim) feature block,
-    written into ``states`` (one (rows, hidden_dim) buffer per layer)
-    when given."""
+    states: Iterable[np.ndarray] | None = None,
+) -> Iterator[np.ndarray]:
+    """Each layer's activations for a (rows, input_dim) feature block, in
+    turn, written into the next (rows, hidden_dim) buffer of ``states``
+    (a fresh one per layer when not given).  Training passes one buffer
+    per layer, because backprop reads every layer; the per-head pass
+    cycles two."""
     if features.ndim != 2 or features.shape[1] != model.config.input_dim:
         raise ValueError(
             f"features shape {features.shape} incompatible with input_dim "
@@ -213,28 +216,63 @@ def _hidden_states(
         )
     if states is None:
         shape = (len(features), model.config.hidden_dim)
-        states = [np.empty(shape) for _ in model.layer_weights]
+        states = (np.empty(shape) for _ in model.layer_weights)
     h = features
     for w, b, out in zip(model.layer_weights, model.layer_biases, states):
         np.matmul(h, w, out=out)
         out += b
         h = np.tanh(out, out=out)
-    return states
+        yield h
+
+
+def _head_probs(model: ToyCascade, example: SyntheticExample) -> Iterator[np.ndarray]:
+    """Each head's (rows, vocab_size) probabilities in turn, exits first,
+    teacher last.
+
+    The hidden states alternate between two buffers, and one buffer holds
+    each head's logits and then its softmax, so every head is yielded in
+    the same array: read it before asking for the next.
+    """
+    cfg = model.config
+    rows = len(example.targets)
+    pair = [np.empty((rows, cfg.hidden_dim)) for _ in range(2)]
+    probs = np.empty((rows, cfg.vocab_size))
+    heads = zip(
+        [*model.exit_weights, model.teacher_weight],
+        [*model.exit_biases, model.teacher_bias],
+    )
+    for h, (w, b) in zip(_hidden_states(model, example.features, cycle(pair)), heads):
+        np.matmul(h, w, out=probs)
+        probs += b
+        yield _softmax(probs, out=probs)
 
 
 def forward(model: ToyCascade, example: SyntheticExample) -> np.ndarray:
-    """Probability vector from every head at every row of the block.
+    """Probability vector from every head at every row of the block: the
+    stacked form of the per-head pass.
 
     Returns an array of shape (rows, n_layers, vocab_size); the last
     layer slot is the teacher head.
     """
     cfg = model.config
-    states = _hidden_states(model, example.features)
     out = np.empty((len(example.targets), cfg.n_layers, cfg.vocab_size))
-    for i in range(cfg.n_layers - 1):
-        out[:, i, :] = softmax(states[i] @ model.exit_weights[i] + model.exit_biases[i])
-    out[:, -1, :] = softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+    for i, probs in enumerate(_head_probs(model, example)):
+        out[:, i, :] = probs
     return out
+
+
+def head_confidences(
+    model: ToyCascade, example: SyntheticExample
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every head's top probability and its token id at every row: two
+    (rows, n_layers) arrays, the teacher in the last column."""
+    shape = (len(example.targets), model.config.n_layers)
+    confidences = np.empty(shape)
+    token_ids = np.empty(shape, dtype=np.intp)
+    for i, probs in enumerate(_head_probs(model, example)):
+        confidences[:, i] = probs.max(axis=1)
+        token_ids[:, i] = probs.argmax(axis=1)
+    return confidences, token_ids
 
 
 def finetune_loss(final_probs: np.ndarray, targets: np.ndarray) -> float:
@@ -367,7 +405,8 @@ def _backbone_backward(
     """
     states, logits, g_h, g_z = buffers
     features, targets = example.features, example.targets
-    _hidden_states(model, features, states)
+    for _ in _hidden_states(model, features, states):
+        pass
     np.matmul(states[-1], model.teacher_weight, out=logits)
     logits += model.teacher_bias
     probs = _softmax(logits, out=logits)
@@ -403,7 +442,7 @@ def _frozen_inputs(
         raise ValueError(
             f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
         )
-    states = _hidden_states(model, example.features)
+    states = list(_hidden_states(model, example.features))
     teacher = softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
     return states, _floored_log(teacher, out=teacher)
 
@@ -527,8 +566,10 @@ def layer_accuracies(
     model: ToyCascade, example: SyntheticExample
 ) -> tuple[float, ...]:
     """Exact-match accuracy of every head, exits first, teacher last."""
-    hits = forward(model, example).argmax(axis=2) == example.targets[:, None]
-    return tuple(float(v) for v in hits.mean(axis=0))
+    return tuple(
+        float((probs.argmax(axis=1) == example.targets).mean())
+        for probs in _head_probs(model, example)
+    )
 
 
 # ---------------------------------------------------------------------------

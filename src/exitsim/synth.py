@@ -42,13 +42,15 @@ class TraceFormatError(ValueError):
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|),
-    so neither tail overflows."""
-    e = np.abs(z)
+    so neither tail overflows.  Written over ``z``."""
+    positive = z >= 0
+    e = np.abs(z, out=z)
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=e, where=z >= 0)
+    e /= d
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=positive)
     return e
 
 
@@ -219,7 +221,8 @@ def confidence_matrices(
 
 def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarray:
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
-    rise = model.growth * (layer_index[None, :] - draws.difficulty[:, None])
+    rise = np.subtract(layer_index[None, :], draws.difficulty[:, None])
+    rise *= model.growth
     center_logit = math.log(model.ceiling_center / (1.0 - model.ceiling_center))
     ceiling = (
         center_logit

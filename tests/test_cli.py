@@ -21,6 +21,7 @@ from exitsim import (
     SyntheticConfidenceModel,
     ToyConfig,
     distort,
+    forward,
     init_cascade,
     load_cascade,
     read_traces,
@@ -478,6 +479,19 @@ def test_write_summary_refuses_non_finite_numbers(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_failed_write_leaves_no_output(tmp_path, capsys):
+    args = argparse.Namespace(command="bandit", out_dir=str(tmp_path))
+
+    def rows():
+        yield (1,)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        cli._write_outputs(args, {}, {}, "bandit_log.csv", ["t"], rows())
+    assert os.listdir(tmp_path) == []  # no CSV, no summary, no temp file
+    assert capsys.readouterr().out == ""
+
+
 def test_unreachable_margin_exits_2_at_once(tmp_path):
     # Each row would survive with probability ~5e-11: the task draw must
     # be refused before it starts, not loop forever.
@@ -810,6 +824,29 @@ def test_train_toy_checkpoint_drives_a_sweep(tmp_path, capsys):
     assert code == 0
     rows = read_csv_rows(os.path.join(out, "sweep_threshold.csv"))
     assert len(rows) == 11
+
+
+def test_model_sweep_matches_the_stacked_forward(tmp_path, monkeypatch, capsys):
+    model = init_cascade(ToyConfig(), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for w in model.exit_weights:
+        w[:] = rng.normal(size=w.shape)
+    ckpt = str(tmp_path / "model.json")
+    save_cascade(model, ckpt)
+
+    def sweep(out):
+        args = ["sweep-threshold", "--model", ckpt, "--out-dir", str(out)]
+        assert run_cli(args, capsys)[0] == 0
+        return (out / "sweep_threshold.csv").read_bytes()
+
+    got = sweep(tmp_path / "heads")
+
+    def stacked(model, example):
+        probs = forward(model, example)
+        return probs.max(axis=2), probs.argmax(axis=2)
+
+    monkeypatch.setattr(cli, "head_confidences", stacked)
+    assert got == sweep(tmp_path / "stacked")
 
 
 def test_train_toy_refuses_unknown_loss_terms_before_training(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from exitsim import (
     finetune_loss,
     forward,
     gradient_check,
+    head_confidences,
     init_cascade,
     kl_divergence,
     layer_accuracies,
@@ -195,8 +197,8 @@ def test_fresh_exit_heads_start_uniform():
 
 
 def test_forward_exposes_all_heads():
-    # The (tokens, layers) confidence and token-id arrays that
-    # sweep-threshold --model reads off forward().
+    # The stacked form of the (tokens, layers) confidence and token-id
+    # arrays that sweep-threshold --model reads from head_confidences.
     model = small_model()
     example = small_examples(n=1)
     probs = forward(model, example)
@@ -205,6 +207,92 @@ def test_forward_exposes_all_heads():
     assert confidences.shape == token_ids.shape == shape
     assert np.all((confidences > 0.0) & (confidences <= 1.0))
     assert np.all((token_ids >= 0) & (token_ids < SMALL.vocab_size))
+
+
+def reference_forward(model, example):
+    """Every layer's state, then an allocating softmax per head, stacked:
+    what the per-head pass must reproduce bit for bit."""
+    states = reference_states(model, example.features)
+    heads = zip(
+        [*model.exit_weights, model.teacher_weight],
+        [*model.exit_biases, model.teacher_bias],
+    )
+    return np.stack(
+        [reference_softmax(h @ w + b) for h, (w, b) in zip(states, heads)], axis=1
+    )
+
+
+def reference_layer_accuracies(model, example):
+    """Accuracy from the stacked block's argmax: what layer_accuracies
+    must reproduce exactly."""
+    hits = forward(model, example).argmax(axis=2) == example.targets[:, None]
+    return tuple(float(v) for v in hits.mean(axis=0))
+
+
+def head_cases():
+    """(model, block) pairs: random and zero (all logits tied) heads, a
+    1-row block, two layers, and a two-token vocabulary."""
+    configs = (
+        SMALL,
+        ToyConfig(input_dim=6, hidden_dim=8, n_layers=2, vocab_size=5),
+        ToyConfig(input_dim=6, hidden_dim=8, n_layers=3, vocab_size=2),
+    )
+    for seed, config in enumerate(configs):
+        rng = np.random.default_rng(seed)
+        for rows in (1, 37):
+            example = SyntheticExample(
+                features=rng.normal(size=(rows, config.input_dim)),
+                targets=rng.integers(0, config.vocab_size, rows),
+            )
+            fresh = init_cascade(config, rng)  # zero exit heads
+            yield fresh, example
+            drawn = copy.deepcopy(fresh)
+            for w in drawn.exit_weights:
+                w[:] = rng.normal(size=w.shape)
+            yield drawn, example
+
+
+def test_head_pass_matches_the_stacked_reference_bitwise():
+    for model, example in head_cases():
+        want = reference_forward(model, example)
+        heads = [p.copy() for p in distill._head_probs(model, example)]
+        assert len(heads) == model.config.n_layers
+        for i, probs in enumerate(heads):
+            assert np.array_equal(probs, want[:, i])
+        assert np.array_equal(forward(model, example), want)
+
+
+def test_layer_accuracies_match_the_stacked_formula():
+    for model, example in head_cases():
+        assert layer_accuracies(model, example) == reference_layer_accuracies(
+            model, example
+        )
+
+
+def test_head_confidences_match_the_stacked_max_and_argmax():
+    for model, example in head_cases():
+        probs = forward(model, example)
+        confidences, token_ids = head_confidences(model, example)
+        assert np.array_equal(confidences, probs.max(axis=2))
+        assert np.array_equal(token_ids, probs.argmax(axis=2))
+        assert token_ids.dtype == probs.argmax(axis=2).dtype
+
+
+def test_layer_accuracies_peak_below_one_stacked_block():
+    # The held-out pass keeps one head's probabilities at a time, never a
+    # (rows, n_layers, vocab) block.
+    config = ToyConfig()
+    heldout = make_task(config, np.random.default_rng(0)).heldout
+    model = init_cascade(config, np.random.default_rng(1))
+    block = heldout.features.shape[0] * config.n_layers * config.vocab_size * 8
+    tracemalloc.start()
+    try:
+        layer_accuracies(model, heldout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(heldout.targets) == 8192
+    assert peak < block
 
 
 def test_init_is_deterministic():
