@@ -2,6 +2,12 @@
 confidence traces, online UCB threshold adaptation with regret
 accounting, and a toy distillation-trained exit cascade."""
 
+import os
+
+# Products top out at 8192x32x32 (the default held-out set), too small to
+# share: a second OpenBLAS thread mostly spins.  Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cascade import (
     CaptionRun,
     ExitDecision,

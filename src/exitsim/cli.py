@@ -71,6 +71,7 @@ from .synth import (
     read_traces,
     write_traces,
 )
+from .staging import staged
 
 
 class ConfigError(ValueError):
@@ -188,9 +189,7 @@ def _write_outputs(
     except ValueError as exc:
         raise OutputError(f"{name}: {exc}") from None
     names = [first, name] if header is not None else [name]
-    paths = [_out_path(args, n) for n in names]
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
-    try:
+    with staged(*(_out_path(args, n) for n in names)) as temps:
         if header is not None:
             with open(temps[0], "w", encoding="ascii", newline="") as fh:
                 for line in _echo_lines(config):
@@ -204,13 +203,6 @@ def _write_outputs(
         with open(temps[-1], "w", encoding="ascii") as fh:
             fh.write(text)
             fh.write("\n")
-    except BaseException:
-        for temp in temps:
-            if os.path.exists(temp):
-                os.remove(temp)
-        raise
-    for temp, path in zip(temps, paths):
-        os.replace(temp, path)
     print(json.dumps(summary, sort_keys=True))
 
 

@@ -24,6 +24,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .staging import staged
+
 DEFAULT_PROB_FLOOR = 1e-12
 CHECKPOINT_FORMAT = "exitsim-toy-cascade"
 CHECKPOINT_VERSION = 1
@@ -775,7 +777,8 @@ def make_task(
 def save_cascade(model: ToyCascade, path: str) -> None:
     """Write the model as a versioned JSON checkpoint.
 
-    A non-finite parameter raises TrainingError and leaves no file.
+    A non-finite parameter raises TrainingError and leaves no file; the
+    file is staged beside ``path`` and renamed into place once written.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -793,7 +796,7 @@ def save_cascade(model: ToyCascade, path: str) -> None:
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise TrainingError(f"model has a non-finite parameter: {exc}") from None
-    with open(path, "w", encoding="utf-8") as handle:
+    with staged(path) as (temp,), open(temp, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
 

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TokenTrace, TraceValidationError
+from .staging import staged
 
 DEFAULT_SEED = 7
 
@@ -507,11 +508,15 @@ def write_traces(
     vocab_size: int,
     source: str = "synthetic",
 ) -> int:
-    """Write images to ``path`` in the trace file format; returns the count."""
+    """Write images to ``path`` in the trace file format; returns the count.
+
+    The file is staged beside ``path`` and renamed into place once
+    complete, so a stream or image that raises leaves no file.
+    """
     if not source or any(ch.isspace() for ch in source):
         raise ValueError(f"source tag {source!r} is empty or contains whitespace")
     count = 0
-    with open(path, "w", encoding="ascii") as fh:
+    with staged(path) as (temp,), open(temp, "w", encoding="ascii") as fh:
         fh.write(
             f"{FORMAT_NAME} {FORMAT_VERSION} layers={n_layers} "
             f"vocab={vocab_size} source={source}\n"

@@ -30,6 +30,7 @@ from exitsim import (
 )
 from exitsim import bandit, cli
 from exitsim.cli import main
+from exitsim.staging import staged
 
 from conftest import assert_cell_matches_reference
 
@@ -490,6 +491,24 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
         cli._write_outputs(args, {}, {}, "bandit_log.csv", ["t"], rows())
     assert os.listdir(tmp_path) == []  # no CSV, no summary, no temp file
     assert capsys.readouterr().out == ""
+
+
+def test_staged_replaces_only_after_the_block(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        with staged(str(path)) as (temp,):
+            with open(temp, "w") as fh:
+                fh.write("half")
+            raise RuntimeError("writer failed")
+    assert os.listdir(tmp_path) == ["out.txt"]  # no temp file
+    assert path.read_text() == "old"
+    with staged(str(path)) as (temp,):
+        with open(temp, "w") as fh:
+            fh.write("new")
+        assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "new"
 
 
 def test_unreachable_margin_exits_2_at_once(tmp_path):
@@ -1074,3 +1093,77 @@ def test_calibrate_defaults_runs_at_tiny_sizes(capsys):
     ]
     assert all("share=" in line for line in lines if line.startswith("seed="))
     assert all("margin=" in line for line in lines if line.startswith("sigma="))
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+# Prints the OPENBLAS_NUM_THREADS that importing exitsim leaves and the
+# thread count the loaded OpenBLAS reports (the probe of bench/run.py),
+# or None for the count when no OpenBLAS library sits beside numpy.
+_BLAS_PROBE = """
+import ctypes, glob, json, os
+import exitsim
+import numpy
+
+threads = None
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            get = getattr(lib, symbol)
+            get.argtypes, get.restype = [], ctypes.c_int
+            threads = get()
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, 1), ("2", 2)])
+def test_import_defaults_openblas_to_one_thread(given, expected):
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    variable, threads = json.loads(result.stdout)
+    assert variable == str(expected)  # a user's own setting wins
+    if threads is not None:  # OpenBLAS caps its pool at the usable cores
+        assert threads == min(expected, len(os.sched_getaffinity(0)))
+
+
+def test_toy_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # 128 examples of 8 tokens make 1,024-row products, large enough for
+    # OpenBLAS to split them over two threads.  It splits a product over
+    # output tiles, never over the summed dimension, so the bytes match.
+    toy = [
+        "--stage1-epochs", "2", "--stage2-epochs", "2",
+        "--n-train", "128", "--n-heldout", "128",
+    ]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        for command in ("ablation", "train-toy"):
+            result = subprocess.run(
+                [sys.executable, "-m", "exitsim.cli", command, *toy,
+                 "--out-dir", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outputs["1"]) == [
+        "ablation.csv", "ablation_summary.json",
+        "toy_cascade.json", "train_toy_summary.json",
+    ]
+    assert outputs["1"] == outputs["2"]

@@ -816,6 +816,7 @@ def test_checkpoint_bytes_are_stable(tmp_path):
     save_cascade(model, p1)
     save_cascade(model, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json"]  # no temp file
 
 
 def test_checkpoint_save_refuses_non_finite_parameters(tmp_path):

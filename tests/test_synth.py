@@ -408,6 +408,19 @@ def test_empty_file_is_header_only(tmp_path):
     assert list(read_traces(path)) == []
 
 
+def test_failed_stream_leaves_no_trace_file(tmp_path):
+    model = SyntheticConfidenceModel()
+
+    def images():
+        yield next(image_stream(model, model.stream_rng(0), max_len=5))
+        raise RuntimeError("stream failed")
+
+    path = str(tmp_path / "traces.txt")
+    with pytest.raises(RuntimeError, match="stream failed"):
+        write_traces(path, images(), model.n_layers, model.vocab_size)
+    assert os.listdir(tmp_path) == []  # no partial file, no temp file
+
+
 def test_corpus_bytes_are_pinned(tmp_path):
     model = SyntheticConfidenceModel()
     images = islice(image_stream(model, model.stream_rng(0), max_len=5), 200)
