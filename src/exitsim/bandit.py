@@ -19,7 +19,9 @@ import numpy as np
 from .cascade import (
     ExitDecision,
     ExitHistogram,
+    exit_counts,
     exit_layer_indices,
+    running_max,
     speedup_ratio,
 )
 from .synth import (
@@ -257,8 +259,11 @@ def _snapshot_field(snapshot: dict, key: str, kind: type, many: bool = False):
 
 def _ucb_index(state: BanditState) -> int:
     """Index of the arm with the largest Q + gamma * sqrt(ln t / pulls);
-    ties go to the smallest.  Every arm must have been pulled."""
+    ties go to the smallest.  Every arm must have been pulled.  A scan
+    over one arm always picks it, so a one-arm state skips the index."""
     q, pulls, gamma = state.q, state.pulls, state.gamma
+    if len(q) == 1:
+        return 0
     log_t = math.log(state.t)
     best_index = 0
     best_value = -math.inf
@@ -377,7 +382,7 @@ def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
 def _rewards(gain: np.ndarray, exits: np.ndarray, params: RewardParams) -> np.ndarray:
     """``gain`` minus the scaled latency of 0-based ``exits``: the float64
     operations of ``reward``, so bit-identical to it."""
-    return gain - params.mu * np.asarray(params.latency)[exits]
+    return gain - params.mu * np.asarray(params.latency).take(exits)
 
 
 def _check_layers(conf: np.ndarray, params: RewardParams) -> None:
@@ -408,7 +413,7 @@ def _arm_table(
     params: RewardParams,
 ) -> _ArmTable:
     """The outcome of every arm on every row of a (rows, layers) block of
-    confidences and token ids, from one broadcast.  A block whose depth
+    confidences and token ids, from one running max.  A block whose depth
     is not ``params.n_layers`` raises ValueError."""
     _check_layers(conf, params)
     exits = exit_layer_indices(conf, thresholds)
@@ -601,7 +606,8 @@ def expected_reward_oracle(
     """
     _check_samples(samples)
     conf = model.confidence_matrix(samples, np.random.default_rng(seed))
-    return _oracle_estimates(conf, actions, [params], samples)[0]
+    # Scored on a layer-major copy: the model's matrix is left as it was.
+    return _oracle_estimates(np.array(conf.T, order="C"), actions, [params])[0]
 
 
 def shared_oracles(
@@ -614,12 +620,13 @@ def shared_oracles(
     """``expected_reward_oracle`` for every model and reward shape, from
     one draw of the oracle's variates: ``result[i][j]`` is the estimate
     for ``models[i]`` under ``params[j]``.  The models may differ only in
-    ``sigma``; each arm's exits are found once per model.
+    ``sigma``; each model's running max is built once.
     """
     _check_samples(samples)
     estimates = []
     for conf in confidence_matrices(models, samples, np.random.default_rng(seed)):
-        estimates.append(_oracle_estimates(conf, actions, params, samples))
+        # conf is the transpose of a fresh layer-major block: scored in place.
+        estimates.append(_oracle_estimates(conf.T, actions, params))
         del conf  # freed before the next matrix is finished
     return estimates
 
@@ -630,17 +637,28 @@ def _check_samples(samples: int) -> None:
 
 
 def _oracle_estimates(
-    conf: np.ndarray,
+    block: np.ndarray,
     actions: ActionSet,
     params: Sequence[RewardParams],
-    samples: int,
 ) -> list[OracleEstimate]:
+    """Every arm's mean reward under each of ``params`` over a layer-major
+    (layers, samples) confidence block, which is overwritten: its first
+    L - 1 rows become their running max.  At a token's first clearing
+    layer the running max is that layer's own confidence, and the final
+    row and layer 1 keep theirs, so each arm's banked confidences are
+    one gather from the block at its exits."""
     for p in params:
-        _check_layers(conf, p)
+        _check_layers(block.T, p)
+    block = np.ascontiguousarray(block)
+    samples = block.shape[1]
+    top = running_max(block[:-1])
+    flat, first = block.ravel(), block[0]
+    offsets = np.arange(samples)
     expected = [[] for _ in params]
-    for alpha in actions.thresholds:  # one arm at a time bounds peak memory
-        exits = exit_layer_indices(conf, alpha)
-        gain = _gains(conf, exits)
+    for alpha in actions.thresholds:
+        exits = exit_counts(top, np.float64(alpha))
+        gain = flat.take(np.multiply(exits, samples, dtype=np.intp) + offsets)
+        gain -= first
         for p, means in zip(params, expected):
             means.append(float(_rewards(gain, exits, p).mean()))
     return [

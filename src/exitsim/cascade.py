@@ -141,7 +141,9 @@ def exit_layer_indices(
     of a (tokens, layers) confidence array.
 
     ``alpha`` is one threshold, giving shape (tokens,), or a 1-D grid of
-    K thresholds, giving shape (tokens, K) from a single broadcast.
+    K thresholds in any order, giving shape (tokens, K).  Both come from
+    ``running_max`` and ``exit_counts`` over a layer-major copy of the
+    first L - 1 layers.
     """
     alphas = np.asarray(alpha, dtype=np.float64)
     if alphas.ndim > 1:
@@ -150,11 +152,32 @@ def exit_layer_indices(
     if not in_range.all():
         bad = alpha if alphas.ndim == 0 else float(alphas[~in_range][0])
         raise ValueError(f"exit threshold {bad!r} outside [0, 1]")
-    # (tokens, K, layers): the layer axis is contiguous for the argmax.
-    clears = confidences[:, None, :] >= alphas.reshape(-1, 1)
-    clears[:, :, -1] = True  # the final layer is the unconditional fallback
-    exits = clears.argmax(axis=2)  # first True along the layers
-    return exits if alphas.ndim else exits[:, 0]
+    top = running_max(np.array(confidences[:, :-1].T, order="C"))
+    return exit_counts(top, alphas)
+
+
+def running_max(top: np.ndarray) -> np.ndarray:
+    """Overwrite each row of a layer-major (layers, tokens) block with
+    the running ``fmax`` of the rows up to it, so NaN never wins."""
+    for j in range(1, len(top)):
+        np.fmax(top[j - 1], top[j], out=top[j])
+    return top
+
+
+def exit_counts(top: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The exit rule's kernel: 0-based exit layers from ``top``, the
+    running max of the first L - 1 layers, layer-major.
+
+    A token's running max clears ``alpha`` from its first clearing layer
+    on, and a NaN never clears, so its exit is the count of layers whose
+    running max is not >= ``alpha``; none clearing means the final
+    layer.  ``alphas`` is a scalar, giving shape (tokens,), or a 1-D grid
+    of K, giving shape (tokens, K).  The counts are int8 while every
+    1-based layer fits.
+    """
+    clears = np.greater_equal(top[..., None] if alphas.ndim else top, alphas)
+    dtype = np.int8 if len(top) < 127 else np.intp
+    return len(top) - clears.sum(axis=0, dtype=dtype)
 
 
 def run_caption(

@@ -163,6 +163,10 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+# Row fields whose repr is what csv.writer writes for them (repr for floats).
+_PLAIN_NUMBER = frozenset((int, float))
+
+
 def _write_outputs(
     args: argparse.Namespace,
     config: dict,
@@ -197,9 +201,13 @@ def _write_outputs(
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 for row in rows:
-                    writer.writerow(
-                        [repr(v) if isinstance(v, float) else v for v in row]
-                    )
+                    if all(map(_PLAIN_NUMBER.__contains__, map(type, row))):
+                        # The bytes csv.writer writes for these fields.
+                        fh.write(",".join(map(repr, row)) + "\r\n")
+                    else:
+                        writer.writerow(
+                            [repr(v) if isinstance(v, float) else v for v in row]
+                        )
         with open(temps[-1], "w", encoding="ascii") as fh:
             fh.write(text)
             fh.write("\n")

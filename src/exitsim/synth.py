@@ -49,9 +49,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
+    np.maximum(e, positive, out=e)  # 1 where z >= 0, since e <= 1
     e /= d
-    np.divide(1.0, d, out=d)
-    np.copyto(e, d, where=positive)
     return e
 
 
@@ -217,12 +216,14 @@ def confidence_matrices(
         if distort(model, models[0].sigma) != models[0]:
             raise ValueError(f"{model} differs from {models[0]} beyond sigma")
     draws = _draw_block(models[0], n_tokens, rng, token_ids=False)
-    return (_confidences(model, draws) for model in models)
+    return (_confidences(model, draws).T for model in models)
 
 
 def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarray:
+    """The drawn tokens' confidences at ``model``'s distortion level, as a
+    fresh layer-major (layers, tokens) block."""
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
-    rise = np.subtract(layer_index[None, :], draws.difficulty[:, None])
+    rise = np.subtract(layer_index[:, None], draws.difficulty[None, :])
     rise *= model.growth
     center_logit = math.log(model.ceiling_center / (1.0 - model.ceiling_center))
     ceiling = (
@@ -231,11 +232,10 @@ def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarr
         - model.sigma * model.ceiling_drop_rate
     )
     ceiling = np.where(draws.clean, np.inf, ceiling)
-    z = np.minimum(rise, ceiling[:, None], out=rise)
+    z = np.minimum(rise, ceiling[None, :], out=rise)
     z -= model.sigma * model.base_drop_rate
-    z += draws.noise
-    conf = _sigmoid(z)
-    return np.clip(conf, 0.0, 1.0, out=conf)
+    z += draws.noise.T
+    return _sigmoid(z)
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBa
     never use the eos id, keeping caption lengths governed by
     ``eos_prob`` alone.
     """
-    conf = _confidences(model, draws)
+    conf = np.ascontiguousarray(_confidences(model, draws).T)
     v = model.vocab_size
     targets = np.where(draws.is_eos, model.eos_id, draws.nominal)
     collide = draws.wrong == targets

@@ -43,14 +43,37 @@ def make_image(conf_rows, image_id=0, targets=None):
 
 
 class FixedTraceModel:
-    """Oracle test double: confidence_matrix returns preset rows, cycled."""
+    """Oracle test double: confidence_matrix returns preset rows, cycled,
+    laid out as SyntheticConfidenceModel lays its matrix out (the
+    transpose of a layer-major block), and keeps the last one it handed
+    out as ``last``."""
 
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=float)
+        self.last = None
 
     def confidence_matrix(self, n_tokens, rng):
         reps = -(-n_tokens // self.rows.shape[0])
-        return np.tile(self.rows, (reps, 1))[:n_tokens]
+        self.last = np.asfortranarray(np.tile(self.rows, (reps, 1))[:n_tokens])
+        return self.last
+
+
+def reference_oracle_means(conf, thresholds, params):
+    """The per-arm argmax oracle the running-max kernel replaced: for
+    each threshold, the exits of a (samples, layers) ``conf`` from a
+    fresh (samples, layers) bool block, then each reward shape's mean.
+    ``result[j][k]`` is arm k's mean under ``params[j]``."""
+    rows = np.arange(len(conf))
+    means = [[] for _ in params]
+    for alpha in thresholds:
+        clears = conf >= alpha
+        clears[:, -1] = True
+        exits = clears.argmax(axis=1)
+        gain = conf[rows, exits] - conf[rows, 0]
+        for p, row in zip(params, means):
+            latency = np.asarray(p.latency)[exits]
+            row.append(float((gain - p.mu * latency).mean()))
+    return means
 
 
 def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budget):

@@ -43,6 +43,7 @@ from conftest import (
     json_values,
     make_image,
     make_trace,
+    reference_oracle_means,
 )
 
 
@@ -185,6 +186,16 @@ def test_ucb_argmax_is_shift_invariant():
         actions, q=[q + 0.125 for q in base.q], pulls=[3, 3, 3], t=9, gamma=1.0
     )
     assert ucb_select(base) == ucb_select(shifted)
+
+
+def test_ucb_index_of_a_one_arm_state_is_zero():
+    # A scan over one arm always picks it, so its index is never formed:
+    # not even ln 0 or a division by zero pulls.
+    state = BanditState(ActionSet((0.6,)), q=[0.5], pulls=[3], t=2**80, gamma=1.0)
+    state.q[0] = math.nan
+    assert bandit._ucb_index(state) == 0
+    assert ucb_select(state) == 0.6
+    assert bandit._ucb_index(BanditState.fresh(ActionSet((0.6,)))) == 0
 
 
 def test_ucb_requires_initialization():
@@ -755,6 +766,33 @@ def test_shared_oracles_equal_one_oracle_per_sigma_and_lambda():
                 expected_reward_oracle(model, actions, p, samples=samples, **kwargs)
                 for p in params
             ]
+
+
+def test_oracle_estimates_equal_the_per_arm_argmax_reference():
+    # Bitwise, from the transpose of a row-major matrix (copied before it
+    # is scored) and from a layer-major block (scored in place).
+    actions = ActionSet.default_grid()
+    params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 1.0, 2.0)]
+    params.append(RewardParams(n_layers=12, mu=0.3))
+    base = SyntheticConfidenceModel(seed=5)
+    for sigma in (0.0, 2.0):
+        conf = distort(base, sigma).confidence_matrix(3001, np.random.default_rng(2))
+        conf = np.array(conf, order="C")
+        conf[::97, 3] = 0.5  # exact ties with a grid point
+        conf[::89, 0] = 1.0
+        want = reference_oracle_means(conf, actions.thresholds, params)
+        for block in (conf.T, np.array(conf.T, order="C")):
+            got = bandit._oracle_estimates(block, actions, params)
+            assert [list(e.expected_rewards) for e in got] == want
+            assert {e.samples for e in got} == {3001}
+
+
+def test_expected_reward_oracle_leaves_the_models_matrix_unmodified():
+    model = FixedTraceModel([[0.8, 0.2, 0.9, 0.3], [0.6, 0.5, 0.1, 0.7]])
+    expected_reward_oracle(
+        model, ActionSet((0.5, 0.85)), RewardParams(n_layers=4), samples=5
+    )
+    assert model.last.tobytes() == np.tile(model.rows, (3, 1))[:5].tobytes()
 
 
 def test_shared_oracles_validation():

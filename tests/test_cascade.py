@@ -87,6 +87,39 @@ def test_exit_layer_indices_takes_a_threshold_grid():
             exit_layer_indices(conf, bad)
 
 
+def first_clearing_exits(conf, alpha):
+    """0-based exit of each row by a plain scan: the first layer before
+    the last whose confidence is >= alpha, else the last."""
+    exits = []
+    for row in conf:
+        i = 0
+        while i < len(row) - 1 and not row[i] >= alpha:
+            i += 1
+        exits.append(i)
+    return np.array(exits)
+
+
+@pytest.mark.parametrize("n_layers", [2, 7, 200])
+def test_exit_layer_indices_equal_a_first_clearing_scan(n_layers):
+    rng = np.random.default_rng(n_layers)
+    conf = rng.random((150, n_layers))
+    conf[rng.random(conf.shape) < 0.2] = np.nan  # NaN never clears
+    conf[::13] = np.nan  # nothing clears: the final layer
+    conf[::3, 0] = 0.25  # exact ties with grid points
+    conf[::4, n_layers - 2] = 0.7
+    conf[::17, n_layers // 2] = 1.0
+    grid = np.array([0.7, 0.0, 1.0, 0.25, 0.5])  # unsorted, both ends
+    before = conf.tobytes()
+    table = exit_layer_indices(conf, grid)
+    assert table.shape == (150, 5)
+    for k, alpha in enumerate(grid):
+        want = first_clearing_exits(conf, alpha)
+        np.testing.assert_array_equal(table[:, k], want)
+        np.testing.assert_array_equal(exit_layer_indices(conf, alpha), want)
+        np.testing.assert_array_equal(exit_layer_indices(conf.T.copy().T, alpha), want)
+    assert conf.tobytes() == before  # the caller's array is not overwritten
+
+
 def test_trace_needs_two_layers():
     with pytest.raises(TraceValidationError):
         TokenTrace.from_arrays([0.5], [1])

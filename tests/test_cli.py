@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -491,6 +492,27 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
         cli._write_outputs(args, {}, {}, "bandit_log.csv", ["t"], rows())
     assert os.listdir(tmp_path) == []  # no CSV, no summary, no temp file
     assert capsys.readouterr().out == ""
+
+
+def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, capsys):
+    # Plain int/float rows skip csv.writer; every other row goes through it.
+    rows = [
+        (1, 0.1, 12, -0.0, 1e-300),
+        (2, float("nan"), -3, float("inf"), 2.5e16),
+        (True, 0.5, np.int64(7), np.float64(0.25), 3),
+        ("fixed-0.6", 0.5, None, 'a "quoted", field', 1),
+        (),
+    ]
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["t", "arm"])
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    args = argparse.Namespace(command="bandit", out_dir=str(tmp_path))
+    cli._write_outputs(args, {}, {}, "bandit_log.csv", ["t", "arm"], rows)
+    capsys.readouterr()
+    got = (tmp_path / "bandit_log.csv").read_bytes()
+    assert got == want.getvalue().encode("ascii")
 
 
 def test_staged_replaces_only_after_the_block(tmp_path):

@@ -215,6 +215,18 @@ def test_sigmoid_matches_the_masked_reference_bitwise():
     assert np.isnan(_sigmoid(np.array([np.nan]))[0])
 
 
+def test_finished_confidences_stay_in_the_unit_interval():
+    # Nothing clips _sigmoid: each branch lies in [0, 1] on its own.
+    z = np.array([-np.inf, -800.0, -1e-300, -0.0, 0.0, 1e-300, 800.0, np.inf])
+    got = _sigmoid(z.copy())
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    draws = draw_tokens(SyntheticConfidenceModel(), 20, np.random.default_rng(1), 40)
+    for sigma in (0.0, 5.0):
+        conf = finish_tokens(SyntheticConfidenceModel(sigma=sigma), draws).confidences
+        assert conf.flags.c_contiguous
+        assert np.all((conf >= 0.0) & (conf <= 1.0))
+
+
 def test_confidence_matrices_share_one_draw():
     base = SyntheticConfidenceModel(seed=4)
     models = [distort(base, sigma) for sigma in (2.0, 0.0, 0.5)]
