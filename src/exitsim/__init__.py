@@ -9,14 +9,8 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cascade import (
-    CaptionRun,
-    ExitDecision,
     ExitHistogram,
-    LayerOutcome,
-    TokenTrace,
     TraceValidationError,
-    decide_exit,
-    run_caption,
     speedup_ratio,
 )
 from .bandit import (
@@ -31,11 +25,8 @@ from .bandit import (
     initialize,
     regret_bound,
     regret_curve,
-    reward,
     run_lockstep,
     shared_oracles,
-    ucb_select,
-    update,
 )
 from .synth import (
     IMAGE_CHUNK,
@@ -49,30 +40,20 @@ from .synth import (
     draw_tokens,
     finish_tokens,
     image_stream,
-    read_header,
     read_traces,
-    sample_batch,
-    sample_image,
     write_traces,
 )
 from .distill import (
     CheckpointError,
-    LossBreakdown,
     StepSchedule,
     SyntheticExample,
     ToyCascade,
     ToyConfig,
     ToyTask,
     TrainingError,
-    backbone_objective,
-    exit_loss,
-    exit_objective,
     finetune_loss,
-    forward,
-    gradient_check,
     head_confidences,
     init_cascade,
-    kl_divergence,
     layer_accuracies,
     load_cascade,
     make_task,

@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cascade import (
-    ExitDecision,
     ExitHistogram,
     exit_counts,
     exit_layer_indices,
@@ -44,8 +43,8 @@ ORACLE_SEED = 1000003
 
 
 class BanditError(RuntimeError):
-    """Bandit state misuse: uninitialized selection, an image too short
-    to initialize on, or a non-finite state to save."""
+    """Bandit state misuse: an image too short to initialize on, or a
+    non-finite state to save."""
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,6 @@ class RewardParams:
     def bounds(self) -> tuple[float, float]:
         """Hard reward range [-1 - mu * o_N, 1]."""
         return (-1.0 - self.mu * self.latency[-1], 1.0)
-
-
-def reward(decision: ExitDecision, params: RewardParams) -> float:
-    """Confidence gain over layer 1 minus the scaled latency of the exit."""
-    i = decision.exit_layer
-    if not 1 <= i <= params.n_layers:
-        raise ValueError(f"exit layer {i} outside [1, {params.n_layers}]")
-    gain = decision.confidence - decision.first_layer_confidence
-    return gain - params.mu * params.latency[i - 1]
 
 
 @dataclass
@@ -275,26 +265,10 @@ def _ucb_index(state: BanditState) -> int:
     return best_index
 
 
-def ucb_select(state: BanditState) -> float:
-    """Arm with the largest Q + gamma * sqrt(ln t / pulls); ties go to the
-    smallest threshold."""
-    if not state.initialized:
-        raise BanditError(
-            "bandit state has unplayed arms: call initialize() before "
-            "ucb_select()"
-        )
-    return state.actions.thresholds[_ucb_index(state)]
-
-
 def _fold(state: BanditState, k: int, observed_reward: float) -> None:
     state.pulls[k] += 1
     state.q[k] += (observed_reward - state.q[k]) / state.pulls[k]
     state.t += 1
-
-
-def update(state: BanditState, alpha: float, observed_reward: float) -> None:
-    """Fold one observed reward into the chosen arm's running mean."""
-    _fold(state, state.actions.index(alpha), observed_reward)
 
 
 def sum_left_to_right(values: Iterable[float]) -> float:
@@ -381,7 +355,7 @@ def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
 
 def _rewards(gain: np.ndarray, exits: np.ndarray, params: RewardParams) -> np.ndarray:
     """``gain`` minus the scaled latency of 0-based ``exits``: the float64
-    operations of ``reward``, so bit-identical to it."""
+    operations of the scalar reward, so bit-identical to it."""
     return gain - params.mu * np.asarray(params.latency).take(exits)
 
 
@@ -474,6 +448,7 @@ class AdaptiveCell:
         start = 0
         if self.state is None:
             first = ImageTraces(0, conf[:max_len], ids[:max_len])
+            # Called through the module global: bench/tracer.py counts init rounds here.
             self.state = initialize(self.actions, first, self.params, gamma, log)
             for k in range(width):  # arm k played on token k
                 counts[exits[k * width + k]] += 1

@@ -1,21 +1,21 @@
-"""Token-level confidence traces and the deterministic early-exit rule.
+"""The deterministic early-exit rule over arrays of confidence traces.
 
 A trace records, for one emitted token, what every exit head of a layered
 decoder produced: the head's top softmax probability (its confidence) and
-the token id it would emit.  The exit rule walks the layers in order and
-stops at the first one whose confidence clears a threshold; the final
-layer is the unconditional fallback.
+the token id it would emit.  Traces travel as (tokens, layers) arrays.
+The exit rule stops each token at the first layer whose confidence clears
+a threshold, the final layer being the unconditional fallback; it runs as
+one kernel, ``running_max`` + ``exit_counts``, over a whole block.  The
+exit histogram turns the exits into the depth-cost speedup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-DEFAULT_EOS_ID = 0
 DEFAULT_MAX_CAPTION_LENGTH = 20
 
 
@@ -23,6 +23,7 @@ class TraceValidationError(ValueError):
     """A token trace violates its structural invariants."""
 
 
+# Test-only scalar records, kept here because bench/tracer.py patches TokenTrace.
 class LayerOutcome(NamedTuple):
     confidence: float
     token_id: int
@@ -82,63 +83,11 @@ class TokenTrace:
         return tuple(layer.token_id for layer in self.layers)
 
 
-@dataclass(frozen=True)
-class ExitDecision:
-    """Outcome of applying the exit rule to one trace.
-
-    ``confidence`` belongs to the exiting layer; the first layer's
-    confidence is kept alongside because reward computations need the
-    confidence gain over layer 1.
-    """
-
-    exit_layer: int
-    token_id: int
-    confidence: float
-    first_layer_confidence: float
-
-
-@dataclass(frozen=True)
-class CaptionRun:
-    """All exit decisions for one image's emitted token sequence.
-
-    ``truncated`` marks runs that stopped because the trace source ran
-    dry (or an external budget cut in) before the end-of-sequence token
-    and before the length cap.
-    """
-
-    image_id: int | str
-    tokens: tuple[ExitDecision, ...]
-    terminated_by_eos: bool
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def decide_exit(trace: TokenTrace, alpha: float) -> ExitDecision:
-    """Return the first layer i < N whose confidence is >= ``alpha``.
-
-    The comparison is >= so alpha = 0.0 always exits at layer 1, and
-    alpha = 1.0 exits early only on an exact 1.0 confidence.  When no
-    intermediate layer clears the threshold the final layer is used.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"exit threshold {alpha!r} outside [0, 1]")
-    layers = trace.layers
-    first_conf = layers[0].confidence
-    for i in range(len(layers) - 1):
-        conf, token = layers[i]
-        if conf >= alpha:
-            return ExitDecision(i + 1, token, conf, first_conf)
-    conf, token = layers[-1]
-    return ExitDecision(len(layers), token, conf, first_conf)
-
-
 def exit_layer_indices(
     confidences: np.ndarray, alpha: float | Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """Batch form of ``decide_exit``: the 0-based exit layer of every row
-    of a (tokens, layers) confidence array.
+    """The exit rule on a (tokens, layers) confidence array: the 0-based
+    exit layer of every row.
 
     ``alpha`` is one threshold, giving shape (tokens,), or a 1-D grid of
     K thresholds in any order, giving shape (tokens, K).  Both come from
@@ -178,47 +127,6 @@ def exit_counts(top: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     clears = np.greater_equal(top[..., None] if alphas.ndim else top, alphas)
     dtype = np.int8 if len(top) < 127 else np.intp
     return len(top) - clears.sum(axis=0, dtype=dtype)
-
-
-def run_caption(
-    trace_source: Iterable,
-    alpha: float | Callable[..., ExitDecision],
-    max_caption_length: int = DEFAULT_MAX_CAPTION_LENGTH,
-    eos_id: int = DEFAULT_EOS_ID,
-    image_id: int | str = 0,
-) -> CaptionRun:
-    """Emit tokens from ``trace_source`` until eos or the length cap.
-
-    ``alpha`` is either a fixed exit threshold applied to each
-    ``TokenTrace`` of the source, or a policy called with each item of
-    the source that decides its exit itself, such as the online
-    threshold adapter (which is fed token positions).
-    Each emitted token comes from the exiting layer of its trace, which
-    is what makes the threshold observable in the output sequence.
-    """
-    if max_caption_length < 1:
-        raise ValueError(f"max_caption_length must be >= 1, got {max_caption_length}")
-    decide = alpha if callable(alpha) else partial(decide_exit, alpha=alpha)
-    source = iter(trace_source)
-    decisions: list[ExitDecision] = []
-    terminated = False
-    truncated = False
-    while len(decisions) < max_caption_length:
-        trace = next(source, None)
-        if trace is None:
-            truncated = True
-            break
-        decision = decide(trace)
-        decisions.append(decision)
-        if decision.token_id == eos_id:
-            terminated = True
-            break
-    return CaptionRun(
-        image_id=image_id,
-        tokens=tuple(decisions),
-        terminated_by_eos=terminated,
-        truncated=truncated,
-    )
 
 
 @dataclass

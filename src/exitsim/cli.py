@@ -622,8 +622,6 @@ def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
         schedule,
         loss_terms=config["loss_terms"],
     )
-    path = _out_path(args, config["checkpoint"])
-    save_cascade(model, path)
     fields = {
         "stage1_loss": {
             "first": stage1[0] if stage1 else None,
@@ -636,6 +634,8 @@ def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
         "heldout_accuracy": list(layer_accuracies(model, task.heldout)),
         "train_accuracy": list(layer_accuracies(model, task.train)),
     }
+    # Scored first: a model whose heads cannot be scored is not saved.
+    save_cascade(model, _out_path(args, config["checkpoint"]))
     _write_outputs(args, config, fields, config["checkpoint"])
     return 0
 

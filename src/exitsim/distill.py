@@ -9,8 +9,8 @@ cross-entropy on the hard targets plus a KL term pulling each exit's
 distribution toward the teacher's.
 
 Everything is plain full-batch gradient descent with hand-written
-gradients, small enough that every gradient path is checkable against
-central finite differences.
+gradients, small enough that the tests check every gradient path
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,18 +92,6 @@ class SyntheticExample:
             raise ValueError("need at least one row")
         if self.targets.min() < 0:
             raise ValueError("targets must be non-negative token ids")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Cross-entropy and distillation parts of one exit loss."""
-
-    ce: float
-    kl: float
-
-    @property
-    def total(self) -> float:
-        return self.ce + self.kl
 
 
 @dataclass
@@ -233,7 +221,9 @@ def _head_probs(model: ToyCascade, example: SyntheticExample) -> Iterator[np.nda
 
     The hidden states alternate between two buffers, and one buffer holds
     each head's logits and then its softmax, so every head is yielded in
-    the same array: read it before asking for the next.
+    the same array: read it before asking for the next.  A head whose
+    probabilities are not all finite (its logits overflowed) raises
+    TrainingError instead of being scored.
     """
     cfg = model.config
     rows = len(example.targets)
@@ -243,24 +233,14 @@ def _head_probs(model: ToyCascade, example: SyntheticExample) -> Iterator[np.nda
         [*model.exit_weights, model.teacher_weight],
         [*model.exit_biases, model.teacher_bias],
     )
-    for h, (w, b) in zip(_hidden_states(model, example.features, cycle(pair)), heads):
+    states = _hidden_states(model, example.features, cycle(pair))
+    for layer, (h, (w, b)) in enumerate(zip(states, heads), start=1):
         np.matmul(h, w, out=probs)
         probs += b
-        yield _softmax(probs, out=probs)
-
-
-def forward(model: ToyCascade, example: SyntheticExample) -> np.ndarray:
-    """Probability vector from every head at every row of the block: the
-    stacked form of the per-head pass.
-
-    Returns an array of shape (rows, n_layers, vocab_size); the last
-    layer slot is the teacher head.
-    """
-    cfg = model.config
-    out = np.empty((len(example.targets), cfg.n_layers, cfg.vocab_size))
-    for i, probs in enumerate(_head_probs(model, example)):
-        out[:, i, :] = probs
-    return out
+        _softmax(probs, out=probs)
+        if not np.isfinite(probs).all():
+            raise TrainingError(f"head {layer} probabilities are not finite")
+        yield probs
 
 
 def head_confidences(
@@ -316,40 +296,6 @@ def _kl_rows(
     diff -= kl[..., None]
     diff *= p
     return kl, diff
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats, student distribution first.
-
-    Zero-mass components of p contribute nothing; q is floored at
-    DEFAULT_PROB_FLOOR so the value stays finite.  The floor inflates
-    q's mass by at most vocab * 1e-12, which can pull the exact value
-    a hair below zero; that rounding is clamped away.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"need matching vectors, got {p.shape} and {q.shape}")
-    return max(float(_kl_rows(p, _floored_log(q))[0]), 0.0)
-
-
-def exit_loss(
-    student_probs: np.ndarray,
-    teacher_probs: np.ndarray,
-    targets: np.ndarray,
-) -> LossBreakdown:
-    """Hard-label CE plus mean KL toward the teacher, per token."""
-    if student_probs.shape != teacher_probs.shape:
-        raise ValueError(
-            f"student shape {student_probs.shape} does not match teacher "
-            f"shape {teacher_probs.shape}"
-        )
-    ce = finetune_loss(student_probs, targets)
-    kl_rows, _ = _kl_rows(
-        np.asarray(student_probs, float),
-        _floored_log(np.asarray(teacher_probs, float)),
-    )
-    return LossBreakdown(ce=ce, kl=float(np.maximum(kl_rows, 0.0).mean()))
 
 
 @dataclass(frozen=True)
@@ -572,112 +518,6 @@ def layer_accuracies(
         float((probs.argmax(axis=1) == example.targets).mean())
         for probs in _head_probs(model, example)
     )
-
-
-# ---------------------------------------------------------------------------
-# Flat-vector objectives for finite-difference checking
-
-
-def _flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unflatten(vector: np.ndarray, templates: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for t in templates:
-        out.append(vector[offset : offset + t.size].reshape(t.shape))
-        offset += t.size
-    if offset != vector.size:
-        raise ValueError(f"vector has {vector.size} entries, expected {offset}")
-    return out
-
-
-def backbone_objective(
-    model: ToyCascade, example: SyntheticExample
-) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[float, np.ndarray]]]:
-    """Stage-one loss as a function of the flat backbone parameters.
-
-    Returns the current flat parameter vector and a function mapping
-    any such vector to (loss, flat analytic gradient).  The model
-    itself is never mutated.
-    """
-    templates = (
-        list(model.layer_weights)
-        + list(model.layer_biases)
-        + [model.teacher_weight, model.teacher_bias]
-    )
-    x0 = _flatten(templates)
-    n = len(model.layer_weights)
-    buffers = _backbone_buffers(model.config, len(example.targets))
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        parts = _unflatten(x, templates)
-        probe = dataclasses.replace(
-            model,
-            layer_weights=parts[:n],
-            layer_biases=parts[n : 2 * n],
-            teacher_weight=parts[2 * n],
-            teacher_bias=parts[2 * n + 1],
-        )
-        loss, g_w, g_b, g_tw, g_tb = _backbone_backward(probe, example, buffers)
-        return loss, _flatten(g_w + g_b + [g_tw, g_tb])
-
-    return x0, objective
-
-
-def exit_objective(
-    model: ToyCascade,
-    example: SyntheticExample,
-    loss_terms: str = "both",
-) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[float, np.ndarray]]]:
-    """Stage-two summed exit loss as a function of the flat head params."""
-    states, log_q = _frozen_inputs(model, example, loss_terms)
-    buffers = np.empty((2,) + log_q.shape)
-    templates = list(model.exit_weights) + list(model.exit_biases)
-    x0 = _flatten(templates)
-    n = len(model.exit_weights)
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        parts = _unflatten(x, templates)
-        probe = dataclasses.replace(
-            model, exit_weights=parts[:n], exit_biases=parts[n:]
-        )
-        loss, g_w, g_b = _exits_backward(
-            probe, states, log_q, example.targets, loss_terms, buffers
-        )
-        return loss, _flatten(g_w + g_b)
-
-    return x0, objective
-
-
-def gradient_check(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    n_probes: int = 100,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error of the analytic gradient on random coordinates.
-
-    Central differences with the given step; relative error uses
-    max(|analytic|, |numeric|, 1e-6) as the denominator so near-zero
-    coordinates do not blow up the ratio.
-    """
-    rng = np.random.default_rng(seed)
-    _, grad = objective(x0)
-    worst = 0.0
-    for _ in range(n_probes):
-        j = int(rng.integers(0, x0.size))
-        bumped = x0.copy()
-        bumped[j] = x0[j] + step
-        up, _ = objective(bumped)
-        bumped[j] = x0[j] - step
-        down, _ = objective(bumped)
-        numeric = (up - down) / (2.0 * step)
-        denom = max(abs(grad[j]), abs(numeric), 1e-6)
-        worst = max(worst, abs(grad[j] - numeric) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

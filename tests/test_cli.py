@@ -22,7 +22,6 @@ from exitsim import (
     SyntheticConfidenceModel,
     ToyConfig,
     distort,
-    forward,
     init_cascade,
     load_cascade,
     read_traces,
@@ -32,6 +31,8 @@ from exitsim import (
 from exitsim import bandit, cli
 from exitsim.cli import main
 from exitsim.staging import staged
+
+from reference import forward
 
 from conftest import assert_cell_matches_reference
 
@@ -904,6 +905,56 @@ def test_train_toy_refuses_unknown_loss_terms_before_training(
     assert code == 2
     assert err.startswith("error: config: loss_terms must be one of")
     assert not out.exists()
+
+
+# One step at this rate leaves parameters near the float maximum: finite,
+# so a checkpoint would hold them, but every head's logits overflow (and
+# numpy warns of it on the way).
+OVERFLOWING_TRAIN = [
+    "--stage1-epochs", "1",
+    "--stage2-epochs", "1",
+    "--n-train", "1",
+    "--n-heldout", "1",
+    "--learning-rate", "1e308",
+]
+
+
+def assert_unscorable_heads_exit_4(argv, out, capsys):
+    code, stdout, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 4
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [errors[0]]
+    assert errors[0].startswith("error: runtime: head ")
+    assert "probabilities are not finite" in errors[0]
+    assert stdout == ""
+    assert not out.exists()
+
+
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("command", ["train-toy", "ablation"])
+def test_training_to_unscorable_heads_exits_4_and_writes_nothing(
+    command, tmp_path, capsys
+):
+    assert_unscorable_heads_exit_4(
+        [command, *OVERFLOWING_TRAIN], tmp_path / "out", capsys
+    )
+
+
+@OVERFLOW_WARNINGS
+def test_sweep_of_a_model_with_unscorable_heads_exits_4(tmp_path, capsys):
+    model = init_cascade(ToyConfig(), np.random.default_rng(3))
+    for w in (*model.exit_weights, model.teacher_weight):
+        w[:] = 1e308
+    ckpt = str(tmp_path / "model.json")
+    save_cascade(model, ckpt)
+    assert_unscorable_heads_exit_4(
+        ["sweep-threshold", "--model", ckpt], tmp_path / "out", capsys
+    )
 
 
 def test_ablation_tiny_structure(tmp_path, capsys):

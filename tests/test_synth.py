@@ -14,27 +14,36 @@ from exitsim import (
     IMAGE_CHUNK,
     ImageTraces,
     SyntheticConfidenceModel,
-    TokenTrace,
     TraceFormatError,
     TraceValidationError,
     distort,
     draw_tokens,
     finish_tokens,
     image_stream,
-    read_header,
     read_traces,
-    run_caption,
-    sample_batch,
-    sample_image,
     write_traces,
 )
 from exitsim.synth import _sigmoid, confidence_matrices
+
+from reference import (
+    TokenTrace,
+    image_from_traces,
+    read_header,
+    run_caption,
+    sample_image,
+    token_traces,
+)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_traces.txt")
 
 # Guards the on-disk byte format: 200 images of 5 tokens from the
 # default model's stream 0.  Regenerate only on a deliberate format bump.
 CORPUS_SHA256 = "11112844a6d0eb559390d3c1768163cb79ceddb8162f31659f3293b1118ae162"
+
+
+def sample_tokens(model, n_tokens, rng):
+    """One block of ``n_tokens`` tokens, drawn and finished."""
+    return finish_tokens(model, draw_tokens(model, n_tokens, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +92,12 @@ def test_distortion_degrades_final_layer_confidence():
 
 def test_generator_is_deterministic_per_seed_and_stream():
     model = SyntheticConfidenceModel()
-    a = sample_batch(model, 64, model.stream_rng(0))
-    b = sample_batch(model, 64, model.stream_rng(0))
+    a = sample_tokens(model, 64, model.stream_rng(0))
+    b = sample_tokens(model, 64, model.stream_rng(0))
     assert np.array_equal(a.confidences, b.confidences)
     assert np.array_equal(a.token_ids, b.token_ids)
     assert np.array_equal(a.targets, b.targets)
-    c = sample_batch(model, 64, model.stream_rng(1))
+    c = sample_tokens(model, 64, model.stream_rng(1))
     assert not np.array_equal(a.confidences, c.confidences)
 
 
@@ -96,7 +105,7 @@ def test_correctness_is_monotone_in_confidence():
     # One shared uniform per token decides correctness, so the set of
     # correct layers is upward-closed in confidence.
     model = SyntheticConfidenceModel()
-    batch = sample_batch(model, 500, model.stream_rng(3))
+    batch = sample_tokens(model, 500, model.stream_rng(3))
     hit = batch.token_ids == batch.targets[:, None]
     for row in range(len(batch)):
         order = np.argsort(batch.confidences[row])
@@ -108,7 +117,7 @@ def test_correctness_is_monotone_in_confidence():
 
 def test_wrong_guesses_avoid_eos_and_target():
     model = SyntheticConfidenceModel()
-    batch = sample_batch(model, 2000, model.stream_rng(5))
+    batch = sample_tokens(model, 2000, model.stream_rng(5))
     miss = batch.token_ids != batch.targets[:, None]
     wrong_ids = batch.token_ids[miss]
     assert np.all(wrong_ids != model.eos_id)
@@ -117,14 +126,14 @@ def test_wrong_guesses_avoid_eos_and_target():
 
 def test_eos_rate_tracks_eos_prob():
     model = SyntheticConfidenceModel()
-    batch = sample_batch(model, 10_000, model.stream_rng(9))
+    batch = sample_tokens(model, 10_000, model.stream_rng(9))
     rate = float(np.mean(batch.targets == model.eos_id))
     assert abs(rate - model.eos_prob) < 0.02
 
 
 def test_sample_batch_shapes_and_dtypes():
     model = SyntheticConfidenceModel()
-    batch = sample_batch(model, 3, model.stream_rng(0))
+    batch = sample_tokens(model, 3, model.stream_rng(0))
     assert len(batch) == 3
     assert batch.confidences.shape == (3, model.n_layers)
     assert batch.token_ids.shape == (3, model.n_layers)
@@ -150,14 +159,14 @@ def test_sample_image_and_streams():
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
 def test_image_stream_chunks_match_per_image_draws(sigma, max_len):
     # image_stream draws and finishes a chunk of images at once; each
-    # image must be the one a per-image sample_batch draw would give,
+    # image must be the one a per-image draw would give,
     # including in a chunk the consumer stops part-way through.
     model = distort(SyntheticConfidenceModel(seed=3), sigma)
     n_images = 2 * IMAGE_CHUNK + 5
     streamed = list(islice(image_stream(model, model.stream_rng(0), max_len), n_images))
     rng = model.stream_rng(0)
     for image_id, image in enumerate(streamed):
-        batch = sample_batch(model, max_len, rng)
+        batch = sample_tokens(model, max_len, rng)
         assert image.image_id == image_id
         assert np.array_equal(image.confidences, batch.confidences)
         assert np.array_equal(image.token_ids, batch.token_ids)
@@ -173,7 +182,7 @@ def test_one_draw_finishes_at_every_sigma():
         model = distort(base, sigma)
         finished = finish_tokens(model, draws)
         rng = model.stream_rng(0)
-        blocks = [sample_batch(model, 6, rng) for _ in range(3)]
+        blocks = [sample_tokens(model, 6, rng) for _ in range(3)]
         assert np.array_equal(
             finished.confidences, np.concatenate([b.confidences for b in blocks])
         )
@@ -304,10 +313,10 @@ def test_confidence_matrix_property(sigma, growth, n):
 def test_image_traces_validation():
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
     with pytest.raises(ValueError):
-        ImageTraces.from_traces(0, ())
+        image_from_traces(0, ())
     with pytest.raises(ValueError):
-        ImageTraces.from_traces(0, (trace,), targets=(1, 2))
-    image = ImageTraces.from_traces(0, (trace,), targets=(1,))
+        image_from_traces(0, (trace,), targets=(1, 2))
+    image = image_from_traces(0, (trace,), targets=(1,))
     assert len(image) == 1
 
 
@@ -344,11 +353,11 @@ def test_image_traces_is_a_value():
         image.confidences[0, 0] = 0.5
     assert image.token_ids.dtype == np.int64
     assert image.n_layers == 2 and len(image) == 2
-    assert image == ImageTraces.from_traces("a", image.traces, [4, 0])
+    assert image == image_from_traces("a", token_traces(image), [4, 0])
     assert image != ImageTraces("a", image.confidences, image.token_ids)
-    assert image.traces[1] == TokenTrace.from_arrays([0.5, 1.0], [0, 0])
+    assert token_traces(image)[1] == TokenTrace.from_arrays([0.5, 1.0], [0, 0])
     with pytest.raises(TraceValidationError, match="layer counts"):
-        ImageTraces.from_traces(
+        image_from_traces(
             0, [TokenTrace.from_arrays([0.5, 0.5], [1, 1]),
                 TokenTrace.from_arrays([0.5, 0.5, 0.5], [1, 1, 1])]
         )
@@ -371,18 +380,18 @@ def test_conformance_fixture_parses_exactly():
     first = images[0]
     assert first.image_id == "img-1"
     assert first.targets == (5, 0)
-    assert first.traces[0].confidences == (0.25, 0.625, 0.875)
-    assert first.traces[0].token_ids == (3, 5, 5)
-    assert first.traces[1].confidences == (0.5, 0.75, 1.0)
-    assert first.traces[1].token_ids == (2, 0, 0)
+    assert token_traces(first)[0].confidences == (0.25, 0.625, 0.875)
+    assert token_traces(first)[0].token_ids == (3, 5, 5)
+    assert token_traces(first)[1].confidences == (0.5, 0.75, 1.0)
+    assert token_traces(first)[1].token_ids == (2, 0, 0)
 
     second = images[1]
     assert second.image_id == "7"
     assert second.targets is None
-    assert second.traces[0].confidences == (0.125, 0.5, 0.9375)
+    assert token_traces(second)[0].confidences == (0.125, 0.5, 0.9375)
 
     # And the records drive the exit rule as hand-checked.
-    run = run_caption(first.traces, alpha=0.6, eos_id=0)
+    run = run_caption(token_traces(first), alpha=0.6, eos_id=0)
     assert [d.exit_layer for d in run.tokens] == [2, 2]
     assert run.terminated_by_eos
 
@@ -399,14 +408,14 @@ def test_write_then_read_round_trips_exactly(tmp_path):
     loaded = list(read_traces(path))
     # image ids come back as strings; everything else must be bit-equal
     assert loaded == [
-        ImageTraces.from_traces(str(img.image_id), img.traces, img.targets)
+        image_from_traces(str(img.image_id), token_traces(img), img.targets)
         for img in images
     ]
 
 
 def test_round_trip_without_targets(tmp_path):
     trace = TokenTrace.from_arrays([0.1, 0.9], [3, 4])
-    image = ImageTraces.from_traces("a", (trace, trace))
+    image = image_from_traces("a", (trace, trace))
     path = str(tmp_path / "t.txt")
     write_traces(path, [image], 2, 8)
     (loaded,) = read_traces(path)
@@ -449,11 +458,11 @@ def test_confidences_round_trip_bit_exactly(tmp_path):
     trace_rows = [
         TokenTrace.from_arrays(confs[i : i + 2], [1, 2]) for i in range(0, 64, 2)
     ]
-    image = ImageTraces.from_traces(0, trace_rows)
+    image = image_from_traces(0, trace_rows)
     path = str(tmp_path / "bits.txt")
     write_traces(path, [image], 2, 8)
     (loaded,) = read_traces(path)
-    for got, want in zip(loaded.traces, trace_rows):
+    for got, want in zip(token_traces(loaded), trace_rows):
         assert got.confidences == want.confidences
 
 
@@ -602,7 +611,7 @@ def test_read_traces_parses_or_raises_trace_format_error(tmp_path, data):
 
 def test_writer_validates_against_header(tmp_path):
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
-    image = ImageTraces.from_traces(0, (trace,))
+    image = image_from_traces(0, (trace,))
     path = str(tmp_path / "bad.txt")
     with pytest.raises(ValueError, match="layers"):
         write_traces(path, [image], 3, 8)
@@ -610,9 +619,9 @@ def test_writer_validates_against_header(tmp_path):
         write_traces(path, [image], 2, 2)
     with pytest.raises(ValueError, match="source"):
         write_traces(path, [image], 2, 8, source="two words")
-    spaced = ImageTraces.from_traces("a b", (trace,))
+    spaced = image_from_traces("a b", (trace,))
     with pytest.raises(ValueError, match="whitespace"):
         write_traces(path, [spaced], 2, 8)
-    bad_target = ImageTraces.from_traces(1, (trace,), targets=(9,))
+    bad_target = image_from_traces(1, (trace,), targets=(9,))
     with pytest.raises(ValueError, match="target"):
         write_traces(path, [bad_target], 2, 8)
