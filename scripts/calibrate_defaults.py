@@ -22,7 +22,6 @@ from exitsim import (
     ActionSet,
     AdaptiveCell,
     BanditLog,
-    ExitHistogram,
     RewardParams,
     SyntheticConfidenceModel,
     distort,
@@ -54,10 +53,8 @@ def committed_speedup(base, tokens):
     print("== committed fixed-0.6 speedup (sigma=0) ==")
     conf = base.confidence_matrix(tokens, base.stream_rng(0))
     idx = exit_layer_indices(conf, 0.6)
-    hist = ExitHistogram.empty(base.n_layers)
-    for layer, count in zip(*np.unique(idx, return_counts=True)):
-        hist.counts[int(layer)] = int(count)
-    print(f"COMMITTED_SPEEDUP_06 = {speedup_ratio(hist)!r}  ({tokens} tokens)")
+    counts = np.bincount(idx, minlength=base.n_layers).tolist()
+    print(f"COMMITTED_SPEEDUP_06 = {speedup_ratio(counts)!r}  ({tokens} tokens)")
 
 
 def ucb_convergence(actions, params, horizon, oracle_samples):

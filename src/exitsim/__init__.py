@@ -8,11 +8,7 @@ import os
 # share: a second OpenBLAS thread mostly spins.  Set before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cascade import (
-    ExitHistogram,
-    TraceValidationError,
-    speedup_ratio,
-)
+from .cascade import TraceValidationError, speedup_ratio
 from .bandit import (
     ActionSet,
     AdaptiveCell,

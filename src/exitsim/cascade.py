@@ -6,7 +6,7 @@ the token id it would emit.  Traces travel as (tokens, layers) arrays.
 The exit rule stops each token at the first layer whose confidence clears
 a threshold, the final layer being the unconditional fallback; it runs as
 one kernel, ``running_max`` + ``exit_counts``, over a whole block.  The
-exit histogram turns the exits into the depth-cost speedup.
+per-layer exit counts turn the exits into the depth-cost speedup.
 """
 
 from __future__ import annotations
@@ -129,41 +129,16 @@ def exit_counts(top: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return len(top) - clears.sum(axis=0, dtype=dtype)
 
 
-@dataclass
-class ExitHistogram:
-    """Counts of tokens that exited at each layer, index 0 = layer 1."""
-
-    counts: list[int]
-
-    @classmethod
-    def empty(cls, n_layers: int) -> "ExitHistogram":
-        if n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-        return cls([0] * n_layers)
-
-    def record(self, exit_layer: int) -> None:
-        if not 1 <= exit_layer <= len(self.counts):
-            raise ValueError(
-                f"exit layer {exit_layer} outside [1, {len(self.counts)}]"
-            )
-        self.counts[exit_layer - 1] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def speedup_ratio(hist: ExitHistogram) -> float:
+def speedup_ratio(counts: Sequence[int]) -> float:
     """Depth-cost ratio of an always-final-layer decoder to the early-exit one.
 
-    With w_l tokens exiting at layer l this is (sum_l w_l * N) / (sum_l w_l * l),
-    which lies in [1, N]: 1.0 iff every token ran the full stack, N iff every
-    token left at layer 1.
+    ``counts[l - 1]`` is w_l, the number of tokens that exited at layer l.
+    The ratio is (sum_l w_l * N) / (sum_l w_l * l), which lies in [1, N]:
+    1.0 iff every token ran the full stack, N iff every token left at
+    layer 1.
     """
-    total = hist.total
+    total = sum(counts)
     if total == 0:
         raise ValueError("empty exit histogram: speedup is undefined")
-    weighted_depth = sum(
-        count * layer for layer, count in enumerate(hist.counts, start=1)
-    )
-    return (total * len(hist.counts)) / weighted_depth
+    weighted_depth = sum(count * layer for layer, count in enumerate(counts, start=1))
+    return (total * len(counts)) / weighted_depth

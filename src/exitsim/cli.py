@@ -39,7 +39,6 @@ from .bandit import (
 )
 from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
-    ExitHistogram,
     TraceValidationError,
     exit_layer_indices,
     speedup_ratio,
@@ -308,10 +307,10 @@ def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
     rows = []
     for alpha in config["alphas"]:
         exits = exit_layer_indices(confidences, alpha)
-        hist = ExitHistogram(np.bincount(exits, minlength=n_layers).tolist())
+        counts = np.bincount(exits, minlength=n_layers).tolist()
         hits = int((token_ids[np.arange(n_tokens), exits] == targets).sum())
         mean_exit = (int(exits.sum()) + n_tokens) / n_tokens  # 1-based layers
-        rows.append((alpha, speedup_ratio(hist), hits / n_tokens, mean_exit))
+        rows.append((alpha, speedup_ratio(counts), hits / n_tokens, mean_exit))
     _write_outputs(
         args,
         config,
@@ -343,7 +342,7 @@ def _run_adaptive(
     one image stream, then estimate the oracle over the ``alphas`` grid.
 
     The flags of an ADAPTIVE_SCHEMA config plus ``tokens`` are checked
-    before any work.  ``policies`` maps each policy name to its
+    before any work, the reward ranges they give included.  ``policies`` maps each policy name to its
     thresholds.  Returns one ``(sigma, lam, cells, oracle)`` per pair,
     sigma-major, where ``cells`` maps each policy name to its cell.  With
     ``logged`` every cell records its rounds in a ``BanditLog``.
@@ -368,6 +367,16 @@ def _run_adaptive(
     base = SyntheticConfidenceModel(seed=config["seed"])
     models = [distort(base, sigma) for sigma in sigmas]
     shapes = [RewardParams(base.n_layers, mu=config["mu"], lam=lam) for lam in lams]
+    # Every reported sum adds at most this many rewards, each within
+    # one reward range of the others.
+    terms = max(config["tokens"], config["oracle_samples"])
+    for params in shapes:
+        lo, hi = params.bounds()
+        if not math.isfinite(terms * (hi - lo)):
+            raise ConfigError(
+                f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
+                f"rewards in [{lo!r}, {hi!r}] is not finite"
+            )
     cells = [
         [
             {

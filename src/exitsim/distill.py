@@ -113,16 +113,6 @@ class ToyCascade:
     teacher_bias: np.ndarray
     frozen: bool = False
 
-    def backbone_bytes(self) -> bytes:
-        """Concatenated raw bytes of backbone + teacher parameters."""
-        parts = []
-        for w, b in zip(self.layer_weights, self.layer_biases):
-            parts.append(w.tobytes())
-            parts.append(b.tobytes())
-        parts.append(self.teacher_weight.tobytes())
-        parts.append(self.teacher_bias.tobytes())
-        return b"".join(parts)
-
 
 def init_cascade(config: ToyConfig, rng: np.random.Generator) -> ToyCascade:
     """Fan-in-scaled gaussian backbone, zero exit heads, zero biases.
@@ -182,11 +172,6 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     exp = np.exp(shifted, out=out)
     exp /= exp.sum(axis=-1, keepdims=True)
     return exp
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-stable softmax over the last axis."""
-    return _softmax(logits)
 
 
 def _hidden_states(
@@ -391,7 +376,7 @@ def _frozen_inputs(
             f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
         )
     states = list(_hidden_states(model, example.features))
-    teacher = softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
+    teacher = _softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
     return states, _floored_log(teacher, out=teacher)
 
 

@@ -162,7 +162,7 @@ def reward(decision: ExitDecision, params: RewardParams) -> float:
 def ucb_select(state: BanditState) -> float:
     """Arm with the largest Q + gamma * sqrt(ln t / pulls); ties go to the
     smallest threshold."""
-    if not state.initialized:
+    if not all(n >= 1 for n in state.pulls):
         raise BanditError(
             "bandit state has unplayed arms: call initialize() before "
             "ucb_select()"
@@ -177,7 +177,7 @@ def ucb_select(state: BanditState) -> float:
 
 def update(state: BanditState, alpha: float, observed_reward: float) -> None:
     """Fold one observed reward into the chosen arm's running mean."""
-    k = state.actions.index(alpha)
+    k = state.actions.thresholds.index(alpha)
     state.pulls[k] += 1
     state.q[k] += (observed_reward - state.q[k]) / state.pulls[k]
     state.t += 1
@@ -253,6 +253,17 @@ class LossBreakdown:
     @property
     def total(self) -> float:
         return self.ce + self.kl
+
+
+def backbone_bytes(model: ToyCascade) -> bytes:
+    """Concatenated raw bytes of backbone + teacher parameters."""
+    parts = []
+    for w, b in zip(model.layer_weights, model.layer_biases):
+        parts.append(w.tobytes())
+        parts.append(b.tobytes())
+    parts.append(model.teacher_weight.tobytes())
+    parts.append(model.teacher_bias.tobytes())
+    return b"".join(parts)
 
 
 def forward(model: ToyCascade, example: SyntheticExample) -> np.ndarray:

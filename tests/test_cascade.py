@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitsim import (
-    ExitHistogram,
-    TraceValidationError,
-    speedup_ratio,
-)
+from exitsim import TraceValidationError, speedup_ratio
 from exitsim.cascade import exit_layer_indices
 
 from reference import (
@@ -254,36 +250,32 @@ def test_caption_run_is_a_plain_record():
 
 
 # ---------------------------------------------------------------------------
-# ExitHistogram and speedup_ratio
+# Exit counts and speedup_ratio
 
 
 def test_speedup_all_final_layer_is_one():
-    hist = ExitHistogram.empty(12)
-    for _ in range(50):
-        hist.record(12)
-    assert speedup_ratio(hist) == pytest.approx(1.0, abs=1e-12)
+    counts = [0] * 11 + [50]
+    assert speedup_ratio(counts) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_speedup_all_half_depth_is_two():
-    hist = ExitHistogram.empty(12)
-    for _ in range(50):
-        hist.record(6)
-    assert speedup_ratio(hist) == pytest.approx(2.0, abs=1e-12)
+    counts = [0] * 12
+    counts[5] = 50
+    assert speedup_ratio(counts) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_speedup_mixed_hand_value():
     # 10 tokens at layer 3 and 10 at layer 12 of a 12-layer stack:
     # (20 * 12) / (10 * 3 + 10 * 12) = 240 / 150 = 1.6 exactly.
-    hist = ExitHistogram.empty(12)
-    hist.counts[2] = 10
-    hist.counts[11] = 10
-    assert abs(speedup_ratio(hist) - 1.6) < 1e-12
+    counts = [0] * 12
+    counts[2] = 10
+    counts[11] = 10
+    assert abs(speedup_ratio(counts) - 1.6) < 1e-12
 
 
 def test_speedup_everything_at_layer_one_is_n():
-    hist = ExitHistogram.empty(7)
-    hist.counts[0] = 13
-    assert speedup_ratio(hist) == pytest.approx(7.0, abs=1e-12)
+    counts = [13] + [0] * 6
+    assert speedup_ratio(counts) == pytest.approx(7.0, abs=1e-12)
 
 
 @given(
@@ -293,33 +285,36 @@ def test_speedup_everything_at_layer_one_is_n():
 def test_speedup_bounds_and_scale_invariance(counts, scale):
     if sum(counts) == 0:
         counts[0] = 1
-    hist = ExitHistogram(list(counts))
-    value = speedup_ratio(hist)
+    value = speedup_ratio(counts)
     assert 1.0 <= value <= len(counts) + 1e-12
-    scaled = ExitHistogram([c * scale for c in counts])
+    scaled = [c * scale for c in counts]
     assert speedup_ratio(scaled) == pytest.approx(value, rel=1e-12)
 
 
 def test_speedup_rejects_empty_histogram():
     with pytest.raises(ValueError):
-        speedup_ratio(ExitHistogram.empty(12))
+        speedup_ratio([0] * 12)
 
 
 def test_histogram_record_validates_layer():
-    hist = ExitHistogram.empty(3)
-    with pytest.raises(ValueError):
-        hist.record(0)
-    with pytest.raises(ValueError):
-        hist.record(4)
-    hist.record(3)
-    assert hist.total == 1
+    # Counts are indexed by the exit rule's own 0-based layers, which stay
+    # in [0, N - 1] at the threshold extremes and on NaN confidences, so
+    # counting them never lands outside the N layers.
+    conf = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [math.nan, math.nan, 0.5]])
+    for alpha in (0.0, 0.5, 1.0):
+        counts = np.bincount(exit_layer_indices(conf, alpha), minlength=3).tolist()
+        assert len(counts) == 3
+        assert sum(counts) == 3
 
 
 def test_histogram_from_decisions():
-    hist = ExitHistogram.empty(2)
-    for trace in [make_trace([0.9, 0.2]), make_trace([0.1, 0.2])]:
-        hist.record(decide_exit(trace, 0.5).exit_layer)
-    assert hist.counts == [1, 1]
+    traces = [make_trace([0.9, 0.2]), make_trace([0.1, 0.2])]
+    counts = [0, 0]
+    for trace in traces:
+        counts[decide_exit(trace, 0.5).exit_layer - 1] += 1
+    assert counts == [1, 1]
+    conf = np.array([trace.confidences for trace in traces])
+    assert np.bincount(exit_layer_indices(conf, 0.5), minlength=2).tolist() == counts
 
 
 @settings(max_examples=30)
@@ -334,7 +329,7 @@ def test_histogram_from_decisions():
 def test_histogram_total_matches_caption_length(confs, alpha):
     traces = [make_trace(row) for row in confs]
     run = run_caption(traces, alpha, max_caption_length=100, eos_id=-1)
-    hist = ExitHistogram.empty(4)
+    counts = [0] * 4
     for decision in run.tokens:
-        hist.record(decision.exit_layer)
-    assert hist.total == len(run)
+        counts[decision.exit_layer - 1] += 1
+    assert sum(counts) == len(run)

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -301,14 +302,39 @@ def test_duplicate_sweep_values_exit_2_before_any_work(
         ["bandit", "--lam", "inf"],
         ["bandit", "--alphas", "0.1,nan"],
         ["gen-traces", "--sigma", "nan"],
+        ["bandit", "--mu", "1e308"],
+        ["bandit", "--mu", "1e305"],
+        ["bandit", "--lam", "1e308"],
+        ["compare-distortion", "--mu", "1e308", *FAST_BANDIT],
+        ["lambda-sweep", "--mu", "1e307", *FAST_BANDIT],
     ],
 )
-def test_non_finite_numbers_exit_2(argv, tmp_path, capsys):
+def test_non_finite_numbers_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # A reward range counts too: a run reports sums of up to
+    # max(tokens, oracle_samples) rewards, and one that could overflow
+    # is refused before sampling.
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the flags were checked")
+
+    monkeypatch.setattr(bandit, "draw_tokens", no_work)
     out = tmp_path / "out"
     code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
     assert code == 2
     assert err.startswith("error: config:") and "finite" in err
     assert not out.exists()
+
+
+def test_reward_range_with_finite_sums_runs(tmp_path, capsys):
+    # 1000 rewards in [-1 - 1e303 * 12, 1] sum to at most ~1.2e307.
+    code, _, err = run_cli(
+        [
+            "bandit", "--mu", "1e303", "--tokens", "1000",
+            "--oracle-samples", "1000", "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    assert math.isfinite(read_summary(tmp_path, "bandit_summary.json")["mean_reward"])
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

@@ -29,10 +29,11 @@ from exitsim import (
     train_exits,
 )
 from exitsim import distill
-from exitsim.distill import softmax
+from exitsim.distill import _softmax
 
 from reference import (
     LossBreakdown,
+    backbone_bytes,
     backbone_objective,
     exit_loss,
     exit_objective,
@@ -301,7 +302,7 @@ def test_layer_accuracies_peak_below_one_stacked_block():
 def test_init_is_deterministic():
     a = init_cascade(SMALL, np.random.default_rng(42))
     b = init_cascade(SMALL, np.random.default_rng(42))
-    assert a.backbone_bytes() == b.backbone_bytes()
+    assert backbone_bytes(a) == backbone_bytes(b)
     for wa, wb in zip(a.exit_weights, b.exit_weights):
         assert np.array_equal(wa, wb)
 
@@ -313,7 +314,7 @@ def test_softmax_is_shift_stable():
         1000.0 + rng.normal(size=(6, 33)),  # an odd width
         -1000.0 + rng.normal(size=(2, 3, 5)),  # 3-D, far below zero
     ):
-        probs = softmax(logits)
+        probs = _softmax(logits)
         assert np.isfinite(probs).all()
         assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -325,7 +326,7 @@ def test_softmax_matches_the_reference_bitwise(width):
     logits[3] = 7.0  # a row of ties
     logits[5, -1] = logits[5].max() + 1.0  # the max in the odd leftover slot
     for block in (logits, logits.reshape(17, 1, width), np.stack([logits, -logits])):
-        assert np.array_equal(softmax(block), reference_softmax(block))
+        assert np.array_equal(_softmax(block), reference_softmax(block))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +529,7 @@ def test_training_matches_the_reference_bitwise(terms, data):
         reference.teacher_weight -= lr * g_tw
         reference.teacher_bias -= lr * g_tb
     assert history == want
-    assert model.backbone_bytes() == reference.backbone_bytes()
+    assert backbone_bytes(model) == backbone_bytes(reference)
 
     history = train_exits(model, example, 6, schedule, loss_terms=terms)
     want = []
@@ -594,11 +595,11 @@ def test_gradient_check_flags_a_wrong_gradient():
 
 def test_zero_epochs_freezes_without_touching_parameters():
     model = small_model()
-    before = model.backbone_bytes()
+    before = backbone_bytes(model)
     history = train_backbone(model, small_examples(), 0, StepSchedule())
     assert history == []
     assert model.frozen
-    assert model.backbone_bytes() == before
+    assert backbone_bytes(model) == before
 
 
 def test_backbone_cannot_train_twice():
@@ -644,10 +645,10 @@ def test_exit_training_leaves_backbone_untouched():
     model = small_model()
     examples = blob_task()
     train_backbone(model, examples, 50, StepSchedule(0.5))
-    frozen_bytes = model.backbone_bytes()
+    frozen_bytes = backbone_bytes(model)
     before_heads = [w.copy() for w in model.exit_weights]
     history = train_exits(model, examples, 40, StepSchedule(0.5), loss_terms="both")
-    assert model.backbone_bytes() == frozen_bytes
+    assert backbone_bytes(model) == frozen_bytes
     assert any(
         not np.array_equal(w, before)
         for w, before in zip(model.exit_weights, before_heads)
@@ -806,7 +807,7 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_cascade(path)
     assert loaded.config == model.config
     assert loaded.frozen == model.frozen
-    assert loaded.backbone_bytes() == model.backbone_bytes()
+    assert backbone_bytes(loaded) == backbone_bytes(model)
     for a, b in zip(loaded.exit_weights, model.exit_weights):
         assert np.array_equal(a, b)
     example = small_examples(n=1)
@@ -930,5 +931,5 @@ def test_load_cascade_parses_or_raises_checkpoint_error(tmp_path, blob):
     except CheckpointError:
         return
     save_cascade(model, path)
-    assert load_cascade(path).backbone_bytes() == model.backbone_bytes()
+    assert backbone_bytes(load_cascade(path)) == backbone_bytes(model)
 

@@ -1,16 +1,31 @@
-"""Every name ``exitsim`` exports has a caller in the product.
+"""Every name ``exitsim`` exports, and every function, class, method and
+property it defines, has a caller in the product.
 
-A name that only the tests use belongs in ``tests/reference.py``, not in
-the package's public surface.
+A definition that only the tests use belongs in ``tests/reference.py``,
+not in the package.  The scan matches bare names, so a name collision
+hides dead code: a method passes whenever code in ``src/exitsim/`` or
+``scripts/`` reads the same name for anything else.  ``expected``,
+``index`` and ``load`` are such names (a local variable, ``list.index``
+and ``json.load``).
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import exitsim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE_DIR = os.path.join(ROOT, "src", "exitsim")
 PRODUCT_DIRS = ("src/exitsim", "scripts")
+
+# Definitions with no product caller, and why each stays.
+UNREAD_ALLOWED = {
+    "TokenTrace": "bench/tracer.py imports it to patch from_arrays",
+    "TokenTrace.from_arrays": "bench/tracer.py wraps it as a per-layer stage",
+    "BanditState.save": "snapshots are an input boundary; criterion 12 round-trips one",
+}
 
 
 def names_used(path):
@@ -30,11 +45,33 @@ def names_used(path):
     return used
 
 
+def definitions(path):
+    """``(qualified name, name)`` of every top-level function or class of
+    ``path`` and every non-dunder method or property of its classes."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds[:2]) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def product_files():
     for directory in PRODUCT_DIRS:
         for name in sorted(os.listdir(os.path.join(ROOT, directory))):
             if name.endswith(".py") and name != "__init__.py":
                 yield os.path.join(ROOT, directory, name)
+
+
+def product_names():
+    return set().union(*(names_used(path) for path in product_files()))
 
 
 def exported_names():
@@ -49,8 +86,19 @@ def exported_names():
 
 
 def test_every_export_has_a_product_caller():
-    used = set().union(*(names_used(path) for path in product_files()))
-    assert sorted(exported_names() - used) == []
+    assert sorted(exported_names() - product_names()) == []
+
+
+def test_every_definition_has_a_product_caller():
+    used = product_names()
+    unread = {
+        qualified
+        for name in sorted(os.listdir(PACKAGE_DIR))
+        if name.endswith(".py")
+        for qualified, bare in definitions(os.path.join(PACKAGE_DIR, name))
+        if bare not in used
+    }
+    assert sorted(unread) == sorted(UNREAD_ALLOWED)
 
 
 def test_docstrings_are_not_uses(tmp_path):
@@ -63,3 +111,32 @@ def test_docstrings_are_not_uses(tmp_path):
         "from exitsim.cascade import exit_counts\n"
     )
     assert names_used(str(path)) == {"speedup_ratio", "h", "total", "exit_counts"}
+
+
+# Installs the benchmark's tracer over the package under test and checks
+# that it wraps TokenTrace.from_arrays, the allowlisted method.
+_TRACER_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from exitsim.cascade import TokenTrace
+TokenTrace.from_arrays([0.5, 0.25], [1, 2])
+print(tracer.metrics(0.0)["cascade.TokenTrace.from_arrays.calls"])
+"""
+
+
+def test_the_bench_tracer_installs_over_the_package():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(exitsim.__file__))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # bench/ is only read
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE, os.path.join(ROOT, "bench")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1"]
