@@ -25,9 +25,9 @@ from exitsim import (
     RewardParams,
     SyntheticConfidenceModel,
     distort,
-    expected_reward_oracle,
     regret_curve,
     run_lockstep,
+    shared_oracles,
     speedup_ratio,
 )
 from exitsim.cascade import exit_layer_indices
@@ -36,10 +36,10 @@ from exitsim.cli import ABLATION_SCHEMA, _train_ablation
 
 def oracle_landscapes(base, actions, params, samples):
     print("== oracle reward landscapes ==")
-    for sigma in (0.0, 1.0, 2.0):
-        oracle = expected_reward_oracle(
-            distort(base, sigma), actions, params, samples=samples
-        )
+    sigmas = (0.0, 1.0, 2.0)
+    models = [distort(base, sigma) for sigma in sigmas]
+    oracles = shared_oracles(models, actions, [params], samples=samples)
+    for sigma, [oracle] in zip(sigmas, oracles):
         gaps = sorted(oracle.gaps)
         print(
             f"sigma={sigma}: alpha*={oracle.best_threshold} "
@@ -65,9 +65,7 @@ def ucb_convergence(actions, params, horizon, oracle_samples):
         started = time.monotonic()
         cell = AdaptiveCell(actions, params, BanditLog())
         run_lockstep(model, [(model, [cell])], 1.0, horizon, 20)
-        oracle = expected_reward_oracle(
-            model, actions, params, samples=oracle_samples
-        )
+        [[oracle]] = shared_oracles([model], actions, [params], samples=oracle_samples)
         share = cell.log.arm_counts(last=window).get(
             oracle.best_threshold, 0
         ) / window

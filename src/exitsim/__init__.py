@@ -17,8 +17,6 @@ from .bandit import (
     BanditState,
     OracleEstimate,
     RewardParams,
-    expected_reward_oracle,
-    initialize,
     regret_bound,
     regret_curve,
     run_lockstep,

@@ -19,9 +19,9 @@ import numpy as np
 from .cascade import exit_counts, exit_layer_indices, running_max, speedup_ratio
 from .synth import (
     IMAGE_CHUNK,
-    ImageTraces,
     SyntheticConfidenceModel,
     TraceBatch,
+    check_distortion_levels,
     check_traces,
     confidence_matrices,
     draw_tokens,
@@ -37,8 +37,7 @@ ORACLE_SEED = 1000003
 
 
 class BanditError(RuntimeError):
-    """Bandit state misuse: an image too short to initialize on, or a
-    non-finite state to save."""
+    """Bandit state misuse: a non-finite state to save."""
 
 
 @dataclass(frozen=True)
@@ -281,38 +280,6 @@ class BanditLog:
         return counts
 
 
-def initialize(
-    actions: ActionSet,
-    image: ImageTraces,
-    params: RewardParams,
-    gamma: float = 1.0,
-    log: BanditLog | None = None,
-) -> BanditState:
-    """Play every arm exactly once: arm k on token k of ``image``.
-
-    After this the round counter equals the arm count and every arm's Q
-    is its single observed reward, which is what the selection rule
-    needs before its first real round.  An image with fewer tokens than
-    arms raises BanditError, and one whose depth is not
-    ``params.n_layers`` raises ValueError.
-    """
-    if len(image) < len(actions):
-        raise BanditError(
-            f"image {image.image_id!r} has {len(image)} tokens: initialization "
-            f"needs one per arm ({len(actions)})"
-        )
-    state = BanditState.fresh(actions, gamma)
-    exits, _, rewards, width = _arm_table(
-        image.confidences, image.token_ids, np.asarray(actions.thresholds), params
-    )
-    for k, alpha in enumerate(actions.thresholds):
-        i = k * width + k
-        _fold(state, k, rewards[i])
-        if log is not None:
-            log.append(state.t, alpha, exits[i] + 1, rewards[i])
-    return state
-
-
 def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
     """Confidence gain over layer 1 at 0-based ``exits`` of a (tokens,
     layers) confidence array; ``exits`` is (tokens,) or (tokens, K)."""
@@ -366,6 +333,23 @@ def _arm_table(
     )
 
 
+def initialize(cell: AdaptiveCell, table: _ArmTable, gamma: float) -> BanditState:
+    """Pull every arm of ``cell`` once, arm k on row k of its first
+    chunk's ``table``, into a fresh state and the cell's histogram,
+    reward sum and log: each Q is then one observed reward, as the
+    selection rule needs before its first real round."""
+    state = BanditState.fresh(cell.actions, gamma)
+    exits, _, rewards, width = table
+    for k, alpha in enumerate(cell.actions.thresholds):
+        i = k * width + k
+        _fold(state, k, rewards[i])
+        cell.hist[exits[i]] += 1
+        cell.reward_sum += rewards[i]
+        if cell.log is not None:
+            cell.log.append(state.t, alpha, exits[i] + 1, rewards[i])
+    return state
+
+
 @dataclass
 class AdaptiveCell:
     """One policy's run over a command's shared image stream.
@@ -400,28 +384,23 @@ class AdaptiveCell:
         eos_id: int,
     ) -> None:
         """Resume this cell's run over the ``max_len``-token images of a
-        validated chunk until its token budget; the first image of a new
-        run goes to ``initialize``.  A chunk whose depth is not the
+        validated chunk until its token budget; a new run spends its
+        first image on ``initialize``.  A chunk whose depth is not the
         reward schedule's raises ValueError before any round."""
-        conf, ids = batch.confidences, batch.token_ids
+        conf = batch.confidences
         alphas = self.actions.thresholds
-        exits, emitted, rewards, width = _arm_table(
-            conf, ids, np.asarray(alphas), self.params
-        )
+        table = _arm_table(conf, batch.token_ids, np.asarray(alphas), self.params)
+        exits, emitted, rewards, width = table
+        start = 0
+        if self.state is None:
+            # Called through the module global: bench/tracer.py counts init rounds here.
+            self.state = initialize(self, table, gamma)
+            start = max_len
+        state = self.state
         counts = self.hist
         reward_sum, hits, n_emitted, log = (
             self.reward_sum, self.hits, self.emitted, self.log
         )
-        start = 0
-        if self.state is None:
-            first = ImageTraces(0, conf[:max_len], ids[:max_len])
-            # Called through the module global: bench/tracer.py counts init rounds here.
-            self.state = initialize(self.actions, first, self.params, gamma, log)
-            for k in range(width):  # arm k played on token k
-                counts[exits[k * width + k]] += 1
-                reward_sum += rewards[k * width + k]
-            start = max_len
-        state = self.state
         targets = batch.targets.tolist()
         # The round kernel: one UCB round per token of each image, until
         # an emitted eos, the length cap or the token budget.
@@ -470,8 +449,9 @@ def run_lockstep(
 
     Initialization plays arm k on token k of the first image, so a
     ``max_len`` below any cell's arm count raises ValueError before the
-    first draw.  A cell whose reward schedule's depth differs from its
-    model's raises ValueError on the first chunk, before any round.
+    first draw, and so does a group model that differs from ``base``
+    beyond ``sigma``.  A cell whose reward schedule's depth differs from
+    its model's raises ValueError on the first chunk, before any round.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -482,6 +462,7 @@ def run_lockstep(
         raise ValueError(
             f"max_len must cover one token per arm: {max_len} < {arms}"
         )
+    check_distortion_levels(base, [model for model, _ in groups])
     rng = base.stream_rng(0)
     start_id = 0
     while not all(cell.done(tokens) for _, cells in groups for cell in cells):
@@ -526,26 +507,6 @@ class OracleEstimate:
         return tuple(top - e for e in self.expected_rewards)
 
 
-def expected_reward_oracle(
-    model,
-    actions: ActionSet,
-    params: RewardParams,
-    samples: int = 200_000,
-    seed: int = ORACLE_SEED,
-) -> OracleEstimate:
-    """Monte-Carlo estimate of every arm's expected reward.
-
-    ``model`` needs a ``confidence_matrix(n, rng)`` method.  All arms are
-    evaluated on the same sampled traces (common random numbers), so arm
-    comparisons are paired and the argmax is stable at moderate sample
-    counts.  The seed is deliberately independent of run seeds.
-    """
-    _check_samples(samples)
-    conf = model.confidence_matrix(samples, np.random.default_rng(seed))
-    # Scored on a layer-major copy: the model's matrix is left as it was.
-    return _oracle_estimates(np.array(conf.T, order="C"), actions, [params])[0]
-
-
 def shared_oracles(
     models: Sequence[SyntheticConfidenceModel],
     actions: ActionSet,
@@ -553,23 +514,22 @@ def shared_oracles(
     samples: int = 200_000,
     seed: int = ORACLE_SEED,
 ) -> list[list[OracleEstimate]]:
-    """``expected_reward_oracle`` for every model and reward shape, from
-    one draw of the oracle's variates: ``result[i][j]`` is the estimate
-    for ``models[i]`` under ``params[j]``.  The models may differ only in
-    ``sigma``; each model's running max is built once.
+    """Monte-Carlo estimate of every arm's expected reward: ``result[i][j]``
+    is the estimate for ``models[i]`` under ``params[j]``.  All of them
+    share one draw of the oracle's variates (common random numbers), so
+    arm comparisons are paired and the argmax is stable at moderate
+    sample counts; the seed is deliberately independent of run seeds.
+    The models may differ only in ``sigma``; each model's running max is
+    built once.
     """
-    _check_samples(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     estimates = []
     for conf in confidence_matrices(models, samples, np.random.default_rng(seed)):
         # conf is the transpose of a fresh layer-major block: scored in place.
         estimates.append(_oracle_estimates(conf.T, actions, params))
         del conf  # freed before the next matrix is finished
     return estimates
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def _oracle_estimates(

@@ -104,8 +104,6 @@ def _floats(value: object, key: str) -> tuple[float, ...]:
 def _coerce(key: str, value: object, kind: str) -> object:
     if value is None:
         return None
-    if kind not in ("int", "float", "str", "floatlist"):
-        raise ConfigError(f"unknown option kind {kind!r} for {key}")
     try:
         if kind == "int":
             if isinstance(value, bool) or int(value) != float(value):

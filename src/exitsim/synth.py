@@ -205,6 +205,16 @@ def draw_tokens(
     return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
 
 
+def check_distortion_levels(
+    base: SyntheticConfidenceModel, models: Iterable[SyntheticConfidenceModel]
+) -> None:
+    """Refuse any of ``models`` that differs from ``base`` beyond ``sigma``:
+    a draw of ``base`` finishes only at its own distortion levels."""
+    for model in models:
+        if distort(model, base.sigma) != base:
+            raise ValueError(f"{model} differs from {base} beyond sigma")
+
+
 def confidence_matrices(
     models: Sequence[SyntheticConfidenceModel],
     n_tokens: int,
@@ -212,9 +222,7 @@ def confidence_matrices(
 ) -> Iterator[np.ndarray]:
     """``model.confidence_matrix(n_tokens, rng)`` for each of ``models``,
     in turn, from one draw: the models may differ only in ``sigma``."""
-    for model in models:
-        if distort(model, models[0].sigma) != models[0]:
-            raise ValueError(f"{model} differs from {models[0]} beyond sigma")
+    check_distortion_levels(models[0], models)
     draws = _draw_block(models[0], n_tokens, rng, token_ids=False)
     return (_confidences(model, draws).T for model in models)
 
@@ -321,9 +329,8 @@ class ImageTraces:
     """One image's token traces, with true targets when known.
 
     This is the record type of the trace file format and of
-    ``image_stream``, and it seeds the bandit's initialization.  The
-    traces are held as two (tokens, layers) arrays: per-layer
-    confidences and per-layer token ids.
+    ``image_stream``.  The traces are held as two (tokens, layers)
+    arrays: per-layer confidences and per-layer token ids.
     ``targets`` is None for corpora exported without reference tokens;
     accuracy metrics are then unavailable.
     """

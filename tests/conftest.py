@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from exitsim import (
-    BanditLog,
-    image_stream,
-    initialize,
-)
+from exitsim import BanditLog, image_stream
 
 from reference import (
     TokenTrace,
     decide_exit,
     image_from_traces,
+    initialize,
     reward,
     run_caption,
     token_traces,
@@ -43,22 +40,6 @@ def make_trace(confidences, token_ids=None):
 def make_image(conf_rows, image_id=0, targets=None):
     traces = tuple(make_trace(row) for row in conf_rows)
     return image_from_traces(image_id, traces, targets)
-
-
-class FixedTraceModel:
-    """Oracle test double: confidence_matrix returns preset rows, cycled,
-    laid out as SyntheticConfidenceModel lays its matrix out (the
-    transpose of a layer-major block), and keeps the last one it handed
-    out as ``last``."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-        self.last = None
-
-    def confidence_matrix(self, n_tokens, rng):
-        reps = -(-n_tokens // self.rows.shape[0])
-        self.last = np.asfortranarray(np.tile(self.rows, (reps, 1))[:n_tokens])
-        return self.last
 
 
 def reference_oracle_means(conf, thresholds, params):

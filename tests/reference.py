@@ -2,8 +2,8 @@
 
 Each name here is the per-token (or stacked, or finite-difference) form
 of something the package computes on whole arrays: the exit rule and
-caption loop over ``TokenTrace`` records, the bandit's reward and UCB
-round, per-image sampling, the stacked toy-cascade forward pass and the
+caption loop over ``TokenTrace`` records, the bandit's reward, first
+pulls and UCB round, per-image sampling, the stacked toy-cascade forward pass and the
 flat-vector gradient harness.  No production path calls them; the tests
 use them as the independent answer.
 """
@@ -18,7 +18,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from exitsim.bandit import BanditError, BanditState, RewardParams
+from exitsim.bandit import (
+    ActionSet,
+    BanditError,
+    BanditLog,
+    BanditState,
+    RewardParams,
+)
 from exitsim.cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
     TokenTrace,
@@ -147,7 +153,7 @@ def run_caption(
 
 
 # ---------------------------------------------------------------------------
-# One bandit round: reward, select, update
+# The bandit: reward, select, update, and the pulls before the first round
 
 
 def reward(decision: ExitDecision, params: RewardParams) -> float:
@@ -181,6 +187,32 @@ def update(state: BanditState, alpha: float, observed_reward: float) -> None:
     state.pulls[k] += 1
     state.q[k] += (observed_reward - state.q[k]) / state.pulls[k]
     state.t += 1
+
+
+def initialize(
+    actions: ActionSet,
+    image: ImageTraces,
+    params: RewardParams,
+    gamma: float = 1.0,
+    log: BanditLog | None = None,
+) -> BanditState:
+    """Play every arm exactly once, arm k on token k of ``image``: the
+    pulls before the first ``ucb_select``.  An image with fewer tokens
+    than arms raises BanditError."""
+    traces = token_traces(image)
+    if len(traces) < len(actions):
+        raise BanditError(
+            f"image {image.image_id!r} has {len(traces)} tokens: initialization "
+            f"needs one per arm ({len(actions)})"
+        )
+    state = BanditState.fresh(actions, gamma)
+    for alpha, trace in zip(actions.thresholds, traces):
+        decision = decide_exit(trace, alpha)
+        r = reward(decision, params)
+        update(state, alpha, r)
+        if log is not None:
+            log.append(state.t, alpha, decision.exit_layer, r)
+    return state
 
 
 # ---------------------------------------------------------------------------

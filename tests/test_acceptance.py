@@ -23,12 +23,12 @@ from exitsim import (
     SyntheticExample,
     TraceFormatError,
     distort,
-    expected_reward_oracle,
     init_cascade,
     read_traces,
     regret_bound,
     regret_curve,
     run_lockstep,
+    shared_oracles,
     speedup_ratio,
     train_backbone,
     write_traces,
@@ -72,7 +72,7 @@ def ucb_run():
     started = time.monotonic()
     cell = AdaptiveCell(actions, params, BanditLog())
     run_lockstep(model, [(model, [cell])], 1.0, HORIZON, 20)
-    oracle = expected_reward_oracle(model, actions, params, samples=200_000)
+    oracle = shared_oracles([model], actions, [params], samples=200_000)[0][0]
     elapsed = time.monotonic() - started
     return cell.log, oracle, params, elapsed
 
@@ -322,10 +322,10 @@ def test_criterion_10_distortion_adaptation():
     for sigma, (_, cells) in zip(sigmas, groups):
         adaptive_reward, fixed_reward = (c.metrics()["mean_reward"] for c in cells)
         margins[sigma] = adaptive_reward - fixed_reward
-    best_clean = expected_reward_oracle(base, adaptive, params).best_threshold
-    best_noisy = expected_reward_oracle(
-        distort(base, 2.0), adaptive, params
-    ).best_threshold
+    best_clean = shared_oracles([base], adaptive, [params])[0][0].best_threshold
+    best_noisy = shared_oracles(
+        [distort(base, 2.0)], adaptive, [params]
+    )[0][0].best_threshold
     elapsed = time.monotonic() - started
     ok = (
         all(m >= 0.0 for m in margins.values())

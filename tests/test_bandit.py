@@ -21,8 +21,6 @@ from exitsim import (
     StepSchedule,
     SyntheticConfidenceModel,
     TraceBatch,
-    expected_reward_oracle,
-    initialize,
     regret_bound,
     regret_curve,
     distort,
@@ -42,7 +40,6 @@ from reference import (
 
 from exitsim import bandit
 from conftest import (
-    FixedTraceModel,
     assert_cell_matches_reference,
     json_values,
     make_image,
@@ -304,7 +301,17 @@ def test_library_rejects_non_finite_numbers(build):
 
 
 # ---------------------------------------------------------------------------
-# initialize
+# initialize: a fresh cell's first pulls, one per arm
+
+
+def _initialized(actions, image, params, log=None):
+    """A fresh cell played on ``image`` alone with a budget of one round
+    per arm, which its initialization spends."""
+    targets = np.zeros(len(image), dtype=np.int64)
+    batch = TraceBatch(image.confidences, image.token_ids, targets)
+    cell = AdaptiveCell(actions, params, log)
+    cell.play(batch, 1.0, len(actions), len(image), eos_id=0)
+    return cell
 
 
 def test_initialize_plays_every_arm_once():
@@ -312,13 +319,17 @@ def test_initialize_plays_every_arm_once():
     image = make_image([[0.3, 0.6, 0.9]] * 4)
     params = RewardParams(n_layers=3)
     log = BanditLog()
-    state = initialize(actions, image, params, log=log)
+    cell = _initialized(actions, image, params, log)
+    state = cell.state
     assert state.pulls == [1, 1, 1]
     assert state.t == 3
     assert len(log) == 3
     assert log.rounds == [1, 2, 3]
     assert log.arms == [0.2, 0.5, 0.8]
     assert log.exit_layers == [1, 2, 3]
+    assert cell.hist == [1, 1, 1]
+    assert cell.reward_sum == log.rewards[0] + log.rewards[1] + log.rewards[2]
+    assert cell.emitted == 0
 
 
 def test_initialize_q_values_are_the_observed_rewards():
@@ -328,7 +339,7 @@ def test_initialize_q_values_are_the_observed_rewards():
     # (0.9-0.3 - 1 = -0.4).
     actions = ActionSet((0.2, 0.5, 0.8))
     image = make_image([[0.3, 0.6, 0.9]] * 3)
-    state = initialize(actions, image, RewardParams(n_layers=3))
+    state = _initialized(actions, image, RewardParams(n_layers=3)).state
     assert state.q[0] == 0.0
     assert state.q[1] == pytest.approx((0.6 - 0.3) - 2.0 / 3.0, abs=1e-12)
     assert state.q[2] == pytest.approx((0.9 - 0.3) - 1.0, abs=1e-12)
@@ -340,7 +351,7 @@ def test_initialize_plays_arm_k_on_token_k():
     actions = ActionSet((0.5, 0.7))
     rows = [[0.6, 0.8, 0.9], [0.1, 0.2, 0.95], [0.9, 0.9, 0.9]]
     log = BanditLog()
-    state = initialize(actions, make_image(rows), RewardParams(n_layers=3), log=log)
+    state = _initialized(actions, make_image(rows), RewardParams(n_layers=3), log).state
     assert log.exit_layers == [1, 3]  # token 1 at 0.5, token 2 at 0.7
     assert state.q[0] == 0.0
     assert state.q[1] == pytest.approx((0.95 - 0.1) - 1.0, abs=1e-12)
@@ -348,19 +359,12 @@ def test_initialize_plays_arm_k_on_token_k():
 
 def test_initialize_single_arm_consumes_one_trace():
     log = BanditLog()
-    state = initialize(
+    state = _initialized(
         ActionSet((0.5,)), make_image([[0.3, 0.6], [0.7, 0.4]]),
-        RewardParams(n_layers=2), log=log,
-    )
+        RewardParams(n_layers=2), log,
+    ).state
     assert state.t == 1 and log.exit_layers == [2]  # token 2 never played
     assert state.q == [(0.6 - 0.3) - 0.5 * 2.0]
-
-
-def test_initialize_exhausted_source_raises():
-    with pytest.raises(BanditError, match="needs one per arm"):
-        initialize(
-            ActionSet((0.2, 0.5)), make_image([[0.3, 0.6]]), RewardParams(n_layers=2)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +387,7 @@ def test_adaptive_run_spends_first_image_on_initialization():
     cell = _drive(model, actions, params, budget=2 + 3 * 5, max_len=5)
     init_log = BanditLog()
     first = next(image_stream(model, model.stream_rng(0), 5))
-    initialize(actions, first, params, log=init_log)
+    _initialized(actions, first, params, init_log)
     assert cell.log.arms[:2] == [0.2, 0.5]
     assert cell.log.exit_layers[:2] == init_log.exit_layers
     assert cell.log.rewards[:2] == init_log.rewards
@@ -422,6 +426,30 @@ def test_adaptive_run_rejects_a_caption_cap_below_the_arm_count(monkeypatch):
     ]
     with pytest.raises(ValueError, match="one token per arm: 2 < 3"):
         run_lockstep(base, groups, 1.0, 50, 2)
+    assert draws == []
+    assert all(cell.state is None for _, cells in groups for cell in cells)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"seed": 99}, {"eos_prob": 0.5}, {"n_layers": 6}],
+    ids=["seed", "eos-prob", "depth"],
+)
+def test_adaptive_run_rejects_a_group_model_beyond_sigma(monkeypatch, change):
+    # The stream is drawn with the base model's parameters, so a group
+    # model may differ from it only in sigma: any other difference would
+    # finish draws made for another model.
+    draws = []
+    monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
+    base = SyntheticConfidenceModel(seed=7)
+    other = SyntheticConfidenceModel(**{"seed": 7, "sigma": 1.0, **change})
+    params = RewardParams(n_layers=base.n_layers)
+    groups = [
+        (model, [AdaptiveCell(ActionSet((0.2, 0.5)), params)])
+        for model in (base, other)
+    ]
+    with pytest.raises(ValueError, match="beyond sigma"):
+        run_lockstep(base, groups, 1.0, 50, 20)
     assert draws == []
     assert all(cell.state is None for _, cells in groups for cell in cells)
 
@@ -523,8 +551,6 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
     actions, params = ActionSet((1.0,)), RewardParams(n_layers=n_layers)
     refused = f"model emits 12 layers, reward params expect {n_layers}"
     image = next(image_stream(model, model.stream_rng(0), 20))
-    with pytest.raises(ValueError, match=refused):
-        initialize(actions, image, params)
     batch = TraceBatch(image.confidences, image.token_ids, np.array(image.targets))
     cell = AdaptiveCell(actions, params)
     with pytest.raises(ValueError, match=refused):
@@ -703,13 +729,22 @@ def test_log_arm_counts_window():
 # oracle and regret
 
 
+def _tiled_block(rows, samples):
+    """``samples`` samples that cycle through the (n, layers) ``rows``, as
+    the layer-major block ``bandit._oracle_estimates`` scores."""
+    rows = np.asarray(rows, dtype=float)
+    reps = -(-samples // len(rows))
+    return np.ascontiguousarray(np.tile(rows, (reps, 1))[:samples].T)
+
+
 def test_oracle_degenerate_model_every_arm_exits_layer_one():
     # All confidences exactly 1.0: every threshold exits at layer 1, so
     # every arm's expected reward is 0 and the tie resolves to the
     # smallest threshold.
-    model = FixedTraceModel(np.ones((4, 6)))
-    oracle = expected_reward_oracle(
-        model, ActionSet.default_grid(), RewardParams(n_layers=6), samples=100
+    [oracle] = bandit._oracle_estimates(
+        _tiled_block(np.ones((4, 6)), 100),
+        ActionSet.default_grid(),
+        [RewardParams(n_layers=6)],
     )
     assert oracle.expected_rewards == (0.0,) * 10
     assert oracle.best_threshold == 0.1
@@ -722,10 +757,9 @@ def test_oracle_scripted_three_trace_hand_average():
         [0.5, 0.6, 0.7],
         [0.9, 0.95, 1.0],
     ]
-    model = FixedTraceModel(rows)
     params = RewardParams(n_layers=3)  # mu=1/3, latency (0, 2, 3)
-    oracle = expected_reward_oracle(
-        model, ActionSet((0.5, 0.85)), params, samples=3
+    [oracle] = bandit._oracle_estimates(
+        _tiled_block(rows, 3), ActionSet((0.5, 0.85)), [params]
     )
     # alpha=0.5: exits (2, 1, 1) -> rewards ((0.8-0.2)-2/3, 0, 0).
     # alpha=0.85: exits (3, 3, 1) -> ((0.9-0.2)-1, (0.7-0.5)-1, 0).
@@ -740,9 +774,9 @@ def test_oracle_scripted_three_trace_hand_average():
 
 def test_oracle_common_random_numbers_are_reproducible():
     model = SyntheticConfidenceModel()
-    args = (model, ActionSet.default_grid(), RewardParams(n_layers=12))
-    a = expected_reward_oracle(*args, samples=2000)
-    b = expected_reward_oracle(*args, samples=2000)
+    args = ([model], ActionSet.default_grid(), [RewardParams(n_layers=12)])
+    a = shared_oracles(*args, samples=2000)
+    b = shared_oracles(*args, samples=2000)
     assert a == b
 
 
@@ -758,7 +792,7 @@ def test_shared_oracles_equal_one_oracle_per_sigma_and_lambda():
         assert len(got) == len(models)
         for model, estimates in zip(models, got):
             assert estimates == [
-                expected_reward_oracle(model, actions, p, samples=samples, **kwargs)
+                shared_oracles([model], actions, [p], samples=samples, **kwargs)[0][0]
                 for p in params
             ]
 
@@ -782,14 +816,6 @@ def test_oracle_estimates_equal_the_per_arm_argmax_reference():
             assert {e.samples for e in got} == {3001}
 
 
-def test_expected_reward_oracle_leaves_the_models_matrix_unmodified():
-    model = FixedTraceModel([[0.8, 0.2, 0.9, 0.3], [0.6, 0.5, 0.1, 0.7]])
-    expected_reward_oracle(
-        model, ActionSet((0.5, 0.85)), RewardParams(n_layers=4), samples=5
-    )
-    assert model.last.tobytes() == np.tile(model.rows, (3, 1))[:5].tobytes()
-
-
 def test_shared_oracles_validation():
     model = SyntheticConfidenceModel()
     with pytest.raises(ValueError, match="samples"):
@@ -799,11 +825,9 @@ def test_shared_oracles_validation():
 
 
 def test_oracle_rejects_layer_mismatch():
-    model = FixedTraceModel(np.ones((2, 6)))
+    block = _tiled_block(np.ones((2, 6)), 10)
     with pytest.raises(ValueError):
-        expected_reward_oracle(
-            model, ActionSet((0.5,)), RewardParams(n_layers=4), samples=10
-        )
+        bandit._oracle_estimates(block, ActionSet((0.5,)), [RewardParams(n_layers=4)])
 
 
 def test_oracle_unknown_arm_lookup_raises():

@@ -1192,6 +1192,15 @@ def test_calibrate_defaults_runs_at_tiny_sizes(capsys):
     ]
     assert all("share=" in line for line in lines if line.startswith("seed="))
     assert all("margin=" in line for line in lines if line.startswith("sigma="))
+    script.oracle_landscapes(base, actions, params, samples=2000)
+    script.committed_speedup(base, tokens=2000)
+    lines = capsys.readouterr().out.splitlines()
+    landscapes = [line for line in lines if line.startswith("sigma=")]
+    assert [line.split(":")[0] for line in landscapes] == [
+        "sigma=0.0", "sigma=1.0", "sigma=2.0"
+    ]
+    assert all(" alpha*=" in line for line in landscapes)
+    assert sum(line.startswith("COMMITTED_SPEEDUP_06 = ") for line in lines) == 1
 
 
 # ---------------------------------------------------------------------------

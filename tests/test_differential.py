@@ -1,12 +1,16 @@
-"""The lockstep driver against the scalar reference, on drawn cases.
+"""The lockstep driver and the oracle against their references, on drawn
+cases.
 
-Each case runs ``run_lockstep`` over one shared stream and checks every
-cell against ``reference_adaptive_run`` (via
+Each driver case runs ``run_lockstep`` over one shared stream and checks
+every cell against ``reference_adaptive_run`` (via
 ``assert_cell_matches_reference``): the scalar exit rule, reward and UCB
 round of ``tests/reference.py`` applied one ``TokenTrace`` at a time to
-the same images.  Seeding is fixed, so the suite stays deterministic.
+the same images.  Each oracle case scores one confidence block with the
+running-max kernel and with ``reference_oracle_means``, the per-arm
+argmax.  Seeding is fixed, so the suite stays deterministic.
 """
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +24,9 @@ from exitsim import (
     distort,
     run_lockstep,
 )
+from exitsim import bandit
 
-from conftest import assert_cell_matches_reference
+from conftest import assert_cell_matches_reference, reference_oracle_means
 
 GRID = ActionSet.default_grid().thresholds
 SIGMAS = (0.0, 0.5, 3.0)
@@ -91,3 +96,43 @@ def test_lockstep_cells_match_the_scalar_reference(case):
         for cell in group:
             assert_cell_matches_reference(cell, model, gamma, max_len, budget)
             assert cell.state.t == budget
+
+
+@st.composite
+def oracle_cases(draw):
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "n_layers": draw(st.integers(2, 12)),
+        "sigma": draw(st.sampled_from(SIGMAS)),
+        "samples": draw(st.integers(1, 400)),
+        "thresholds": tuple(sorted(draw(st.sets(st.sampled_from(GRID), min_size=1)))),
+        "shapes": draw(
+            st.lists(
+                st.tuples(st.floats(0.0, 5.0), st.none() | st.floats(1e-3, 10.0)),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+        # The share of cells moved onto a grid point, to tie exactly.
+        "ties": draw(st.sampled_from((0.0, 0.1, 0.5))),
+    }
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(oracle_cases())
+def test_oracle_estimates_match_the_per_arm_argmax_reference(case):
+    n_layers, samples = case["n_layers"], case["samples"]
+    model = SyntheticConfidenceModel(n_layers=n_layers, sigma=case["sigma"])
+    rng = np.random.default_rng(case["seed"])
+    conf = np.array(model.confidence_matrix(samples, rng), order="C")
+    tied = rng.random(conf.shape) < case["ties"]
+    conf[tied] = rng.choice(GRID, int(tied.sum()))
+    actions = ActionSet(case["thresholds"])
+    params = [RewardParams(n_layers, mu=mu, lam=lam) for lam, mu in case["shapes"]]
+    want = reference_oracle_means(conf, actions.thresholds, params)
+    # A row-major matrix's transpose (copied before it is scored) and a
+    # C-order layer-major block (scored in place).
+    for block in (conf.T, np.array(conf.T, order="C")):
+        got = bandit._oracle_estimates(block, actions, params)
+        assert [list(e.expected_rewards) for e in got] == want
+        assert [e.samples for e in got] == [samples] * len(params)
