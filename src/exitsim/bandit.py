@@ -520,7 +520,9 @@ def shared_oracles(
     arm comparisons are paired and the argmax is stable at moderate
     sample counts; the seed is deliberately independent of run seeds.
     The models may differ only in ``sigma``; each model's running max is
-    built once.
+    built once.  At its peak it holds the draw's noise, one model's
+    matrix and that matrix's scoring temporaries: about 2.7 times one
+    (samples, layers) float64 matrix.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

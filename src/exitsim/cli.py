@@ -336,8 +336,8 @@ def _run_adaptive(
     policies: dict[str, Sequence[float]],
     logged: bool = False,
 ) -> list[tuple[float, float, dict[str, AdaptiveCell], OracleEstimate]]:
-    """Run every policy at every distortion level and latency cost over
-    one image stream, then estimate the oracle over the ``alphas`` grid.
+    """Estimate the oracle over the ``alphas`` grid, then run every policy
+    at every distortion level and latency cost over one image stream.
 
     The flags of an ADAPTIVE_SCHEMA config plus ``tokens`` are checked
     before any work, the reward ranges they give included.  ``policies`` maps each policy name to its
@@ -375,6 +375,9 @@ def _run_adaptive(
                 f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
                 f"rewards in [{lo!r}, {hi!r}] is not finite"
             )
+    # The oracle has its own seed, so scoring it first changes no output,
+    # and a sample count too large to hold fails before any round.
+    oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
     cells = [
         [
             {
@@ -395,7 +398,6 @@ def _run_adaptive(
         config["tokens"],
         config["max_len"],
     )
-    oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
     return [
         (sigma, lam, by_name, oracle)
         for sigma, row, estimates in zip(sigmas, cells, oracles)
@@ -703,7 +705,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail("input", exc, 3)
     except OSError as exc:
         return _fail("input", exc, 3)
-    except (TrainingError, BanditError, OutputError) as exc:
+    except (TrainingError, BanditError, OutputError, MemoryError) as exc:
         return _fail("runtime", exc, 4)
     except (ConfigError, ValueError) as exc:
         return _fail("config", exc, 2)

@@ -215,23 +215,48 @@ def check_distortion_levels(
             raise ValueError(f"{model} differs from {base} beyond sigma")
 
 
+# Tokens per block of a confidence matrix: 4096-8192 ran fastest on a
+# 2-core Xeon, and each block's temporaries are a few hundred KiB.
+_MATRIX_BLOCK = 4096
+
+
 def confidence_matrices(
     models: Sequence[SyntheticConfidenceModel],
     n_tokens: int,
     rng: np.random.Generator,
 ) -> Iterator[np.ndarray]:
     """``model.confidence_matrix(n_tokens, rng)`` for each of ``models``,
-    in turn, from one draw: the models may differ only in ``sigma``."""
+    in turn, from one draw: the models may differ only in ``sigma``.
+
+    Each matrix is the (tokens, layers) transpose of a fresh layer-major
+    block, filled ``_MATRIX_BLOCK`` tokens at a time, so beside the draw
+    and the block only one token block's temporaries are held.
+    """
     check_distortion_levels(models[0], models)
     draws = _draw_block(models[0], n_tokens, rng, token_ids=False)
-    return (_confidences(model, draws).T for model in models)
+    return (_blocked_confidences(model, draws).T for model in models)
 
 
-def _confidences(model: SyntheticConfidenceModel, draws: TokenDraws) -> np.ndarray:
+def _blocked_confidences(
+    model: SyntheticConfidenceModel, draws: TokenDraws
+) -> np.ndarray:
+    out = np.empty((model.n_layers, len(draws.difficulty)))
+    for lo in range(0, out.shape[1], _MATRIX_BLOCK):
+        block = slice(lo, lo + _MATRIX_BLOCK)
+        rows = TokenDraws(*(field[block] for field in draws[:4]))
+        _confidences(model, rows, out[:, block])
+    return out
+
+
+def _confidences(
+    model: SyntheticConfidenceModel,
+    draws: TokenDraws,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """The drawn tokens' confidences at ``model``'s distortion level, as a
-    fresh layer-major (layers, tokens) block."""
+    layer-major (layers, tokens) block: ``out`` when given, else fresh."""
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
-    rise = np.subtract(layer_index[:, None], draws.difficulty[None, :])
+    rise = np.subtract(layer_index[:, None], draws.difficulty[None, :], out=out)
     rise *= model.growth
     center_logit = math.log(model.ceiling_center / (1.0 - model.ceiling_center))
     ceiling = (

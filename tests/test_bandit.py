@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -38,7 +39,7 @@ from reference import (
     update,
 )
 
-from exitsim import bandit
+from exitsim import bandit, synth
 from conftest import (
     assert_cell_matches_reference,
     json_values,
@@ -795,6 +796,40 @@ def test_shared_oracles_equal_one_oracle_per_sigma_and_lambda():
                 shared_oracles([model], actions, [p], samples=samples, **kwargs)[0][0]
                 for p in params
             ]
+
+
+def test_shared_oracles_score_the_one_shot_matrices():
+    # Blocked matrices change no estimate: they equal the scores of the
+    # matrices _confidences gives for the whole draw in one call.
+    base = SyntheticConfidenceModel(seed=8)
+    models = [distort(base, sigma) for sigma in (0.0, 2.0)]
+    actions = ActionSet.default_grid()
+    params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 2.0)]
+    samples = 2 * synth._MATRIX_BLOCK + 3
+    draws = synth._draw_block(base, samples, np.random.default_rng(5), token_ids=False)
+    want = [
+        bandit._oracle_estimates(synth._confidences(model, draws), actions, params)
+        for model in models
+    ]
+    assert shared_oracles(models, actions, params, samples=samples, seed=5) == want
+
+
+def test_oracle_peak_memory_stays_near_the_draw_and_one_matrix():
+    # The noise draw and one (samples, layers) float64 matrix are 2x; the
+    # blocked fill keeps the rest of the peak under 0.75x.
+    base = SyntheticConfidenceModel()
+    models = [distort(base, sigma) for sigma in (0.0, 2.0)]
+    samples = 50_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        shared_oracles(
+            models, ActionSet.default_grid(), [RewardParams(12)], samples=samples
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * samples * base.n_layers * 8
 
 
 def test_oracle_estimates_equal_the_per_arm_argmax_reference():

@@ -270,6 +270,26 @@ def test_nonpositive_counts_exit_2_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bandit", "compare-distortion", "lambda-sweep"])
+def test_oracle_too_large_to_hold_exits_4_before_any_round(
+    command, tmp_path, capsys, monkeypatch
+):
+    # 10**15 float64 samples are 7 PiB, past any 48-bit address space, so
+    # the allocation fails under every overcommit setting.
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("rounds were played before the oracle was drawn")
+
+    monkeypatch.setattr(cli, "run_lockstep", no_rounds)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        [command, "--oracle-samples", str(10**15), "--out-dir", str(out)], capsys
+    )
+    assert code == 4
+    assert err.startswith("error: runtime: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

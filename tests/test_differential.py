@@ -1,5 +1,5 @@
-"""The lockstep driver and the oracle against their references, on drawn
-cases.
+"""The lockstep driver, the oracle, the exit kernel and the stream against
+their references, on drawn cases.
 
 Each driver case runs ``run_lockstep`` over one shared stream and checks
 every cell against ``reference_adaptive_run`` (via
@@ -7,8 +7,14 @@ every cell against ``reference_adaptive_run`` (via
 round of ``tests/reference.py`` applied one ``TokenTrace`` at a time to
 the same images.  Each oracle case scores one confidence block with the
 running-max kernel and with ``reference_oracle_means``, the per-arm
-argmax.  Seeding is fixed, so the suite stays deterministic.
+argmax.  Each exit case runs the kernel over a block with NaN cells and
+exact ties and checks every token against ``decide_exit``; each stream
+case finishes a stack of drawn blocks and each block alone.  Seeding is
+fixed, so the suite stays deterministic.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,11 +28,15 @@ from exitsim import (
     RewardParams,
     SyntheticConfidenceModel,
     distort,
+    draw_tokens,
+    finish_tokens,
     run_lockstep,
 )
 from exitsim import bandit
+from exitsim.cascade import LayerOutcome, exit_counts, exit_layer_indices, running_max
 
 from conftest import assert_cell_matches_reference, reference_oracle_means
+from reference import decide_exit
 
 GRID = ActionSet.default_grid().thresholds
 SIGMAS = (0.0, 0.5, 3.0)
@@ -136,3 +146,71 @@ def test_oracle_estimates_match_the_per_arm_argmax_reference(case):
         got = bandit._oracle_estimates(block, actions, params)
         assert [list(e.expected_rewards) for e in got] == want
         assert [e.samples for e in got] == [samples] * len(params)
+
+
+# Grid points, tying thresholds, NaN and anything else in [0, 1].
+cell_values = st.sampled_from(GRID + TIED + (math.nan,)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def exit_cases(draw):
+    n_layers = draw(st.integers(2, 12))
+    rows = draw(
+        st.lists(
+            st.lists(cell_values, min_size=n_layers, max_size=n_layers),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    # Unsorted, possibly repeated thresholds.
+    return np.array(rows), draw(st.lists(arm_values, min_size=1, max_size=6))
+
+
+def reference_exits(conf, alpha):
+    """0-based exits from ``decide_exit``, one token at a time.  A
+    TokenTrace refuses NaN, and decide_exit reads only ``layers``."""
+    return [
+        decide_exit(
+            SimpleNamespace(layers=tuple(LayerOutcome(c, 0) for c in row)), alpha
+        ).exit_layer - 1
+        for row in conf.tolist()
+    ]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(exit_cases())
+@example((np.array([[math.nan] * 4, [0.5, 0.5, math.nan, 1.0]]), [1.0, 0.5, 0.0, 0.5]))
+def test_exit_kernel_matches_decide_exit(case):
+    conf, grid = case
+    table = exit_layer_indices(conf, grid)
+    # The oracle's call: np.float64 thresholds over a C-order running max.
+    top = running_max(np.array(conf[:, :-1].T, order="C"))
+    assert table.shape == (len(conf), len(grid))
+    for k, alpha in enumerate(grid):
+        want = reference_exits(conf, alpha)
+        assert table[:, k].tolist() == want
+        assert exit_layer_indices(conf, alpha).tolist() == want
+        assert exit_counts(top, np.float64(alpha)).tolist() == want
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_blocks=st.integers(1, 4),
+    max_len=st.integers(1, 25),
+    sigma=st.sampled_from(SIGMAS),
+)
+def test_finishing_a_stack_equals_finishing_each_block(seed, n_blocks, max_len, sigma):
+    base = SyntheticConfidenceModel(seed=seed)
+    model = distort(base, sigma)
+    stack = draw_tokens(base, max_len, base.stream_rng(0), n_blocks)
+    stacked = finish_tokens(model, stack)
+    rng = base.stream_rng(0)
+    alone = [
+        finish_tokens(model, draw_tokens(base, max_len, rng)) for _ in range(n_blocks)
+    ]
+    for field in ("confidences", "token_ids", "targets"):
+        got = getattr(stacked, field)
+        want = np.concatenate([getattr(batch, field) for batch in alone])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -23,7 +23,8 @@ from exitsim import (
     read_traces,
     write_traces,
 )
-from exitsim.synth import _sigmoid, confidence_matrices
+from exitsim import synth
+from exitsim.synth import _MATRIX_BLOCK, _sigmoid, confidence_matrices
 
 from reference import (
     TokenTrace,
@@ -248,6 +249,24 @@ def test_confidence_matrices_share_one_draw():
             [base, dataclasses.replace(base, growth=2.0)], 10,
             np.random.default_rng(0),
         )
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, _MATRIX_BLOCK - 1, _MATRIX_BLOCK, _MATRIX_BLOCK + 1, 2 * _MATRIX_BLOCK + 3],
+)
+def test_blocked_confidence_matrices_equal_one_shot_blocks(n):
+    # Filled a token block at a time, each matrix is bitwise the one
+    # _confidences gives for the whole draw in one call.
+    base = SyntheticConfidenceModel(seed=6)
+    for sigmas in ((1.5,), (0.0, 3.0)):
+        models = [distort(base, sigma) for sigma in sigmas]
+        got = confidence_matrices(models, n, np.random.default_rng(n))
+        draws = synth._draw_block(base, n, np.random.default_rng(n), token_ids=False)
+        for model, conf in zip(models, got, strict=True):
+            want = synth._confidences(model, draws)
+            assert conf.shape == (n, base.n_layers)
+            assert conf.T.tobytes() == want.tobytes()
 
 
 def test_draw_tokens_validation():
