@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .synth import (
     TraceBatch,
     check_distortion_levels,
     check_traces,
-    confidence_matrices,
+    confidence_blocks,
     draw_tokens,
     finish_tokens,
 )
@@ -491,11 +491,8 @@ class OracleEstimate:
 
     @property
     def best_index(self) -> int:
-        best = 0
-        for k in range(1, len(self.thresholds)):
-            if self.expected_rewards[k] > self.expected_rewards[best]:
-                best = k
-        return best
+        """The first arm of the largest expected reward."""
+        return max(range(len(self.thresholds)), key=self.expected_rewards.__getitem__)
 
     @property
     def best_threshold(self) -> float:
@@ -519,32 +516,62 @@ def shared_oracles(
     share one draw of the oracle's variates (common random numbers), so
     arm comparisons are paired and the argmax is stable at moderate
     sample counts; the seed is deliberately independent of run seeds.
-    The models may differ only in ``sigma``; each model's running max is
-    built once.  At its peak it holds the draw's noise, one model's
-    matrix and that matrix's scoring temporaries: about 2.7 times one
-    (samples, layers) float64 matrix.
+    The models may differ only in ``sigma``.  No (samples, layers)
+    matrix is held: the samples are drawn and scored one
+    ``_pairwise_spans`` span at a time.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    estimates = []
-    for conf in confidence_matrices(models, samples, np.random.default_rng(seed)):
-        # conf is the transpose of a fresh layer-major block: scored in place.
-        estimates.append(_oracle_estimates(conf.T, actions, params))
-        del conf  # freed before the next matrix is finished
-    return estimates
+    rng = np.random.default_rng(seed)
+    blocks = confidence_blocks(models, samples, rng, _pairwise_spans(samples))
+    sums = (
+        np.array([_span_sums(block, actions, params) for block in span])
+        for span in zip(*[blocks] * len(models))  # a span's blocks, one per model
+    )
+    means = _pairwise_sum(samples, sums) / samples
+    return [
+        [OracleEstimate(actions.thresholds, tuple(m.tolist()), samples) for m in rows]
+        for rows in means
+    ]
 
 
-def _oracle_estimates(
-    block: np.ndarray,
-    actions: ActionSet,
-    params: Sequence[RewardParams],
-) -> list[OracleEstimate]:
-    """Every arm's mean reward under each of ``params`` over a layer-major
-    (layers, samples) confidence block, which is overwritten: its first
-    L - 1 rows become their running max.  At a token's first clearing
-    layer the running max is that layer's own confidence, and the final
-    row and layer 1 keep theirs, so each arm's banked confidences are
-    one gather from the block at its exits."""
+# Numpy sums a float64 vector pairwise: it splits n > 128 values at half,
+# rounded down to a multiple of 8, and sums each part the same way.  The
+# oracle scores the tree's nodes of at most _ORACLE_SPAN samples and adds
+# their sums up the tree, which is bitwise the sum of the whole vector.
+_ORACLE_SPAN = 4096
+
+
+def _pairwise_spans(n: int) -> Iterator[int]:
+    """The lengths, left to right, of the nodes of the pairwise tree over
+    ``n`` values that the oracle scores.  Lazy, so that a sample count
+    too large to draw fails at its first allocation."""
+    if n <= _ORACLE_SPAN:
+        yield n
+    else:
+        half = n // 2 - n // 2 % 8
+        yield from _pairwise_spans(half)
+        yield from _pairwise_spans(n - half)
+
+
+def _pairwise_sum(n: int, span_sums: Iterator[np.ndarray]) -> np.ndarray:
+    """``np.add.reduce`` of ``n`` values, elementwise, from the sums of
+    their ``_pairwise_spans`` in order."""
+    if n <= _ORACLE_SPAN:
+        return next(span_sums)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, span_sums) + _pairwise_sum(n - half, span_sums)
+
+
+def _span_sums(
+    block: np.ndarray, actions: ActionSet, params: Sequence[RewardParams]
+) -> np.ndarray:
+    """Every arm's reward sum under each of ``params``, as a (params, arms)
+    array, over a layer-major (layers, samples) confidence block, which
+    is overwritten: its first L - 1 rows become their running max.  At a
+    token's first clearing layer the running max is that layer's own
+    confidence, and the final row and layer 1 keep theirs, so each arm's
+    banked confidences are one gather from the block at its exits."""
     for p in params:
         _check_layers(block.T, p)
     block = np.ascontiguousarray(block)
@@ -552,17 +579,14 @@ def _oracle_estimates(
     top = running_max(block[:-1])
     flat, first = block.ravel(), block[0]
     offsets = np.arange(samples)
-    expected = [[] for _ in params]
-    for alpha in actions.thresholds:
+    sums = np.empty((len(params), len(actions)))
+    for k, alpha in enumerate(actions.thresholds):
         exits = exit_counts(top, np.float64(alpha))
         gain = flat.take(np.multiply(exits, samples, dtype=np.intp) + offsets)
         gain -= first
-        for p, means in zip(params, expected):
-            means.append(float(_rewards(gain, exits, p).mean()))
-    return [
-        OracleEstimate(actions.thresholds, tuple(means), samples)
-        for means in expected
-    ]
+        for j, p in enumerate(params):
+            sums[j, k] = np.add.reduce(_rewards(gain, exits, p))
+    return sums
 
 
 def regret_curve(log: BanditLog, oracle: OracleEstimate) -> np.ndarray:

@@ -514,16 +514,11 @@ def _stage_one(
     then train and freeze the backbone."""
     toy = ToyConfig()
     rng = np.random.default_rng(config["seed"])
-    task = make_task(
-        toy,
-        rng,
-        n_train=config["n_train"],
-        n_heldout=config["n_heldout"],
-        tokens_per_example=config["tokens_per_example"],
-        n_classes=config["n_classes"],
-        margin=config["margin"],
-        label_noise=config["label_noise"],
+    task_keys = (
+        "n_train", "n_heldout", "tokens_per_example", "n_classes", "margin",
+        "label_noise",
     )
+    task = make_task(toy, rng, **{key: config[key] for key in task_keys})
     model = init_cascade(toy, rng)
     schedule = StepSchedule(
         initial=config["learning_rate"],
@@ -551,12 +546,7 @@ def cmd_ablation(args: argparse.Namespace, config: dict) -> int:
     accuracies = _train_ablation(config)
     n_layers = len(accuracies["ce"])
     rows = [
-        (
-            layer + 1,
-            accuracies["ce"][layer],
-            accuracies["kl"][layer],
-            accuracies["both"][layer],
-        )
+        (layer + 1, *(accuracies[terms][layer] for terms in ("ce", "kl", "both")))
         for layer in range(n_layers)
     ]
     deepest = n_layers - 2
@@ -632,17 +622,14 @@ def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
         loss_terms=config["loss_terms"],
     )
     fields = {
-        "stage1_loss": {
-            "first": stage1[0] if stage1 else None,
-            "last": stage1[-1] if stage1 else None,
-        },
-        "stage2_loss": {
-            "first": stage2[0] if stage2 else None,
-            "last": stage2[-1] if stage2 else None,
-        },
-        "heldout_accuracy": list(layer_accuracies(model, task.heldout)),
-        "train_accuracy": list(layer_accuracies(model, task.train)),
+        f"stage{stage}_loss": {
+            "first": history[0] if history else None,
+            "last": history[-1] if history else None,
+        }
+        for stage, history in ((1, stage1), (2, stage2))
     }
+    fields["heldout_accuracy"] = list(layer_accuracies(model, task.heldout))
+    fields["train_accuracy"] = list(layer_accuracies(model, task.train))
     # Scored first: a model whose heads cannot be scored is not saved.
     save_cascade(model, _out_path(args, config["checkpoint"]))
     _write_outputs(args, config, fields, config["checkpoint"])
@@ -662,14 +649,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_schema_flags(
     sub: argparse.ArgumentParser, schema: dict[str, tuple[str, object]]
 ) -> None:
-    for key, (kind, default) in schema.items():
+    types = {"int": int, "float": float}
+    for key, (kind, _) in schema.items():
         flag = "--" + key.replace("_", "-")
-        if kind == "int":
-            sub.add_argument(flag, type=int, default=None, dest=key)
-        elif kind == "float":
-            sub.add_argument(flag, type=float, default=None, dest=key)
-        else:
-            sub.add_argument(flag, default=None, dest=key)
+        sub.add_argument(flag, type=types.get(kind, str), default=None, dest=key)
 
 
 COMMANDS: dict[str, tuple[Callable, dict]] = {
@@ -701,9 +684,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     command, schema = COMMANDS[args.command]
     try:
         return command(args, effective_config(args, schema))
-    except (TraceFormatError, CheckpointError, TraceValidationError) as exc:
-        return _fail("input", exc, 3)
-    except OSError as exc:
+    except (TraceFormatError, CheckpointError, TraceValidationError, OSError) as exc:
         return _fail("input", exc, 3)
     except (TrainingError, BanditError, OutputError, MemoryError) as exc:
         return _fail("runtime", exc, 4)

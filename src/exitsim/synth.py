@@ -135,8 +135,9 @@ class SyntheticConfidenceModel:
         return np.random.default_rng((self.seed, offset))
 
     def confidence_matrix(self, n_tokens: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample an (n_tokens, n_layers) block of confidences only."""
-        return next(confidence_matrices([self], n_tokens, rng))
+        """Sample an (n_tokens, n_layers) block of confidences only: the
+        transpose of ``confidence_blocks`` over one span."""
+        return next(confidence_blocks([self], n_tokens, rng, [n_tokens])).T
 
 
 def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenceModel:
@@ -149,37 +150,38 @@ class TokenDraws(NamedTuple):
 
     Nothing here depends on the distortion level ``sigma``, so one draw
     can be finished (``finish_tokens``) at any number of levels of the
-    model it was drawn from.  The last four fields are None when only
-    confidences were drawn.
+    model it was drawn from.
     """
 
     difficulty: np.ndarray  # (n,) uniform on [difficulty_low, difficulty_high]
     clean: np.ndarray  # (n,) bool: the token refines without a ceiling
     ceiling_jitter: np.ndarray  # (n,) standard normal
     noise: np.ndarray  # (n, N) normal with sd noise_scale
-    u_correct: np.ndarray | None = None  # (n,) uniform
-    is_eos: np.ndarray | None = None  # (n,) bool
-    nominal: np.ndarray | None = None  # (n,) non-eos candidate targets
-    wrong: np.ndarray | None = None  # (n,) wrong-guess candidates
+    u_correct: np.ndarray  # (n,) uniform
+    is_eos: np.ndarray  # (n,) bool
+    nominal: np.ndarray  # (n,) non-eos candidate targets
+    wrong: np.ndarray  # (n,) wrong-guess candidates
 
 
-def _draw_block(
-    model: SyntheticConfidenceModel,
-    n_tokens: int,
-    rng: np.random.Generator,
-    token_ids: bool = True,
-) -> TokenDraws:
-    # Draw order is part of the stream contract: difficulty, clean mask,
-    # ceiling jitter, layer noise, then the correctness uniform, eos mask,
-    # nominal targets and wrong guesses.  Tests pin stream content by seed.
+def _token_variates(
+    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Draw order is part of the stream contract: difficulty, clean mask
+    # and ceiling jitter open every block, then the (tokens, layers)
+    # layer noise, then the correctness uniform, eos mask, nominal
+    # targets and wrong guesses.  Tests pin stream content by seed.
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be >= 1, got {n_tokens}")
     difficulty = rng.uniform(model.difficulty_low, model.difficulty_high, n_tokens)
     clean = rng.random(n_tokens) < model.clean_fraction
-    ceiling_jitter = rng.normal(0.0, 1.0, n_tokens)
+    return difficulty, clean, rng.normal(0.0, 1.0, n_tokens)
+
+
+def _draw_block(
+    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
+) -> TokenDraws:
+    difficulty, clean, ceiling_jitter = _token_variates(model, n_tokens, rng)
     noise = rng.normal(0.0, model.noise_scale, (n_tokens, model.n_layers))
-    if not token_ids:
-        return TokenDraws(difficulty, clean, ceiling_jitter, noise)
     u_correct = rng.random(n_tokens)
     is_eos = rng.random(n_tokens) < model.eos_prob
     nominal = rng.integers(1, model.vocab_size, n_tokens)
@@ -200,8 +202,6 @@ def draw_tokens(
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     blocks = [_draw_block(model, n_tokens, rng) for _ in range(n_images)]
-    if n_images == 1:
-        return blocks[0]
     return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
 
 
@@ -215,59 +215,52 @@ def check_distortion_levels(
             raise ValueError(f"{model} differs from {base} beyond sigma")
 
 
-# Tokens per block of a confidence matrix: 4096-8192 ran fastest on a
-# 2-core Xeon, and each block's temporaries are a few hundred KiB.
-_MATRIX_BLOCK = 4096
-
-
-def confidence_matrices(
+def confidence_blocks(
     models: Sequence[SyntheticConfidenceModel],
     n_tokens: int,
     rng: np.random.Generator,
+    spans: Iterable[int],
 ) -> Iterator[np.ndarray]:
-    """``model.confidence_matrix(n_tokens, rng)`` for each of ``models``,
-    in turn, from one draw: the models may differ only in ``sigma``.
-
-    Each matrix is the (tokens, layers) transpose of a fresh layer-major
-    block, filled ``_MATRIX_BLOCK`` tokens at a time, so beside the draw
-    and the block only one token block's temporaries are held.
-    """
-    check_distortion_levels(models[0], models)
-    draws = _draw_block(models[0], n_tokens, rng, token_ids=False)
-    return (_blocked_confidences(model, draws).T for model in models)
-
-
-def _blocked_confidences(
-    model: SyntheticConfidenceModel, draws: TokenDraws
-) -> np.ndarray:
-    out = np.empty((model.n_layers, len(draws.difficulty)))
-    for lo in range(0, out.shape[1], _MATRIX_BLOCK):
-        block = slice(lo, lo + _MATRIX_BLOCK)
-        rows = TokenDraws(*(field[block] for field in draws[:4]))
-        _confidences(model, rows, out[:, block])
-    return out
+    """One draw of ``n_tokens`` tokens' confidences at each of ``models``
+    (which may differ only in ``sigma``) as layer-major (layers, span)
+    blocks: for each of ``spans``, token counts summing to ``n_tokens``,
+    one block per model.  The layer noise is drawn a span at a time,
+    which gives the bits of one (n_tokens, layers) draw."""
+    base = models[0]
+    check_distortion_levels(base, models)
+    variates = _token_variates(base, n_tokens, rng)
+    lo = 0
+    for span in spans:
+        rows = [v[lo : lo + span] for v in variates]
+        noise = rng.normal(0.0, base.noise_scale, (span, base.n_layers))
+        for model in models:
+            yield _confidences(model, *rows, noise)
+        lo += span
 
 
 def _confidences(
     model: SyntheticConfidenceModel,
-    draws: TokenDraws,
-    out: np.ndarray | None = None,
+    difficulty: np.ndarray,
+    clean: np.ndarray,
+    ceiling_jitter: np.ndarray,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """The drawn tokens' confidences at ``model``'s distortion level, as a
-    layer-major (layers, tokens) block: ``out`` when given, else fresh."""
+    """The confidences of drawn tokens (``TokenDraws``' first four fields)
+    at ``model``'s distortion level, as a fresh layer-major (layers,
+    tokens) block."""
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
-    rise = np.subtract(layer_index[:, None], draws.difficulty[None, :], out=out)
+    rise = np.subtract.outer(layer_index, difficulty)
     rise *= model.growth
     center_logit = math.log(model.ceiling_center / (1.0 - model.ceiling_center))
     ceiling = (
         center_logit
-        + model.ceiling_spread * draws.ceiling_jitter
+        + model.ceiling_spread * ceiling_jitter
         - model.sigma * model.ceiling_drop_rate
     )
-    ceiling = np.where(draws.clean, np.inf, ceiling)
+    ceiling = np.where(clean, np.inf, ceiling)
     z = np.minimum(rise, ceiling[None, :], out=rise)
     z -= model.sigma * model.base_drop_rate
-    z += draws.noise.T
+    z += noise.T
     return _sigmoid(z)
 
 
@@ -295,7 +288,7 @@ def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBa
     never use the eos id, keeping caption lengths governed by
     ``eos_prob`` alone.
     """
-    conf = np.ascontiguousarray(_confidences(model, draws).T)
+    conf = np.ascontiguousarray(_confidences(model, *draws[:4]).T)
     v = model.vocab_size
     targets = np.where(draws.is_eos, model.eos_id, draws.nominal)
     collide = draws.wrong == targets

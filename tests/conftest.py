@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from exitsim import BanditLog, image_stream
+from exitsim import BanditLog, OracleEstimate, bandit, image_stream
 
 from reference import (
     TokenTrace,
@@ -40,6 +40,23 @@ def make_trace(confidences, token_ids=None):
 def make_image(conf_rows, image_id=0, targets=None):
     traces = tuple(make_trace(row) for row in conf_rows)
     return image_from_traces(image_id, traces, targets)
+
+
+def span_scored(block, actions, params):
+    """The oracle's estimates for one layer-major (layers, samples) block,
+    scored as ``shared_oracles`` scores its draw: ``bandit._span_sums``
+    over each of ``bandit._pairwise_spans``, added by
+    ``bandit._pairwise_sum``."""
+    samples = block.shape[1]
+    edges = np.cumsum([0, *bandit._pairwise_spans(samples)])
+    sums = (
+        bandit._span_sums(block[:, lo:hi], actions, params)
+        for lo, hi in zip(edges, edges[1:])
+    )
+    means = bandit._pairwise_sum(samples, sums) / samples
+    return [
+        OracleEstimate(actions.thresholds, tuple(m.tolist()), samples) for m in means
+    ]
 
 
 def reference_oracle_means(conf, thresholds, params):

@@ -1,10 +1,11 @@
 """Scalar references the array paths of ``exitsim`` are checked against.
 
-Each name here is the per-token (or stacked, or finite-difference) form
-of something the package computes on whole arrays: the exit rule and
-caption loop over ``TokenTrace`` records, the bandit's reward, first
-pulls and UCB round, per-image sampling, the stacked toy-cascade forward pass and the
-flat-vector gradient harness.  No production path calls them; the tests
+Each name here is the per-token (or stacked, whole-sample or
+finite-difference) form of something the package computes on whole
+arrays or in pieces: the exit rule and caption loop over ``TokenTrace``
+records, the bandit's reward, first pulls and UCB round, the oracle
+scored over its whole sample at once, per-image sampling, the stacked
+toy-cascade forward pass and the flat-vector gradient harness.  No production path calls them; the tests
 use them as the independent answer.
 """
 
@@ -23,12 +24,17 @@ from exitsim.bandit import (
     BanditError,
     BanditLog,
     BanditState,
+    OracleEstimate,
     RewardParams,
+    _check_layers,
+    _rewards,
 )
 from exitsim.cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
     TokenTrace,
     TraceValidationError,
+    exit_counts,
+    running_max,
 )
 from exitsim.distill import (
     SyntheticExample,
@@ -153,7 +159,8 @@ def run_caption(
 
 
 # ---------------------------------------------------------------------------
-# The bandit: reward, select, update, and the pulls before the first round
+# The bandit: reward, select, update, the pulls before the first round,
+# and the oracle over a whole sample
 
 
 def reward(decision: ExitDecision, params: RewardParams) -> float:
@@ -213,6 +220,33 @@ def initialize(
         if log is not None:
             log.append(state.t, alpha, decision.exit_layer, r)
     return state
+
+
+def oracle_estimates(
+    block: np.ndarray, actions: ActionSet, params: Sequence[RewardParams]
+) -> list[OracleEstimate]:
+    """Every arm's mean reward under each of ``params`` over a whole
+    layer-major (layers, samples) confidence block, scored in one piece:
+    one running max, then per arm one gather and one ``.mean()`` of the
+    full reward vector.  The block is not modified."""
+    for p in params:
+        _check_layers(block.T, p)
+    block = np.array(block, order="C")
+    samples = block.shape[1]
+    top = running_max(block[:-1])
+    flat, first = block.ravel(), block[0]
+    offsets = np.arange(samples)
+    expected = [[] for _ in params]
+    for alpha in actions.thresholds:
+        exits = exit_counts(top, np.float64(alpha))
+        gain = flat.take(np.multiply(exits, samples, dtype=np.intp) + offsets)
+        gain -= first
+        for p, means in zip(params, expected):
+            means.append(float(_rewards(gain, exits, p).mean()))
+    return [
+        OracleEstimate(actions.thresholds, tuple(means), samples)
+        for means in expected
+    ]
 
 
 # ---------------------------------------------------------------------------

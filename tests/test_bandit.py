@@ -32,6 +32,7 @@ from exitsim import (
 
 from reference import (
     decide_exit,
+    oracle_estimates,
     reward,
     run_caption,
     token_traces,
@@ -39,13 +40,15 @@ from reference import (
     update,
 )
 
-from exitsim import bandit, synth
+from exitsim import bandit
+from exitsim.synth import confidence_blocks
 from conftest import (
     assert_cell_matches_reference,
     json_values,
     make_image,
     make_trace,
     reference_oracle_means,
+    span_scored,
 )
 
 
@@ -732,7 +735,7 @@ def test_log_arm_counts_window():
 
 def _tiled_block(rows, samples):
     """``samples`` samples that cycle through the (n, layers) ``rows``, as
-    the layer-major block ``bandit._oracle_estimates`` scores."""
+    a layer-major block for ``span_scored``."""
     rows = np.asarray(rows, dtype=float)
     reps = -(-samples // len(rows))
     return np.ascontiguousarray(np.tile(rows, (reps, 1))[:samples].T)
@@ -742,7 +745,7 @@ def test_oracle_degenerate_model_every_arm_exits_layer_one():
     # All confidences exactly 1.0: every threshold exits at layer 1, so
     # every arm's expected reward is 0 and the tie resolves to the
     # smallest threshold.
-    [oracle] = bandit._oracle_estimates(
+    [oracle] = span_scored(
         _tiled_block(np.ones((4, 6)), 100),
         ActionSet.default_grid(),
         [RewardParams(n_layers=6)],
@@ -759,9 +762,7 @@ def test_oracle_scripted_three_trace_hand_average():
         [0.9, 0.95, 1.0],
     ]
     params = RewardParams(n_layers=3)  # mu=1/3, latency (0, 2, 3)
-    [oracle] = bandit._oracle_estimates(
-        _tiled_block(rows, 3), ActionSet((0.5, 0.85)), [params]
-    )
+    [oracle] = span_scored(_tiled_block(rows, 3), ActionSet((0.5, 0.85)), [params])
     # alpha=0.5: exits (2, 1, 1) -> rewards ((0.8-0.2)-2/3, 0, 0).
     # alpha=0.85: exits (3, 3, 1) -> ((0.9-0.2)-1, (0.7-0.5)-1, 0).
     want_a = ((0.8 - 0.2) - 2.0 / 3.0) / 3.0
@@ -799,24 +800,44 @@ def test_shared_oracles_equal_one_oracle_per_sigma_and_lambda():
 
 
 def test_shared_oracles_score_the_one_shot_matrices():
-    # Blocked matrices change no estimate: they equal the scores of the
-    # matrices _confidences gives for the whole draw in one call.
+    # Scored span by span, every estimate is bitwise the whole-sample
+    # reference's over the blocks one span of the same draw gives.
     base = SyntheticConfidenceModel(seed=8)
     models = [distort(base, sigma) for sigma in (0.0, 2.0)]
     actions = ActionSet.default_grid()
     params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 2.0)]
-    samples = 2 * synth._MATRIX_BLOCK + 3
-    draws = synth._draw_block(base, samples, np.random.default_rng(5), token_ids=False)
-    want = [
-        bandit._oracle_estimates(synth._confidences(model, draws), actions, params)
-        for model in models
-    ]
-    assert shared_oracles(models, actions, params, samples=samples, seed=5) == want
+    for samples in (2 * bandit._ORACLE_SPAN + 3, 50_000):
+        blocks = confidence_blocks(models, samples, np.random.default_rng(5), [samples])
+        want = [oracle_estimates(block, actions, params) for block in blocks]
+        got = shared_oracles(models, actions, params, samples=samples, seed=5)
+        assert got == want
 
 
-def test_oracle_peak_memory_stays_near_the_draw_and_one_matrix():
-    # The noise draw and one (samples, layers) float64 matrix are 2x; the
-    # blocked fill keeps the rest of the peak under 0.75x.
+SPAN = bandit._ORACLE_SPAN
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 7, 8, 9, 127, 128, 129, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 3, 50_000,
+     200_003],
+)
+def test_pairwise_span_sums_are_numpys_reduce_and_mean(n):
+    # The oracle's means rest on this: numpy's pairwise summation of a
+    # contiguous float64 vector is the sum, in tree order, of its nodes'
+    # own reductions.  A numpy that sums otherwise fails here.
+    values = np.random.default_rng(n).uniform(-2.0, 1.0, n)
+    spans = list(bandit._pairwise_spans(n))
+    assert sum(spans) == n and max(spans) <= SPAN
+    edges = np.cumsum([0, *spans])
+    sums = (np.add.reduce(values[lo:hi]) for lo, hi in zip(edges, edges[1:]))
+    total = bandit._pairwise_sum(n, sums)
+    assert total.tobytes() == np.add.reduce(values).tobytes()
+    assert (total / n).tobytes() == values.mean().tobytes()
+
+
+def test_oracle_peak_memory_stays_under_one_matrix():
+    # No (samples, layers) matrix and no whole noise block: the
+    # per-sample variates and one span's blocks and temporaries.
     base = SyntheticConfidenceModel()
     models = [distort(base, sigma) for sigma in (0.0, 2.0)]
     samples = 50_000
@@ -829,26 +850,28 @@ def test_oracle_peak_memory_stays_near_the_draw_and_one_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * samples * base.n_layers * 8
+    assert peak <= 1.0 * samples * base.n_layers * 8
 
 
 def test_oracle_estimates_equal_the_per_arm_argmax_reference():
-    # Bitwise, from the transpose of a row-major matrix (copied before it
-    # is scored) and from a layer-major block (scored in place).
+    # Bitwise, over one span and over several, from the transpose of a
+    # row-major matrix and from a layer-major block.
     actions = ActionSet.default_grid()
     params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 1.0, 2.0)]
     params.append(RewardParams(n_layers=12, mu=0.3))
     base = SyntheticConfidenceModel(seed=5)
-    for sigma in (0.0, 2.0):
-        conf = distort(base, sigma).confidence_matrix(3001, np.random.default_rng(2))
+    for sigma, samples in ((0.0, 3001), (2.0, 3001), (2.0, 9001)):
+        conf = distort(base, sigma).confidence_matrix(samples, np.random.default_rng(2))
         conf = np.array(conf, order="C")
         conf[::97, 3] = 0.5  # exact ties with a grid point
         conf[::89, 0] = 1.0
         want = reference_oracle_means(conf, actions.thresholds, params)
         for block in (conf.T, np.array(conf.T, order="C")):
-            got = bandit._oracle_estimates(block, actions, params)
+            whole = oracle_estimates(block, actions, params)
+            got = span_scored(block, actions, params)
             assert [list(e.expected_rewards) for e in got] == want
-            assert {e.samples for e in got} == {3001}
+            assert got == whole
+            assert {e.samples for e in got} == {samples}
 
 
 def test_shared_oracles_validation():
@@ -862,7 +885,7 @@ def test_shared_oracles_validation():
 def test_oracle_rejects_layer_mismatch():
     block = _tiled_block(np.ones((2, 6)), 10)
     with pytest.raises(ValueError):
-        bandit._oracle_estimates(block, ActionSet((0.5,)), [RewardParams(n_layers=4)])
+        span_scored(block, ActionSet((0.5,)), [RewardParams(n_layers=4)])
 
 
 def test_oracle_unknown_arm_lookup_raises():

@@ -1,16 +1,18 @@
-"""The lockstep driver, the oracle, the exit kernel and the stream against
-their references, on drawn cases.
+"""The lockstep driver, the oracle, the exit kernel, the stream and the toy
+cascade's heads against their references, on drawn cases.
 
 Each driver case runs ``run_lockstep`` over one shared stream and checks
 every cell against ``reference_adaptive_run`` (via
 ``assert_cell_matches_reference``): the scalar exit rule, reward and UCB
 round of ``tests/reference.py`` applied one ``TokenTrace`` at a time to
-the same images.  Each oracle case scores one confidence block with the
-running-max kernel and with ``reference_oracle_means``, the per-arm
-argmax.  Each exit case runs the kernel over a block with NaN cells and
-exact ties and checks every token against ``decide_exit``; each stream
-case finishes a stack of drawn blocks and each block alone.  Seeding is
-fixed, so the suite stays deterministic.
+the same images.  Each oracle case scores one confidence block span by
+span, as ``shared_oracles`` does, and with ``reference_oracle_means``,
+the per-arm argmax.  Each exit case runs the kernel over a block with NaN
+cells and exact ties and checks every token against ``decide_exit``; each
+stream case finishes a stack of drawn blocks and each block alone.  Each
+head case checks ``head_confidences`` and ``layer_accuracies`` against
+the stacked ``forward``.  Seeding is fixed, so the suite stays
+deterministic.
 """
 
 import math
@@ -27,16 +29,20 @@ from exitsim import (
     BanditLog,
     RewardParams,
     SyntheticConfidenceModel,
+    SyntheticExample,
+    ToyConfig,
     distort,
     draw_tokens,
     finish_tokens,
+    head_confidences,
+    init_cascade,
+    layer_accuracies,
     run_lockstep,
 )
-from exitsim import bandit
 from exitsim.cascade import LayerOutcome, exit_counts, exit_layer_indices, running_max
 
-from conftest import assert_cell_matches_reference, reference_oracle_means
-from reference import decide_exit
+from conftest import assert_cell_matches_reference, reference_oracle_means, span_scored
+from reference import decide_exit, forward
 
 GRID = ActionSet.default_grid().thresholds
 SIGMAS = (0.0, 0.5, 3.0)
@@ -114,7 +120,8 @@ def oracle_cases(draw):
         "seed": draw(st.integers(0, 2**32 - 1)),
         "n_layers": draw(st.integers(2, 12)),
         "sigma": draw(st.sampled_from(SIGMAS)),
-        "samples": draw(st.integers(1, 400)),
+        # One span, or several: the oracle's spans hold at most 4096.
+        "samples": draw(st.integers(1, 400) | st.integers(4090, 9000)),
         "thresholds": tuple(sorted(draw(st.sets(st.sampled_from(GRID), min_size=1)))),
         "shapes": draw(
             st.lists(
@@ -140,10 +147,9 @@ def test_oracle_estimates_match_the_per_arm_argmax_reference(case):
     actions = ActionSet(case["thresholds"])
     params = [RewardParams(n_layers, mu=mu, lam=lam) for lam, mu in case["shapes"]]
     want = reference_oracle_means(conf, actions.thresholds, params)
-    # A row-major matrix's transpose (copied before it is scored) and a
-    # C-order layer-major block (scored in place).
+    # A row-major matrix's transpose and a C-order layer-major block.
     for block in (conf.T, np.array(conf.T, order="C")):
-        got = bandit._oracle_estimates(block, actions, params)
+        got = span_scored(block, actions, params)
         assert [list(e.expected_rewards) for e in got] == want
         assert [e.samples for e in got] == [samples] * len(params)
 
@@ -214,3 +220,37 @@ def test_finishing_a_stack_equals_finishing_each_block(seed, n_blocks, max_len, 
         want = np.concatenate([getattr(batch, field) for batch in alone])
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def head_cases(draw):
+    config = ToyConfig(
+        input_dim=draw(st.integers(1, 8)),
+        hidden_dim=draw(st.integers(1, 8)),
+        n_layers=draw(st.integers(2, 5)),
+        vocab_size=draw(st.integers(2, 6)),
+    )
+    rows = draw(st.sampled_from((1, 2)) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = init_cascade(config, rng)
+    # Zero exit heads tie every logit; drawn ones spread them.
+    if draw(st.booleans()):
+        for w in model.exit_weights:
+            w[:] = rng.normal(0.0, 3.0, w.shape)
+    example = SyntheticExample(
+        features=rng.normal(size=(rows, config.input_dim)),
+        targets=rng.integers(0, config.vocab_size, rows),
+    )
+    return model, example
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(head_cases())
+def test_head_confidences_and_accuracies_match_the_stacked_forward(case):
+    model, example = case
+    probs = forward(model, example)
+    confidences, token_ids = head_confidences(model, example)
+    assert confidences.tobytes() == probs.max(axis=2).tobytes()
+    assert np.array_equal(token_ids, probs.argmax(axis=2))
+    hits = probs.argmax(axis=2) == example.targets[:, None]
+    assert layer_accuracies(model, example) == tuple(hits.mean(axis=0).tolist())

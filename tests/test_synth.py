@@ -23,8 +23,8 @@ from exitsim import (
     read_traces,
     write_traces,
 )
-from exitsim import synth
-from exitsim.synth import _MATRIX_BLOCK, _sigmoid, confidence_matrices
+from exitsim.bandit import _ORACLE_SPAN, _pairwise_spans
+from exitsim.synth import _sigmoid, confidence_blocks
 
 from reference import (
     TokenTrace,
@@ -240,33 +240,38 @@ def test_finished_confidences_stay_in_the_unit_interval():
 def test_confidence_matrices_share_one_draw():
     base = SyntheticConfidenceModel(seed=4)
     models = [distort(base, sigma) for sigma in (2.0, 0.0, 0.5)]
-    got = list(confidence_matrices(models, 300, np.random.default_rng(9)))
-    for model, conf in zip(models, got):
+    got = list(confidence_blocks(models, 300, np.random.default_rng(9), [300]))
+    for model, block in zip(models, got, strict=True):
         want = model.confidence_matrix(300, np.random.default_rng(9))
-        assert conf.tobytes() == want.tobytes()
+        assert block.shape == (base.n_layers, 300)
+        assert block.tobytes() == want.T.tobytes()
     with pytest.raises(ValueError, match="beyond sigma"):
-        confidence_matrices(
+        next(confidence_blocks(
             [base, dataclasses.replace(base, growth=2.0)], 10,
-            np.random.default_rng(0),
-        )
+            np.random.default_rng(0), [10],
+        ))
 
 
 @pytest.mark.parametrize(
-    "n",
-    [1, _MATRIX_BLOCK - 1, _MATRIX_BLOCK, _MATRIX_BLOCK + 1, 2 * _MATRIX_BLOCK + 3],
+    "n", [1, _ORACLE_SPAN - 1, _ORACLE_SPAN, _ORACLE_SPAN + 1, 2 * _ORACLE_SPAN + 3]
 )
 def test_blocked_confidence_matrices_equal_one_shot_blocks(n):
-    # Filled a token block at a time, each matrix is bitwise the one
-    # _confidences gives for the whole draw in one call.
+    # Drawn a span at a time, the blocks are the columns of the one-span
+    # blocks, and the generator ends in the one-span draw's state.
     base = SyntheticConfidenceModel(seed=6)
     for sigmas in ((1.5,), (0.0, 3.0)):
         models = [distort(base, sigma) for sigma in sigmas]
-        got = confidence_matrices(models, n, np.random.default_rng(n))
-        draws = synth._draw_block(base, n, np.random.default_rng(n), token_ids=False)
-        for model, conf in zip(models, got, strict=True):
-            want = synth._confidences(model, draws)
-            assert conf.shape == (n, base.n_layers)
-            assert conf.T.tobytes() == want.tobytes()
+        whole_rng = np.random.default_rng(n)
+        whole = list(confidence_blocks(models, n, whole_rng, [n]))
+        for spans in (list(_pairwise_spans(n)), [1000] * (n // 1000) + [n % 1000]):
+            spans = [span for span in spans if span]
+            rng = np.random.default_rng(n)
+            got = list(confidence_blocks(models, n, rng, spans))
+            assert len(got) == len(spans) * len(models)
+            for i, want in enumerate(whole):
+                block = np.concatenate(got[i :: len(models)], axis=1)
+                assert block.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == whole_rng.bit_generator.state
 
 
 def test_draw_tokens_validation():
