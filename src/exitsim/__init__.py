@@ -24,7 +24,6 @@ from .bandit import (
 )
 from .synth import (
     IMAGE_CHUNK,
-    ImageTraces,
     SyntheticConfidenceModel,
     TokenDraws,
     TraceBatch,
@@ -33,7 +32,6 @@ from .synth import (
     distort,
     draw_tokens,
     finish_tokens,
-    image_stream,
     read_traces,
     write_traces,
 )

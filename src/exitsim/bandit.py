@@ -99,6 +99,12 @@ class RewardParams:
         return (-1.0 - self.mu * self.latency[-1], 1.0)
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a UCB exploration width that is not finite or is below 1."""
+    if not math.isfinite(gamma) or gamma < 1.0:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+
+
 @dataclass
 class BanditState:
     """Per-arm running means and pull counts plus the round counter."""
@@ -115,8 +121,7 @@ class BanditState:
             raise ValueError(
                 f"state arrays must match the {k}-arm action set"
             )
-        if not math.isfinite(self.gamma) or self.gamma < 1.0:
-            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        check_gamma(self.gamma)
         if not all(math.isfinite(x) for x in self.q):
             raise ValueError(f"q values must be finite, got {self.q}")
         if self.t < 0 or any(n < 0 for n in self.pulls):
@@ -443,8 +448,8 @@ def run_lockstep(
     played at it.  The stream is drawn once from the base seed,
     ``IMAGE_CHUNK`` images at a time; each chunk is finished and
     validated once per group and fed to every cell of it still under
-    budget.  So every cell sees the images a run of its own on
-    ``image_stream`` would, whatever its policy.  Accuracy is scored
+    budget.  So every cell sees the images a run of its own over the
+    stream would, whatever its policy.  Accuracy is scored
     against the targets of those images.
 
     Initialization plays arm k on token k of the first image, so a
@@ -620,8 +625,7 @@ def regret_bound(oracle: OracleEstimate, horizon: int, gamma: float) -> float:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not math.isfinite(gamma) or gamma < 1.0:
-        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+    check_gamma(gamma)
     log_t = math.log(horizon)
     exploration = sum_left_to_right(
         log_t / g for k, g in enumerate(oracle.gaps)

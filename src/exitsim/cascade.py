@@ -94,6 +94,13 @@ def exit_layer_indices(
     ``running_max`` and ``exit_counts`` over a layer-major copy of the
     first L - 1 layers.
     """
+    alphas = check_thresholds(alpha)
+    top = running_max(np.array(confidences[:, :-1].T, order="C"))
+    return exit_counts(top, alphas)
+
+
+def check_thresholds(alpha: float | Sequence[float] | np.ndarray) -> np.ndarray:
+    """``alpha`` as a float64 scalar or 1-D grid, every value in [0, 1]."""
     alphas = np.asarray(alpha, dtype=np.float64)
     if alphas.ndim > 1:
         raise ValueError(f"thresholds must be a scalar or 1-D, got {alphas.shape}")
@@ -101,8 +108,7 @@ def exit_layer_indices(
     if not in_range.all():
         bad = alpha if alphas.ndim == 0 else float(alphas[~in_range][0])
         raise ValueError(f"exit threshold {bad!r} outside [0, 1]")
-    top = running_max(np.array(confidences[:, :-1].T, order="C"))
-    return exit_counts(top, alphas)
+    return alphas
 
 
 def running_max(top: np.ndarray) -> np.ndarray:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .bandit import (
     BanditLog,
     OracleEstimate,
     RewardParams,
+    check_gamma,
     regret_bound,
     regret_curve,
     run_lockstep,
@@ -40,6 +42,7 @@ from .bandit import (
 from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
     TraceValidationError,
+    check_thresholds,
     exit_layer_indices,
     speedup_ratio,
 )
@@ -51,6 +54,7 @@ from .distill import (
     ToyCascade,
     ToyTask,
     TrainingError,
+    check_epochs,
     head_confidences,
     init_cascade,
     layer_accuracies,
@@ -62,11 +66,14 @@ from .distill import (
 )
 from .synth import (
     DEFAULT_SEED,
-    ImageTraces,
+    IMAGE_CHUNK,
+    NO_TARGET,
     SyntheticConfidenceModel,
+    TraceBatch,
     TraceFormatError,
     distort,
-    image_stream,
+    draw_tokens,
+    finish_tokens,
     read_traces,
     write_traces,
 )
@@ -229,25 +236,6 @@ def _check_distinct(key: str, values: Sequence[float]) -> None:
             raise ConfigError(f"{key}: duplicate value {value!r}")
 
 
-def _trace_arrays(
-    images: Iterable[ImageTraces], source_name: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tokens, layers) confidences and token ids, plus the targets."""
-    confidences, token_ids, targets = [], [], []
-    for image in images:
-        if image.targets is None:
-            raise TraceFormatError(
-                f"{source_name}: image {image.image_id} has no targets; "
-                f"accuracy cannot be computed"
-            )
-        confidences.append(image.confidences)
-        token_ids.append(image.token_ids)
-        targets.extend(image.targets)
-    if not confidences:
-        raise TraceFormatError(f"{source_name}: no traces found")
-    return np.concatenate(confidences), np.concatenate(token_ids), np.array(targets)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -266,11 +254,21 @@ def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
         SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
     )
     rng = model.stream_rng(0)
-    images = image_stream(model, rng, config["max_len"])
+    max_len, n_images = config["max_len"], config["n_images"]
+
+    def blocks() -> Iterator[TraceBatch]:
+        # Images are drawn one after another in stream order, so a short
+        # last chunk holds the images a full one would.
+        for lo in range(0, n_images, IMAGE_CHUNK):
+            ids = range(lo, min(lo + IMAGE_CHUNK, n_images))
+            batch = finish_tokens(model, draw_tokens(model, max_len, rng, len(ids)))
+            offsets = np.arange(len(ids) + 1) * max_len
+            yield dataclasses.replace(batch, image_ids=ids, offsets=offsets)
+
     path = _out_path(args, config["out"])
     count = write_traces(
         path,
-        islice(images, config["n_images"]),
+        blocks(),
         n_layers=model.n_layers,
         vocab_size=model.vocab_size,
         source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
@@ -290,25 +288,44 @@ SWEEP_SCHEMA = {
 def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
     if (config["traces"] is None) == (config["model"] is None):
         raise ConfigError("provide exactly one of --traces or --model")
+    alphas = check_thresholds(config["alphas"])
     if config["traces"] is not None:
-        confidences, token_ids, targets = _trace_arrays(
-            read_traces(config["traces"]), config["traces"]
-        )
+        blocks = read_traces(config["traces"])
     else:
         model = load_cascade(config["model"])
         rng = np.random.default_rng(config["seed"])
         task = make_task(model.config, rng)
         confidences, token_ids = head_confidences(model, task.heldout)
-        targets = task.heldout.targets
+        blocks = [TraceBatch(confidences, token_ids, task.heldout.targets)]
 
-    n_tokens, n_layers = confidences.shape
-    rows = []
-    for alpha in config["alphas"]:
-        exits = exit_layer_indices(confidences, alpha)
-        counts = np.bincount(exits, minlength=n_layers).tolist()
-        hits = int((token_ids[np.arange(n_tokens), exits] == targets).sum())
-        mean_exit = (int(exits.sum()) + n_tokens) / n_tokens  # 1-based layers
-        rows.append((alpha, speedup_ratio(counts), hits / n_tokens, mean_exit))
+    # Integer sums per threshold, block by block: exits per layer, hits
+    # and 0-based exit layers.  Every printed number is a ratio of them.
+    n_tokens = hists = hits = exit_sums = 0
+    for batch in blocks:
+        missing = np.flatnonzero(batch.targets == NO_TARGET)
+        if len(missing):
+            image = np.searchsorted(batch.offsets, missing[0], side="right") - 1
+            raise TraceFormatError(
+                f"{config['traces']}: image {batch.image_ids[image]} has no "
+                f"targets; accuracy cannot be computed"
+            )
+        n_layers = batch.confidences.shape[1]
+        exits = exit_layer_indices(batch.confidences, alphas)  # (tokens, alphas)
+        n_tokens += len(batch)
+        hists = hists + np.array(
+            [np.bincount(column, minlength=n_layers) for column in exits.T]
+        )
+        emitted = np.take_along_axis(batch.token_ids, exits, axis=1)
+        hits = hits + (emitted == batch.targets[:, None]).sum(axis=0)
+        exit_sums = exit_sums + exits.sum(axis=0)
+    if not n_tokens:
+        raise TraceFormatError(f"{config['traces']}: no traces found")
+    rows = [
+        (alpha, speedup_ratio(hist), hit / n_tokens, (exit_sum + n_tokens) / n_tokens)
+        for alpha, hist, hit, exit_sum in zip(
+            config["alphas"], hists.tolist(), hits.tolist(), exit_sums.tolist()
+        )
+    ]
     _write_outputs(
         args,
         config,
@@ -375,6 +392,7 @@ def _run_adaptive(
                 f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
                 f"rewards in [{lo!r}, {hi!r}] is not finite"
             )
+    check_gamma(config["gamma"])
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
     oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
@@ -423,7 +441,7 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
     )
     cell = cells["adaptive"]
     state, log = cell.state, cell.log
-    regret = regret_curve(log, oracle).tolist()
+    regret = regret_curve(log, oracle)
     thresholds, pulls = state.actions.thresholds, state.pulls
     fields = {
         "rounds": state.t,
@@ -436,16 +454,21 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
         # Thresholds increase, so a tie goes to the smallest.
         "empirical_best_arm": thresholds[pulls.index(max(pulls))],
         "mean_reward": cell.metrics()["mean_reward"],
-        "pseudo_regret": regret[-1],
+        "pseudo_regret": float(regret[-1]),
         "regret_bound": regret_bound(oracle, state.t, config["gamma"]),
     }
+    # Rows need Python floats (an np.float64 has another repr); converting
+    # a slice at a time holds no whole-run list.
+    column = chain.from_iterable(
+        regret[lo : lo + 4096].tolist() for lo in range(0, len(regret), 4096)
+    )
     _write_outputs(
         args,
         config,
         fields,
         "bandit_log.csv",
         ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"],
-        zip(log.rounds, log.arms, log.exit_layers, log.rewards, regret),
+        zip(log.rounds, log.arms, log.exit_layers, log.rewards, column),
     )
     return 0
 
@@ -525,6 +548,8 @@ def _stage_one(
         decay=config["decay"],
         every=config["decay_every"],
     )
+    for key in ("stage1_epochs", "stage2_epochs"):
+        check_epochs(config[key])
     history = train_backbone(model, task.train, config["stage1_epochs"], schedule)
     return task, model, schedule, history
 

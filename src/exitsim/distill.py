@@ -423,6 +423,12 @@ def _exits_backward(
     return total, g_weights, g_biases
 
 
+def check_epochs(epochs: int) -> None:
+    """Refuse a negative epoch count."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+
+
 def train_backbone(
     model: ToyCascade,
     example: SyntheticExample,
@@ -437,8 +443,7 @@ def train_backbone(
     """
     if model.frozen:
         raise TrainingError("backbone is frozen; stage one already ran")
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    check_epochs(epochs)
     if example.targets.max() >= model.config.vocab_size:
         raise ValueError("target id outside the model vocabulary")
     buffers = _backbone_buffers(model.config, len(example.targets))
@@ -473,8 +478,7 @@ def train_exits(
     """
     if not model.frozen:
         raise TrainingError("freeze the backbone (stage one) before exit training")
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    check_epochs(epochs)
     targets = example.targets
     if targets.max() >= model.config.vocab_size:
         raise ValueError("target id outside the model vocabulary")

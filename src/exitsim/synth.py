@@ -21,17 +21,24 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cascade import DEFAULT_MAX_CAPTION_LENGTH, TraceValidationError
+from .cascade import TraceValidationError
 from .staging import staged
 
 DEFAULT_SEED = 7
 
-# Images drawn and finished together by ``image_stream``.
+# Images drawn and finished together, and read from a trace file together.
 IMAGE_CHUNK = 64
+
+# The target of a token whose true id is unknown: "-" in a trace file.
+NO_TARGET = -1
+
+# Tokens per block when ``confidence_matrix`` fills its matrix.
+_MATRIX_SPAN = 4096
 
 FORMAT_NAME = "exitsim-traces"
 FORMAT_VERSION = 1
@@ -135,9 +142,19 @@ class SyntheticConfidenceModel:
         return np.random.default_rng((self.seed, offset))
 
     def confidence_matrix(self, n_tokens: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample an (n_tokens, n_layers) block of confidences only: the
-        transpose of ``confidence_blocks`` over one span."""
-        return next(confidence_blocks([self], n_tokens, rng, [n_tokens])).T
+        """Sample a C-contiguous (n_tokens, n_layers) matrix of confidences
+        only: ``confidence_blocks`` of ``_MATRIX_SPAN`` tokens, each
+        transposed into place, which gives the bits of one span."""
+        spans = [
+            min(_MATRIX_SPAN, n_tokens - lo) for lo in range(0, n_tokens, _MATRIX_SPAN)
+        ]
+        # A count below 1 is refused by the draw, at the first block.
+        out = np.empty((max(n_tokens, 0), self.n_layers))
+        lo = 0
+        for block, span in zip(confidence_blocks([self], n_tokens, rng, spans), spans):
+            out[lo : lo + span] = block.T
+            lo += span
+        return out
 
 
 def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenceModel:
@@ -266,12 +283,16 @@ def _confidences(
 
 @dataclass(frozen=True)
 class TraceBatch:
-    """Vectorized block of sampled tokens: confidences, per-layer token
-    ids, and the true target id per token."""
+    """Vectorized block of tokens: confidences, per-layer token ids, and
+    the true target id per token (``NO_TARGET`` if unknown).  A block of
+    a trace file also holds its images' ids and, in ``offsets``, each
+    image's first row and then the row count."""
 
     confidences: np.ndarray  # (n, N) float64 in [0, 1]
     token_ids: np.ndarray  # (n, N) int64
     targets: np.ndarray  # (n,) int64
+    image_ids: Sequence[int | str] = ()
+    offsets: np.ndarray | None = None  # (images + 1,) int64
 
     def __len__(self) -> int:
         return self.confidences.shape[0]
@@ -342,85 +363,6 @@ def check_traces(
     return conf, ids.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class ImageTraces:
-    """One image's token traces, with true targets when known.
-
-    This is the record type of the trace file format and of
-    ``image_stream``.  The traces are held as two (tokens, layers)
-    arrays: per-layer confidences and per-layer token ids.
-    ``targets`` is None for corpora exported without reference tokens;
-    accuracy metrics are then unavailable.
-    """
-
-    image_id: int | str
-    confidences: np.ndarray  # (T, N) float64 in [0, 1]
-    token_ids: np.ndarray  # (T, N) int64, nonnegative
-    targets: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        conf, ids = check_traces(
-            f"image {self.image_id!r}", self.confidences, self.token_ids
-        )
-        if self.targets is not None and len(self.targets) != len(conf):
-            raise ValueError(
-                f"image {self.image_id!r}: {len(self.targets)} targets vs "
-                f"{len(conf)} traces"
-            )
-        # Read-only views of the given arrays, not copies: callers hand
-        # over arrays they no longer write to.
-        conf = conf.view()
-        ids = ids.view()
-        conf.flags.writeable = False
-        ids.flags.writeable = False
-        object.__setattr__(self, "confidences", conf)
-        object.__setattr__(self, "token_ids", ids)
-
-    def __len__(self) -> int:
-        return self.confidences.shape[0]
-
-    @property
-    def n_layers(self) -> int:
-        return self.confidences.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ImageTraces):
-            return NotImplemented
-        return (
-            self.image_id == other.image_id
-            and self.targets == other.targets
-            and np.array_equal(self.confidences, other.confidences)
-            and np.array_equal(self.token_ids, other.token_ids)
-        )
-
-
-def image_stream(
-    model: SyntheticConfidenceModel,
-    rng: np.random.Generator,
-    max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
-) -> Iterator[ImageTraces]:
-    """Endless stream of freshly sampled images with ids 0, 1, 2, ...
-
-    Images are drawn ``IMAGE_CHUNK`` at a time and finished together;
-    each is the image a one-image ``draw_tokens`` would give at that
-    point of the stream, and holds read-only views of its chunk's rows.  The
-    generator therefore runs up to one chunk ahead of its consumer on
-    ``rng``.
-    """
-    image_id = 0
-    while True:
-        batch = finish_tokens(model, draw_tokens(model, max_len, rng, IMAGE_CHUNK))
-        targets = batch.targets.tolist()
-        for lo in range(0, len(batch), max_len):
-            yield ImageTraces(
-                image_id=image_id,
-                confidences=batch.confidences[lo : lo + max_len],
-                token_ids=batch.token_ids[lo : lo + max_len],
-                targets=tuple(targets[lo : lo + max_len]),
-            )
-            image_id += 1
-
-
 # ---------------------------------------------------------------------------
 # Trace file format
 # ---------------------------------------------------------------------------
@@ -443,42 +385,57 @@ class TraceFileHeader:
     source: str
 
 
-def _validate_image(
-    image: ImageTraces, n_layers: int, vocab_size: int
-) -> None:
-    ident = str(image.image_id)
-    if not ident or any(ch.isspace() for ch in ident):
-        raise ValueError(f"image id {ident!r} is empty or contains whitespace")
-    if image.n_layers != n_layers:
+def _check_block(batch: TraceBatch, n_layers: int, vocab_size: int) -> None:
+    """Refuse a block that would not read back as written."""
+    offsets, targets = np.asarray(batch.offsets), np.asarray(batch.targets)
+    if (
+        len(batch) == 0
+        or offsets.shape != (len(batch.image_ids) + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != len(batch)
+        or (np.diff(offsets) < 1).any()
+        or targets.shape != (len(batch),)
+        or not np.issubdtype(targets.dtype, np.integer)
+    ):
         raise ValueError(
-            f"image {ident}: trace has {image.n_layers} layers, file "
-            f"header says {n_layers}"
+            f"{len(batch.image_ids)} image ids, offsets {batch.offsets} and "
+            f"{targets.shape} {targets.dtype} targets do not fit {len(batch)} traces"
         )
-    too_big = image.token_ids >= vocab_size
-    if too_big.any():
+    for ident in map(str, batch.image_ids):
+        if not ident or any(ch.isspace() for ch in ident):
+            raise ValueError(f"image id {ident!r} is empty or contains whitespace")
+    label = f"images {batch.image_ids[0]}-{batch.image_ids[-1]}"
+    conf, ids = check_traces(label, batch.confidences, batch.token_ids)
+    if conf.shape[1] != n_layers:
         raise ValueError(
-            f"image {ident}: token id {image.token_ids[too_big][0]} >= vocab "
-            f"size {vocab_size}"
+            f"{label}: traces have {conf.shape[1]} layers, file header says "
+            f"{n_layers}"
         )
-    if image.targets is not None:
-        for t in image.targets:
-            if not 0 <= t < vocab_size:
-                raise ValueError(
-                    f"image {ident}: target {t} outside [0, {vocab_size})"
-                )
+    known = targets != NO_TARGET
+    for kind, values in (("token id", ids.ravel()), ("target", targets[known])):
+        bad = (values < 0) | (values >= vocab_size)
+        if bad.any():
+            raise ValueError(
+                f"{label}: {kind} {values[bad][0]} outside the vocab [0, {vocab_size})"
+            )
+    per_image = np.add.reduceat(known, offsets[:-1], dtype=np.intp)
+    if ((per_image > 0) & (per_image < np.diff(offsets))).any():
+        raise ValueError(f"{label}: an image has targets for some tokens only")
 
 
 def write_traces(
     path: str,
-    images: Iterable[ImageTraces],
+    blocks: Iterable[TraceBatch],
     n_layers: int,
     vocab_size: int,
     source: str = "synthetic",
 ) -> int:
-    """Write images to ``path`` in the trace file format; returns the count.
+    """Write blocks of images to ``path`` in the trace file format;
+    returns the image count.
 
-    The file is staged beside ``path`` and renamed into place once
-    complete, so a stream or image that raises leaves no file.
+    Each block is checked whole (``_check_block``) before any of it is
+    written.  The file is staged beside ``path`` and renamed into place
+    once complete, so a stream or block that raises leaves no file.
     """
     if not source or any(ch.isspace() for ch in source):
         raise ValueError(f"source tag {source!r} is empty or contains whitespace")
@@ -488,17 +445,20 @@ def write_traces(
             f"{FORMAT_NAME} {FORMAT_VERSION} layers={n_layers} "
             f"vocab={vocab_size} source={source}\n"
         )
-        for image in images:
-            _validate_image(image, n_layers, vocab_size)
-            targets = image.targets or ("-",) * len(image)
-            fields = [str(image.image_id), str(len(image))]
-            for target, confs, ids in zip(
-                targets, image.confidences.tolist(), image.token_ids.tolist()
-            ):
-                fields.append(str(target))
-                fields.extend(f"{c:.17g}:{t}" for c, t in zip(confs, ids))
-            fh.write(" ".join(fields) + "\n")
-            count += 1
+        for batch in blocks:
+            _check_block(batch, n_layers, vocab_size)
+            bounds = np.asarray(batch.offsets).tolist()
+            for image_id, lo, hi in zip(batch.image_ids, bounds, bounds[1:]):
+                fields = [str(image_id), str(hi - lo)]
+                for target, confs, ids in zip(
+                    batch.targets[lo:hi].tolist(),
+                    batch.confidences[lo:hi].tolist(),
+                    batch.token_ids[lo:hi].tolist(),
+                ):
+                    fields.append("-" if target == NO_TARGET else str(target))
+                    fields.extend(f"{c:.17g}:{t}" for c, t in zip(confs, ids))
+                fh.write(" ".join(fields) + "\n")
+            count += len(bounds) - 1
     return count
 
 
@@ -544,7 +504,9 @@ def _parse_header(line: str) -> TraceFileHeader:
 
 def _parse_image_line(
     line: str, lineno: int, header: TraceFileHeader
-) -> ImageTraces:
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """One image's id, confidences, token ids and targets (``NO_TARGET``
+    when the line has none), checked field by field."""
     fields = line.split()
     n = header.n_layers
     if len(fields) < 2:
@@ -569,13 +531,13 @@ def _parse_image_line(
         )
     confidences: list[float] = []
     token_ids: list[int] = []
-    targets: list[int | None] = []
+    targets: list[int] = []
     pos = 2
     for tok in range(n_tokens):
         raw_target = fields[pos]
         pos += 1
         if raw_target == "-":
-            targets.append(None)
+            targets.append(NO_TARGET)
         else:
             try:
                 target = int(raw_target)
@@ -619,16 +581,15 @@ def _parse_image_line(
                 )
             confidences.append(conf)
             token_ids.append(token_id)
-    known = [t for t in targets if t is not None]
-    if known and len(known) != n_tokens:
+    if 0 < targets.count(NO_TARGET) < n_tokens:
         raise TraceFormatError(
             f"line {lineno}: targets must be present for all tokens or none"
         )
-    return ImageTraces(
-        image_id=image_id,
-        confidences=np.array(confidences).reshape(n_tokens, n),
-        token_ids=np.array(token_ids, dtype=np.int64).reshape(n_tokens, n),
-        targets=tuple(known) if known else None,
+    return (
+        image_id,
+        np.array(confidences).reshape(n_tokens, n),
+        np.array(token_ids, dtype=np.int64).reshape(n_tokens, n),
+        np.array(targets, dtype=np.int64),
     )
 
 
@@ -641,8 +602,9 @@ def _ascii_lines(path: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_traces(path: str) -> Iterator[ImageTraces]:
-    """Stream images from a trace file, validating as it goes.
+def read_traces(path: str) -> Iterator[TraceBatch]:
+    """Stream a trace file as blocks of up to ``IMAGE_CHUNK`` images, ids
+    as text, checking each line field by field as it is parsed.
 
     Raises TraceFormatError with a line number on any malformed record
     or non-ASCII byte, and rejects files written by unknown future format
@@ -651,6 +613,17 @@ def read_traces(path: str) -> Iterator[ImageTraces]:
     lines = _ascii_lines(path)
     _, first = next(lines, (1, ""))
     header = _parse_header(first)
-    for lineno, line in lines:
-        if line.strip():
-            yield _parse_image_line(line, lineno, header)
+    records = (
+        _parse_image_line(line, lineno, header)
+        for lineno, line in lines
+        if line.strip()
+    )
+    while block := list(islice(records, IMAGE_CHUNK)):
+        image_ids, confidences, token_ids, targets = zip(*block)
+        yield TraceBatch(
+            np.concatenate(confidences),
+            np.concatenate(token_ids),
+            np.concatenate(targets),
+            image_ids,
+            np.cumsum([0, *map(len, targets)]),
+        )

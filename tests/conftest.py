@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from exitsim import BanditLog, OracleEstimate, bandit, image_stream
+from exitsim import BanditLog, OracleEstimate, bandit
 
 from reference import (
     TokenTrace,
     decide_exit,
     image_from_traces,
+    image_stream,
     initialize,
     reward,
     run_caption,
@@ -98,7 +99,7 @@ def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budg
             return decision
 
         traces = islice(token_traces(image), budget - state.t)
-        caption = run_caption(traces, adapt, max_len, eos_id, image.image_id)
+        caption = run_caption(traces, adapt, max_len, eos_id, image.image_ids[0])
         if len(caption):
             captions.append(caption)
     return captions, log, state
@@ -112,7 +113,7 @@ def assert_cell_matches_reference(cell, model, gamma, max_len, budget):
     images = {}
     stream = image_stream(model, model.stream_rng(0), max_len)
     captions, log, state = reference_adaptive_run(
-        (images.setdefault(image.image_id, image) for image in stream),
+        (images.setdefault(image.image_ids[0], image) for image in stream),
         cell.actions, cell.params, gamma, max_len, model.eos_id, budget,
     )
     hist = [0] * cell.params.n_layers

@@ -15,7 +15,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +50,9 @@ from exitsim.distill import (
     finetune_loss,
 )
 from exitsim.synth import (
-    ImageTraces,
+    NO_TARGET,
     SyntheticConfidenceModel,
+    TraceBatch,
     TraceFileHeader,
     _ascii_lines,
     _parse_header,
@@ -198,7 +200,7 @@ def update(state: BanditState, alpha: float, observed_reward: float) -> None:
 
 def initialize(
     actions: ActionSet,
-    image: ImageTraces,
+    image: TraceBatch,
     params: RewardParams,
     gamma: float = 1.0,
     log: BanditLog | None = None,
@@ -209,7 +211,7 @@ def initialize(
     traces = token_traces(image)
     if len(traces) < len(actions):
         raise BanditError(
-            f"image {image.image_id!r} has {len(traces)} tokens: initialization "
+            f"image {image.image_ids[0]!r} has {len(traces)} tokens: initialization "
             f"needs one per arm ({len(actions)})"
         )
     state = BanditState.fresh(actions, gamma)
@@ -250,15 +252,16 @@ def oracle_estimates(
 
 
 # ---------------------------------------------------------------------------
-# Images as TokenTrace records, one image per draw
+# Images as one-image batches and TokenTrace records, one image per draw
 
 
 def image_from_traces(
     image_id: int | str,
     traces: Iterable[TokenTrace],
     targets: Sequence[int] | None = None,
-) -> ImageTraces:
-    """Stack per-token traces into an image; all need one layer count."""
+) -> TraceBatch:
+    """Stack per-token traces into a one-image batch; all need one layer
+    count.  Without ``targets`` every token's target is ``NO_TARGET``."""
     traces = tuple(traces)
     widths = sorted({trace.n_layers for trace in traces})
     if len(widths) > 1:
@@ -266,15 +269,16 @@ def image_from_traces(
             f"image {image_id!r}: traces mix layer counts {widths}"
         )
     shape = (len(traces), widths[0] if widths else 0)
-    return ImageTraces(
-        image_id,
+    return TraceBatch(
         np.array([t.confidences for t in traces], dtype=np.float64).reshape(shape),
         np.array([t.token_ids for t in traces], dtype=np.int64).reshape(shape),
-        None if targets is None else tuple(targets),
+        np.array([NO_TARGET] * len(traces) if targets is None else targets, np.int64),
+        (image_id,),
+        np.array([0, len(traces)]),
     )
 
 
-def token_traces(image: ImageTraces) -> tuple[TokenTrace, ...]:
+def token_traces(image: TraceBatch) -> tuple[TokenTrace, ...]:
     """The tokens of ``image`` as ``TokenTrace`` records."""
     return tuple(
         TokenTrace.from_arrays(conf, ids)
@@ -282,21 +286,64 @@ def token_traces(image: ImageTraces) -> tuple[TokenTrace, ...]:
     )
 
 
+def split_images(blocks: Iterable[TraceBatch]) -> list[TraceBatch]:
+    """Every image of ``blocks`` as a one-image batch of row views."""
+    images = []
+    for batch in blocks:
+        bounds = batch.offsets.tolist()
+        for image_id, lo, hi in zip(batch.image_ids, bounds, bounds[1:]):
+            rows = slice(lo, hi)
+            images.append(
+                TraceBatch(
+                    batch.confidences[rows],
+                    batch.token_ids[rows],
+                    batch.targets[rows],
+                    (image_id,),
+                    np.array([0, hi - lo]),
+                )
+            )
+    return images
+
+
+def image_records(blocks: Iterable[TraceBatch]) -> list[tuple]:
+    """Every image of ``blocks`` as ``(id as text, confidences, token ids,
+    targets or None)`` in nested lists: equal iff the images are, however
+    they are split into blocks."""
+    records = []
+    for image in split_images(blocks):
+        targets = image.targets.tolist()
+        records.append((
+            str(image.image_ids[0]),
+            image.confidences.tolist(),
+            image.token_ids.tolist(),
+            None if NO_TARGET in targets else targets,
+        ))
+    return records
+
+
 def sample_image(
     model: SyntheticConfidenceModel,
     rng: np.random.Generator,
     max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
     image_id: int | str = 0,
-) -> ImageTraces:
+) -> TraceBatch:
     """Draw one image: ``max_len`` token positions with targets, the
-    image ``image_stream`` yields at that point of ``rng``'s stream."""
+    image the stream holds at that point of ``rng``."""
     batch = finish_tokens(model, draw_tokens(model, max_len, rng))
-    return ImageTraces(
-        image_id=image_id,
-        confidences=batch.confidences,
-        token_ids=batch.token_ids,
-        targets=tuple(batch.targets.tolist()),
+    return dataclasses.replace(
+        batch, image_ids=(image_id,), offsets=np.array([0, max_len])
     )
+
+
+def image_stream(
+    model: SyntheticConfidenceModel,
+    rng: np.random.Generator,
+    max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
+) -> Iterator[TraceBatch]:
+    """Endless stream of one-image batches with ids 0, 1, 2, ..., drawn
+    one image at a time: the images the product draws a chunk at a time."""
+    for image_id in count():
+        yield sample_image(model, rng, max_len, image_id)
 
 
 def read_header(path: str) -> TraceFileHeader:

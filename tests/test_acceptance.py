@@ -47,6 +47,7 @@ from reference import (
     gradient_check,
     kl_divergence,
     sample_image,
+    split_images,
     token_traces,
 )
 
@@ -377,11 +378,13 @@ def test_criterion_12_serialization_round_trips(tmp_path):
     ]
     trace_path = str(tmp_path / "traces.txt")
     write_traces(trace_path, images, model.n_layers, model.vocab_size)
-    loaded = list(read_traces(trace_path))
+    loaded = split_images(read_traces(trace_path))
     traces_ok = [token_traces(img) for img in loaded] == [
         token_traces(img) for img in images
     ]
-    targets_ok = [img.targets for img in loaded] == [img.targets for img in images]
+    targets_ok = [img.targets.tolist() for img in loaded] == [
+        img.targets.tolist() for img in images
+    ]
 
     lines = open(trace_path).read().splitlines()
     lines[0] = lines[0].replace("exitsim-traces 1", "exitsim-traces 2")

@@ -25,13 +25,13 @@ from exitsim import (
     regret_bound,
     regret_curve,
     distort,
-    image_stream,
     run_lockstep,
     shared_oracles,
 )
 
 from reference import (
     decide_exit,
+    image_stream,
     oracle_estimates,
     reward,
     run_caption,
@@ -475,7 +475,7 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
         if len(layers) >= budget:
             break
         traces = islice(token_traces(image), budget - len(layers))
-        caption = run_caption(traces, alpha, max_len, model.eos_id, image.image_id)
+        caption = run_caption(traces, alpha, max_len, model.eos_id, image.image_ids[0])
         layers += [decision.exit_layer for decision in caption.tokens]
         hits += sum(
             decision.token_id == target
@@ -554,8 +554,7 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
     model = SyntheticConfidenceModel(seed=7)
     actions, params = ActionSet((1.0,)), RewardParams(n_layers=n_layers)
     refused = f"model emits 12 layers, reward params expect {n_layers}"
-    image = next(image_stream(model, model.stream_rng(0), 20))
-    batch = TraceBatch(image.confidences, image.token_ids, np.array(image.targets))
+    batch = next(image_stream(model, model.stream_rng(0), 20))
     cell = AdaptiveCell(actions, params)
     with pytest.raises(ValueError, match=refused):
         cell.play(batch, 1.0, 100, 20, model.eos_id)

@@ -22,15 +22,20 @@ from exitsim import (
     RewardParams,
     SyntheticConfidenceModel,
     ToyConfig,
+    TraceBatch,
     distort,
+    draw_tokens,
+    finish_tokens,
     init_cascade,
     load_cascade,
     read_traces,
     run_lockstep,
     save_cascade,
+    write_traces,
 )
 from exitsim import bandit, cli
 from exitsim.cli import main
+from exitsim.synth import NO_TARGET
 from exitsim.staging import staged
 
 from reference import forward
@@ -217,6 +222,88 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
     assert err.startswith("error: config:")
 
 
+@pytest.mark.parametrize(
+    "argv, first_work, message",
+    [
+        (["ablation", "--stage2-epochs", "-1"], "train_backbone", "epochs must be >= 0, got -1"),
+        (["train-toy", "--stage2-epochs", "-2"], "train_backbone", "epochs must be >= 0, got -2"),
+        (["bandit", "--gamma", "0.5"], "shared_oracles", "gamma must be finite and >= 1, got 0.5"),
+        (["compare-distortion", "--gamma", "0.99"], "shared_oracles", "gamma must be finite and >= 1, got 0.99"),
+        (["lambda-sweep", "--gamma", "0"], "shared_oracles", "gamma must be finite and >= 1, got 0.0"),
+        (["sweep-threshold", "--alphas", "0.5,1.5"], "read_traces", "exit threshold 1.5 outside [0, 1]"),
+        (["sweep-threshold", "--alphas", "-0.25"], "read_traces", "exit threshold -0.25 outside [0, 1]"),
+    ],
+    ids=[
+        "ablation", "train-toy", "bandit", "compare-distortion", "lambda-sweep",
+        "sweep-above-1", "sweep-below-0",
+    ],
+)
+def test_late_checked_flags_exit_2_before_any_work(
+    argv, first_work, message, tmp_path, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before the flags were checked")
+
+    monkeypatch.setattr(cli, first_work, no_work)
+    out = tmp_path / "out"
+    if argv[0] == "sweep-threshold":
+        argv = [*argv, "--traces", str(tmp_path / "traces.txt")]
+    code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: config: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_adds_up_blocks_as_one_pass(tmp_path, monkeypatch, capsys):
+    # 150 images are read as three blocks; summed block by block, every
+    # printed ratio must be the one-block sweep's, bit for bit.
+    gen = ["gen-traces", "--n-images", "150", "--max-len", "5"]
+    assert run_cli([*gen, "--out-dir", str(tmp_path)], capsys)[0] == 0
+    path = str(tmp_path / "traces.txt")
+    blocks = list(read_traces(path))
+    assert len(blocks) == 3
+
+    def sweep(out):
+        args = ["sweep-threshold", "--traces", path, "--alphas", "0.2,0.6,0.6,0.95,1"]
+        assert run_cli([*args, "--out-dir", str(out)], capsys)[0] == 0
+        return (out / "sweep_threshold.csv").read_bytes()
+
+    got = sweep(tmp_path / "blocks")
+    whole = TraceBatch(
+        *(
+            np.concatenate([getattr(block, name) for block in blocks])
+            for name in ("confidences", "token_ids", "targets")
+        )
+    )
+    monkeypatch.setattr(cli, "read_traces", lambda path: [whole])
+    assert got == sweep(tmp_path / "whole")
+
+
+def test_sweep_needs_targets_and_traces(tmp_path, capsys):
+    # Image 66 lies in the second block the reader yields.
+    model = SyntheticConfidenceModel()
+    draws = draw_tokens(model, 3, model.stream_rng(0), n_images=70)
+    batch = finish_tokens(model, draws)
+    targets = batch.targets.copy()
+    targets[3 * 66 : 3 * 67] = NO_TARGET
+    untargeted = TraceBatch(
+        batch.confidences, batch.token_ids, targets, range(70), np.arange(71) * 3
+    )
+    for blocks, message in (
+        ([untargeted], "image 66 has no targets; accuracy cannot be computed"),
+        ([], "no traces found"),
+    ):
+        path = str(tmp_path / "traces.txt")
+        write_traces(path, blocks, model.n_layers, model.vocab_size)
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["sweep-threshold", "--traces", path, "--out-dir", str(out)], capsys
+        )
+        assert code == 3
+        assert err == f"error: input: {path}: {message}\n"
+        assert not out.exists()
+
+
 # Initialization pulls each of the 10 default arms once, on the first
 # image's tokens: a budget of 10 would leave no round after it, and a
 # 5-token image cannot hold the ten pulls.
@@ -262,7 +349,7 @@ def test_nonpositive_counts_exit_2_before_any_work(
         raise AssertionError("sampling started before the flags were checked")
 
     monkeypatch.setattr(bandit, "draw_tokens", no_work)
-    monkeypatch.setattr(cli, "image_stream", no_work)
+    monkeypatch.setattr(cli, "draw_tokens", no_work)
     out = tmp_path / "out"
     code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
     assert code == 2
@@ -612,9 +699,9 @@ def test_gen_traces_then_sweep(tmp_path, capsys):
     )
     assert code == 0
     traces_path = os.path.join(out, "traces.txt")
-    images = list(read_traces(traces_path))
-    assert len(images) == 30
-    assert all(img.targets is not None for img in images)
+    (block,) = read_traces(traces_path)
+    assert len(block.image_ids) == 30 and len(block) == 240
+    assert (block.targets != NO_TARGET).all()
     summary = read_summary(out, "gen_traces_summary.json")
     assert summary["n_images"] == 30
     assert summary["n_tokens"] == 240
@@ -644,8 +731,9 @@ def test_gen_traces_writes_exactly_n_images(tmp_path, capsys):
     )
     assert code == 0
     assert 70 % IMAGE_CHUNK != 0
-    images = read_traces(os.path.join(out, "traces.txt"))
-    assert [image.image_id for image in images] == [str(i) for i in range(70)]
+    blocks = list(read_traces(os.path.join(out, "traces.txt")))
+    assert [len(block) for block in blocks] == [3 * IMAGE_CHUNK, 3 * (70 - IMAGE_CHUNK)]
+    assert [i for block in blocks for i in block.image_ids] == [str(i) for i in range(70)]
     assert read_summary(out, "gen_traces_summary.json")["n_images"] == 70
 
 
@@ -822,7 +910,7 @@ def test_lockstep_cells_match_independent_runs():
 
 def _check_lockstep_case(case):
     # One shared stream, finished per sigma and fed chunk by chunk, must
-    # leave each cell where a run of its own over image_stream ends.
+    # leave each cell where a run of its own over the stream ends.
     # mid-chunk: the budget ends mid-chunk, and the cells close in
     # different chunks.  off-grid-fixed-arm: the fixed threshold is not
     # on the adaptive grid.  max-len-equals-arms: initialization uses the

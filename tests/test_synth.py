@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -12,26 +13,29 @@ from hypothesis import strategies as st
 
 from exitsim import (
     IMAGE_CHUNK,
-    ImageTraces,
     SyntheticConfidenceModel,
+    TraceBatch,
     TraceFormatError,
     TraceValidationError,
     distort,
     draw_tokens,
     finish_tokens,
-    image_stream,
     read_traces,
     write_traces,
 )
 from exitsim.bandit import _ORACLE_SPAN, _pairwise_spans
-from exitsim.synth import _sigmoid, confidence_blocks
+from exitsim.cli import main as cli_main
+from exitsim.synth import _MATRIX_SPAN, NO_TARGET, _sigmoid, confidence_blocks
 
 from reference import (
     TokenTrace,
     image_from_traces,
+    image_records,
+    image_stream,
     read_header,
     run_caption,
     sample_image,
+    split_images,
     token_traces,
 )
 
@@ -146,32 +150,39 @@ def test_sample_batch_shapes_and_dtypes():
 def test_sample_image_and_streams():
     model = SyntheticConfidenceModel()
     image = sample_image(model, model.stream_rng(0), max_len=6, image_id="x")
-    assert image.image_id == "x"
+    assert image.image_ids == ("x",)
     assert len(image) == 6
-    assert image.targets is not None and len(image.targets) == 6
+    assert image.offsets.tolist() == [0, 6]
+    assert image.targets.shape == (6,) and (image.targets != NO_TARGET).all()
 
     assert image.confidences.shape == image.token_ids.shape == (6, model.n_layers)
 
-    ids = [img.image_id for img in islice(image_stream(model, model.stream_rng(0), 4), 5)]
-    assert ids == [0, 1, 2, 3, 4]
+    ids = [img.image_ids for img in islice(image_stream(model, model.stream_rng(0), 4), 5)]
+    assert ids == [(i,) for i in range(5)]
 
 
 @pytest.mark.parametrize("max_len", [1, 20])
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
-def test_image_stream_chunks_match_per_image_draws(sigma, max_len):
-    # image_stream draws and finishes a chunk of images at once; each
-    # image must be the one a per-image draw would give,
-    # including in a chunk the consumer stops part-way through.
+def test_image_stream_chunks_match_per_image_draws(sigma, max_len, tmp_path, capsys):
+    # gen-traces draws and finishes a chunk of images at once; each
+    # image must be the one a per-image draw would give, including in
+    # the last chunk, which holds fewer images.
     model = distort(SyntheticConfidenceModel(seed=3), sigma)
     n_images = 2 * IMAGE_CHUNK + 5
-    streamed = list(islice(image_stream(model, model.stream_rng(0), max_len), n_images))
+    argv = [
+        "gen-traces", "--seed", "3", "--sigma", str(sigma), "--max-len",
+        str(max_len), "--n-images", str(n_images), "--out-dir", str(tmp_path),
+    ]
+    assert cli_main(argv) == 0
+    blocks = list(read_traces(str(tmp_path / "traces.txt")))
+    assert [len(b.image_ids) for b in blocks] == [IMAGE_CHUNK, IMAGE_CHUNK, 5]
     rng = model.stream_rng(0)
-    for image_id, image in enumerate(streamed):
+    for image_id, image in enumerate(split_images(blocks)):
         batch = sample_tokens(model, max_len, rng)
-        assert image.image_id == image_id
+        assert image.image_ids == (str(image_id),)
         assert np.array_equal(image.confidences, batch.confidences)
         assert np.array_equal(image.token_ids, batch.token_ids)
-        assert image.targets == tuple(batch.targets.tolist())
+        assert np.array_equal(image.targets, batch.targets)
 
 
 def test_one_draw_finishes_at_every_sigma():
@@ -274,6 +285,36 @@ def test_blocked_confidence_matrices_equal_one_shot_blocks(n):
             assert rng.bit_generator.state == whole_rng.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "n", [1, _MATRIX_SPAN - 1, _MATRIX_SPAN, _MATRIX_SPAN + 1, 2 * _MATRIX_SPAN + 3]
+)
+def test_confidence_matrix_is_the_one_span_block_filled_span_by_span(n):
+    model = SyntheticConfidenceModel(seed=6, sigma=1.5)
+    whole_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+    (want,) = confidence_blocks([model], n, whole_rng, [n])
+    got = model.confidence_matrix(n, rng)
+    assert got.flags.c_contiguous and got.shape == (n, model.n_layers)
+    assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_tokens must be >= 1"):
+        model.confidence_matrix(-n, rng)
+
+
+def test_confidence_matrix_peak_memory_stays_near_one_matrix():
+    # The matrix itself, the per-token variates and one span's blocks
+    # and temporaries.
+    model = SyntheticConfidenceModel()
+    n = 200_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        model.confidence_matrix(n, model.stream_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * model.n_layers * 8
+
+
 def test_draw_tokens_validation():
     model = SyntheticConfidenceModel()
     with pytest.raises(ValueError):
@@ -331,60 +372,93 @@ def test_confidence_matrix_property(sigma, growth, n):
 
 
 # ---------------------------------------------------------------------------
-# ImageTraces
+# Images' traces: one-image blocks, checked whole when written
 
 
-def test_image_traces_validation():
+def test_image_traces_validation(tmp_path):
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
+    path = str(tmp_path / "t.txt")
     with pytest.raises(ValueError):
-        image_from_traces(0, ())
+        write_traces(path, [image_from_traces(0, ())], 2, 8)
     with pytest.raises(ValueError):
-        image_from_traces(0, (trace,), targets=(1, 2))
+        write_traces(path, [image_from_traces(0, (trace,), targets=(1, 2))], 2, 8)
     image = image_from_traces(0, (trace,), targets=(1,))
     assert len(image) == 1
+    assert write_traces(path, [image], 2, 8) == 1
 
 
-def test_image_traces_rejects_bad_arrays():
+def test_image_traces_rejects_bad_arrays(tmp_path):
     ok = np.full((2, 3), 0.5)
     ids = np.ones((2, 3), dtype=np.int64)
+    unknown = np.full(2, NO_TARGET)
+
+    def write(conf, token_ids, targets=unknown, image_ids=(0,), offsets=None):
+        if offsets is None:
+            offsets = np.array([0, len(conf)])
+        batch = TraceBatch(conf, token_ids, targets, image_ids, offsets)
+        write_traces(str(tmp_path / "t.txt"), [batch], 3, 8)
+
     nan = ok.copy()
     nan[1, 2] = np.nan
     with pytest.raises(TraceValidationError, match="token 2 layer 3"):
-        ImageTraces(0, nan, ids)
+        write(nan, ids)
     with pytest.raises(TraceValidationError, match="outside"):
-        ImageTraces(0, ok + 0.6, ids)
+        write(ok + 0.6, ids)
     negative = ids.copy()
     negative[0, 1] = -1
     with pytest.raises(TraceValidationError, match="negative"):
-        ImageTraces(0, ok, negative)
+        write(ok, negative)
     with pytest.raises(TraceValidationError, match="2 layers"):
-        ImageTraces(0, ok[:, :1], ids[:, :1])
+        write(ok[:, :1], ids[:, :1])
     with pytest.raises(TraceValidationError):
-        ImageTraces(0, ok, ids[:, :2])
+        write(ok, ids[:, :2])
     with pytest.raises(TraceValidationError, match="integers"):
-        ImageTraces(0, ok, ids.astype(float))
-    with pytest.raises(ValueError, match="no traces"):
-        ImageTraces(0, ok[:0], ids[:0])
+        write(ok, ids.astype(float))
+    with pytest.raises(ValueError, match="do not fit 0 traces"):
+        write(ok[:0], ids[:0], unknown[:0])
     with pytest.raises(ValueError, match="targets"):
-        ImageTraces(0, ok, ids, targets=(1,))
+        write(ok, ids, np.array([1]))
+    with pytest.raises(ValueError, match="targets"):
+        write(ok, ids, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="target -2 outside"):
+        write(ok, ids, np.array([1, -2]))
+    # Targets are all-or-none per image, and the offsets must split the
+    # rows into one nonempty run per image.
+    with pytest.raises(ValueError, match="some tokens only"):
+        write(ok, ids, np.array([1, NO_TARGET]))
+    write(ok, ids, np.array([1, NO_TARGET]), ("a", "b"), np.array([0, 1, 2]))
+    for offsets in ([0, 2, 2], [0, 1], [1, 1, 2], [0, 1, 3]):
+        with pytest.raises(ValueError, match="offsets"):
+            write(ok, ids, unknown, ("a", "b"), np.array(offsets))
+    with pytest.raises(ValueError, match="offsets None"):
+        write_traces(str(tmp_path / "t.txt"), [TraceBatch(ok, ids, unknown)], 3, 8)
+    with pytest.raises(ValueError, match="0 image ids"):
+        write(ok, ids, unknown, ())
+    assert os.listdir(tmp_path) == ["t.txt"]  # the one good block
 
 
 def test_image_traces_is_a_value():
     conf = np.array([[0.25, 0.75], [0.5, 1.0]])
     ids = np.array([[3, 4], [0, 0]])
-    image = ImageTraces("a", conf, ids, targets=(4, 0))
-    with pytest.raises(ValueError):
-        image.confidences[0, 0] = 0.5
-    assert image.token_ids.dtype == np.int64
-    assert image.n_layers == 2 and len(image) == 2
-    assert image == image_from_traces("a", token_traces(image), [4, 0])
-    assert image != ImageTraces("a", image.confidences, image.token_ids)
+    image = TraceBatch(conf, ids, np.array([4, 0]), ("a",), np.array([0, 2]))
+    assert len(image) == 2
+    rebuilt = image_from_traces("a", token_traces(image), [4, 0])
+    assert image_records([image]) == image_records([rebuilt])
+    untargeted = image_from_traces("a", token_traces(image))
+    assert image_records([image]) != image_records([untargeted])
     assert token_traces(image)[1] == TokenTrace.from_arrays([0.5, 1.0], [0, 0])
     with pytest.raises(TraceValidationError, match="layer counts"):
         image_from_traces(
             0, [TokenTrace.from_arrays([0.5, 0.5], [1, 1]),
                 TokenTrace.from_arrays([0.5, 0.5, 0.5], [1, 1, 1])]
         )
+    # A block's records are those of its images, however it is split.
+    block = TraceBatch(
+        np.vstack([conf, conf[:1]]), np.vstack([ids, ids[:1]]),
+        np.array([4, 0, NO_TARGET]), ("a", 7), np.array([0, 2, 3]),
+    )
+    assert image_records([block]) == image_records(split_images([block]))
+    assert image_records([block])[1] == ("7", [[0.25, 0.75]], [[3, 4]], None)
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +472,23 @@ def test_conformance_fixture_parses_exactly():
     assert header.vocab_size == 8
     assert header.source == "unit-fixture"
 
-    images = list(read_traces(FIXTURE))
-    assert len(images) == 2
+    (block,) = read_traces(FIXTURE)
+    assert block.image_ids == ("img-1", "7")
+    assert block.offsets.tolist() == [0, 2, 3]
+    assert block.targets.tolist() == [5, 0, NO_TARGET]
+    images = split_images([block])
 
     first = images[0]
-    assert first.image_id == "img-1"
-    assert first.targets == (5, 0)
+    assert first.image_ids == ("img-1",)
+    assert first.targets.tolist() == [5, 0]
     assert token_traces(first)[0].confidences == (0.25, 0.625, 0.875)
     assert token_traces(first)[0].token_ids == (3, 5, 5)
     assert token_traces(first)[1].confidences == (0.5, 0.75, 1.0)
     assert token_traces(first)[1].token_ids == (2, 0, 0)
 
     second = images[1]
-    assert second.image_id == "7"
-    assert second.targets is None
+    assert second.image_ids == ("7",)
+    assert second.targets.tolist() == [NO_TARGET]
     assert token_traces(second)[0].confidences == (0.125, 0.5, 0.9375)
 
     # And the records drive the exit rule as hand-checked.
@@ -430,11 +507,12 @@ def test_write_then_read_round_trips_exactly(tmp_path):
     count = write_traces(path, images, model.n_layers, model.vocab_size)
     assert count == 20
     loaded = list(read_traces(path))
+    assert len(loaded) == 1 and loaded[0].image_ids == tuple(map(str, range(20)))
     # image ids come back as strings; everything else must be bit-equal
-    assert loaded == [
-        image_from_traces(str(img.image_id), token_traces(img), img.targets)
+    assert image_records(loaded) == image_records(
+        image_from_traces(img.image_ids[0], token_traces(img), img.targets)
         for img in images
-    ]
+    )
 
 
 def test_round_trip_without_targets(tmp_path):
@@ -443,7 +521,8 @@ def test_round_trip_without_targets(tmp_path):
     path = str(tmp_path / "t.txt")
     write_traces(path, [image], 2, 8)
     (loaded,) = read_traces(path)
-    assert loaded == image
+    assert image_records([loaded]) == image_records([image])
+    assert loaded.targets.tolist() == [NO_TARGET, NO_TARGET]
 
 
 def test_empty_file_is_header_only(tmp_path):
@@ -575,9 +654,9 @@ def test_reader_skips_blank_lines(tmp_path):
         fh.write("\n")
         fh.write("img 1 3 0.5:1 0.25:2\n")
         fh.write("\n")
-    images = list(read_traces(path))
+    images = split_images(read_traces(path))
     assert len(images) == 1
-    assert images[0].targets == (3,)
+    assert images[0].targets.tolist() == [3]
 
 
 _trace_file_fields = st.sampled_from([
@@ -626,11 +705,70 @@ def test_read_traces_parses_or_raises_trace_format_error(tmp_path, data):
         fh.write(data)
     try:
         header = read_header(path)
-        images = list(read_traces(path))
+        blocks = list(read_traces(path))
     except TraceFormatError:
         return
-    write_traces(path, images, header.n_layers, header.vocab_size, header.source)
-    assert list(read_traces(path)) == images
+    write_traces(path, blocks, header.n_layers, header.vocab_size, header.source)
+    assert image_records(read_traces(path)) == image_records(blocks)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n_images=st.sampled_from(
+        [1, 2, IMAGE_CHUNK - 1, IMAGE_CHUNK, IMAGE_CHUNK + 1, 2 * IMAGE_CHUNK + 3]
+    ),
+    block_size=st.integers(1, 2 * IMAGE_CHUNK + 3),
+    n_layers=st.integers(2, 3),
+    ragged=st.booleans(),
+    id_kind=st.sampled_from(["int", "str", "both"]),
+    target_kind=st.sampled_from(["all", "none", "some images"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_then_read_round_trips_any_blocks(
+    tmp_path, n_images, block_size, n_layers, ragged, id_kind, target_kind, seed
+):
+    # Images of 1-4 tokens, written in blocks of any size, come back in
+    # blocks of IMAGE_CHUNK images with every value intact.
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 5, n_images) if ragged else np.full(n_images, 3)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    conf = rng.random((offsets[-1], n_layers))
+    conf.flat[rng.integers(0, conf.size, 3)] = [0.0, 1.0, 5e-324]
+    tokens = rng.integers(0, 9, conf.shape)
+    known = {"all": True, "none": False, "some images": rng.random(n_images) < 0.5}
+    targets = np.where(
+        np.repeat(np.broadcast_to(known[target_kind], n_images), lengths),
+        rng.integers(0, 9, len(conf)),
+        NO_TARGET,
+    )
+    names = {"int": range(n_images), "str": [f"img-{i}" for i in range(n_images)]}
+    names["both"] = [names["int" if i % 2 else "str"][i] for i in range(n_images)]
+    ids = names[id_kind]
+    blocks = []
+    for lo in range(0, n_images, block_size):
+        hi = min(lo + block_size, n_images)
+        rows = slice(offsets[lo], offsets[hi])
+        bounds = offsets[lo : hi + 1] - offsets[lo]
+        blocks.append(
+            TraceBatch(conf[rows], tokens[rows], targets[rows], ids[lo:hi], bounds)
+        )
+    path = str(tmp_path / "traces.txt")
+    assert write_traces(path, blocks, n_layers, 9) == n_images
+    loaded = list(read_traces(path))
+    assert [len(block.image_ids) for block in loaded] == [
+        min(IMAGE_CHUNK, n_images - lo) for lo in range(0, n_images, IMAGE_CHUNK)
+    ]
+    assert image_records(loaded) == image_records(blocks)
+    # Written again, the blocks read give the same bytes.
+    with open(path, "rb") as fh:
+        first = fh.read()
+    write_traces(path, loaded, n_layers, 9)
+    with open(path, "rb") as fh:
+        assert fh.read() == first
 
 
 def test_writer_validates_against_header(tmp_path):
