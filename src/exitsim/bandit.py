@@ -434,6 +434,15 @@ class AdaptiveCell:
         }
 
 
+def check_max_len(max_len: int, arms: int) -> None:
+    """Refuse images too short to initialize ``arms`` arms: initialization
+    plays arm k on token k of the first image."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if max_len < arms:
+        raise ValueError(f"max_len must cover one token per arm: {max_len} < {arms}")
+
+
 def run_lockstep(
     base: SyntheticConfidenceModel,
     groups: Sequence[tuple[SyntheticConfidenceModel, Sequence[AdaptiveCell]]],
@@ -458,15 +467,8 @@ def run_lockstep(
     beyond ``sigma``.  A cell whose reward schedule's depth differs from
     its model's raises ValueError on the first chunk, before any round.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    arms = max(
-        (len(cell.actions) for _, cells in groups for cell in cells), default=1
-    )
-    if max_len < arms:
-        raise ValueError(
-            f"max_len must cover one token per arm: {max_len} < {arms}"
-        )
+    arms = max((len(c.actions) for _, cells in groups for c in cells), default=1)
+    check_max_len(max_len, arms)
     check_distortion_levels(base, [model for model, _ in groups])
     rng = base.stream_rng(0)
     start_id = 0

@@ -8,12 +8,14 @@ byte-identical.
 
 Exit codes: 0 success, 2 configuration problems, 3 unreadable or
 malformed inputs, 4 runtime failures.  Failures print one line to
-stderr of the form ``error: <category>: <message>``.
+stderr of the form ``error: <category>: <message>``.  Any other
+exception is a bug and exits 1 with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -34,6 +36,7 @@ from .bandit import (
     OracleEstimate,
     RewardParams,
     check_gamma,
+    check_max_len,
     regret_bound,
     regret_curve,
     run_lockstep,
@@ -55,6 +58,7 @@ from .distill import (
     ToyTask,
     TrainingError,
     check_epochs,
+    check_loss_terms,
     head_confidences,
     init_cascade,
     layer_accuracies,
@@ -89,38 +93,34 @@ class OutputError(RuntimeError):
     in a JSON summary."""
 
 
+_INPUT_ERRORS = (TraceFormatError, CheckpointError, TraceValidationError)
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing: defaults < config file < explicit flags
 
 
-def _floats(value: object, key: str) -> tuple[float, ...]:
+def _floats(value: object) -> tuple[float, ...]:
+    """A non-empty list of numbers, or a string of them split at commas
+    and whitespace; anything else raises ValueError or TypeError."""
     if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        value = parts
-    if isinstance(value, (list, tuple)):
-        try:
-            out = tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected numbers, got {value!r}") from None
-        if not out:
-            raise ConfigError(f"{key}: list must not be empty")
-        return out
-    raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
+        value = value.replace(",", " ").split()
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError
+    return tuple(float(v) for v in value)
 
 
 def _coerce(key: str, value: object, kind: str) -> object:
-    if value is None:
-        return None
     try:
         if kind == "int":
             if isinstance(value, bool) or int(value) != float(value):
                 raise ValueError
             return int(value)
         if kind == "str":
-            if not isinstance(value, str):
+            if not isinstance(value, str) or "\0" in value:  # no path holds NUL
                 raise ValueError
             return value
-        coerced = float(value) if kind == "float" else _floats(value, key)
+        coerced = float(value) if kind == "float" else _floats(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
     numbers = coerced if kind == "floatlist" else (coerced,)
@@ -138,7 +138,7 @@ def effective_config(
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 and huge ints too
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -149,17 +149,40 @@ def effective_config(
                 f"{sorted(schema)}"
             )
         for key, value in loaded.items():
-            config[key] = _coerce(key, value, schema[key][0])
+            if value is not None:  # null keeps the default
+                config[key] = _coerce(key, value, schema[key][0])
     for key, (kind, _) in schema.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             config[key] = _coerce(key, flag_value, kind)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     config["seed"] = args.seed
     return config
 
 
-def _echo_lines(config: dict) -> list[str]:
-    return [f"{key}={json.dumps(config[key])}" for key in sorted(config)]
+@contextlib.contextmanager
+def _configuring(config: dict, *counts: str) -> Iterator[None]:
+    """A command's configuration phase, run before any of its work: refuse
+    each ``counts`` key of ``config`` below 1, then re-raise a library
+    ValueError from the block as ConfigError with its message.  The input
+    errors (malformed files, exit 3), also ValueErrors, pass unchanged."""
+    for key in counts:
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
+    try:
+        yield
+    except (ConfigError, *_INPUT_ERRORS):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _check_distinct(key: str, values: Sequence[float]) -> None:
+    """Reject a repeated value: each value keys its own summary entry."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key}: duplicate value {value!r}")
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -200,8 +223,8 @@ def _write_outputs(
     with staged(*(_out_path(args, n) for n in names)) as temps:
         if header is not None:
             with open(temps[0], "w", encoding="ascii", newline="") as fh:
-                for line in _echo_lines(config):
-                    fh.write(f"# {line}\n")
+                for key in sorted(config):
+                    fh.write(f"# {key}={json.dumps(config[key])}\n")
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 for row in rows:
@@ -219,24 +242,6 @@ def _write_outputs(
 
 
 # ---------------------------------------------------------------------------
-# Shared evaluation helpers
-
-
-def _check_positive(config: dict, *keys: str) -> None:
-    """Reject counts below 1 before any work or output."""
-    for key in keys:
-        if config[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
-
-
-def _check_distinct(key: str, values: Sequence[float]) -> None:
-    """Reject a repeated value: each value keys its own summary entry."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{key}: duplicate value {value!r}")
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 
 
@@ -249,10 +254,8 @@ GEN_TRACES_SCHEMA = {
 
 
 def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
-    _check_positive(config, "n_images", "max_len")
-    model = distort(
-        SyntheticConfidenceModel(seed=config["seed"]), config["sigma"]
-    )
+    with _configuring(config, "n_images", "max_len"):
+        model = distort(SyntheticConfidenceModel(seed=config["seed"]), config["sigma"])
     rng = model.stream_rng(0)
     max_len, n_images = config["max_len"], config["n_images"]
 
@@ -286,15 +289,18 @@ SWEEP_SCHEMA = {
 
 
 def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
-    if (config["traces"] is None) == (config["model"] is None):
-        raise ConfigError("provide exactly one of --traces or --model")
-    alphas = check_thresholds(config["alphas"])
+    with _configuring(config):
+        if (config["traces"] is None) == (config["model"] is None):
+            raise ConfigError("provide exactly one of --traces or --model")
+        alphas = check_thresholds(config["alphas"])
     if config["traces"] is not None:
         blocks = read_traces(config["traces"])
     else:
         model = load_cascade(config["model"])
-        rng = np.random.default_rng(config["seed"])
-        task = make_task(model.config, rng)
+        try:
+            task = make_task(model.config, np.random.default_rng(config["seed"]))
+        except ValueError as exc:  # the checkpoint cannot hold the task
+            raise CheckpointError(f"{config['model']}: {exc}") from None
         confidences, token_ids = head_confidences(model, task.heldout)
         blocks = [TraceBatch(confidences, token_ids, task.heldout.targets)]
 
@@ -357,42 +363,40 @@ def _run_adaptive(
     at every distortion level and latency cost over one image stream.
 
     The flags of an ADAPTIVE_SCHEMA config plus ``tokens`` are checked
-    before any work, the reward ranges they give included.  ``policies`` maps each policy name to its
-    thresholds.  Returns one ``(sigma, lam, cells, oracle)`` per pair,
-    sigma-major, where ``cells`` maps each policy name to its cell.  With
-    ``logged`` every cell records its rounds in a ``BanditLog``.
+    first, the reward ranges they give included.  ``policies`` maps each
+    policy name to its thresholds.  Returns one ``(sigma, lam, cells,
+    oracle)`` per pair, sigma-major, where ``cells`` maps each policy
+    name to its cell.  With ``logged`` every cell records its rounds in a
+    ``BanditLog``.
     """
-    _check_positive(config, "max_len", "oracle_samples")
-    _check_distinct("sigmas", sigmas)
-    _check_distinct("lambdas", lams)
-    grid = ActionSet(tuple(config["alphas"]))
-    actions = {name: ActionSet(tuple(a)) for name, a in policies.items()}
-    # Initialization pulls every arm once, on the first image's tokens,
-    # and at least one round must follow.
-    arms = max(len(a) for a in actions.values())
-    if config["tokens"] <= arms:
-        raise ConfigError(
-            f"tokens must cover one pull per arm and one round after: "
-            f"{config['tokens']} <= {arms}"
-        )
-    if config["max_len"] < arms:
-        raise ConfigError(
-            f"max_len must cover one token per arm: {config['max_len']} < {arms}"
-        )
-    base = SyntheticConfidenceModel(seed=config["seed"])
-    models = [distort(base, sigma) for sigma in sigmas]
-    shapes = [RewardParams(base.n_layers, mu=config["mu"], lam=lam) for lam in lams]
-    # Every reported sum adds at most this many rewards, each within
-    # one reward range of the others.
-    terms = max(config["tokens"], config["oracle_samples"])
-    for params in shapes:
-        lo, hi = params.bounds()
-        if not math.isfinite(terms * (hi - lo)):
+    with _configuring(config, "oracle_samples"):
+        _check_distinct("sigmas", sigmas)
+        _check_distinct("lambdas", lams)
+        grid = ActionSet(tuple(config["alphas"]))
+        actions = {name: ActionSet(tuple(a)) for name, a in policies.items()}
+        # Initialization pulls every arm once, on the first image's
+        # tokens, and at least one round must follow.
+        arms = max(len(a) for a in actions.values())
+        if config["tokens"] <= arms:
             raise ConfigError(
-                f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
-                f"rewards in [{lo!r}, {hi!r}] is not finite"
+                f"tokens must cover one pull per arm and one round after: "
+                f"{config['tokens']} <= {arms}"
             )
-    check_gamma(config["gamma"])
+        check_max_len(config["max_len"], arms)
+        base = SyntheticConfidenceModel(seed=config["seed"])
+        models = [distort(base, sigma) for sigma in sigmas]
+        shapes = [RewardParams(base.n_layers, config["mu"], lam) for lam in lams]
+        # Every reported sum adds at most this many rewards, each within
+        # one reward range of the others.
+        terms = max(config["tokens"], config["oracle_samples"])
+        for params in shapes:
+            lo, hi = params.bounds()
+            if not math.isfinite(terms * (hi - lo)):
+                raise ConfigError(
+                    f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
+                    f"rewards in [{lo!r}, {hi!r}] is not finite"
+                )
+        check_gamma(config["gamma"])
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
     oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
@@ -531,25 +535,27 @@ ABLATION_SCHEMA = TOY_SCHEMA
 
 
 def _stage_one(
-    config: dict,
+    config: dict, *loss_terms: str
 ) -> tuple[ToyTask, ToyCascade, StepSchedule, list[float]]:
-    """Build the toy task, cascade and schedule from a TOY_SCHEMA config,
-    then train and freeze the backbone."""
+    """Check a TOY_SCHEMA config and the stage-two ``loss_terms``, build
+    the toy task, cascade and schedule, then train and freeze the
+    backbone."""
     toy = ToyConfig()
     rng = np.random.default_rng(config["seed"])
     task_keys = (
         "n_train", "n_heldout", "tokens_per_example", "n_classes", "margin",
         "label_noise",
     )
-    task = make_task(toy, rng, **{key: config[key] for key in task_keys})
+    with _configuring(config):
+        for terms in loss_terms:
+            check_loss_terms(terms)
+        schedule = StepSchedule(
+            config["learning_rate"], config["decay"], config["decay_every"]
+        )
+        for key in ("stage1_epochs", "stage2_epochs"):
+            check_epochs(config[key])
+        task = make_task(toy, rng, **{key: config[key] for key in task_keys})
     model = init_cascade(toy, rng)
-    schedule = StepSchedule(
-        initial=config["learning_rate"],
-        decay=config["decay"],
-        every=config["decay_every"],
-    )
-    for key in ("stage1_epochs", "stage2_epochs"):
-        check_epochs(config[key])
     history = train_backbone(model, task.train, config["stage1_epochs"], schedule)
     return task, model, schedule, history
 
@@ -633,12 +639,7 @@ TRAIN_TOY_SCHEMA = {
 
 
 def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
-    if config["loss_terms"] not in LOSS_TERM_CHOICES:
-        raise ConfigError(
-            f"loss_terms must be one of {LOSS_TERM_CHOICES}, got "
-            f"{config['loss_terms']!r}"
-        )
-    task, model, schedule, stage1 = _stage_one(config)
+    task, model, schedule, stage1 = _stage_one(config, config["loss_terms"])
     stage2 = train_exits(
         model,
         task.train,
@@ -665,21 +666,6 @@ def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
 # Parser and dispatch
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file", default=None)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--out-dir", default=".")
-
-
-def _add_schema_flags(
-    sub: argparse.ArgumentParser, schema: dict[str, tuple[str, object]]
-) -> None:
-    types = {"int": int, "float": float}
-    for key, (kind, _) in schema.items():
-        flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, type=types.get(kind, str), default=None, dest=key)
-
-
 COMMANDS: dict[str, tuple[Callable, dict]] = {
     "gen-traces": (cmd_gen_traces, GEN_TRACES_SCHEMA),
     "sweep-threshold": (cmd_sweep_threshold, SWEEP_SCHEMA),
@@ -697,10 +683,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Early-exit inference experiments on synthetic traces.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    types = {"int": int, "float": float}
     for name, (_, schema) in COMMANDS.items():
         sub = subparsers.add_parser(name)
-        _add_common(sub)
-        _add_schema_flags(sub, schema)
+        sub.add_argument("--config", help="JSON config file", default=None)
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sub.add_argument("--out-dir", default=".")
+        for key, (kind, _) in schema.items():
+            flag = "--" + key.replace("_", "-")
+            sub.add_argument(flag, type=types.get(kind, str), default=None, dest=key)
     return parser
 
 
@@ -709,11 +700,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     command, schema = COMMANDS[args.command]
     try:
         return command(args, effective_config(args, schema))
-    except (TraceFormatError, CheckpointError, TraceValidationError, OSError) as exc:
+    except (*_INPUT_ERRORS, OSError) as exc:
         return _fail("input", exc, 3)
     except (TrainingError, BanditError, OutputError, MemoryError) as exc:
         return _fail("runtime", exc, 4)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         return _fail("config", exc, 2)
 
 

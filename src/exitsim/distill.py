@@ -371,10 +371,7 @@ def _frozen_inputs(
     """Check ``loss_terms``, then run the frozen backbone once: the
     per-layer states and the teacher's floored log-probabilities, the
     two things stage two reads."""
-    if loss_terms not in LOSS_TERM_CHOICES:
-        raise ValueError(
-            f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
-        )
+    check_loss_terms(loss_terms)
     states = list(_hidden_states(model, example.features))
     teacher = _softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
     return states, _floored_log(teacher, out=teacher)
@@ -427,6 +424,14 @@ def check_epochs(epochs: int) -> None:
     """Refuse a negative epoch count."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+
+
+def check_loss_terms(loss_terms: str) -> None:
+    """Refuse a stage-two loss that is not one of ``LOSS_TERM_CHOICES``."""
+    if loss_terms not in LOSS_TERM_CHOICES:
+        raise ValueError(
+            f"loss_terms must be one of {LOSS_TERM_CHOICES}, got {loss_terms!r}"
+        )
 
 
 def train_backbone(
@@ -632,7 +637,8 @@ def save_cascade(model: ToyCascade, path: str) -> None:
 def load_cascade(path: str) -> ToyCascade:
     """Read a checkpoint written by save_cascade.
 
-    Raises CheckpointError on bytes that are not UTF-8 JSON, a wrong
+    Raises CheckpointError on bytes that are not UTF-8 JSON (an integer
+    longer than Python's digit limit included), a wrong
     format tag, unknown version, a config dimension that is not an
     integer, a ``frozen`` flag that is not a JSON boolean, dimensions
     that disagree with the stored config, an integer parameter too
@@ -642,7 +648,7 @@ def load_cascade(path: str) -> ToyCascade:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # huge ints raise ValueError
             raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must be a JSON object")

@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exitsim
 from exitsim import (
@@ -232,10 +234,31 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
         (["lambda-sweep", "--gamma", "0"], "shared_oracles", "gamma must be finite and >= 1, got 0.0"),
         (["sweep-threshold", "--alphas", "0.5,1.5"], "read_traces", "exit threshold 1.5 outside [0, 1]"),
         (["sweep-threshold", "--alphas", "-0.25"], "read_traces", "exit threshold -0.25 outside [0, 1]"),
+        (["bandit", "--alphas", "0.5,0.5"], "shared_oracles", "thresholds must be strictly increasing, got 0.5 before 0.5"),
+        (["bandit", "--mu", "-1"], "shared_oracles", "mu must be finite and positive, got -1.0"),
+        (["compare-distortion", "--sigmas", "-1"], "shared_oracles", "sigma must be >= 0, got -1.0"),
+        (["compare-distortion", "--fixed-alpha", "2"], "shared_oracles", "threshold 2.0 outside [0, 1]"),
+        (["ablation", "--n-classes", "1"], "init_cascade", "n_classes must be a power of two >= 2, got 1"),
+        (["ablation", "--decay", "2"], "make_task", "decay must be in (0, 1], got 2.0"),
+        (["gen-traces", "--sigma", "-1"], "draw_tokens", "sigma must be >= 0, got -1.0"),
+        (["gen-traces", "--seed", "-1"], "draw_tokens", "seed must be >= 0, got -1"),
+        (["sweep-threshold", "--seed", "-2"], "read_traces", "seed must be >= 0, got -2"),
+        (["bandit", "--seed", "-1"], "shared_oracles", "seed must be >= 0, got -1"),
+        (["compare-distortion", "--seed", "-1"], "shared_oracles", "seed must be >= 0, got -1"),
+        (["lambda-sweep", "--seed", "-3"], "shared_oracles", "seed must be >= 0, got -3"),
+        (["ablation", "--seed", "-1"], "make_task", "seed must be >= 0, got -1"),
+        (["train-toy", "--seed", "-1"], "make_task", "seed must be >= 0, got -1"),
     ],
     ids=[
         "ablation", "train-toy", "bandit", "compare-distortion", "lambda-sweep",
-        "sweep-above-1", "sweep-below-0",
+        "sweep-above-1", "sweep-below-0", "bandit-alphas", "bandit-mu",
+        "compare-sigmas", "compare-fixed-alpha", "ablation-classes",
+        "ablation-decay", "gen-traces-sigma", *(
+            f"{command}-seed" for command in (
+                "gen-traces", "sweep-threshold", "bandit", "compare-distortion",
+                "lambda-sweep", "ablation", "train-toy",
+            )
+        ),
     ],
 )
 def test_late_checked_flags_exit_2_before_any_work(
@@ -378,6 +401,27 @@ def test_oracle_too_large_to_hold_exits_4_before_any_round(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-traces", "--n-images", "1", "--max-len", str(10**20)],
+        ["bandit", "--oracle-samples", str(10**20)],
+        ["lambda-sweep", "--max-len", str(10**20), "--oracle-samples", "100"],
+    ],
+    ids=["gen-traces-max-len", "bandit-oracle-samples", "lambda-sweep-max-len"],
+)
+def test_counts_past_the_address_space_exit_4(argv, tmp_path, capsys):
+    # numpy refuses such arrays with ValueError, not MemoryError; the draw
+    # refuses them first, as too large to allocate.
+    out = tmp_path / "out"
+    code, stdout, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 4
+    assert err.startswith("error: runtime: 100000000000000000000 tokens of 12 layers")
+    assert len(err.splitlines()) == 1
+    assert stdout == ""
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
     "argv, key",
     [
         (["compare-distortion", "--sigmas", "0,0"], "sigmas"),
@@ -510,6 +554,31 @@ def test_deeply_nested_json_exits_without_a_traceback(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, content, code, category",
+    [
+        ("--config", b'{"gamma": "caf\xe9"}', 2, "config"),
+        ("--config", b'{"gamma": ' + b"1" * 5000 + b"}", 2, "config"),
+        ("--model", b'{"format": ' + b"1" * 5000 + b"}", 3, "input"),
+    ],
+    ids=["config-latin-1", "config-huge-int", "checkpoint-huge-int"],
+)
+def test_json_that_python_cannot_parse_exits_without_a_traceback(
+    flag, content, code, category, tmp_path, capsys
+):
+    # Bad UTF-8 and integers past Python's digit limit raise plain
+    # ValueError inside json.load.
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    got, _, err = run_cli(
+        ["sweep-threshold", flag, str(path), "--out-dir", str(out)], capsys
+    )
+    assert got == code
+    assert err.startswith(f"error: {category}: {path}: not valid JSON")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_checkpoint_weight_exits_3(bad, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -553,6 +622,24 @@ def test_checkpoint_field_of_the_wrong_type_exits_3(
     assert not (out / "sweep_threshold.csv").exists()
 
 
+def test_checkpoint_too_small_for_the_task_exits_3(tmp_path, capsys):
+    # Four classes need four defining coordinates.
+    model = init_cascade(ToyConfig(input_dim=3), np.random.default_rng(0))
+    model.frozen = True
+    path = str(tmp_path / "model.json")
+    save_cascade(model, path)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["sweep-threshold", "--model", path, "--out-dir", str(out)], capsys
+    )
+    assert code == 3
+    assert err == (
+        f"error: input: {path}: 4 classes need 4 defining coordinates, "
+        f"input_dim is 3\n"
+    )
+    assert not out.exists()
+
+
 def test_checkpoint_weight_too_large_for_a_float_exits_3(tmp_path, capsys):
     path = tmp_path / "model.json"
     save_cascade(init_cascade(ToyConfig(), np.random.default_rng(0)), str(path))
@@ -589,6 +676,46 @@ def test_runtime_failure_exits_4(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: config: max_len must cover one token per arm")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "work, argv",
+    [
+        ("run_lockstep", ["bandit", *FAST_BANDIT]),
+        ("train_backbone", ["train-toy", "--n-train", "1", "--n-heldout", "1"]),
+    ],
+    ids=["run_lockstep", "train_backbone"],
+)
+def test_a_value_error_mid_run_is_not_a_config_error(
+    work, argv, tmp_path, capsys, monkeypatch
+):
+    # Only the configuration phase reports ValueError as the user's
+    # config; one raised by the work itself is a bug, with a traceback.
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, work, broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert "error:" not in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_null_config_value_keeps_the_default_and_nul_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gamma": null, "mu": null}')
+    out = tmp_path / "out"
+    argv = ["bandit", "--config", str(cfg), *FAST_BANDIT, "--out-dir", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert read_summary(out, "bandit_summary.json")["config"]["gamma"] == 1.0
+    cfg.write_text('{"out": "a\\u0000b"}')
+    code, _, err = run_cli(
+        ["gen-traces", "--config", str(cfg), "--out-dir", str(tmp_path / "nul")],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: config: out: expected str, got 'a\\x00b'\n"
 
 
 def test_non_finite_summary_exits_4_and_writes_no_summary(
@@ -665,6 +792,46 @@ def test_staged_replaces_only_after_the_block(tmp_path):
         assert path.read_text() == "old"
     assert os.listdir(tmp_path) == ["out.txt"]
     assert path.read_text() == "new"
+
+
+def test_staged_removes_the_temps_not_yet_renamed(tmp_path, monkeypatch):
+    first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.json")
+    replace = os.replace
+
+    def failing_second(src, dst):
+        if dst == second:
+            raise PermissionError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_second)
+    with pytest.raises(PermissionError, match="rename refused"):
+        with staged(first, second) as temps:
+            for temp in temps:
+                with open(temp, "w") as fh:
+                    fh.write("x")
+    assert os.listdir(tmp_path) == ["a.csv"]  # renamed before the failure
+
+
+@pytest.mark.parametrize(
+    "argv, blocker",
+    [
+        (["gen-traces", "--n-images", "2", "--out", "taken"], "taken"),
+        (["gen-traces", "--n-images", "2", "--out", ""], None),
+        (["lambda-sweep", *FAST_BANDIT], "lambda_sweep_summary.json"),
+    ],
+    ids=["out-is-a-directory", "empty-out", "summary-is-a-directory"],
+)
+def test_directory_at_an_output_name_exits_3_and_writes_nothing(
+    argv, blocker, tmp_path, capsys
+):
+    if blocker is not None:
+        (tmp_path / blocker).mkdir()
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run_cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("error: input: [Errno 21] Is a directory: ")
+    assert out == ""
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_unreachable_margin_exits_2_at_once(tmp_path):
@@ -1383,3 +1550,187 @@ def test_toy_outputs_do_not_depend_on_blas_threads(tmp_path):
         "toy_cascade.json", "train_toy_summary.json",
     ]
     assert outputs["1"] == outputs["2"]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz of the exit-code contract
+#
+# Each subcommand runs on drawn argv: every flag has values that are valid
+# (boundaries, huge seeds, a toy learning rate that overflows at run time)
+# and values that are not (zero, negative, nan/inf, non-numeric, empty,
+# duplicated list entries, unusable paths and config files).  A draw takes
+# valid values for a few flags, then bad ones for up to two, in any order;
+# argparse keeps the last of a repeated flag.  Sizes stay tiny: every flag
+# that counts tokens, images, samples, rows or epochs is always given, at
+# most 200 tokens, 3 images, 2,000 oracle samples, 3 rows per split of 4
+# tokens and 2 epochs.  Larger valid counts are left out of the draw: they
+# only run longer or allocate more (an oracle too large to hold has its own
+# test), and the exit-code contract does not depend on them.
+
+BAD_COUNTS = ["0", "-1", "x", "1.5", "nan", ""]
+ADAPTIVE_FLAGS = {
+    "--tokens": (["11", "60", "200"], ["10", *BAD_COUNTS]),
+    "--oracle-samples": (["1", "300", "2000"], BAD_COUNTS),
+    "--max-len": (["10", "12", "40"], ["9", *BAD_COUNTS]),
+    "--alphas": (["0.1,0.5,1", "0.6", "0,1"], ["0.5,0.5", "1,0.5", "1.5", "", "nan", "x"]),
+    "--gamma": (["1", "2", "1e3"], ["0.5", "0", "-1", "nan", "inf", "x", ""]),
+    "--mu": (["0.1", "1", "1e-320", "1e303"], ["0", "-1", "nan", "inf", "1e308", "x"]),
+}
+TOY_FLAGS = {
+    "--stage1-epochs": (["0", "1", "2"], ["-1", "x", "1.5", "nan", ""]),
+    "--stage2-epochs": (["0", "1", "2"], ["-1", "x", "1.5", "nan", ""]),
+    "--n-train": (["1", "3"], BAD_COUNTS),
+    "--n-heldout": (["1", "3"], BAD_COUNTS),
+    "--tokens-per-example": (["1", "4"], BAD_COUNTS),
+    "--learning-rate": (["0.5", "1", "1e308"], ["0", "-1", "nan", "inf", "x"]),
+    "--decay": (["0.5", "1"], ["0", "2", "-1", "nan"]),
+    "--decay-every": (["1", "3"], BAD_COUNTS),
+    "--n-classes": (["2", "4", "8", "32"], ["1", "3", "64", "0", "-2", "x"]),
+    "--margin": (["0", "0.3", "1"], ["-1", "3", "nan", "x"]),
+    "--label-noise": (["0", "0.1", "1"], ["-0.1", "2", "nan"]),
+}
+FUZZ_FLAGS = {
+    "gen-traces": {
+        "--n-images": (["1", "3"], BAD_COUNTS),
+        "--max-len": (["1", "5"], BAD_COUNTS),
+        "--sigma": (["0", "0.5", "3"], ["-1", "nan", "inf", "x"]),
+        "--out": (["t.txt", "gen_traces_summary.json"], ["", ".", "sub/t.txt"]),
+    },
+    "sweep-threshold": {
+        "--alphas": (["0.2,0.6,0.6,1", "0", "1"], ["1.5", "-0.25", "", "nan", "x"]),
+        "--traces": (["traces.txt"], ["untargeted.txt", "bad.txt", "missing"]),
+        "--model": (["model.json"], ["narrow.json", "bad.txt", "missing"]),
+    },
+    "bandit": {
+        **ADAPTIVE_FLAGS,
+        "--sigma": (["0", "0.5", "3"], ["-1", "nan", "inf", "x"]),
+        "--lam": (["0", "1", "2.5"], ["-1", "nan", "inf", "1e308", "x"]),
+    },
+    "compare-distortion": {
+        **ADAPTIVE_FLAGS,
+        "--sigmas": (["0", "0,1,2", "2,0"], ["0,0", "-1", "", "nan,1"]),
+        "--fixed-alpha": (["0", "0.6", "1"], ["1.5", "-0.25", "nan", "x"]),
+        "--lam": (["0", "1", "2.5"], ["-1", "nan", "inf", "1e308", "x"]),
+    },
+    "lambda-sweep": {
+        **ADAPTIVE_FLAGS,
+        "--lambdas": (["0.5,1,2", "0", "3,1"], ["1,1", "-1", "inf", ""]),
+        "--sigma": (["0", "0.5", "3"], ["-1", "nan", "inf", "x"]),
+    },
+    "ablation": TOY_FLAGS,
+    "train-toy": {
+        **TOY_FLAGS,
+        "--loss-terms": (["ce", "kl", "both"], ["bogus", ""]),
+        "--checkpoint": (["toy.json", "train_toy_summary.json"], ["", ".", "sub/t.json"]),
+    },
+}
+COMMON_FLAGS = {
+    "--seed": (["0", "7", str(2**70)], ["-1", "x", ""]),
+    # nulls-<command>.json sets every key to null, which keeps its default.
+    "--config": (
+        ["empty.json", "nulls-{}.json"],
+        ["list.json", "broken.json", "unknown.json", "latin.json", "missing"],
+    ),
+}
+# Given in every draw, so no default size applies.
+FUZZ_SIZES = {
+    "gen-traces": ["--n-images", "--max-len"],
+    "sweep-threshold": [],
+    "bandit": ["--tokens", "--oracle-samples", "--max-len"],
+    "compare-distortion": ["--tokens", "--oracle-samples", "--max-len"],
+    "lambda-sweep": ["--tokens", "--oracle-samples", "--max-len"],
+    "ablation": ["--stage1-epochs", "--stage2-epochs", "--n-train", "--n-heldout",
+                 "--tokens-per-example"],
+    "train-toy": ["--stage1-epochs", "--stage2-epochs", "--n-train", "--n-heldout",
+                  "--tokens-per-example"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory of the files the fuzz names: trace files, checkpoints
+    and config files, good and bad."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    model = SyntheticConfidenceModel()
+    drawn = finish_tokens(model, draw_tokens(model, 4, model.stream_rng(0), 3))
+    conf, ids, offsets = drawn.confidences, drawn.token_ids, np.arange(4) * 4
+    batch = TraceBatch(conf, ids, drawn.targets, range(3), offsets)
+    write_traces(str(root / "traces.txt"), [batch], model.n_layers, model.vocab_size)
+    untargeted = TraceBatch(conf, ids, np.full(12, NO_TARGET), range(3), offsets)
+    write_traces(
+        str(root / "untargeted.txt"), [untargeted], model.n_layers, model.vocab_size
+    )
+    for name, dims in (("model.json", ToyConfig()), ("narrow.json", ToyConfig(input_dim=3))):
+        cascade = init_cascade(dims, np.random.default_rng(0))
+        cascade.frozen = True
+        save_cascade(cascade, str(root / name))
+    for name, text in (
+        ("bad.txt", "not a trace file\n"),
+        ("empty.json", "{}"),
+        ("list.json", "[]"),
+        ("broken.json", "{"),
+        ("unknown.json", '{"bogus": 1}'),
+    ):
+        (root / name).write_text(text)
+    (root / "latin.json").write_bytes(b'{"seed": "caf\xe9"}')
+    for command, (_, schema) in cli.COMMANDS.items():
+        (root / f"nulls-{command}.json").write_text(json.dumps(dict.fromkeys(schema)))
+    return root
+
+
+@st.composite
+def fuzz_argv(draw, command):
+    """``(flag, value)`` pairs for ``command``: valid sizes (or a trace or
+    model source), then valid values for up to four drawn flags, then bad
+    values for up to two."""
+    flags = {**FUZZ_FLAGS[command], **COMMON_FLAGS}
+    given_first = FUZZ_SIZES[command] or [draw(st.sampled_from(["--traces", "--model"]))]
+    names = st.sampled_from(sorted(flags))
+    pairs = []
+    for kind, chosen in (
+        (0, given_first),
+        (0, draw(st.lists(names, max_size=4))),
+        (1, draw(st.lists(names, max_size=2))),
+    ):
+        pairs += [(flag, draw(st.sampled_from(flags[flag][kind]))) for flag in chosen]
+    return pairs
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+def test_fuzzed_argv_keeps_the_exit_code_contract(
+    command, fuzz_inputs, tmp_path_factory, capsys
+):
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(pairs=fuzz_argv(command))
+    def check(pairs):
+        out = tmp_path_factory.mktemp("fuzz_out") / "out"
+        argv = [command]
+        for flag, value in pairs:
+            if flag in ("--traces", "--model", "--config"):
+                value = str(fuzz_inputs / value.format(command))
+            argv.append(f"{flag}={value}")
+        try:
+            code = main([*argv, "--out-dir", str(out)])
+        except SystemExit as exc:  # argparse refused a flag
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == (code != 0), (argv, err)
+        written = [name for _, _, names in os.walk(out) for name in names]
+        if code:
+            assert written == [], (argv, err)
+        else:
+            name = f"{command.replace('-', '_')}_summary.json"
+            _strict_json((out / name).read_text())
+
+    check()
