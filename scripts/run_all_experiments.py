@@ -23,15 +23,6 @@ import time
 from exitsim.cli import main as cli
 
 
-def run(label, argv):
-    started = time.monotonic()
-    code = cli(argv)
-    if code != 0:
-        print(f"{label}: FAILED with exit code {code}", file=sys.stderr)
-        sys.exit(code)
-    print(f"{label}: done in {time.monotonic() - started:.0f}s")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output root")
@@ -41,89 +32,41 @@ def main():
     )
     args = parser.parse_args()
 
-    seed = ["--seed", str(args.seed)]
     if args.quick:
         bandit_tokens, compare_tokens, oracle = "1000", "2000", "2000"
         stage1, stage2, every = "100", "80", "40"
     else:
         bandit_tokens, compare_tokens, oracle = "100000", "200000", "200000"
         stage1, stage2, every = "800", "600", "200"
+    bandit = ["--tokens", bandit_tokens, "--oracle-samples", oracle]
+    toy = ["--stage1-epochs", stage1, "--stage2-epochs", stage2, "--decay-every", every]
+    traces = os.path.join(args.out, "traces", "traces.txt")
+    checkpoint = os.path.join(args.out, "toy", "toy_cascade.json")
 
-    out = lambda name: ["--out-dir", os.path.join(args.out, name)]
-
-    run("gen-traces", ["gen-traces", *seed, *out("traces")])
-    run(
-        "sweep-threshold",
-        [
-            "sweep-threshold",
-            "--traces",
-            os.path.join(args.out, "traces", "traces.txt"),
-            *seed,
-            *out("traces"),
-        ],
-    )
-    run(
-        "bandit",
-        [
-            "bandit",
-            "--tokens", bandit_tokens,
-            "--oracle-samples", oracle,
-            *seed,
-            *out("bandit"),
-        ],
-    )
-    run(
-        "compare-distortion",
-        [
+    # (label, subcommand, subdirectory, flags), run in this order.
+    runs = [
+        ("gen-traces", "gen-traces", "traces", []),
+        ("sweep-threshold", "sweep-threshold", "traces", ["--traces", traces]),
+        ("bandit", "bandit", "bandit", bandit),
+        (
             "compare-distortion",
-            "--tokens", compare_tokens,
-            "--oracle-samples", oracle,
-            *seed,
-            *out("compare"),
-        ],
-    )
-    run(
-        "ablation",
-        [
-            "ablation",
-            "--stage1-epochs", stage1,
-            "--stage2-epochs", stage2,
-            "--decay-every", every,
-            *seed,
-            *out("ablation"),
-        ],
-    )
-    run(
-        "lambda-sweep",
-        [
-            "lambda-sweep",
-            "--tokens", bandit_tokens,
-            "--oracle-samples", oracle,
-            *seed,
-            *out("lambda"),
-        ],
-    )
-    run(
-        "train-toy",
-        [
-            "train-toy",
-            "--stage1-epochs", stage1,
-            "--stage2-epochs", stage2,
-            "--decay-every", every,
-            *seed,
-            *out("toy"),
-        ],
-    )
-    run(
-        "sweep-toy-exits",
-        [
-            "sweep-threshold",
-            "--model",
-            os.path.join(args.out, "toy", "toy_cascade.json"),
-            *seed,
-            *out("toy"),
-        ],
-    )
+            "compare-distortion",
+            "compare",
+            ["--tokens", compare_tokens, "--oracle-samples", oracle],
+        ),
+        ("ablation", "ablation", "ablation", toy),
+        ("lambda-sweep", "lambda-sweep", "lambda", bandit),
+        ("train-toy", "train-toy", "toy", toy),
+        ("sweep-toy-exits", "sweep-threshold", "toy", ["--model", checkpoint]),
+    ]
+    for label, command, subdirectory, flags in runs:
+        started = time.monotonic()
+        out_dir = os.path.join(args.out, subdirectory)
+        code = cli([command, *flags, "--seed", str(args.seed), "--out-dir", out_dir])
+        if code != 0:
+            print(f"{label}: FAILED with exit code {code}", file=sys.stderr)
+            sys.exit(code)
+        print(f"{label}: done in {time.monotonic() - started:.0f}s")
     print(f"all outputs under {args.out}/")
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .cascade import exit_counts, exit_layer_indices, running_max, speedup_ratio
+from .staging import read_json
 from .synth import (
     IMAGE_CHUNK,
     SyntheticConfidenceModel,
@@ -187,13 +188,8 @@ class BanditState:
     @classmethod
     def load(cls, path: str) -> "BanditState":
         """Read a ``save`` file; contents that do not rebuild a state,
-        nesting too deep to parse included, raise ValueError."""
-        with open(path, "r", encoding="ascii") as fh:
-            try:
-                snapshot = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_snapshot(snapshot)
+        bytes that do not parse as JSON included, raise ValueError."""
+        return cls.from_snapshot(read_json(path, ValueError))
 
 
 def _snapshot_field(snapshot: dict, key: str, kind: type, many: bool = False):

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -81,7 +82,7 @@ from .synth import (
     read_traces,
     write_traces,
 )
-from .staging import staged
+from .staging import read_json, staged
 
 
 class ConfigError(ValueError):
@@ -135,11 +136,7 @@ def effective_config(
     """Merge defaults, config-file values, and flag overrides, in that order."""
     config = {key: default for key, (_, default) in schema.items()}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 and huge ints too
-            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
+        loaded = read_json(args.config, ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(loaded) - set(schema))
@@ -185,59 +182,78 @@ def _check_distinct(key: str, values: Sequence[float]) -> None:
             raise ConfigError(f"{key}: duplicate value {value!r}")
 
 
-def _out_path(args: argparse.Namespace, name: str) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+def _summary_name(args: argparse.Namespace) -> str:
+    return f"{args.command.replace('-', '_')}_summary.json"
+
+
+def _check_out_name(args: argparse.Namespace, config: dict, key: str) -> None:
+    """Refuse a ``key`` output name that would land on the summary."""
+    def where(name: str) -> str:
+        return os.path.normpath(os.path.join(args.out_dir, name))
+
+    if where(config[key]) == where(_summary_name(args)):
+        raise ConfigError(f"{key}: {config[key]!r} names the summary file")
 
 
 # Row fields whose repr is what csv.writer writes for them (repr for floats).
 _PLAIN_NUMBER = frozenset((int, float))
 
 
+def _csv(
+    config: dict, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> Callable[[str], None]:
+    """A ``_write_outputs`` writer: ``rows`` as a CSV under ``header``,
+    after one comment line per echoed config key."""
+
+    def write(path: str) -> None:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            for key in sorted(config):
+                fh.write(f"# {key}={json.dumps(config[key])}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                if all(map(_PLAIN_NUMBER.__contains__, map(type, row))):
+                    # The bytes csv.writer writes for these fields.
+                    fh.write(",".join(map(repr, row)) + "\r\n")
+                else:
+                    writer.writerow(
+                        [repr(v) if isinstance(v, float) else v for v in row]
+                    )
+
+    return write
+
+
 def _write_outputs(
     args: argparse.Namespace,
     config: dict,
     fields: dict,
-    first: str,
-    header: Sequence[str] | None = None,
-    rows: Iterable[Sequence[object]] = (),
+    name: str,
+    write: Callable[[str], object],
 ) -> None:
-    """Write ``<command>_summary.json`` and echo it to stdout.
+    """Write the data file ``name`` and ``<command>_summary.json`` into
+    --out-dir, then echo the summary to stdout: the only way a command's
+    files reach --out-dir.
 
-    The summary holds ``config``, ``fields`` and the output names:
-    ``first``, the command's data file, then the summary itself.  With a
-    ``header``, ``first`` is written here as a CSV of ``rows`` under the
-    echoed config.  The summary is serialized as strict JSON before this
-    opens any file, so a non-finite number raises OutputError and the
-    CSV and summary are not written.  Each file is written in full to a
-    temporary file beside it and then renamed into place, so a failure
-    while writing (``rows`` raising, say) leaves neither behind.
+    The summary holds ``config``, ``fields`` and both output names.  It
+    is serialized as strict JSON before any file opens, so a non-finite
+    number raises OutputError and writes nothing.  ``write(temp)`` then
+    writes the data file to a temporary path, the summary goes to
+    another, and both are renamed into place only once both are written
+    in full: a failure while writing (``write`` raising, say) leaves
+    neither behind.
     """
-    name = f"{args.command.replace('-', '_')}_summary.json"
-    summary = {"config": config, **fields, "outputs": [first, name]}
+    summary_name = _summary_name(args)
+    summary = {"config": config, **fields, "outputs": [name, summary_name]}
     try:
         text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise OutputError(f"{name}: {exc}") from None
-    names = [first, name] if header is not None else [name]
-    with staged(*(_out_path(args, n) for n in names)) as temps:
-        if header is not None:
-            with open(temps[0], "w", encoding="ascii", newline="") as fh:
-                for key in sorted(config):
-                    fh.write(f"# {key}={json.dumps(config[key])}\n")
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    if all(map(_PLAIN_NUMBER.__contains__, map(type, row))):
-                        # The bytes csv.writer writes for these fields.
-                        fh.write(",".join(map(repr, row)) + "\r\n")
-                    else:
-                        writer.writerow(
-                            [repr(v) if isinstance(v, float) else v for v in row]
-                        )
-        with open(temps[-1], "w", encoding="ascii") as fh:
-            fh.write(text)
-            fh.write("\n")
+        raise OutputError(f"{summary_name}: {exc}") from None
+    os.makedirs(args.out_dir, exist_ok=True)
+    paths = (os.path.join(args.out_dir, n) for n in (name, summary_name))
+    with staged(*paths) as (data, summary_temp):
+        write(data)
+        with open(summary_temp, "w", encoding="ascii") as fh:
+            fh.write(text + "\n")
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -255,6 +271,7 @@ GEN_TRACES_SCHEMA = {
 
 def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
     with _configuring(config, "n_images", "max_len"):
+        _check_out_name(args, config, "out")
         model = distort(SyntheticConfidenceModel(seed=config["seed"]), config["sigma"])
     rng = model.stream_rng(0)
     max_len, n_images = config["max_len"], config["n_images"]
@@ -268,16 +285,17 @@ def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
             offsets = np.arange(len(ids) + 1) * max_len
             yield dataclasses.replace(batch, image_ids=ids, offsets=offsets)
 
-    path = _out_path(args, config["out"])
-    count = write_traces(
-        path,
-        blocks(),
-        n_layers=model.n_layers,
-        vocab_size=model.vocab_size,
-        source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
-    )
-    fields = {"n_images": count, "n_tokens": count * config["max_len"]}
-    _write_outputs(args, config, fields, config["out"])
+    def write(path: str) -> None:
+        write_traces(
+            path,
+            blocks(),
+            n_layers=model.n_layers,
+            vocab_size=model.vocab_size,
+            source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
+        )
+
+    fields = {"n_images": n_images, "n_tokens": n_images * max_len}
+    _write_outputs(args, config, fields, config["out"], write)
     return 0
 
 
@@ -332,14 +350,9 @@ def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
             config["alphas"], hists.tolist(), hits.tolist(), exit_sums.tolist()
         )
     ]
-    _write_outputs(
-        args,
-        config,
-        {"n_tokens": n_tokens},
-        "sweep_threshold.csv",
-        ["alpha", "speedup_ratio", "token_accuracy", "mean_exit_layer"],
-        rows,
-    )
+    columns = ["alpha", "speedup_ratio", "token_accuracy", "mean_exit_layer"]
+    write = _csv(config, columns, rows)
+    _write_outputs(args, config, {"n_tokens": n_tokens}, "sweep_threshold.csv", write)
     return 0
 
 
@@ -466,14 +479,9 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
     column = chain.from_iterable(
         regret[lo : lo + 4096].tolist() for lo in range(0, len(regret), 4096)
     )
-    _write_outputs(
-        args,
-        config,
-        fields,
-        "bandit_log.csv",
-        ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"],
-        zip(log.rounds, log.arms, log.exit_layers, log.rewards, column),
-    )
+    rows = zip(log.rounds, log.arms, log.exit_layers, log.rewards, column)
+    columns = ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"]
+    _write_outputs(args, config, fields, "bandit_log.csv", _csv(config, columns, rows))
     return 0
 
 
@@ -507,13 +515,13 @@ def cmd_compare_distortion(args: argparse.Namespace, config: dict) -> int:
             metrics["adaptive"]["mean_reward"] - metrics[fixed_name]["mean_reward"]
         )
         oracle_best[repr(sigma)] = oracle.best_threshold
+    columns = ["sigma", "policy", "speedup", "token_accuracy", "mean_reward"]
     _write_outputs(
         args,
         config,
         {"adaptive_minus_fixed_mean_reward": margins, "oracle_best_arm": oracle_best},
         "compare_distortion.csv",
-        ["sigma", "policy", "speedup", "token_accuracy", "mean_reward"],
-        rows,
+        _csv(config, columns, rows),
     )
     return 0
 
@@ -589,14 +597,8 @@ def cmd_ablation(args: argparse.Namespace, config: dict) -> int:
         ),
         "teacher_accuracy": accuracies["ce"][-1],
     }
-    _write_outputs(
-        args,
-        config,
-        fields,
-        "ablation.csv",
-        ["layer", "accuracy_ce_only", "accuracy_kl_only", "accuracy_both"],
-        rows,
-    )
+    columns = ["layer", "accuracy_ce_only", "accuracy_kl_only", "accuracy_both"]
+    _write_outputs(args, config, fields, "ablation.csv", _csv(config, columns, rows))
     return 0
 
 
@@ -620,14 +622,9 @@ def cmd_lambda_sweep(args: argparse.Namespace, config: dict) -> int:
         rows.append((lam, metrics["speedup"], metrics["accuracy"]))
         oracle_best[repr(lam)] = oracle.best_threshold
         mean_rewards[repr(lam)] = metrics["mean_reward"]
-    _write_outputs(
-        args,
-        config,
-        {"oracle_best_arm": oracle_best, "mean_reward": mean_rewards},
-        "lambda_sweep.csv",
-        ["lambda", "speedup", "token_accuracy"],
-        rows,
-    )
+    fields = {"oracle_best_arm": oracle_best, "mean_reward": mean_rewards}
+    write = _csv(config, ["lambda", "speedup", "token_accuracy"], rows)
+    _write_outputs(args, config, fields, "lambda_sweep.csv", write)
     return 0
 
 
@@ -639,6 +636,7 @@ TRAIN_TOY_SCHEMA = {
 
 
 def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
+    _check_out_name(args, config, "checkpoint")
     task, model, schedule, stage1 = _stage_one(config, config["loss_terms"])
     stage2 = train_exits(
         model,
@@ -657,8 +655,9 @@ def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
     fields["heldout_accuracy"] = list(layer_accuracies(model, task.heldout))
     fields["train_accuracy"] = list(layer_accuracies(model, task.train))
     # Scored first: a model whose heads cannot be scored is not saved.
-    save_cascade(model, _out_path(args, config["checkpoint"]))
-    _write_outputs(args, config, fields, config["checkpoint"])
+    _write_outputs(
+        args, config, fields, config["checkpoint"], partial(save_cascade, model)
+    )
     return 0
 
 

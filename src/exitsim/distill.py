@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .staging import staged
+from .staging import read_json, staged
+from .synth import MAX_FLOATS
 
 DEFAULT_PROB_FLOOR = 1e-12
 CHECKPOINT_FORMAT = "exitsim-toy-cascade"
@@ -579,6 +580,12 @@ def make_task(
         )
     if not 0.0 <= label_noise <= 1.0:
         raise ValueError(f"label_noise {label_noise} outside [0, 1]")
+    for n in (n_train, n_heldout):  # else the draw runs until memory does
+        if n * tokens_per_example * config.input_dim > MAX_FLOATS:
+            raise MemoryError(
+                f"{n} examples of {tokens_per_example} tokens of "
+                f"{config.input_dim} features cannot fit"
+            )
 
     def draw_rows(n_rows: int, noisy: bool) -> SyntheticExample:
         feats = []
@@ -645,11 +652,7 @@ def load_cascade(path: str) -> ToyCascade:
     large for a float, or a non-finite parameter (``json`` parses
     ``NaN`` and ``Infinity``).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except (ValueError, RecursionError) as exc:  # huge ints raise ValueError
-            raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
+    payload = read_json(path, CheckpointError)
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must be a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:

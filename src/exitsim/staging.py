@@ -1,11 +1,12 @@
-"""Staged writes: an output appears at its path only once written in full."""
+"""The file boundary: staged writes and the one JSON reader."""
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import json
 import os
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 @contextlib.contextmanager
@@ -33,3 +34,18 @@ def staged(*paths: str) -> Iterator[list[str]]:
             if os.path.exists(temp):
                 os.remove(temp)
         raise
+
+
+def read_json(path: str, error: Callable[[str], Exception]) -> object:
+    """The JSON value of the UTF-8 file at ``path``.
+
+    Bytes that are not UTF-8, text that is not JSON, an integer longer
+    than Python parses and nesting too deep to parse all raise
+    ``error("<path>: not valid JSON: ...")``; an unopenable file raises
+    its OSError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc

@@ -42,7 +42,7 @@ _MATRIX_SPAN = 4096
 
 # The most float64 elements one array can hold: numpy needs its byte
 # count to fit an intp.
-_MAX_FLOATS = np.iinfo(np.intp).max // 8
+MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 FORMAT_NAME = "exitsim-traces"
 FORMAT_VERSION = 1
@@ -193,7 +193,7 @@ def _token_variates(
     # targets and wrong guesses.  Tests pin stream content by seed.
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be >= 1, got {n_tokens}")
-    if n_tokens * model.n_layers > _MAX_FLOATS:  # else numpy's ValueError
+    if n_tokens * model.n_layers > MAX_FLOATS:  # else numpy's ValueError
         raise MemoryError(f"{n_tokens} tokens of {model.n_layers} layers cannot fit")
     difficulty = rng.uniform(model.difficulty_low, model.difficulty_high, n_tokens)
     clean = rng.random(n_tokens) < model.clean_fraction

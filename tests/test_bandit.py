@@ -634,6 +634,19 @@ def test_state_load_rejects_deeply_nested_json(tmp_path):
         BanditState.load(str(path))
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"format": "exitsim-bandit-state", "q": [0.5\xff]}', b'{"format": "exitsim-ba'],
+    ids=["not-utf-8", "truncated"],
+)
+def test_state_load_names_the_path_of_unparseable_bytes(content, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="not valid JSON") as raised:
+        BanditState.load(str(path))
+    assert str(raised.value).startswith(f"{path}: not valid JSON: ")
+
+
 def test_state_snapshot_rejects_wrong_format():
     with pytest.raises(ValueError, match="format"):
         BanditState.from_snapshot({"format": "something-else", "version": 1})

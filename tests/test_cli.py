@@ -248,6 +248,10 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
         (["lambda-sweep", "--seed", "-3"], "shared_oracles", "seed must be >= 0, got -3"),
         (["ablation", "--seed", "-1"], "make_task", "seed must be >= 0, got -1"),
         (["train-toy", "--seed", "-1"], "make_task", "seed must be >= 0, got -1"),
+        (["gen-traces", "--out", "gen_traces_summary.json"], "draw_tokens", "out: 'gen_traces_summary.json' names the summary file"),
+        (["gen-traces", "--out", "./gen_traces_summary.json"], "draw_tokens", "out: './gen_traces_summary.json' names the summary file"),
+        (["train-toy", "--checkpoint", "train_toy_summary.json"], "make_task", "checkpoint: 'train_toy_summary.json' names the summary file"),
+        (["train-toy", "--checkpoint", "./train_toy_summary.json"], "make_task", "checkpoint: './train_toy_summary.json' names the summary file"),
     ],
     ids=[
         "ablation", "train-toy", "bandit", "compare-distortion", "lambda-sweep",
@@ -259,6 +263,8 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
                 "lambda-sweep", "ablation", "train-toy",
             )
         ),
+        "gen-traces-out-is-summary", "gen-traces-out-is-dot-summary",
+        "train-toy-checkpoint-is-summary", "train-toy-checkpoint-is-dot-summary",
     ],
 )
 def test_late_checked_flags_exit_2_before_any_work(
@@ -400,22 +406,36 @@ def test_oracle_too_large_to_hold_exits_4_before_any_round(
     assert not out.exists()
 
 
+TOKENS_PAST_INTP = "100000000000000000000 tokens of 12 layers"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, prefix",
     [
-        ["gen-traces", "--n-images", "1", "--max-len", str(10**20)],
-        ["bandit", "--oracle-samples", str(10**20)],
-        ["lambda-sweep", "--max-len", str(10**20), "--oracle-samples", "100"],
+        (["gen-traces", "--n-images", "1", "--max-len", str(10**20)], TOKENS_PAST_INTP),
+        (["bandit", "--oracle-samples", str(10**20)], TOKENS_PAST_INTP),
+        (
+            ["lambda-sweep", "--max-len", str(10**20), "--oracle-samples", "100"],
+            TOKENS_PAST_INTP,
+        ),
+        (
+            ["train-toy", "--n-train", str(10**20)],
+            "100000000000000000000 examples of 8 tokens of 16 features",
+        ),
     ],
-    ids=["gen-traces-max-len", "bandit-oracle-samples", "lambda-sweep-max-len"],
+    ids=[
+        "gen-traces-max-len", "bandit-oracle-samples", "lambda-sweep-max-len",
+        "train-toy-n-train",
+    ],
 )
-def test_counts_past_the_address_space_exit_4(argv, tmp_path, capsys):
-    # numpy refuses such arrays with ValueError, not MemoryError; the draw
-    # refuses them first, as too large to allocate.
+def test_counts_past_the_address_space_exit_4(argv, prefix, tmp_path, capsys):
+    # numpy refuses such arrays with ValueError, not MemoryError, and the
+    # toy task would draw rows until memory ran out; the draw refuses them
+    # first, as too large to allocate.
     out = tmp_path / "out"
     code, stdout, err = run_cli([*argv, "--out-dir", str(out)], capsys)
     assert code == 4
-    assert err.startswith("error: runtime: 100000000000000000000 tokens of 12 layers")
+    assert err.startswith(f"error: runtime: {prefix}")
     assert len(err.splitlines()) == 1
     assert stdout == ""
     assert not out.exists() or os.listdir(out) == []
@@ -736,7 +756,7 @@ def test_write_summary_refuses_non_finite_numbers(tmp_path, capsys):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(cli.OutputError):
             cli._write_outputs(
-                args, {}, {"value": bad}, "bandit_log.csv", ["t"], [(1,)]
+                args, {}, {"value": bad}, "bandit_log.csv", cli._csv({}, ["t"], [(1,)])
             )
         assert os.listdir(tmp_path) == []
     assert capsys.readouterr().out == ""
@@ -750,7 +770,7 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError, match="row source failed"):
-        cli._write_outputs(args, {}, {}, "bandit_log.csv", ["t"], rows())
+        cli._write_outputs(args, {}, {}, "bandit_log.csv", cli._csv({}, ["t"], rows()))
     assert os.listdir(tmp_path) == []  # no CSV, no summary, no temp file
     assert capsys.readouterr().out == ""
 
@@ -770,7 +790,7 @@ def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, capsys):
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     args = argparse.Namespace(command="bandit", out_dir=str(tmp_path))
-    cli._write_outputs(args, {}, {}, "bandit_log.csv", ["t", "arm"], rows)
+    cli._write_outputs(args, {}, {}, "bandit_log.csv", cli._csv({}, ["t", "arm"], rows))
     capsys.readouterr()
     got = (tmp_path / "bandit_log.csv").read_bytes()
     assert got == want.getvalue().encode("ascii")
@@ -812,18 +832,41 @@ def test_staged_removes_the_temps_not_yet_renamed(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["a.csv"]  # renamed before the failure
 
 
+TOY_IN_A_BLINK = [
+    "--stage1-epochs", "2", "--stage2-epochs", "2", "--n-train", "4",
+    "--n-heldout", "4",
+]
+
+
 @pytest.mark.parametrize(
     "argv, blocker",
     [
         (["gen-traces", "--n-images", "2", "--out", "taken"], "taken"),
         (["gen-traces", "--n-images", "2", "--out", ""], None),
         (["lambda-sweep", *FAST_BANDIT], "lambda_sweep_summary.json"),
+        (["gen-traces", "--n-images", "2"], "gen_traces_summary.json"),
+        (["sweep-threshold"], "sweep_threshold_summary.json"),
+        (["bandit", *FAST_BANDIT], "bandit_summary.json"),
+        (["compare-distortion", *FAST_BANDIT], "compare_distortion_summary.json"),
+        (["ablation", *TOY_IN_A_BLINK], "ablation_summary.json"),
+        (["train-toy", *TOY_IN_A_BLINK], "train_toy_summary.json"),
     ],
-    ids=["out-is-a-directory", "empty-out", "summary-is-a-directory"],
+    ids=[
+        "out-is-a-directory", "empty-out", "summary-is-a-directory", *(
+            f"{command}-summary-is-a-directory" for command in (
+                "gen-traces", "sweep-threshold", "bandit", "compare-distortion",
+                "ablation", "train-toy",
+            )
+        ),
+    ],
 )
 def test_directory_at_an_output_name_exits_3_and_writes_nothing(
     argv, blocker, tmp_path, capsys
 ):
+    if argv[0] == "sweep-threshold":  # its input lies in --out-dir too
+        gen = ["gen-traces", "--n-images", "2", "--out-dir", str(tmp_path)]
+        assert run_cli(gen, capsys)[0] == 0
+        argv = [*argv, "--traces", str(tmp_path / "traces.txt")]
     if blocker is not None:
         (tmp_path / blocker).mkdir()
     before = sorted(os.listdir(tmp_path))
