@@ -474,11 +474,8 @@ def run_lockstep(
             playing = [cell for cell in cells if not cell.done(tokens)]
             if playing:
                 batch = finish_tokens(model, draws)
-                check_traces(
-                    f"images {start_id}-{start_id + IMAGE_CHUNK - 1}",
-                    batch.confidences,
-                    batch.token_ids,
-                )
+                label = f"images {start_id}-{start_id + IMAGE_CHUNK - 1}"
+                check_traces(label, batch, model.vocab_size)
                 for cell in playing:
                     cell.play(batch, gamma, tokens, max_len, model.eos_id)
         start_id += IMAGE_CHUNK

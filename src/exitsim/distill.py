@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -615,28 +615,33 @@ def make_task(
 # Checkpoint serialization
 
 
+# A ToyCascade's parameter fields, in the order they are checked.  The
+# teacher's two are one array each; the others are one per layer or head.
+_PARAMETERS = (
+    "layer_weights", "layer_biases", "exit_weights", "exit_biases",
+    "teacher_weight", "teacher_bias",
+)
+
+
 def save_cascade(model: ToyCascade, path: str) -> None:
     """Write the model as a versioned JSON checkpoint.
 
-    A non-finite parameter raises TrainingError and leaves no file; the
-    file is staged beside ``path`` and renamed into place once written.
+    Parameters that ``load_cascade`` would refuse (``_check_parameters``)
+    raise TrainingError before any file opens; the file is staged beside
+    ``path`` and renamed into place once written.
     """
+    _check_parameters(model, TrainingError)
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(model.config),
         "frozen": model.frozen,
-        "layer_weights": [w.tolist() for w in model.layer_weights],
-        "layer_biases": [b.tolist() for b in model.layer_biases],
-        "exit_weights": [w.tolist() for w in model.exit_weights],
-        "exit_biases": [b.tolist() for b in model.exit_biases],
-        "teacher_weight": model.teacher_weight.tolist(),
-        "teacher_bias": model.teacher_bias.tolist(),
     }
-    try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise TrainingError(f"model has a non-finite parameter: {exc}") from None
+    for name in _PARAMETERS:
+        value = getattr(model, name)
+        single = isinstance(value, np.ndarray)
+        payload[name] = value.tolist() if single else [part.tolist() for part in value]
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     with staged(path) as (temp,), open(temp, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
@@ -647,10 +652,10 @@ def load_cascade(path: str) -> ToyCascade:
     Raises CheckpointError on bytes that are not UTF-8 JSON (an integer
     longer than Python's digit limit included), a wrong
     format tag, unknown version, a config dimension that is not an
-    integer, a ``frozen`` flag that is not a JSON boolean, dimensions
-    that disagree with the stored config, an integer parameter too
-    large for a float, or a non-finite parameter (``json`` parses
-    ``NaN`` and ``Infinity``).
+    integer, a ``frozen`` flag that is not a JSON boolean, an integer
+    parameter too large for a float, or parameters that
+    ``_check_parameters`` refuses (``json`` parses ``NaN`` and
+    ``Infinity``).
     """
     payload = read_json(path, CheckpointError)
     if not isinstance(payload, dict):
@@ -673,46 +678,42 @@ def load_cascade(path: str) -> ToyCascade:
             )
         model = ToyCascade(
             config=config,
-            layer_weights=[np.array(w, dtype=float) for w in payload["layer_weights"]],
-            layer_biases=[np.array(b, dtype=float) for b in payload["layer_biases"]],
-            exit_weights=[np.array(w, dtype=float) for w in payload["exit_weights"]],
-            exit_biases=[np.array(b, dtype=float) for b in payload["exit_biases"]],
-            teacher_weight=np.array(payload["teacher_weight"], dtype=float),
-            teacher_bias=np.array(payload["teacher_bias"], dtype=float),
             frozen=payload["frozen"],
+            **{
+                name: np.array(payload[name], dtype=float)
+                if name.startswith("teacher")
+                else [np.array(part, dtype=float) for part in payload[name]]
+                for name in _PARAMETERS
+            },
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint contents: {exc}") from exc
-    _validate_shapes(model, path)
-    for name in (
-        "layer_weights", "layer_biases", "exit_weights", "exit_biases",
-        "teacher_weight", "teacher_bias",
-    ):
-        # A list of arrays and a single array both iterate to arrays.
-        if not all(np.isfinite(part).all() for part in getattr(model, name)):
-            raise CheckpointError(f"{path}: {name} holds a non-finite value")
+    _check_parameters(model, lambda message: CheckpointError(f"{path}: {message}"))
     return model
 
 
-def _validate_shapes(model: ToyCascade, path: str) -> None:
+def _check_parameters(model: ToyCascade, error: Callable[[str], Exception]) -> None:
+    """Raise ``error(message)`` on a layer or head count or a shape that
+    disagrees with the config, or a non-finite value.  Counts come first,
+    so a config no memory could hold never builds its list of shapes."""
     cfg = model.config
-    if len(model.layer_weights) != cfg.n_layers or len(model.layer_biases) != cfg.n_layers:
-        raise CheckpointError(f"{path}: wrong number of backbone layers")
-    fan_in = cfg.input_dim
-    for w, b in zip(model.layer_weights, model.layer_biases):
-        if w.shape != (fan_in, cfg.hidden_dim) or b.shape != (cfg.hidden_dim,):
-            raise CheckpointError(f"{path}: backbone parameter shape mismatch")
-        fan_in = cfg.hidden_dim
-    head_shape = (cfg.hidden_dim, cfg.vocab_size)
-    if (
-        len(model.exit_weights) != cfg.n_layers - 1
-        or len(model.exit_biases) != cfg.n_layers - 1
-    ):
-        raise CheckpointError(f"{path}: wrong number of exit heads")
-    for w, b in zip(model.exit_weights, model.exit_biases):
-        if w.shape != head_shape or b.shape != (cfg.vocab_size,):
-            raise CheckpointError(f"{path}: exit head shape mismatch")
-    if model.teacher_weight.shape != head_shape or model.teacher_bias.shape != (
-        cfg.vocab_size,
-    ):
-        raise CheckpointError(f"{path}: teacher head shape mismatch")
+    n, hidden, vocab = cfg.n_layers, cfg.hidden_dim, cfg.vocab_size
+    if len(model.layer_weights) != n or len(model.layer_biases) != n:
+        raise error("wrong number of backbone layers")
+    if len(model.exit_weights) != n - 1 or len(model.exit_biases) != n - 1:
+        raise error("wrong number of exit heads")
+    shapes = (
+        [(cfg.input_dim, hidden)] + [(hidden, hidden)] * (n - 1),
+        [(hidden,)] * n,
+        [(hidden, vocab)] * (n - 1),
+        [(vocab,)] * (n - 1),
+        [(hidden, vocab)],
+        [(vocab,)],
+    )
+    for name, expected in zip(_PARAMETERS, shapes):
+        value = getattr(model, name)
+        parts = [value] if isinstance(value, np.ndarray) else value
+        if [part.shape for part in parts] != expected:
+            raise error(f"{name} shape mismatch")
+        if not all(np.isfinite(part).all() for part in parts):
+            raise error(f"{name} holds a non-finite value")

@@ -22,7 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -330,43 +330,60 @@ def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBa
 
 
 def check_traces(
-    label: str, confidences: np.ndarray, token_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (tokens, layers) block of confidences and token ids:
-    at least one token and two layers, matching shapes, confidences in
-    [0, 1] and nonnegative integer ids.  Returns them as float64 and
-    int64 arrays; errors name ``label`` and the 1-based token and layer.
+    label: str,
+    batch: TraceBatch,
+    vocab_size: int,
+    error: Callable[[str], Exception] = TraceValidationError,
+) -> None:
+    """The one rule for traces: at least one token and two layers,
+    matching shapes, confidences in [0, 1], integer token ids in [0,
+    vocab_size), and integer targets in [0, vocab_size) or ``NO_TARGET``
+    for all of an image's tokens or none.  A batch without offsets is one
+    image.  Raises ``error(message)`` naming a bad value's image (``label``
+    if the batch has one, else ``image <id>``), 1-based token and layer.
     """
-    conf = np.asarray(confidences, dtype=np.float64)
-    ids = np.asarray(token_ids)
+    conf, ids, targets = batch.confidences, batch.token_ids, batch.targets
     if conf.ndim != 2 or len(conf) < 1:
-        raise ValueError(f"{label} has no traces")
+        raise error(f"{label} has no traces")
     if conf.shape[1] < 2:
-        raise TraceValidationError(
-            f"{label}: traces need at least 2 layers, got {conf.shape[1]}"
+        raise error(f"{label}: traces need at least 2 layers, got {conf.shape[1]}")
+    if ids.shape != conf.shape or targets.shape != conf.shape[:1]:
+        raise error(
+            f"{label}: {conf.shape} confidences vs {ids.shape} token ids and "
+            f"{targets.shape} targets"
         )
-    if ids.shape != conf.shape:
-        raise TraceValidationError(
-            f"{label}: {conf.shape} confidences vs {ids.shape} token ids"
+    for kind, values in (("token ids", ids), ("targets", targets)):
+        if not np.issubdtype(values.dtype, np.integer):
+            raise error(f"{label}: {kind} must be integers, got {values.dtype}")
+    bounds = np.array([0, len(conf)]) if batch.offsets is None else batch.offsets
+    vocab = f"outside the vocab [0, {vocab_size})"
+    for kind, values, low, high, rule in (
+        ("confidence", conf, 0.0, 1.0, "outside [0, 1]"),
+        ("token id", ids, 0, np.inf, "is negative"),
+        ("token id", ids, 0, vocab_size - 1, vocab),
+        ("target", targets, NO_TARGET, vocab_size - 1, vocab),
+    ):
+        if not (values.min() >= low and values.max() <= high):  # NaN fails too
+            at = tuple(np.argwhere(~((values >= low) & (values <= high)))[0])
+            image = np.searchsorted(bounds, at[0], side="right") - 1
+            layer = f" layer {at[1] + 1}" if len(at) == 2 else ""
+            raise error(
+                f"{_image_name(label, batch, image)}: token "
+                f"{at[0] - bounds[image] + 1}{layer} {kind} {values[at].item()!r} "
+                f"{rule}"
+            )
+    given = np.add.reduceat(targets != NO_TARGET, bounds[:-1], dtype=np.intp)
+    partial = (given > 0) & (given < np.diff(bounds))
+    if partial.any():
+        raise error(
+            f"{_image_name(label, batch, partial.argmax())}: targets for some "
+            f"tokens only; an image has them for all tokens or none"
         )
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise TraceValidationError(
-            f"{label}: token ids must be integers, got {ids.dtype}"
-        )
-    in_range = (conf >= 0.0) & (conf <= 1.0)  # False for NaN
-    if not in_range.all():
-        tok, layer = np.argwhere(~in_range)[0]
-        raise TraceValidationError(
-            f"{label}: token {tok + 1} layer {layer + 1} confidence "
-            f"{float(conf[tok, layer])!r} outside [0, 1]"
-        )
-    if ids.min() < 0:
-        tok, layer = np.argwhere(ids < 0)[0]
-        raise TraceValidationError(
-            f"{label}: token {tok + 1} layer {layer + 1} token id "
-            f"{int(ids[tok, layer])} is negative"
-        )
-    return conf, ids.astype(np.int64, copy=False)
+
+
+def _image_name(label: str, batch: TraceBatch, image: int) -> str:
+    single = batch.offsets is None or len(batch.offsets) <= 2
+    return label if single else f"image {batch.image_ids[image]}"
 
 
 # ---------------------------------------------------------------------------
@@ -391,42 +408,44 @@ class TraceFileHeader:
     source: str
 
 
+def _check_name(kind: str, name: str) -> None:
+    """Refuse a name that would not read back as one field."""
+    if not name or not name.isascii() or any(ch.isspace() for ch in name):
+        raise ValueError(f"{kind} {name!r} is empty, not ASCII or contains whitespace")
+
+
+def _check_header(n_layers: int, vocab_size: int, source: str) -> None:
+    """The header rule.  Token ids, all below the vocab, are read into
+    int64 arrays, so the largest vocab is 2**63."""
+    if n_layers < 2 or not 2 <= vocab_size <= 2**63:
+        raise ValueError(f"layers={n_layers} vocab={vocab_size} out of range")
+    _check_name("source tag", source)
+
+
 def _check_block(batch: TraceBatch, n_layers: int, vocab_size: int) -> None:
-    """Refuse a block that would not read back as written."""
-    offsets, targets = np.asarray(batch.offsets), np.asarray(batch.targets)
+    """Refuse a block that would not read back as written: all that the
+    reader builds by construction, then ``check_traces``."""
+    offsets = np.asarray(batch.offsets)
     if (
         len(batch) == 0
         or offsets.shape != (len(batch.image_ids) + 1,)
         or offsets[0] != 0
         or offsets[-1] != len(batch)
         or (np.diff(offsets) < 1).any()
-        or targets.shape != (len(batch),)
-        or not np.issubdtype(targets.dtype, np.integer)
     ):
         raise ValueError(
-            f"{len(batch.image_ids)} image ids, offsets {batch.offsets} and "
-            f"{targets.shape} {targets.dtype} targets do not fit {len(batch)} traces"
+            f"{len(batch.image_ids)} image ids and offsets {batch.offsets} do "
+            f"not fit {len(batch)} traces"
         )
-    for ident in map(str, batch.image_ids):
-        if not ident or any(ch.isspace() for ch in ident):
-            raise ValueError(f"image id {ident!r} is empty or contains whitespace")
+    for ident in batch.image_ids:
+        _check_name("image id", str(ident))
     label = f"images {batch.image_ids[0]}-{batch.image_ids[-1]}"
-    conf, ids = check_traces(label, batch.confidences, batch.token_ids)
-    if conf.shape[1] != n_layers:
+    check_traces(label, batch, vocab_size)
+    if batch.confidences.shape[1] != n_layers:
         raise ValueError(
-            f"{label}: traces have {conf.shape[1]} layers, file header says "
-            f"{n_layers}"
+            f"{label}: traces have {batch.confidences.shape[1]} layers, file "
+            f"header says {n_layers}"
         )
-    known = targets != NO_TARGET
-    for kind, values in (("token id", ids.ravel()), ("target", targets[known])):
-        bad = (values < 0) | (values >= vocab_size)
-        if bad.any():
-            raise ValueError(
-                f"{label}: {kind} {values[bad][0]} outside the vocab [0, {vocab_size})"
-            )
-    per_image = np.add.reduceat(known, offsets[:-1], dtype=np.intp)
-    if ((per_image > 0) & (per_image < np.diff(offsets))).any():
-        raise ValueError(f"{label}: an image has targets for some tokens only")
 
 
 def write_traces(
@@ -439,12 +458,12 @@ def write_traces(
     """Write blocks of images to ``path`` in the trace file format;
     returns the image count.
 
-    Each block is checked whole (``_check_block``) before any of it is
-    written.  The file is staged beside ``path`` and renamed into place
-    once complete, so a stream or block that raises leaves no file.
+    The header is checked before the file is staged, and each block whole
+    (``_check_block``) before any of it is written, by the reader's rules.
+    The file is staged beside ``path`` and renamed into place once
+    complete, so a stream or block that raises leaves no file.
     """
-    if not source or any(ch.isspace() for ch in source):
-        raise ValueError(f"source tag {source!r} is empty or contains whitespace")
+    _check_header(n_layers, vocab_size, source)
     count = 0
     with staged(path) as (temp,), open(temp, "w", encoding="ascii") as fh:
         fh.write(
@@ -493,34 +512,36 @@ def _parse_header(line: str) -> TraceFileHeader:
             )
         values[key] = field[len(prefix):]
     try:
-        n_layers = int(values["layers"])
-        vocab_size = int(values["vocab"])
+        n_layers, vocab_size = int(values["layers"]), int(values["vocab"])
     except ValueError:
         raise TraceFormatError(
             f"line 1: layers/vocab must be integers, got "
             f"{values['layers']!r}/{values['vocab']!r}"
         )
-    # Token ids, all below the vocab size, are read into int64 arrays.
-    if n_layers < 2 or not 2 <= vocab_size <= 2**63:
-        raise TraceFormatError(
-            f"line 1: layers={n_layers} vocab={vocab_size} out of range"
-        )
+    try:
+        _check_header(n_layers, vocab_size, values["source"])
+    except ValueError as exc:
+        raise TraceFormatError(f"line 1: {exc}") from None
     return TraceFileHeader(version, n_layers, vocab_size, values["source"])
 
 
-def _parse_image_line(
-    line: str, lineno: int, header: TraceFileHeader
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """One image's id, confidences, token ids and targets (``NO_TARGET``
-    when the line has none), checked field by field."""
+def _parse_id(text: str) -> int:
+    """An id literal: an integer in [0, 2**63), so it fits an int64."""
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"{text!r} is outside [0, 2**63)")
+    return value
+
+
+def _parse_image_line(line: str, lineno: int, n_layers: int) -> TraceBatch:
+    """One image's line as a one-image block; its syntax is checked, its
+    values are left to ``check_traces``."""
     fields = line.split()
-    n = header.n_layers
     if len(fields) < 2:
         raise TraceFormatError(
             f"line {lineno}: expected '<image_id> <n_tokens> ...', got "
             f"{line.strip()!r}"
         )
-    image_id = fields[0]
     try:
         n_tokens = int(fields[1])
     except ValueError:
@@ -529,73 +550,36 @@ def _parse_image_line(
         )
     if n_tokens < 1:
         raise TraceFormatError(f"line {lineno}: token count must be >= 1")
-    expected = 2 + n_tokens * (1 + n)
+    expected = 2 + n_tokens * (1 + n_layers)
     if len(fields) != expected:
         raise TraceFormatError(
             f"line {lineno}: expected {expected} fields for {n_tokens} tokens "
-            f"of {n} layers, got {len(fields)}"
+            f"of {n_layers} layers, got {len(fields)}"
         )
-    confidences: list[float] = []
-    token_ids: list[int] = []
-    targets: list[int] = []
-    pos = 2
-    for tok in range(n_tokens):
-        raw_target = fields[pos]
-        pos += 1
-        if raw_target == "-":
-            targets.append(NO_TARGET)
-        else:
-            try:
-                target = int(raw_target)
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {lineno}: token {tok + 1} target {raw_target!r} "
-                    f"is not an integer"
-                )
-            if not 0 <= target < header.vocab_size:
-                raise TraceFormatError(
-                    f"line {lineno}: token {tok + 1} target {target} outside "
-                    f"[0, {header.vocab_size})"
-                )
-            targets.append(target)
-        for layer in range(n):
-            field = fields[pos]
-            pos += 1
-            conf_s, sep, id_s = field.partition(":")
-            if not sep:
-                raise TraceFormatError(
-                    f"line {lineno}: token {tok + 1} layer {layer + 1} field "
-                    f"{field!r} is not '<confidence>:<token_id>'"
-                )
-            try:
-                conf = float(conf_s)
-                token_id = int(id_s)
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {lineno}: token {tok + 1} layer {layer + 1} field "
-                    f"{field!r} has a malformed number"
-                )
-            if not 0.0 <= conf <= 1.0:
-                raise TraceFormatError(
-                    f"line {lineno}: token {tok + 1} layer {layer + 1} "
-                    f"confidence {conf!r} outside [0, 1]"
-                )
-            if not 0 <= token_id < header.vocab_size:
-                raise TraceFormatError(
-                    f"line {lineno}: token {tok + 1} layer {layer + 1} token "
-                    f"id {token_id} outside [0, {header.vocab_size})"
-                )
-            confidences.append(conf)
-            token_ids.append(token_id)
-    if 0 < targets.count(NO_TARGET) < n_tokens:
+    layer_fields = fields[2:]
+    raw_targets = layer_fields[:: 1 + n_layers]
+    del layer_fields[:: 1 + n_layers]
+    try:  # "-1" is no target literal: ids are never negative
+        targets = [NO_TARGET if t == "-" else _parse_id(t) for t in raw_targets]
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: target is not '-' or an id: {exc}")
+    parts = [field.partition(":") for field in layer_fields]
+    try:
+        confidences = [float(conf) for conf, _, _ in parts]
+        ids = np.array([int(token_id) for _, _, token_id in parts], dtype=np.int64)
+    except ValueError as exc:
         raise TraceFormatError(
-            f"line {lineno}: targets must be present for all tokens or none"
+            f"line {lineno}: malformed layer field, expected "
+            f"'<confidence>:<token id>': {exc}"
         )
-    return (
-        image_id,
-        np.array(confidences).reshape(n_tokens, n),
-        np.array(token_ids, dtype=np.int64).reshape(n_tokens, n),
+    except OverflowError:
+        raise TraceFormatError(f"line {lineno}: a token id does not fit an int64")
+    return TraceBatch(
+        np.array(confidences).reshape(n_tokens, n_layers),
+        ids.reshape(n_tokens, n_layers),
         np.array(targets, dtype=np.int64),
+        (fields[0],),
+        np.array([0, n_tokens]),
     )
 
 
@@ -610,7 +594,8 @@ def _ascii_lines(path: str) -> Iterator[tuple[int, str]]:
 
 def read_traces(path: str) -> Iterator[TraceBatch]:
     """Stream a trace file as blocks of up to ``IMAGE_CHUNK`` images, ids
-    as text, checking each line field by field as it is parsed.
+    as text.  Each line's syntax is checked, then ``check_traces``, before
+    the next line is read.
 
     Raises TraceFormatError with a line number on any malformed record
     or non-ASCII byte, and rejects files written by unknown future format
@@ -619,17 +604,21 @@ def read_traces(path: str) -> Iterator[TraceBatch]:
     lines = _ascii_lines(path)
     _, first = next(lines, (1, ""))
     header = _parse_header(first)
-    records = (
-        _parse_image_line(line, lineno, header)
-        for lineno, line in lines
-        if line.strip()
-    )
+
+    def images() -> Iterator[TraceBatch]:
+        for lineno, line in lines:
+            if line.strip():
+                image = _parse_image_line(line, lineno, header.n_layers)
+                label = f"line {lineno}"
+                check_traces(label, image, header.vocab_size, TraceFormatError)
+                yield image
+
+    records = images()
     while block := list(islice(records, IMAGE_CHUNK)):
-        image_ids, confidences, token_ids, targets = zip(*block)
         yield TraceBatch(
-            np.concatenate(confidences),
-            np.concatenate(token_ids),
-            np.concatenate(targets),
-            image_ids,
-            np.cumsum([0, *map(len, targets)]),
+            np.concatenate([image.confidences for image in block]),
+            np.concatenate([image.token_ids for image in block]),
+            np.concatenate([image.targets for image in block]),
+            tuple(image.image_ids[0] for image in block),
+            np.cumsum([0, *map(len, block)]),
         )

@@ -832,6 +832,23 @@ def test_checkpoint_save_refuses_non_finite_parameters(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "break_model, fragment",
+    [
+        (lambda m: m.exit_weights.pop(), "exit heads"),
+        (lambda m: setattr(m, "teacher_bias", np.zeros(3)), "teacher_bias shape"),
+    ],
+    ids=["missing exit head", "wide teacher bias"],
+)
+def test_checkpoint_save_refuses_what_load_would(tmp_path, break_model, fragment):
+    # Save and load run one parameter check, so no saved file fails to load.
+    model = small_model()
+    break_model(model)
+    with pytest.raises(TrainingError, match=fragment):
+        save_cascade(model, str(tmp_path / "model.json"))
+    assert os.listdir(tmp_path) == []
+
+
 def test_checkpoint_rejects_foreign_and_future_files(tmp_path):
     model = small_model()
     path = str(tmp_path / "model.json")

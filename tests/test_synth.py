@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import tempfile
 import tracemalloc
 from itertools import islice
 
@@ -599,6 +600,8 @@ def test_reader_rejects_foreign_header(tmp_path):
         ("img 1 5 0.5 0.5:1 0.5:1", "confidence"),
         ("img 1 5 abc:1 0.5:1 0.5:1", "malformed"),
         ("img 2 5 0.5:1 0.5:1 0.5:1 - 0.5:1 0.5:1 0.5:1", "all tokens or none"),
+        ("img 1 -1 0.5:1 0.5:1 0.5:1", "target"),  # not NO_TARGET
+        ("img 1 5 0.5:1 0.5:1 0.5:" + "9" * 20, "token id"),  # past int64
     ],
 )
 def test_reader_flags_malformed_records(tmp_path, record, fragment):
@@ -669,12 +672,13 @@ _trace_file_fields = st.sampled_from([
 @st.composite
 def _trace_file_like(draw):
     """Any bytes, or a valid two-layer trace file, its vocab size at or
-    past the int64 limit, with up to three record fields replaced,
-    dropped or doubled."""
+    past the int64 limit and its source tag maybe empty, with up to three
+    record fields replaced, dropped or doubled."""
     if draw(st.integers(0, 4)) == 0:
         return draw(st.binary(max_size=64))
     vocab = draw(st.sampled_from(["8", str(2**63), "9" * 25]))
-    header = f"exitsim-traces 1 layers=2 vocab={vocab} source=x"
+    source = draw(st.sampled_from(["x", ""]))
+    header = f"exitsim-traces 1 layers=2 vocab={vocab} source={source}"
     records = [
         ["img", "1", "3", "0.5:1", "0.25:2"],
         ["0", "2", "-", "0.5:1", "1:0", "-", "-0.0:0", "0.25:7"],
@@ -710,6 +714,63 @@ def test_read_traces_parses_or_raises_trace_format_error(tmp_path, data):
         return
     write_traces(path, blocks, header.n_layers, header.vocab_size, header.source)
     assert image_records(read_traces(path)) == image_records(blocks)
+
+
+@st.composite
+def _write_call(draw):
+    """Arguments of a ``write_traces`` call: a header of 1-4 layers, a
+    vocab at the small end or around 2**63 and any source tag, and up to
+    two blocks of valid images with at most one value broken."""
+    n_layers = draw(st.integers(1, 4))
+    vocab = draw(st.sampled_from([*range(1, 11), 2**63 - 1, 2**63, 2**63 + 1]))
+    source = draw(st.sampled_from(["x", "", "a b", "\u00e9"]))
+    top = min(vocab, 2**63) - 1  # the largest id the vocab allows
+    blocks = []
+    for _ in range(draw(st.integers(0, 2))):
+        lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        rows = sum(lengths)
+        conf = np.array(
+            draw(st.lists(st.sampled_from([0.0, 5e-324, 0.5, 1.0]),
+                          min_size=rows * n_layers, max_size=rows * n_layers))
+        ).reshape(rows, n_layers)
+        ids = np.full((rows, n_layers), draw(st.sampled_from([0, top])), np.int64)
+        known = np.repeat(draw(st.lists(st.booleans(), min_size=len(lengths),
+                                        max_size=len(lengths))), lengths)
+        targets = np.where(known, top, NO_TARGET).astype(np.int64)
+        image_ids = [draw(st.sampled_from(["a", 7, "img-2"])) for _ in lengths]
+        at = draw(st.integers(0, rows * n_layers - 1))
+        broken = draw(st.sampled_from(
+            [None, None, "nan", "1.5", "id -1", "id vocab", "partial", "image \u00e9"]
+        ))
+        if broken in ("nan", "1.5"):
+            conf.flat[at] = float(broken)
+        elif broken == "id -1":
+            ids.flat[at] = -1
+        elif broken == "id vocab":
+            ids.flat[at] = min(vocab, 2**63 - 1)
+        elif broken == "partial":  # partial only if image 0 has 2+ tokens
+            targets[0] = 0 if targets[0] == NO_TARGET else NO_TARGET
+        elif broken == "image \u00e9":
+            image_ids[-1] = "\u00e9"
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        blocks.append(TraceBatch(conf, ids, targets, image_ids, offsets))
+    return blocks, n_layers, vocab, source
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=_write_call())
+def test_write_traces_refuses_or_writes_what_reads_back(call):
+    # The writer runs the reader's rules, so it never writes a file the
+    # reader refuses, and a refusal leaves the directory as it was.
+    blocks, n_layers, vocab, source = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.txt")
+        try:
+            write_traces(path, blocks, n_layers, vocab, source)
+        except ValueError:
+            assert os.listdir(tmp) == []
+            return
+        assert image_records(read_traces(path)) == image_records(blocks)
 
 
 @settings(
