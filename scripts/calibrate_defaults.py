@@ -15,17 +15,16 @@ for speed and is useful only for smoke-checking edits to this script.
 
 import argparse
 import time
+from collections import deque
 
 import numpy as np
 
 from exitsim import (
     ActionSet,
     AdaptiveCell,
-    BanditLog,
     RewardParams,
     SyntheticConfidenceModel,
     distort,
-    regret_curve,
     run_lockstep,
     shared_oracles,
     speedup_ratio,
@@ -63,13 +62,20 @@ def ucb_convergence(actions, params, horizon, oracle_samples):
     for seed in (7, 8, 9):
         model = SyntheticConfidenceModel(seed=seed)
         started = time.monotonic()
-        cell = AdaptiveCell(actions, params, BanditLog())
-        run_lockstep(model, [(model, [cell])], 1.0, horizon, 20)
         [[oracle]] = shared_oracles([model], actions, [params], samples=oracle_samples)
-        share = cell.log.arm_counts(last=window).get(
-            oracle.best_threshold, 0
-        ) / window
-        regret = float(regret_curve(cell.log, oracle)[-1])
+        gap_of = dict(zip(oracle.thresholds, oracle.gaps))
+        last_arms = deque(maxlen=window)
+        regret = 0.0
+
+        def sink(rows):
+            nonlocal regret
+            for _, arm, _, _ in rows:
+                last_arms.append(arm)
+                regret += gap_of[arm]
+
+        cell = AdaptiveCell(actions, params, sink)
+        run_lockstep(model, [(model, [cell])], 1.0, horizon, 20)
+        share = last_arms.count(oracle.best_threshold) / window
         print(
             f"seed={seed}: alpha*={oracle.best_threshold} "
             f"final-{window} share={share:.4f} R/T={regret / horizon:.6f} "

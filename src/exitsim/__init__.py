@@ -13,12 +13,10 @@ from .bandit import (
     ActionSet,
     AdaptiveCell,
     BanditError,
-    BanditLog,
     BanditState,
     OracleEstimate,
     RewardParams,
     regret_bound,
-    regret_curve,
     run_lockstep,
     shared_oracles,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -251,36 +251,6 @@ def sum_left_to_right(values: Iterable[float]) -> float:
     return total
 
 
-@dataclass
-class BanditLog:
-    """Per-round record of (t, arm, exit layer, reward)."""
-
-    rounds: list[int] = field(default_factory=list)
-    arms: list[float] = field(default_factory=list)
-    exit_layers: list[int] = field(default_factory=list)
-    rewards: list[float] = field(default_factory=list)
-
-    def append(self, t: int, arm: float, exit_layer: int, reward_value: float) -> None:
-        if self.rounds and t <= self.rounds[-1]:
-            raise ValueError(
-                f"round counter must increase: got {t} after {self.rounds[-1]}"
-            )
-        self.rounds.append(t)
-        self.arms.append(arm)
-        self.exit_layers.append(exit_layer)
-        self.rewards.append(reward_value)
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-    def arm_counts(self, last: int | None = None) -> dict[float, int]:
-        window = self.arms if last is None else self.arms[-last:]
-        counts: dict[float, int] = {}
-        for arm in window:
-            counts[arm] = counts.get(arm, 0) + 1
-        return counts
-
-
 def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
     """Confidence gain over layer 1 at 0-based ``exits`` of a (tokens,
     layers) confidence array; ``exits`` is (tokens,) or (tokens, K)."""
@@ -334,11 +304,14 @@ def _arm_table(
     )
 
 
-def initialize(cell: AdaptiveCell, table: _ArmTable, gamma: float) -> BanditState:
+def initialize(
+    cell: AdaptiveCell, table: _ArmTable, gamma: float, rows: list | None
+) -> BanditState:
     """Pull every arm of ``cell`` once, arm k on row k of its first
-    chunk's ``table``, into a fresh state and the cell's histogram,
-    reward sum and log: each Q is then one observed reward, as the
-    selection rule needs before its first real round."""
+    chunk's ``table``, into a fresh state and the cell's histogram and
+    reward sum, appending each round to ``rows`` unless it is None: each
+    Q is then one observed reward, as the selection rule needs before its
+    first real round."""
     state = BanditState.fresh(cell.actions, gamma)
     exits, _, rewards, width = table
     for k, alpha in enumerate(cell.actions.thresholds):
@@ -346,8 +319,8 @@ def initialize(cell: AdaptiveCell, table: _ArmTable, gamma: float) -> BanditStat
         _fold(state, k, rewards[i])
         cell.hist[exits[i]] += 1
         cell.reward_sum += rewards[i]
-        if cell.log is not None:
-            cell.log.append(state.t, alpha, exits[i] + 1, rewards[i])
+        if rows is not None:
+            rows.append((state.t, alpha, exits[i] + 1, rewards[i]))
     return state
 
 
@@ -356,14 +329,16 @@ class AdaptiveCell:
     """One policy's run over a command's shared image stream.
 
     A cell keeps running aggregates: its exit histogram, reward sum,
-    hits and emitted count.  With a ``log`` it also records every round,
-    initialization included; without one its memory stays bounded, so a
-    command's cells can all run at once.
+    hits and emitted count.  With a ``sink`` it also hands over every
+    round, initialization included: one call per chunk, with a list of
+    ``(t, arm, exit layer, reward)`` rows in round order, t counting from
+    1 and the exit layer from 1.  The cell holds no round past its chunk,
+    so its memory stays bounded and a command's cells can all run at once.
     """
 
     actions: ActionSet
     params: RewardParams
-    log: BanditLog | None = None
+    sink: Callable[[list[tuple[int, float, int, float]]], object] | None = None
     state: BanditState | None = field(default=None, init=False)
     reward_sum: float = field(default=0.0, init=False)
     hits: int = field(default=0, init=False)
@@ -392,16 +367,15 @@ class AdaptiveCell:
         alphas = self.actions.thresholds
         table = _arm_table(conf, batch.token_ids, np.asarray(alphas), self.params)
         exits, emitted, rewards, width = table
+        rows = None if self.sink is None else []
         start = 0
         if self.state is None:
             # Called through the module global: bench/tracer.py counts init rounds here.
-            self.state = initialize(self, table, gamma)
+            self.state = initialize(self, table, gamma, rows)
             start = max_len
         state = self.state
         counts = self.hist
-        reward_sum, hits, n_emitted, log = (
-            self.reward_sum, self.hits, self.emitted, self.log
-        )
+        reward_sum, hits, n_emitted = self.reward_sum, self.hits, self.emitted
         targets = batch.targets.tolist()
         # The round kernel: one UCB round per token of each image, until
         # an emitted eos, the length cap or the token budget.
@@ -416,11 +390,13 @@ class AdaptiveCell:
                 reward_sum += rewards[i]
                 hits += emitted[i] == targets[row]
                 n_emitted += 1
-                if log is not None:
-                    log.append(state.t, alphas[k], exits[i] + 1, rewards[i])
+                if rows is not None:
+                    rows.append((state.t, alphas[k], exits[i] + 1, rewards[i]))
                 if emitted[i] == eos_id:
                     break
         self.reward_sum, self.hits, self.emitted = reward_sum, hits, n_emitted
+        if rows:
+            self.sink(rows)
 
     def metrics(self) -> dict:
         return {
@@ -587,21 +563,6 @@ def _span_sums(
         for j, p in enumerate(params):
             sums[j, k] = np.add.reduce(_rewards(gain, exits, p))
     return sums
-
-
-def regret_curve(log: BanditLog, oracle: OracleEstimate) -> np.ndarray:
-    """Cumulative pseudo-regret: running sum of the chosen arms' gaps."""
-    gap_of = dict(zip(oracle.thresholds, oracle.gaps))
-    gaps = np.empty(len(log))
-    for i, arm in enumerate(log.arms):
-        try:
-            gaps[i] = gap_of[arm]
-        except KeyError:
-            raise ValueError(
-                f"round {log.rounds[i]}: arm {arm!r} is not covered by the "
-                f"oracle"
-            ) from None
-    return np.cumsum(gaps)
 
 
 def regret_bound(oracle: OracleEstimate, horizon: int, gamma: float) -> float:

@@ -24,8 +24,7 @@ import math
 import os
 import sys
 from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -33,13 +32,11 @@ from .bandit import (
     ActionSet,
     AdaptiveCell,
     BanditError,
-    BanditLog,
     OracleEstimate,
     RewardParams,
     check_gamma,
     check_max_len,
     regret_bound,
-    regret_curve,
     run_lockstep,
     shared_oracles,
 )
@@ -195,6 +192,17 @@ def _check_out_name(args: argparse.Namespace, config: dict, key: str) -> None:
         raise ConfigError(f"{key}: {config[key]!r} names the summary file")
 
 
+@contextlib.contextmanager
+def _csv_file(path: str, config: dict, header: Sequence[str]) -> Iterator[TextIO]:
+    """``path`` opened for a CSV's rows, after one comment line per echoed
+    config key and the ``header`` row."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        for key in sorted(config):
+            fh.write(f"# {key}={json.dumps(config[key])}\n")
+        csv.writer(fh).writerow(header)
+        yield fh
+
+
 # Row fields whose repr is what csv.writer writes for them (repr for floats).
 _PLAIN_NUMBER = frozenset((int, float))
 
@@ -202,15 +210,12 @@ _PLAIN_NUMBER = frozenset((int, float))
 def _csv(
     config: dict, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> Callable[[str], None]:
-    """A ``_write_outputs`` writer: ``rows`` as a CSV under ``header``,
-    after one comment line per echoed config key."""
+    """A ``_write_outputs`` writer: ``rows`` as a ``_csv_file`` CSV under
+    ``header``."""
 
     def write(path: str) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            for key in sorted(config):
-                fh.write(f"# {key}={json.dumps(config[key])}\n")
+        with _csv_file(path, config, header) as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
             for row in rows:
                 if all(map(_PLAIN_NUMBER.__contains__, map(type, row))):
                     # The bytes csv.writer writes for these fields.
@@ -228,30 +233,34 @@ def _write_outputs(
     config: dict,
     fields: dict,
     name: str,
-    write: Callable[[str], object],
+    write: Callable[[str], dict | None],
 ) -> None:
     """Write the data file ``name`` and ``<command>_summary.json`` into
     --out-dir, then echo the summary to stdout: the only way a command's
     files reach --out-dir.
 
-    The summary holds ``config``, ``fields`` and both output names.  It
-    is serialized as strict JSON before any file opens, so a non-finite
-    number raises OutputError and writes nothing.  ``write(temp)`` then
-    writes the data file to a temporary path, the summary goes to
-    another, and both are renamed into place only once both are written
-    in full: a failure while writing (``write`` raising, say) leaves
-    neither behind.
+    ``write(temp)`` writes the data file to a temporary path and may
+    return more summary fields, those of work it ran while writing.  The
+    summary holds ``config``, ``fields``, those and both output names; it
+    is serialized as strict JSON into another temporary path, so a
+    non-finite number raises OutputError.  Both are renamed into place
+    only once both are written in full: a failure anywhere (``write``
+    raising mid-stream, say) leaves neither behind.
     """
     summary_name = _summary_name(args)
-    summary = {"config": config, **fields, "outputs": [name, summary_name]}
-    try:
-        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise OutputError(f"{summary_name}: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     paths = (os.path.join(args.out_dir, n) for n in (name, summary_name))
     with staged(*paths) as (data, summary_temp):
-        write(data)
+        summary = {
+            "config": config,
+            **fields,
+            **(write(data) or {}),
+            "outputs": [name, summary_name],
+        }
+        try:
+            text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise OutputError(f"{summary_name}: {exc}") from None
         with open(summary_temp, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
     print(json.dumps(summary, sort_keys=True))
@@ -370,17 +379,17 @@ def _run_adaptive(
     sigmas: Sequence[float],
     lams: Sequence[float],
     policies: dict[str, Sequence[float]],
-    logged: bool = False,
-) -> list[tuple[float, float, dict[str, AdaptiveCell], OracleEstimate]]:
-    """Estimate the oracle over the ``alphas`` grid, then run every policy
-    at every distortion level and latency cost over one image stream.
+) -> tuple[list[list[OracleEstimate]], Callable[..., list]]:
+    """Check the flags of an ADAPTIVE_SCHEMA config plus ``tokens`` (the
+    reward ranges they give included), then estimate the oracle over the
+    ``alphas`` grid at every distortion level and latency cost.
 
-    The flags of an ADAPTIVE_SCHEMA config plus ``tokens`` are checked
-    first, the reward ranges they give included.  ``policies`` maps each
-    policy name to its thresholds.  Returns one ``(sigma, lam, cells,
-    oracle)`` per pair, sigma-major, where ``cells`` maps each policy
-    name to its cell.  With ``logged`` every cell records its rounds in a
-    ``BanditLog``.
+    ``policies`` maps each policy name to its thresholds.  Returns
+    ``(oracles, play)``: ``oracles[i][j]`` is the estimate at ``sigmas[i]``
+    and ``lams[j]``, and ``play(sink=None)`` runs every policy at every
+    pair over one image stream, each cell handing its rounds to ``sink``
+    when given, and returns one ``(sigma, lam, cells, oracle)`` per pair,
+    sigma-major, where ``cells`` maps each policy name to its cell.
     """
     with _configuring(config, "oracle_samples"):
         _check_distinct("sigmas", sigmas)
@@ -413,31 +422,32 @@ def _run_adaptive(
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
     oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
-    cells = [
-        [
-            {
-                name: AdaptiveCell(a, params, BanditLog() if logged else None)
-                for name, a in actions.items()
-            }
-            for params in shapes
+
+    def play(sink=None):
+        cells = [
+            [
+                {name: AdaptiveCell(a, params, sink) for name, a in actions.items()}
+                for params in shapes
+            ]
+            for _ in models
         ]
-        for _ in models
-    ]
-    run_lockstep(
-        base,
-        [
-            (model, [cell for by_name in row for cell in by_name.values()])
-            for model, row in zip(models, cells)
-        ],
-        config["gamma"],
-        config["tokens"],
-        config["max_len"],
-    )
-    return [
-        (sigma, lam, by_name, oracle)
-        for sigma, row, estimates in zip(sigmas, cells, oracles)
-        for lam, by_name, oracle in zip(lams, row, estimates)
-    ]
+        run_lockstep(
+            base,
+            [
+                (model, [cell for by_name in row for cell in by_name.values()])
+                for model, row in zip(models, cells)
+            ],
+            config["gamma"],
+            config["tokens"],
+            config["max_len"],
+        )
+        return [
+            (sigma, lam, by_name, oracle)
+            for sigma, row, estimates in zip(sigmas, cells, oracles)
+            for lam, by_name, oracle in zip(lams, row, estimates)
+        ]
+
+    return oracles, play
 
 
 BANDIT_SCHEMA = {
@@ -449,39 +459,45 @@ BANDIT_SCHEMA = {
 
 
 def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
-    [(_, _, cells, oracle)] = _run_adaptive(
-        config,
-        [config["sigma"]],
-        [config["lam"]],
-        {"adaptive": config["alphas"]},
-        logged=True,
+    [[oracle]], play = _run_adaptive(
+        config, [config["sigma"]], [config["lam"]], {"adaptive": config["alphas"]}
     )
-    cell = cells["adaptive"]
-    state, log = cell.state, cell.log
-    regret = regret_curve(log, oracle)
-    thresholds, pulls = state.actions.thresholds, state.pulls
-    fields = {
-        "rounds": state.t,
-        "arm_frequencies": {repr(a): n for a, n in zip(thresholds, pulls)},
-        "oracle_best_arm": oracle.best_threshold,
-        "oracle_expected_rewards": {
-            repr(a): e
-            for a, e in zip(oracle.thresholds, oracle.expected_rewards)
-        },
-        # Thresholds increase, so a tie goes to the smallest.
-        "empirical_best_arm": thresholds[pulls.index(max(pulls))],
-        "mean_reward": cell.metrics()["mean_reward"],
-        "pseudo_regret": float(regret[-1]),
-        "regret_bound": regret_bound(oracle, state.t, config["gamma"]),
-    }
-    # Rows need Python floats (an np.float64 has another repr); converting
-    # a slice at a time holds no whole-run list.
-    column = chain.from_iterable(
-        regret[lo : lo + 4096].tolist() for lo in range(0, len(regret), 4096)
-    )
-    rows = zip(log.rounds, log.arms, log.exit_layers, log.rewards, column)
+    gap_of = dict(zip(oracle.thresholds, oracle.gaps))
     columns = ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"]
-    _write_outputs(args, config, fields, "bandit_log.csv", _csv(config, columns, rows))
+
+    def write(path: str) -> dict:
+        regret = 0.0
+
+        def sink(rows: list) -> None:
+            # A running sum of the chosen arms' gaps has np.cumsum's bits,
+            # and each line is the bytes _csv writes for its row.
+            nonlocal regret
+            lines = []
+            for t, arm, layer, r in rows:
+                regret += gap_of[arm]
+                lines.append("%d,%r,%d,%r,%r\r\n" % (t, arm, layer, r, regret))
+            fh.write("".join(lines))
+
+        with _csv_file(path, config, columns) as fh:
+            [(_, _, cells, _)] = play(sink)
+        cell = cells["adaptive"]
+        thresholds, pulls = cell.actions.thresholds, cell.state.pulls
+        return {
+            "rounds": cell.state.t,
+            "arm_frequencies": {repr(a): n for a, n in zip(thresholds, pulls)},
+            "oracle_best_arm": oracle.best_threshold,
+            "oracle_expected_rewards": {
+                repr(a): e
+                for a, e in zip(oracle.thresholds, oracle.expected_rewards)
+            },
+            # Thresholds increase, so a tie goes to the smallest.
+            "empirical_best_arm": thresholds[pulls.index(max(pulls))],
+            "mean_reward": cell.metrics()["mean_reward"],
+            "pseudo_regret": regret,
+            "regret_bound": regret_bound(oracle, cell.state.t, config["gamma"]),
+        }
+
+    _write_outputs(args, config, {}, "bandit_log.csv", write)
     return 0
 
 
@@ -496,12 +512,13 @@ COMPARE_SCHEMA = {
 
 def cmd_compare_distortion(args: argparse.Namespace, config: dict) -> int:
     fixed_name = f"fixed-{config['fixed_alpha']:g}"
-    runs = _run_adaptive(
+    _, play = _run_adaptive(
         config,
         config["sigmas"],
         [config["lam"]],
         {fixed_name: (config["fixed_alpha"],), "adaptive": config["alphas"]},
     )
+    runs = play()
     rows = []
     margins = {}
     oracle_best = {}
@@ -611,9 +628,10 @@ LAMBDA_SCHEMA = {
 
 
 def cmd_lambda_sweep(args: argparse.Namespace, config: dict) -> int:
-    runs = _run_adaptive(
+    _, play = _run_adaptive(
         config, [config["sigma"]], config["lambdas"], {"adaptive": config["alphas"]}
     )
+    runs = play()
     rows = []
     oracle_best = {}
     mean_rewards = {}

@@ -3,17 +3,19 @@
 Each name here is the per-token (or stacked, whole-sample or
 finite-difference) form of something the package computes on whole
 arrays or in pieces: the exit rule and caption loop over ``TokenTrace``
-records, the bandit's reward, first pulls and UCB round, the oracle
-scored over its whole sample at once, per-image sampling, the stacked
-toy-cascade forward pass and the flat-vector gradient harness.  No production path calls them; the tests
-use them as the independent answer.
+records, the bandit's reward, first pulls and UCB round, a list sink
+that keeps every round and the whole-run regret curve over it, the
+oracle scored over its whole sample at once, per-image sampling, the
+stacked toy-cascade forward pass and the flat-vector gradient harness.
+No production path calls them; the tests use them as the independent
+answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
@@ -23,7 +25,6 @@ import numpy as np
 from exitsim.bandit import (
     ActionSet,
     BanditError,
-    BanditLog,
     BanditState,
     OracleEstimate,
     RewardParams,
@@ -162,7 +163,57 @@ def run_caption(
 
 # ---------------------------------------------------------------------------
 # The bandit: reward, select, update, the pulls before the first round,
-# and the oracle over a whole sample
+# the rounds of a run and their regret, and the oracle over a whole sample
+
+
+@dataclass
+class ListSink:
+    """A row sink that keeps every round handed to it, one list per
+    field: t, arm, exit layer and reward."""
+
+    rounds: list[int] = field(default_factory=list)
+    arms: list[float] = field(default_factory=list)
+    exit_layers: list[int] = field(default_factory=list)
+    rewards: list[float] = field(default_factory=list)
+
+    def __call__(self, rows: Iterable[tuple[int, float, int, float]]) -> None:
+        for row in rows:
+            self.append(*row)
+
+    def append(self, t: int, arm: float, exit_layer: int, reward_value: float) -> None:
+        if self.rounds and t <= self.rounds[-1]:
+            raise ValueError(
+                f"round counter must increase: got {t} after {self.rounds[-1]}"
+            )
+        self.rounds.append(t)
+        self.arms.append(arm)
+        self.exit_layers.append(exit_layer)
+        self.rewards.append(reward_value)
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def arm_counts(self, last: int | None = None) -> dict[float, int]:
+        window = self.arms if last is None else self.arms[-last:]
+        counts: dict[float, int] = {}
+        for arm in window:
+            counts[arm] = counts.get(arm, 0) + 1
+        return counts
+
+
+def regret_curve(log: ListSink, oracle: OracleEstimate) -> np.ndarray:
+    """Cumulative pseudo-regret: running sum of the chosen arms' gaps."""
+    gap_of = dict(zip(oracle.thresholds, oracle.gaps))
+    gaps = np.empty(len(log))
+    for i, arm in enumerate(log.arms):
+        try:
+            gaps[i] = gap_of[arm]
+        except KeyError:
+            raise ValueError(
+                f"round {log.rounds[i]}: arm {arm!r} is not covered by the "
+                f"oracle"
+            ) from None
+    return np.cumsum(gaps)
 
 
 def reward(decision: ExitDecision, params: RewardParams) -> float:
@@ -203,7 +254,7 @@ def initialize(
     image: TraceBatch,
     params: RewardParams,
     gamma: float = 1.0,
-    log: BanditLog | None = None,
+    log: ListSink | None = None,
 ) -> BanditState:
     """Play every arm exactly once, arm k on token k of ``image``: the
     pulls before the first ``ucb_select``.  An image with fewer tokens

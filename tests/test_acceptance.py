@@ -15,7 +15,6 @@ import pytest
 from exitsim import (
     ActionSet,
     AdaptiveCell,
-    BanditLog,
     BanditState,
     RewardParams,
     StepSchedule,
@@ -26,7 +25,6 @@ from exitsim import (
     init_cascade,
     read_traces,
     regret_bound,
-    regret_curve,
     run_lockstep,
     shared_oracles,
     speedup_ratio,
@@ -38,6 +36,7 @@ from exitsim.cli import ABLATION_SCHEMA, _train_ablation, main as cli_main
 from exitsim.distill import ToyConfig
 
 from reference import (
+    ListSink,
     TokenTrace,
     backbone_bytes,
     backbone_objective,
@@ -46,6 +45,7 @@ from reference import (
     exit_objective,
     gradient_check,
     kl_divergence,
+    regret_curve,
     sample_image,
     split_images,
     token_traces,
@@ -71,11 +71,12 @@ def ucb_run():
     actions = ActionSet.default_grid()
     params = RewardParams(n_layers=model.n_layers)
     started = time.monotonic()
-    cell = AdaptiveCell(actions, params, BanditLog())
+    log = ListSink()
+    cell = AdaptiveCell(actions, params, log)
     run_lockstep(model, [(model, [cell])], 1.0, HORIZON, 20)
     oracle = shared_oracles([model], actions, [params], samples=200_000)[0][0]
     elapsed = time.monotonic() - started
-    return cell.log, oracle, params, elapsed
+    return log, oracle, params, elapsed
 
 
 def test_criterion_01_ucb_convergence(ucb_run):

@@ -15,7 +15,6 @@ from exitsim import (
     ActionSet,
     AdaptiveCell,
     BanditError,
-    BanditLog,
     BanditState,
     OracleEstimate,
     RewardParams,
@@ -23,16 +22,17 @@ from exitsim import (
     SyntheticConfidenceModel,
     TraceBatch,
     regret_bound,
-    regret_curve,
     distort,
     run_lockstep,
     shared_oracles,
 )
 
 from reference import (
+    ListSink,
     decide_exit,
     image_stream,
     oracle_estimates,
+    regret_curve,
     reward,
     run_caption,
     token_traces,
@@ -43,6 +43,7 @@ from reference import (
 from exitsim import bandit
 from exitsim.synth import confidence_blocks
 from conftest import (
+    PINNED_ON,
     assert_cell_matches_reference,
     json_values,
     make_image,
@@ -308,12 +309,12 @@ def test_library_rejects_non_finite_numbers(build):
 # initialize: a fresh cell's first pulls, one per arm
 
 
-def _initialized(actions, image, params, log=None):
+def _initialized(actions, image, params, sink=None):
     """A fresh cell played on ``image`` alone with a budget of one round
     per arm, which its initialization spends."""
     targets = np.zeros(len(image), dtype=np.int64)
     batch = TraceBatch(image.confidences, image.token_ids, targets)
-    cell = AdaptiveCell(actions, params, log)
+    cell = AdaptiveCell(actions, params, sink)
     cell.play(batch, 1.0, len(actions), len(image), eos_id=0)
     return cell
 
@@ -322,7 +323,7 @@ def test_initialize_plays_every_arm_once():
     actions = ActionSet((0.2, 0.5, 0.8))
     image = make_image([[0.3, 0.6, 0.9]] * 4)
     params = RewardParams(n_layers=3)
-    log = BanditLog()
+    log = ListSink()
     cell = _initialized(actions, image, params, log)
     state = cell.state
     assert state.pulls == [1, 1, 1]
@@ -354,7 +355,7 @@ def test_initialize_plays_arm_k_on_token_k():
     # shows which token every arm was played on.
     actions = ActionSet((0.5, 0.7))
     rows = [[0.6, 0.8, 0.9], [0.1, 0.2, 0.95], [0.9, 0.9, 0.9]]
-    log = BanditLog()
+    log = ListSink()
     state = _initialized(actions, make_image(rows), RewardParams(n_layers=3), log).state
     assert log.exit_layers == [1, 3]  # token 1 at 0.5, token 2 at 0.7
     assert state.q[0] == 0.0
@@ -362,7 +363,7 @@ def test_initialize_plays_arm_k_on_token_k():
 
 
 def test_initialize_single_arm_consumes_one_trace():
-    log = BanditLog()
+    log = ListSink()
     state = _initialized(
         ActionSet((0.5,)), make_image([[0.3, 0.6], [0.7, 0.4]]),
         RewardParams(n_layers=2), log,
@@ -376,8 +377,9 @@ def test_initialize_single_arm_consumes_one_trace():
 
 
 def _drive(model, actions, params, budget, max_len, gamma=1.0, base=None):
-    """One logged cell played on ``model``'s images, drawn from ``base``."""
-    cell = AdaptiveCell(actions, params, BanditLog())
+    """One cell with a ``ListSink`` played on ``model``'s images, drawn
+    from ``base``."""
+    cell = AdaptiveCell(actions, params, ListSink())
     run_lockstep(base or model, [(model, [cell])], gamma, budget, max_len)
     return cell
 
@@ -389,13 +391,13 @@ def test_adaptive_run_spends_first_image_on_initialization():
     actions = ActionSet((0.2, 0.5))
     params = RewardParams(n_layers=model.n_layers)
     cell = _drive(model, actions, params, budget=2 + 3 * 5, max_len=5)
-    init_log = BanditLog()
+    init_log = ListSink()
     first = next(image_stream(model, model.stream_rng(0), 5))
     _initialized(actions, first, params, init_log)
-    assert cell.log.arms[:2] == [0.2, 0.5]
-    assert cell.log.exit_layers[:2] == init_log.exit_layers
-    assert cell.log.rewards[:2] == init_log.rewards
-    assert cell.state.t == len(cell.log) == 2 + 3 * 5
+    assert cell.sink.arms[:2] == [0.2, 0.5]
+    assert cell.sink.exit_layers[:2] == init_log.exit_layers
+    assert cell.sink.rewards[:2] == init_log.rewards
+    assert cell.state.t == len(cell.sink) == 2 + 3 * 5
     assert cell.emitted == 3 * 5
     assert sum(cell.hist) == cell.state.t
 
@@ -481,7 +483,7 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
             decision.token_id == target
             for decision, target in zip(caption.tokens, image.targets)
         )
-    assert cell.log.exit_layers == layers
+    assert cell.sink.exit_layers == layers
     assert (cell.hits, cell.emitted) == (hits, budget - 1)
 
 
@@ -497,7 +499,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
     cell = _drive(model, actions, params, budget, max_len, gamma, base)
 
     images = image_stream(model, base.stream_rng(0), max_len)
-    log = BanditLog()
+    log = ListSink()
     state = BanditState.fresh(actions, gamma)
     for alpha, trace in zip(actions.thresholds, token_traces(next(images))):
         decision = decide_exit(trace, alpha)
@@ -520,7 +522,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
                 break
 
     assert len(set(log.arms)) > 1
-    assert cell.log == log
+    assert cell.sink == log
     assert (cell.state.q, cell.state.pulls, cell.state.t) == (
         state.q, state.pulls, budget
     )
@@ -573,7 +575,7 @@ def test_adaptive_run_is_deterministic():
     model = SyntheticConfidenceModel(seed=4)
     args = (model, ActionSet((0.2, 0.5, 0.8)), RewardParams(n_layers=model.n_layers))
     a, b = _drive(*args, 500, 12), _drive(*args, 500, 12)
-    assert a.log == b.log
+    assert a.sink == b.sink
     assert a.state == b.state
     assert (a.hist, a.reward_sum, a.hits, a.emitted) == (
         b.hist, b.reward_sum, b.hits, b.emitted
@@ -586,7 +588,7 @@ def test_adaptive_run_honors_token_budget():
     cell = _drive(
         model, ActionSet((0.2, 0.5)), RewardParams(n_layers=model.n_layers), 17, 10
     )
-    assert cell.state.t == len(cell.log) == 17
+    assert cell.state.t == len(cell.sink) == 17
     assert cell.emitted == 15
 
 
@@ -722,19 +724,38 @@ def test_state_snapshot_parses_or_raises_value_error(snapshot):
     assert BanditState.from_snapshot(state.to_snapshot()) == state
 
 
+def test_cell_hands_each_chunk_its_rounds_in_one_call():
+    # Without eos every caption runs to the cap of 3, so a chunk holds
+    # IMAGE_CHUNK * 3 rounds; the first spends its first image on two
+    # initialization rounds.
+    model = SyntheticConfidenceModel(seed=3, eos_prob=0.0)
+    calls = []
+    cell = AdaptiveCell(
+        ActionSet((0.2, 0.5)), RewardParams(n_layers=model.n_layers), calls.append
+    )
+    budget = 2 + 3 * IMAGE_CHUNK * 3 - 3 + 10
+    run_lockstep(model, [(model, [cell])], 1.0, budget, 3)
+    chunk = IMAGE_CHUNK * 3
+    assert [len(rows) for rows in calls] == [2 + chunk - 3, chunk, chunk, 10]
+    rows = [row for rows in calls for row in rows]
+    assert [t for t, _, _, _ in rows] == list(range(1, budget + 1))
+    assert [arm for _, arm, _, _ in rows[:2]] == [0.2, 0.5]
+    assert all(type(layer) is int and type(r) is float for _, _, layer, r in rows)
+
+
 # ---------------------------------------------------------------------------
-# BanditLog
+# ListSink: the reference record of a run's rounds
 
 
 def test_log_append_requires_increasing_rounds():
-    log = BanditLog()
+    log = ListSink()
     log.append(1, 0.5, 1, 0.0)
     with pytest.raises(ValueError):
         log.append(1, 0.5, 1, 0.0)
 
 
 def test_log_arm_counts_window():
-    log = BanditLog()
+    log = ListSink()
     for t, arm in enumerate([0.2, 0.2, 0.5, 0.2], start=1):
         log.append(t, arm, 1, 0.0)
     assert log.arm_counts() == {0.2: 3, 0.5: 1}
@@ -843,8 +864,8 @@ def test_pairwise_span_sums_are_numpys_reduce_and_mean(n):
     edges = np.cumsum([0, *spans])
     sums = (np.add.reduce(values[lo:hi]) for lo, hi in zip(edges, edges[1:]))
     total = bandit._pairwise_sum(n, sums)
-    assert total.tobytes() == np.add.reduce(values).tobytes()
-    assert (total / n).tobytes() == values.mean().tobytes()
+    assert total.tobytes() == np.add.reduce(values).tobytes(), PINNED_ON
+    assert (total / n).tobytes() == values.mean().tobytes(), PINNED_ON
 
 
 def test_oracle_peak_memory_stays_under_one_matrix():
@@ -903,7 +924,7 @@ def test_oracle_rejects_layer_mismatch():
 def test_oracle_unknown_arm_lookup_raises():
     # The oracle looks arms up only for regret, by threshold.
     oracle = OracleEstimate((0.5,), (0.0,), samples=1)
-    log = BanditLog()
+    log = ListSink()
     log.append(1, 0.7, 1, 0.0)
     with pytest.raises(ValueError, match="not covered by the oracle"):
         regret_curve(log, oracle)
@@ -911,7 +932,7 @@ def test_oracle_unknown_arm_lookup_raises():
 
 def test_regret_zero_when_always_playing_the_best_arm():
     oracle = OracleEstimate((0.5, 0.6), (0.3, 0.2), samples=1)
-    log = BanditLog()
+    log = ListSink()
     for t in range(1, 101):
         log.append(t, 0.5, 1, 0.0)
     curve = regret_curve(log, oracle)
@@ -923,7 +944,7 @@ def test_regret_alternating_arms_hand_value():
     # 100 rounds alternating best / second-best with gap 0.1: the
     # suboptimal arm is played 50 times, so total pseudo-regret is 5.0.
     oracle = OracleEstimate((0.5, 0.6), (0.3, 0.2), samples=1)
-    log = BanditLog()
+    log = ListSink()
     for t in range(1, 101):
         log.append(t, 0.5 if t % 2 else 0.6, 1, 0.0)
     curve = regret_curve(log, oracle)
@@ -933,7 +954,7 @@ def test_regret_alternating_arms_hand_value():
 
 def test_regret_curve_rejects_uncovered_arm():
     oracle = OracleEstimate((0.5,), (0.3,), samples=1)
-    log = BanditLog()
+    log = ListSink()
     log.append(1, 0.7, 1, 0.0)
     with pytest.raises(ValueError):
         regret_curve(log, oracle)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import hashlib
 import importlib.util
 import io
@@ -10,10 +11,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exitsim
@@ -33,6 +35,7 @@ from exitsim import (
     read_traces,
     run_lockstep,
     save_cascade,
+    shared_oracles,
     write_traces,
 )
 from exitsim import bandit, cli
@@ -40,9 +43,9 @@ from exitsim.cli import main
 from exitsim.synth import NO_TARGET
 from exitsim.staging import staged
 
-from reference import forward
+from reference import ListSink, forward, regret_curve
 
-from conftest import assert_cell_matches_reference
+from conftest import PINNED_ON, assert_cell_matches_reference
 
 FAST_BANDIT = ["--tokens", "200", "--oracle-samples", "500", "--max-len", "12"]
 
@@ -1054,6 +1057,104 @@ def test_bandit_log_csv_layout(tmp_path, capsys):
         assert float(cumulative) == pytest.approx(regret, abs=1e-12)
 
 
+@st.composite
+def tiny_bandit_runs(draw):
+    grid = ActionSet.default_grid().thresholds
+    alphas = sorted(draw(st.sets(st.sampled_from(grid), min_size=1, max_size=5)))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "alphas": alphas,
+        "max_len": draw(st.integers(len(alphas), 10)),
+        # Up to several chunks of IMAGE_CHUNK captions.
+        "tokens": draw(st.integers(len(alphas) + 1, 3000)),
+        "gamma": draw(st.floats(1.0, 5.0)),
+        "lam": draw(st.floats(0.0, 3.0)),
+        "oracle_samples": draw(st.integers(1, 3000)),
+    }
+
+
+def test_bandit_regret_column_is_the_reference_curve(tmp_path_factory, capsys):
+    # The CSV's running sum against np.cumsum over a list sink's run of
+    # the same config, bit for bit.
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(run=tiny_bandit_runs())
+    # Captions of at most 3 tokens: a chunk holds at most 192 rounds.
+    @example(
+        run={"seed": 7, "alphas": [0.2, 0.5, 0.8], "max_len": 3, "tokens": 3000,
+             "gamma": 1.0, "lam": 1.0, "oracle_samples": 2000}
+    )
+    def check(run):
+        out = tmp_path_factory.mktemp("regret")
+        argv = ["bandit", "--alphas", ",".join(map(repr, run["alphas"]))]
+        for key in ("seed", "max_len", "tokens", "gamma", "lam", "oracle_samples"):
+            argv += [f"--{key.replace('_', '-')}", repr(run[key])]
+        assert run_cli([*argv, "--out-dir", str(out)], capsys)[0] == 0
+        column = [row[4] for row in read_csv_rows(out / "bandit_log.csv")[1:]]
+
+        base = SyntheticConfidenceModel(seed=run["seed"])
+        model = distort(base, 0.0)
+        actions = ActionSet(tuple(run["alphas"]))
+        params = RewardParams(base.n_layers, lam=run["lam"])
+        log = ListSink()
+        cell = AdaptiveCell(actions, params, log)
+        gamma, tokens, max_len = run["gamma"], run["tokens"], run["max_len"]
+        run_lockstep(base, [(model, [cell])], gamma, tokens, max_len)
+        [[oracle]] = shared_oracles([model], actions, [params], run["oracle_samples"])
+        curve = regret_curve(log, oracle).tolist()
+        assert column == [repr(x) for x in curve]
+        assert read_summary(out, "bandit_summary.json")["pseudo_regret"] == curve[-1]
+
+    check()
+
+
+def test_bandit_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # A sink that fails (a full disk, say) once the first chunk's rows
+    # reached the temporary CSV: nothing lands in --out-dir.
+    cell_type = cli.AdaptiveCell
+
+    def cell_with_a_failing_sink(actions, params, sink=None):
+        calls = []
+
+        def failing(rows):
+            if calls:
+                [temp] = os.listdir(tmp_path)
+                assert temp.endswith(".tmp") and os.path.getsize(tmp_path / temp) > 0
+                raise OSError(errno.ENOSPC, "No space left on device")
+            calls.append(len(rows))
+            sink(rows)
+
+        return cell_type(actions, params, failing)
+
+    monkeypatch.setattr(cli, "AdaptiveCell", cell_with_a_failing_sink)
+    argv = ["bandit", "--tokens", "2000", "--oracle-samples", "500", "--max-len", "12"]
+    code, out, err = run_cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert err == "error: input: [Errno 28] No space left on device\n"
+    assert out == ""
+    assert os.listdir(tmp_path) == []  # no CSV, no summary, no temp file
+
+
+def test_bandit_memory_does_not_grow_with_tokens(tmp_path, capsys):
+    # 35,000 more rounds may not raise the traced peak by one chunk's arm
+    # tables: IMAGE_CHUNK images of max_len 20 tokens times 10 arms, in
+    # three flat lists of 8-byte slots (the list slots alone, 307,200
+    # bytes).  A run that kept its rounds would hold about 100 bytes each.
+    # The first run of a process also makes one-time allocations, about
+    # 1 MB, so it is a warm-up and is not measured.
+    bound = IMAGE_CHUNK * 20 * 10 * 3 * 8
+    peaks = []
+    for tokens in (5_000, 5_000, 40_000):
+        argv = ["bandit", "--tokens", str(tokens), "--oracle-samples", "1000"]
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli([*argv, "--out-dir", str(tmp_path)], capsys)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[2] - peaks[1]) < bound, peaks
+
+
 # ---------------------------------------------------------------------------
 # compare-distortion and lambda-sweep
 
@@ -1381,7 +1482,7 @@ def test_simulator_outputs_are_pinned(name, tmp_path, monkeypatch, capsys):
         entry: hashlib.sha256(open(os.path.join("out", entry), "rb").read()).hexdigest()
         for entry in sorted(os.listdir("out"))
     }
-    assert got == digests
+    assert got == digests, PINNED_ON
 
 
 # ---------------------------------------------------------------------------

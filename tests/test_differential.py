@@ -26,7 +26,6 @@ from exitsim import (
     IMAGE_CHUNK,
     ActionSet,
     AdaptiveCell,
-    BanditLog,
     RewardParams,
     SyntheticConfidenceModel,
     SyntheticExample,
@@ -42,7 +41,7 @@ from exitsim import (
 from exitsim.cascade import LayerOutcome, exit_counts, exit_layer_indices, running_max
 
 from conftest import assert_cell_matches_reference, reference_oracle_means, span_scored
-from reference import decide_exit, forward
+from reference import ListSink, decide_exit, forward
 
 GRID = ActionSet.default_grid().thresholds
 SIGMAS = (0.0, 0.5, 3.0)
@@ -99,7 +98,7 @@ def test_lockstep_cells_match_the_scalar_reference(case):
     gamma, max_len, budget = case["gamma"], case["max_len"], case["budget"]
 
     def cells():
-        log = BanditLog() if case["keep_log"] else None
+        log = ListSink() if case["keep_log"] else None
         # The drawn grid, and a fixed threshold on its first arm.
         return [
             AdaptiveCell(actions, params, log),

@@ -39,6 +39,7 @@ from reference import (
     split_images,
     token_traces,
 )
+from conftest import PINNED_ON
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_traces.txt")
 
@@ -552,7 +553,7 @@ def test_corpus_bytes_are_pinned(tmp_path):
     path = str(tmp_path / "corpus.txt")
     write_traces(path, images, model.n_layers, model.vocab_size, source="pin")
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    assert digest == CORPUS_SHA256
+    assert digest == CORPUS_SHA256, PINNED_ON
 
 
 def test_confidences_round_trip_bit_exactly(tmp_path):
