@@ -9,7 +9,6 @@ every arm on a common set of sampled traces.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .cascade import exit_counts, exit_layer_indices, running_max, speedup_ratio
-from .staging import read_json
+from .staging import check_format, read_json, staged, write_json
 from .synth import (
     IMAGE_CHUNK,
     SyntheticConfidenceModel,
@@ -146,24 +145,10 @@ class BanditState:
 
     @classmethod
     def from_snapshot(cls, snapshot: object) -> "BanditState":
-        """Rebuild a state from ``to_snapshot`` output.  A value that is
-        not an object, a missing key, a field of the wrong type or a
-        count that is not an integer raises ValueError naming the key."""
-        if not isinstance(snapshot, dict):
-            raise ValueError(
-                f"bandit state snapshot must be a JSON object, got "
-                f"{type(snapshot).__name__}"
-            )
-        if snapshot.get("format") != STATE_FORMAT:
-            raise ValueError(
-                f"not a bandit state snapshot: format "
-                f"{snapshot.get('format')!r}"
-            )
-        if snapshot.get("version") != STATE_VERSION:
-            raise ValueError(
-                f"unsupported bandit state version {snapshot.get('version')!r} "
-                f"(this reader handles version {STATE_VERSION})"
-            )
+        """Rebuild a state from ``to_snapshot`` output.  What ``check_format``
+        refuses, a missing key, a field of the wrong type or a count that
+        is not an integer raises ValueError naming the key."""
+        check_format(snapshot, STATE_FORMAT, STATE_VERSION, ValueError)
         thresholds = _snapshot_field(snapshot, "thresholds", float, True)
         return cls(
             actions=ActionSet(tuple(thresholds)),
@@ -174,16 +159,11 @@ class BanditState:
         )
 
     def save(self, path: str) -> None:
-        """Write the snapshot as JSON; a non-finite value raises BanditError
-        and leaves no file."""
-        try:
-            text = json.dumps(
-                self.to_snapshot(), indent=2, sort_keys=True, allow_nan=False
-            )
-        except ValueError as exc:
-            raise BanditError(f"bandit state is not finite: {exc}") from None
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        """Write the snapshot as JSON, staged beside ``path``: a non-finite
+        value raises BanditError and a failed write leaves the previous
+        file whole, and neither leaves a temporary file."""
+        with staged(path) as (temp,):
+            write_json(temp, self.to_snapshot(), BanditError, indent=2)
 
     @classmethod
     def load(cls, path: str) -> "BanditState":

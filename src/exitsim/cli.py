@@ -79,7 +79,7 @@ from .synth import (
     read_traces,
     write_traces,
 )
-from .staging import read_json, staged
+from .staging import read_json, staged, write_json
 
 
 class ConfigError(ValueError):
@@ -203,10 +203,6 @@ def _csv_file(path: str, config: dict, header: Sequence[str]) -> Iterator[TextIO
         yield fh
 
 
-# Row fields whose repr is what csv.writer writes for them (repr for floats).
-_PLAIN_NUMBER = frozenset((int, float))
-
-
 def _csv(
     config: dict, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> Callable[[str], None]:
@@ -217,13 +213,7 @@ def _csv(
         with _csv_file(path, config, header) as fh:
             writer = csv.writer(fh)
             for row in rows:
-                if all(map(_PLAIN_NUMBER.__contains__, map(type, row))):
-                    # The bytes csv.writer writes for these fields.
-                    fh.write(",".join(map(repr, row)) + "\r\n")
-                else:
-                    writer.writerow(
-                        [repr(v) if isinstance(v, float) else v for v in row]
-                    )
+                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
     return write
 
@@ -257,12 +247,12 @@ def _write_outputs(
             **(write(data) or {}),
             "outputs": [name, summary_name],
         }
-        try:
-            text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError as exc:
-            raise OutputError(f"{summary_name}: {exc}") from None
-        with open(summary_temp, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        write_json(
+            summary_temp,
+            summary,
+            lambda message: OutputError(f"{summary_name}: {message}"),
+            indent=2,
+        )
     print(json.dumps(summary, sort_keys=True))
 
 

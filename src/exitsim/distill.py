@@ -16,7 +16,6 @@ against central finite differences.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from itertools import cycle
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .staging import read_json, staged
+from .staging import check_format, read_json, staged, write_json
 from .synth import MAX_FLOATS
 
 DEFAULT_PROB_FLOOR = 1e-12
@@ -641,35 +640,27 @@ def save_cascade(model: ToyCascade, path: str) -> None:
         value = getattr(model, name)
         single = isinstance(value, np.ndarray)
         payload[name] = value.tolist() if single else [part.tolist() for part in value]
-    text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    with staged(path) as (temp,), open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    with staged(path) as (temp,):
+        write_json(temp, payload, TrainingError)
 
 
 def load_cascade(path: str) -> ToyCascade:
     """Read a checkpoint written by save_cascade.
 
     Raises CheckpointError on bytes that are not UTF-8 JSON (an integer
-    longer than Python's digit limit included), a wrong
-    format tag, unknown version, a config dimension that is not an
+    longer than Python's digit limit included), a document that
+    ``check_format`` refuses, a config dimension that is not an
     integer, a ``frozen`` flag that is not a JSON boolean, an integer
     parameter too large for a float, or parameters that
     ``_check_parameters`` refuses (``json`` parses ``NaN`` and
     ``Infinity``).
     """
+
+    def error(message: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {message}")
+
     payload = read_json(path, CheckpointError)
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: checkpoint must be a JSON object")
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path}: format {payload.get('format')!r} is not "
-            f"{CHECKPOINT_FORMAT!r}"
-        )
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: version {payload.get('version')!r} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
+    check_format(payload, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, error)
     try:
         config = ToyConfig(**payload["config"])
         if not isinstance(payload["frozen"], bool):
@@ -688,7 +679,7 @@ def load_cascade(path: str) -> ToyCascade:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint contents: {exc}") from exc
-    _check_parameters(model, lambda message: CheckpointError(f"{path}: {message}"))
+    _check_parameters(model, error)
     return model
 
 

@@ -1,4 +1,4 @@
-"""The file boundary: staged writes and the one JSON reader."""
+"""The file boundary: staged writes and the one JSON reader, writer and format check."""
 
 from __future__ import annotations
 
@@ -49,3 +49,41 @@ def read_json(path: str, error: Callable[[str], Exception]) -> object:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def write_json(
+    path: str,
+    value: object,
+    error: Callable[[str], Exception],
+    indent: int | None = None,
+) -> None:
+    """Write ``value`` to ``path`` as strict JSON: sorted keys, ASCII and a
+    final newline.  A value JSON cannot hold exactly (NaN or an infinity)
+    raises ``error("not finite: ...")`` before the file opens."""
+    try:
+        text = json.dumps(value, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise error(f"not finite: {exc}") from None
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
+
+
+def check_format(
+    document: object, name: str, version: int, error: Callable[[str], Exception]
+) -> None:
+    """Raise ``error(message)`` unless ``document`` is a JSON object whose
+    ``format`` is ``name`` and whose ``version`` is the JSON integer
+    ``version``.  A boolean or a float version is refused, though Python
+    compares ``True`` and ``1.0`` equal to ``1``."""
+    if not isinstance(document, dict):
+        raise error(
+            f"{name} document must be a JSON object, got {type(document).__name__}"
+        )
+    if document.get("format") != name:
+        raise error(f"format {document.get('format')!r} is not {name!r}")
+    found = document.get("version")
+    if type(found) is not int or found != version:
+        raise error(
+            f"{name} version {found!r} unsupported "
+            f"(this reader handles the JSON integer {version})"
+        )

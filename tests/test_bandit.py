@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exitsim
 from exitsim import (
     IMAGE_CHUNK,
     ActionSet,
@@ -617,6 +621,45 @@ def test_state_save_refuses_non_finite_values(tmp_path):
     assert not path.exists()
 
 
+# Saves a snapshot larger than the one at argv[1] under a file-size limit
+# just above the old one's size, and prints the errno of the failed write.
+_SAVE_PAST_THE_LIMIT = """
+import errno, os, resource, signal, sys
+from exitsim import ActionSet, BanditState
+path = sys.argv[1]
+big = BanditState.fresh(ActionSet(tuple(i / 1000 for i in range(1, 1001))))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 64, hard))
+try:
+    big.save(path)
+except OSError as exc:
+    print(errno.errorcode[exc.errno])
+"""
+
+
+def test_state_save_that_fails_leaves_the_previous_snapshot(tmp_path):
+    path = tmp_path / "state.json"
+    BanditState(
+        ActionSet((0.1, 0.9)), q=[0.25, -0.5], pulls=[3, 4], t=7, gamma=1.5
+    ).save(str(path))
+    old = path.read_bytes()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(exitsim.__file__))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no .pyc write under the limit
+    result = subprocess.run(
+        [sys.executable, "-c", _SAVE_PAST_THE_LIMIT, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["EFBIG"]
+    assert os.listdir(tmp_path) == ["state.json"]  # no temporary file
+    assert path.read_bytes() == old
+
+
 def test_state_snapshot_rejects_future_version(tmp_path):
     state = BanditState.fresh(ActionSet((0.5,)))
     snapshot = state.to_snapshot()
@@ -682,6 +725,8 @@ def _snapshot(**changes):
         (None, "JSON object"),
         ([_snapshot()], "JSON object"),
         ("exitsim-bandit-state", "JSON object"),
+        (_snapshot(version=True), "version"),  # Python's True == 1
+        (_snapshot(version=1.0), "version"),
     ],
 )
 def test_state_snapshot_rejects_malformed_fields_naming_the_key(snapshot, key):

@@ -625,6 +625,8 @@ def test_non_finite_checkpoint_weight_exits_3(bad, tmp_path, capsys):
         ("n_layers", 6.0, "n_layers"),  # a float dimension
         ("hidden_dim", True, "hidden_dim"),  # bool is an int subclass
         ("frozen", "false", "frozen"),  # any non-empty string is truthy
+        ("version", True, "version"),  # Python's True == 1
+        ("version", 1.0, "version"),
     ],
 )
 def test_checkpoint_field_of_the_wrong_type_exits_3(
@@ -779,7 +781,7 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
 
 
 def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, capsys):
-    # Plain int/float rows skip csv.writer; every other row goes through it.
+    # Every row goes through csv.writer, floats written as their repr.
     rows = [
         (1, 0.1, 12, -0.0, 1e-300),
         (2, float("nan"), -3, float("inf"), 2.5e16),
