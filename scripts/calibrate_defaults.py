@@ -24,7 +24,6 @@ from exitsim import (
     AdaptiveCell,
     RewardParams,
     SyntheticConfidenceModel,
-    distort,
     run_lockstep,
     shared_oracles,
     speedup_ratio,
@@ -36,8 +35,7 @@ from exitsim.cli import ABLATION_SCHEMA, _train_ablation
 def oracle_landscapes(base, actions, params, samples):
     print("== oracle reward landscapes ==")
     sigmas = (0.0, 1.0, 2.0)
-    models = [distort(base, sigma) for sigma in sigmas]
-    oracles = shared_oracles(models, actions, [params], samples=samples)
+    oracles = shared_oracles(base, sigmas, actions, [params], samples=samples)
     for sigma, [oracle] in zip(sigmas, oracles):
         gaps = sorted(oracle.gaps)
         print(
@@ -62,7 +60,9 @@ def ucb_convergence(actions, params, horizon, oracle_samples):
     for seed in (7, 8, 9):
         model = SyntheticConfidenceModel(seed=seed)
         started = time.monotonic()
-        [[oracle]] = shared_oracles([model], actions, [params], samples=oracle_samples)
+        [[oracle]] = shared_oracles(
+            model, [0.0], actions, [params], samples=oracle_samples
+        )
         gap_of = dict(zip(oracle.thresholds, oracle.gaps))
         last_arms = deque(maxlen=window)
         regret = 0.0
@@ -73,8 +73,8 @@ def ucb_convergence(actions, params, horizon, oracle_samples):
                 last_arms.append(arm)
                 regret += gap_of[arm]
 
-        cell = AdaptiveCell(actions, params, sink)
-        run_lockstep(model, [(model, [cell])], 1.0, horizon, 20)
+        cell = AdaptiveCell(actions, params, 0.0, sink)
+        run_lockstep(model, [cell], 1.0, horizon, 20)
         share = last_arms.count(oracle.best_threshold) / window
         print(
             f"seed={seed}: alpha*={oracle.best_threshold} "
@@ -87,16 +87,13 @@ def distortion_margins(base, actions, params, tokens):
     print("== adaptive minus fixed-0.6 mean-reward margins ==")
     fixed = ActionSet((0.6,))
     sigmas = (0.0, 1.0, 2.0)
-    groups = [
-        (
-            distort(base, sigma),
-            [AdaptiveCell(arm_set, params) for arm_set in (actions, fixed)],
-        )
+    cells = [
+        [AdaptiveCell(arm_set, params, sigma) for arm_set in (actions, fixed)]
         for sigma in sigmas
     ]
-    run_lockstep(base, groups, 1.0, tokens, 20)
-    for sigma, (_, cells) in zip(sigmas, groups):
-        adaptive, fixed_arm = (cell.metrics()["mean_reward"] for cell in cells)
+    run_lockstep(base, [cell for pair in cells for cell in pair], 1.0, tokens, 20)
+    for sigma, pair in zip(sigmas, cells):
+        adaptive, fixed_arm = (cell.metrics()["mean_reward"] for cell in pair)
         margin = adaptive - fixed_arm
         print(f"sigma={sigma}: margin={margin:+.6f}  ({tokens} tokens/cell)")
 

@@ -21,9 +21,9 @@ from .synth import (
     IMAGE_CHUNK,
     SyntheticConfidenceModel,
     TraceBatch,
-    check_distortion_levels,
     check_traces,
     confidence_blocks,
+    distort,
     draw_tokens,
     finish_tokens,
 )
@@ -306,7 +306,8 @@ def initialize(
 
 @dataclass
 class AdaptiveCell:
-    """One policy's run over a command's shared image stream.
+    """One policy's run over a command's shared image stream, finished at
+    distortion level ``sigma``.
 
     A cell keeps running aggregates: its exit histogram, reward sum,
     hits and emitted count.  With a ``sink`` it also hands over every
@@ -318,6 +319,7 @@ class AdaptiveCell:
 
     actions: ActionSet
     params: RewardParams
+    sigma: float
     sink: Callable[[list[tuple[int, float, int, float]]], object] | None = None
     state: BanditState | None = field(default=None, init=False)
     reward_sum: float = field(default=0.0, init=False)
@@ -397,7 +399,7 @@ def check_max_len(max_len: int, arms: int) -> None:
 
 def run_lockstep(
     base: SyntheticConfidenceModel,
-    groups: Sequence[tuple[SyntheticConfidenceModel, Sequence[AdaptiveCell]]],
+    cells: Sequence[AdaptiveCell],
     gamma: float,
     tokens: int,
     max_len: int,
@@ -405,29 +407,35 @@ def run_lockstep(
     """Run every cell over one image stream of ``max_len``-token images
     until each has played ``tokens`` rounds.
 
-    ``groups`` pairs each distortion level of ``base`` with the cells
-    played at it.  The stream is drawn once from the base seed,
-    ``IMAGE_CHUNK`` images at a time; each chunk is finished and
-    validated once per group and fed to every cell of it still under
-    budget.  So every cell sees the images a run of its own over the
-    stream would, whatever its policy.  Accuracy is scored
-    against the targets of those images.
+    The stream is drawn once from ``base``, ``IMAGE_CHUNK`` images at a
+    time; ``base``'s own ``sigma`` is never read, as the draw holds none.
+    Each chunk is finished and validated once per distortion level of a
+    cell still under budget (``distort(base, cell.sigma)``, equal levels
+    grouped in first-seen order) and fed to each such cell of that level.
+    So every cell sees the images a run of its own over the stream would,
+    whatever its policy.  Accuracy is scored against the targets of
+    those images.
 
     Initialization plays arm k on token k of the first image, so a
-    ``max_len`` below any cell's arm count raises ValueError before the
-    first draw, and so does a group model that differs from ``base``
-    beyond ``sigma``.  A cell whose reward schedule's depth differs from
-    its model's raises ValueError on the first chunk, before any round.
+    ``max_len`` or ``tokens`` below any cell's arm count raises
+    ValueError before the first draw, and so does a cell's negative
+    ``sigma``.  A cell whose reward schedule's depth differs from its
+    model's raises ValueError on the first chunk, before any round.
     """
-    arms = max((len(c.actions) for _, cells in groups for c in cells), default=1)
+    arms = max((len(cell.actions) for cell in cells), default=1)
     check_max_len(max_len, arms)
-    check_distortion_levels(base, [model for model, _ in groups])
+    if tokens < arms:
+        raise ValueError(f"tokens must cover one pull per arm: {tokens} < {arms}")
+    levels = {}
+    for cell in cells:
+        levels.setdefault(cell.sigma, []).append(cell)
+    groups = [(distort(base, sigma), group) for sigma, group in levels.items()]
     rng = base.stream_rng(0)
     start_id = 0
-    while not all(cell.done(tokens) for _, cells in groups for cell in cells):
+    while not all(cell.done(tokens) for cell in cells):
         draws = draw_tokens(base, max_len, rng, IMAGE_CHUNK)
-        for model, cells in groups:
-            playing = [cell for cell in cells if not cell.done(tokens)]
+        for model, group in groups:
+            playing = [cell for cell in group if not cell.done(tokens)]
             if playing:
                 batch = finish_tokens(model, draws)
                 label = f"images {start_id}-{start_id + IMAGE_CHUNK - 1}"
@@ -461,28 +469,29 @@ class OracleEstimate:
 
 
 def shared_oracles(
-    models: Sequence[SyntheticConfidenceModel],
+    base: SyntheticConfidenceModel,
+    sigmas: Sequence[float],
     actions: ActionSet,
     params: Sequence[RewardParams],
     samples: int = 200_000,
     seed: int = ORACLE_SEED,
 ) -> list[list[OracleEstimate]]:
     """Monte-Carlo estimate of every arm's expected reward: ``result[i][j]``
-    is the estimate for ``models[i]`` under ``params[j]``.  All of them
-    share one draw of the oracle's variates (common random numbers), so
-    arm comparisons are paired and the argmax is stable at moderate
-    sample counts; the seed is deliberately independent of run seeds.
-    The models may differ only in ``sigma``.  No (samples, layers)
-    matrix is held: the samples are drawn and scored one
-    ``_pairwise_spans`` span at a time.
+    is the estimate at distortion level ``sigmas[i]`` of ``base`` under
+    ``params[j]``.  All of them share one draw of the oracle's variates
+    (common random numbers), so arm comparisons are paired and the argmax
+    is stable at moderate sample counts; the seed is deliberately
+    independent of run seeds, and ``base``'s own ``sigma`` is never read.
+    No (samples, layers) matrix is held: the samples are drawn and scored
+    one ``_pairwise_spans`` span at a time.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    blocks = confidence_blocks(models, samples, rng, _pairwise_spans(samples))
+    blocks = confidence_blocks(base, sigmas, samples, rng, _pairwise_spans(samples))
     sums = (
         np.array([_span_sums(block, actions, params) for block in span])
-        for span in zip(*[blocks] * len(models))  # a span's blocks, one per model
+        for span in zip(*[blocks] * len(sigmas))  # a span's blocks, one per level
     )
     means = _pairwise_sum(samples, sums) / samples
     return [

@@ -73,7 +73,7 @@ from .synth import (
     SyntheticConfidenceModel,
     TraceBatch,
     TraceFormatError,
-    distort,
+    check_sigma,
     draw_tokens,
     finish_tokens,
     read_traces,
@@ -271,7 +271,7 @@ GEN_TRACES_SCHEMA = {
 def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
     with _configuring(config, "n_images", "max_len"):
         _check_out_name(args, config, "out")
-        model = distort(SyntheticConfidenceModel(seed=config["seed"]), config["sigma"])
+        model = SyntheticConfidenceModel(seed=config["seed"], sigma=config["sigma"])
     rng = model.stream_rng(0)
     max_len, n_images = config["max_len"], config["n_images"]
 
@@ -396,7 +396,8 @@ def _run_adaptive(
             )
         check_max_len(config["max_len"], arms)
         base = SyntheticConfidenceModel(seed=config["seed"])
-        models = [distort(base, sigma) for sigma in sigmas]
+        for sigma in sigmas:
+            check_sigma(sigma)
         shapes = [RewardParams(base.n_layers, config["mu"], lam) for lam in lams]
         # Every reported sum adds at most this many rewards, each within
         # one reward range of the others.
@@ -411,31 +412,18 @@ def _run_adaptive(
         check_gamma(config["gamma"])
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
-    oracles = shared_oracles(models, grid, shapes, samples=config["oracle_samples"])
+    oracles = shared_oracles(base, sigmas, grid, shapes, config["oracle_samples"])
 
     def play(sink=None):
-        cells = [
-            [
-                {name: AdaptiveCell(a, params, sink) for name, a in actions.items()}
-                for params in shapes
-            ]
-            for _ in models
+        runs = [
+            (sigma, lam, {name: AdaptiveCell(a, params, sigma, sink)
+                          for name, a in actions.items()}, oracle)
+            for sigma, estimates in zip(sigmas, oracles)
+            for lam, params, oracle in zip(lams, shapes, estimates)
         ]
-        run_lockstep(
-            base,
-            [
-                (model, [cell for by_name in row for cell in by_name.values()])
-                for model, row in zip(models, cells)
-            ],
-            config["gamma"],
-            config["tokens"],
-            config["max_len"],
-        )
-        return [
-            (sigma, lam, by_name, oracle)
-            for sigma, row, estimates in zip(sigmas, cells, oracles)
-            for lam, by_name, oracle in zip(lams, row, estimates)
-        ]
+        cells = [cell for _, _, by_name, _ in runs for cell in by_name.values()]
+        run_lockstep(base, cells, config["gamma"], config["tokens"], config["max_len"])
+        return runs
 
     return oracles, play
 

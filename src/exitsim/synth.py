@@ -132,8 +132,7 @@ class SyntheticConfidenceModel:
             )
         if self.ceiling_drop_rate < 0 or self.base_drop_rate < 0:
             raise ValueError("distortion drop rates must be >= 0")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        check_sigma(self.sigma)
         if not 0.0 <= self.eos_prob <= 1.0:
             raise ValueError(f"eos_prob {self.eos_prob} outside [0, 1]")
         if not 0 <= self.eos_id < self.vocab_size:
@@ -155,10 +154,19 @@ class SyntheticConfidenceModel:
         # A count below 1 is refused by the draw, at the first block.
         out = np.empty((max(n_tokens, 0), self.n_layers))
         lo = 0
-        for block, span in zip(confidence_blocks([self], n_tokens, rng, spans), spans):
+        blocks = confidence_blocks(self, [self.sigma], n_tokens, rng, spans)
+        for block, span in zip(blocks, spans):
             out[lo : lo + span] = block.T
             lo += span
         return out
+
+
+def check_sigma(sigma: float) -> None:
+    """Refuse a distortion level that is not a finite number >= 0."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
 
 
 def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenceModel:
@@ -228,29 +236,20 @@ def draw_tokens(
     return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
 
 
-def check_distortion_levels(
-    base: SyntheticConfidenceModel, models: Iterable[SyntheticConfidenceModel]
-) -> None:
-    """Refuse any of ``models`` that differs from ``base`` beyond ``sigma``:
-    a draw of ``base`` finishes only at its own distortion levels."""
-    for model in models:
-        if distort(model, base.sigma) != base:
-            raise ValueError(f"{model} differs from {base} beyond sigma")
-
-
 def confidence_blocks(
-    models: Sequence[SyntheticConfidenceModel],
+    base: SyntheticConfidenceModel,
+    sigmas: Sequence[float],
     n_tokens: int,
     rng: np.random.Generator,
     spans: Iterable[int],
 ) -> Iterator[np.ndarray]:
-    """One draw of ``n_tokens`` tokens' confidences at each of ``models``
-    (which may differ only in ``sigma``) as layer-major (layers, span)
-    blocks: for each of ``spans``, token counts summing to ``n_tokens``,
-    one block per model.  The layer noise is drawn a span at a time,
-    which gives the bits of one (n_tokens, layers) draw."""
-    base = models[0]
-    check_distortion_levels(base, models)
+    """One draw of ``n_tokens`` tokens of ``base``, its confidences at
+    each of ``sigmas`` as layer-major (layers, span) blocks: for each of
+    ``spans``, token counts summing to ``n_tokens``, one block per level.
+    ``base``'s own ``sigma`` is never read, as the draw holds none.  The
+    layer noise is drawn a span at a time, which gives the bits of one
+    (n_tokens, layers) draw."""
+    models = [distort(base, sigma) for sigma in sigmas]
     variates = _token_variates(base, n_tokens, rng)
     lo = 0
     for span in spans:

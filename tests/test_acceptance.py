@@ -21,7 +21,6 @@ from exitsim import (
     SyntheticConfidenceModel,
     SyntheticExample,
     TraceFormatError,
-    distort,
     init_cascade,
     read_traces,
     regret_bound,
@@ -72,9 +71,9 @@ def ucb_run():
     params = RewardParams(n_layers=model.n_layers)
     started = time.monotonic()
     log = ListSink()
-    cell = AdaptiveCell(actions, params, log)
-    run_lockstep(model, [(model, [cell])], 1.0, HORIZON, 20)
-    oracle = shared_oracles([model], actions, [params], samples=200_000)[0][0]
+    cell = AdaptiveCell(actions, params, 0.0, log)
+    run_lockstep(model, [cell], 1.0, HORIZON, 20)
+    oracle = shared_oracles(model, [0.0], actions, [params], samples=200_000)[0][0]
     elapsed = time.monotonic() - started
     return log, oracle, params, elapsed
 
@@ -315,19 +314,17 @@ def test_criterion_10_distortion_adaptation():
     tokens = 200_000
     started = time.monotonic()
     sigmas = (1.0, 2.0)
-    groups = [
-        (distort(base, sigma), [AdaptiveCell(arms, params) for arms in (adaptive, fixed)])
+    cells = [
+        [AdaptiveCell(arms, params, sigma) for arms in (adaptive, fixed)]
         for sigma in sigmas
     ]
-    run_lockstep(base, groups, 1.0, tokens, 20)
+    run_lockstep(base, [cell for pair in cells for cell in pair], 1.0, tokens, 20)
     margins = {}
-    for sigma, (_, cells) in zip(sigmas, groups):
-        adaptive_reward, fixed_reward = (c.metrics()["mean_reward"] for c in cells)
+    for sigma, pair in zip(sigmas, cells):
+        adaptive_reward, fixed_reward = (c.metrics()["mean_reward"] for c in pair)
         margins[sigma] = adaptive_reward - fixed_reward
-    best_clean = shared_oracles([base], adaptive, [params])[0][0].best_threshold
-    best_noisy = shared_oracles(
-        [distort(base, 2.0)], adaptive, [params]
-    )[0][0].best_threshold
+    best_clean = shared_oracles(base, [0.0], adaptive, [params])[0][0].best_threshold
+    best_noisy = shared_oracles(base, [2.0], adaptive, [params])[0][0].best_threshold
     elapsed = time.monotonic() - started
     ok = (
         all(m >= 0.0 for m in margins.values())

@@ -318,7 +318,7 @@ def _initialized(actions, image, params, sink=None):
     per arm, which its initialization spends."""
     targets = np.zeros(len(image), dtype=np.int64)
     batch = TraceBatch(image.confidences, image.token_ids, targets)
-    cell = AdaptiveCell(actions, params, sink)
+    cell = AdaptiveCell(actions, params, 0.0, sink)
     cell.play(batch, 1.0, len(actions), len(image), eos_id=0)
     return cell
 
@@ -383,8 +383,8 @@ def test_initialize_single_arm_consumes_one_trace():
 def _drive(model, actions, params, budget, max_len, gamma=1.0, base=None):
     """One cell with a ``ListSink`` played on ``model``'s images, drawn
     from ``base``."""
-    cell = AdaptiveCell(actions, params, ListSink())
-    run_lockstep(base or model, [(model, [cell])], gamma, budget, max_len)
+    cell = AdaptiveCell(actions, params, model.sigma, ListSink())
+    run_lockstep(base or model, [cell], gamma, budget, max_len)
     return cell
 
 
@@ -410,58 +410,51 @@ def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
     draws = []
     monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
     model = SyntheticConfidenceModel()
-    cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=model.n_layers))
+    cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=model.n_layers), 0.0)
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_len must be >= 1"):
-            run_lockstep(model, [(model, [cell])], 1.0, 50, cap)
+            run_lockstep(model, [cell], 1.0, 50, cap)
     assert draws == [] and cell.state is None
 
 
-def test_adaptive_run_rejects_a_caption_cap_below_the_arm_count(monkeypatch):
-    # Initialization plays arm k on token k of the first image, so the
-    # widest cell in any group sets the smallest cap.
+def _assert_refused_before_any_draw(monkeypatch, budget, max_len, message, sigma=0.0):
+    """``run_lockstep`` over a one-arm and a three-arm cell at sigma 0.0
+    and 2.0, plus a one-arm cell at ``sigma``, raises ValueError matching
+    ``message`` with no draw made and no cell started."""
     draws = []
     monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
     base = SyntheticConfidenceModel()
     params = RewardParams(n_layers=base.n_layers)
-    groups = [
-        (
-            distort(base, sigma),
-            [
-                AdaptiveCell(ActionSet((0.5,)), params),
-                AdaptiveCell(ActionSet((0.2, 0.5, 0.8)), params),
-            ],
-        )
-        for sigma in (0.0, 2.0)
+    cells = [
+        AdaptiveCell(actions, params, level)
+        for level in (0.0, 2.0)
+        for actions in (ActionSet((0.5,)), ActionSet((0.2, 0.5, 0.8)))
     ]
-    with pytest.raises(ValueError, match="one token per arm: 2 < 3"):
-        run_lockstep(base, groups, 1.0, 50, 2)
+    cells.append(AdaptiveCell(ActionSet((0.5,)), params, sigma))
+    with pytest.raises(ValueError, match=message):
+        run_lockstep(base, cells, 1.0, budget, max_len)
     assert draws == []
-    assert all(cell.state is None for _, cells in groups for cell in cells)
+    assert all(cell.state is None for cell in cells)
 
 
-@pytest.mark.parametrize(
-    "change",
-    [{"seed": 99}, {"eos_prob": 0.5}, {"n_layers": 6}],
-    ids=["seed", "eos-prob", "depth"],
-)
-def test_adaptive_run_rejects_a_group_model_beyond_sigma(monkeypatch, change):
-    # The stream is drawn with the base model's parameters, so a group
-    # model may differ from it only in sigma: any other difference would
-    # finish draws made for another model.
-    draws = []
-    monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
-    base = SyntheticConfidenceModel(seed=7)
-    other = SyntheticConfidenceModel(**{"seed": 7, "sigma": 1.0, **change})
-    params = RewardParams(n_layers=base.n_layers)
-    groups = [
-        (model, [AdaptiveCell(ActionSet((0.2, 0.5)), params)])
-        for model in (base, other)
-    ]
-    with pytest.raises(ValueError, match="beyond sigma"):
-        run_lockstep(base, groups, 1.0, 50, 20)
-    assert draws == []
-    assert all(cell.state is None for _, cells in groups for cell in cells)
+def test_adaptive_run_rejects_a_caption_cap_below_the_arm_count(monkeypatch):
+    # Initialization plays arm k on token k of the first image, so the
+    # widest cell at any level sets the smallest cap.
+    _assert_refused_before_any_draw(monkeypatch, 50, 2, "one token per arm: 2 < 3")
+
+
+@pytest.mark.parametrize("budget", [0, 2])
+def test_adaptive_run_rejects_a_budget_below_the_arm_count(monkeypatch, budget):
+    # Initialization alone plays one round per arm, so the widest cell
+    # sets the smallest budget; a budget equal to it stays legal.
+    message = f"one pull per arm: {budget} < 3"
+    _assert_refused_before_any_draw(monkeypatch, budget, 20, message)
+
+
+def test_adaptive_run_rejects_a_negative_sigma_on_any_cell(monkeypatch):
+    # Every level is built from the base model before the first draw.
+    message = "sigma must be >= 0, got -0.5"
+    _assert_refused_before_any_draw(monkeypatch, 50, 20, message, sigma=-0.5)
 
 
 def test_single_arm_adaptive_run_matches_fixed_threshold():
@@ -561,16 +554,16 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
     actions, params = ActionSet((1.0,)), RewardParams(n_layers=n_layers)
     refused = f"model emits 12 layers, reward params expect {n_layers}"
     batch = next(image_stream(model, model.stream_rng(0), 20))
-    cell = AdaptiveCell(actions, params)
+    cell = AdaptiveCell(actions, params, 0.0)
     with pytest.raises(ValueError, match=refused):
         cell.play(batch, 1.0, 100, 20, model.eos_id)
     assert cell.state is None
-    cell = AdaptiveCell(actions, params)
+    cell = AdaptiveCell(actions, params, 0.0)
     with pytest.raises(ValueError, match=refused):
-        run_lockstep(model, [(model, [cell])], 1.0, 100, 20)
+        run_lockstep(model, [cell], 1.0, 100, 20)
     assert cell.state is None
     with pytest.raises(ValueError, match=refused):
-        shared_oracles([model], actions, [params], samples=10)
+        shared_oracles(model, [0.0], actions, [params], samples=10)
     matched = _drive(model, actions, RewardParams(n_layers=12), 100, 20)
     assert matched.metrics()["speedup"] == 1.0
 
@@ -776,10 +769,10 @@ def test_cell_hands_each_chunk_its_rounds_in_one_call():
     model = SyntheticConfidenceModel(seed=3, eos_prob=0.0)
     calls = []
     cell = AdaptiveCell(
-        ActionSet((0.2, 0.5)), RewardParams(n_layers=model.n_layers), calls.append
+        ActionSet((0.2, 0.5)), RewardParams(n_layers=model.n_layers), 0.0, calls.append
     )
     budget = 2 + 3 * IMAGE_CHUNK * 3 - 3 + 10
-    run_lockstep(model, [(model, [cell])], 1.0, budget, 3)
+    run_lockstep(model, [cell], 1.0, budget, 3)
     chunk = IMAGE_CHUNK * 3
     assert [len(rows) for rows in calls] == [2 + chunk - 3, chunk, chunk, 10]
     rows = [row for rows in calls for row in rows]
@@ -854,7 +847,7 @@ def test_oracle_scripted_three_trace_hand_average():
 
 def test_oracle_common_random_numbers_are_reproducible():
     model = SyntheticConfidenceModel()
-    args = ([model], ActionSet.default_grid(), [RewardParams(n_layers=12)])
+    args = (model, [0.0], ActionSet.default_grid(), [RewardParams(n_layers=12)])
     a = shared_oracles(*args, samples=2000)
     b = shared_oracles(*args, samples=2000)
     assert a == b
@@ -862,17 +855,19 @@ def test_oracle_common_random_numbers_are_reproducible():
 
 def test_shared_oracles_equal_one_oracle_per_sigma_and_lambda():
     base = SyntheticConfidenceModel(seed=3)
-    models = [distort(base, sigma) for sigma in (0.0, 1.0, 2.5)]
+    sigmas = (0.0, 1.0, 2.5)
     actions = ActionSet.default_grid()
     params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 1.0, 2.0)]
     params.append(RewardParams(n_layers=12, mu=0.3))
     for samples, seed in ((3000, 17), (1, 5), (2000, None)):
         kwargs = {} if seed is None else {"seed": seed}
-        got = shared_oracles(models, actions, params, samples=samples, **kwargs)
-        assert len(got) == len(models)
-        for model, estimates in zip(models, got):
+        got = shared_oracles(base, sigmas, actions, params, samples=samples, **kwargs)
+        assert len(got) == len(sigmas)
+        for sigma, estimates in zip(sigmas, got):
             assert estimates == [
-                shared_oracles([model], actions, [p], samples=samples, **kwargs)[0][0]
+                shared_oracles(
+                    base, [sigma], actions, [p], samples=samples, **kwargs
+                )[0][0]
                 for p in params
             ]
 
@@ -881,13 +876,14 @@ def test_shared_oracles_score_the_one_shot_matrices():
     # Scored span by span, every estimate is bitwise the whole-sample
     # reference's over the blocks one span of the same draw gives.
     base = SyntheticConfidenceModel(seed=8)
-    models = [distort(base, sigma) for sigma in (0.0, 2.0)]
+    sigmas = (0.0, 2.0)
     actions = ActionSet.default_grid()
     params = [RewardParams(n_layers=12, lam=lam) for lam in (0.5, 2.0)]
     for samples in (2 * bandit._ORACLE_SPAN + 3, 50_000):
-        blocks = confidence_blocks(models, samples, np.random.default_rng(5), [samples])
+        rng = np.random.default_rng(5)
+        blocks = confidence_blocks(base, sigmas, samples, rng, [samples])
         want = [oracle_estimates(block, actions, params) for block in blocks]
-        got = shared_oracles(models, actions, params, samples=samples, seed=5)
+        got = shared_oracles(base, sigmas, actions, params, samples=samples, seed=5)
         assert got == want
 
 
@@ -917,13 +913,13 @@ def test_oracle_peak_memory_stays_under_one_matrix():
     # No (samples, layers) matrix and no whole noise block: the
     # per-sample variates and one span's blocks and temporaries.
     base = SyntheticConfidenceModel()
-    models = [distort(base, sigma) for sigma in (0.0, 2.0)]
     samples = 50_000
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         shared_oracles(
-            models, ActionSet.default_grid(), [RewardParams(12)], samples=samples
+            base, (0.0, 2.0), ActionSet.default_grid(), [RewardParams(12)],
+            samples=samples,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -955,9 +951,9 @@ def test_oracle_estimates_equal_the_per_arm_argmax_reference():
 def test_shared_oracles_validation():
     model = SyntheticConfidenceModel()
     with pytest.raises(ValueError, match="samples"):
-        shared_oracles([model], ActionSet((0.5,)), [RewardParams(12)], samples=0)
+        shared_oracles(model, [0.0], ActionSet((0.5,)), [RewardParams(12)], samples=0)
     with pytest.raises(ValueError, match="layers"):
-        shared_oracles([model], ActionSet((0.5,)), [RewardParams(6)], samples=10)
+        shared_oracles(model, [0.0], ActionSet((0.5,)), [RewardParams(6)], samples=10)
 
 
 def test_oracle_rejects_layer_mismatch():

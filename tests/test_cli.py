@@ -1094,14 +1094,15 @@ def test_bandit_regret_column_is_the_reference_curve(tmp_path_factory, capsys):
         column = [row[4] for row in read_csv_rows(out / "bandit_log.csv")[1:]]
 
         base = SyntheticConfidenceModel(seed=run["seed"])
-        model = distort(base, 0.0)
         actions = ActionSet(tuple(run["alphas"]))
         params = RewardParams(base.n_layers, lam=run["lam"])
         log = ListSink()
-        cell = AdaptiveCell(actions, params, log)
+        cell = AdaptiveCell(actions, params, 0.0, log)
         gamma, tokens, max_len = run["gamma"], run["tokens"], run["max_len"]
-        run_lockstep(base, [(model, [cell])], gamma, tokens, max_len)
-        [[oracle]] = shared_oracles([model], actions, [params], run["oracle_samples"])
+        run_lockstep(base, [cell], gamma, tokens, max_len)
+        [[oracle]] = shared_oracles(
+            base, [0.0], actions, [params], run["oracle_samples"]
+        )
         curve = regret_curve(log, oracle).tolist()
         assert column == [repr(x) for x in curve]
         assert read_summary(out, "bandit_summary.json")["pseudo_regret"] == curve[-1]
@@ -1114,7 +1115,7 @@ def test_bandit_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, capsy
     # reached the temporary CSV: nothing lands in --out-dir.
     cell_type = cli.AdaptiveCell
 
-    def cell_with_a_failing_sink(actions, params, sink=None):
+    def cell_with_a_failing_sink(actions, params, sigma, sink=None):
         calls = []
 
         def failing(rows):
@@ -1125,7 +1126,7 @@ def test_bandit_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, capsy
             calls.append(len(rows))
             sink(rows)
 
-        return cell_type(actions, params, failing)
+        return cell_type(actions, params, sigma, failing)
 
     monkeypatch.setattr(cli, "AdaptiveCell", cell_with_a_failing_sink)
     argv = ["bandit", "--tokens", "2000", "--oracle-samples", "500", "--max-len", "12"]
@@ -1216,7 +1217,8 @@ def test_lambda_sweep_structure(tmp_path, capsys):
 
 def test_lockstep_cells_match_independent_runs():
     for case in (
-        "mid-chunk", "off-grid-fixed-arm", "max-len-equals-arms", "chunk-boundary"
+        "mid-chunk", "off-grid-fixed-arm", "max-len-equals-arms", "chunk-boundary",
+        "interleaved-levels",
     ):
         _check_lockstep_case(case)
 
@@ -1230,7 +1232,9 @@ def _check_lockstep_case(case):
     # whole first image.  chunk-boundary: without eos every caption runs
     # to the cap, so the adaptive cells' budget ends on the last token of
     # chunk 2 (the fixed cells, with one arm to initialize, go on into
-    # chunk 3).
+    # chunk 3).  interleaved-levels: the cells' levels alternate, and one
+    # spells 0.0 as the integer 0; each cell must end where a lockstep
+    # over it alone ends.
     base = SyntheticConfidenceModel(seed=5)
     grid = (0.2, 0.5, 0.8, 1.0)
     policies = (ActionSet((0.6,)), ActionSet(grid))
@@ -1245,24 +1249,29 @@ def _check_lockstep_case(case):
         # Image 0 initializes; images 1 .. 2 * IMAGE_CHUNK - 1 caption.
         budget = len(grid) + (2 * IMAGE_CHUNK - 1) * max_len
     params = RewardParams(n_layers=base.n_layers, lam=0.7)
-    groups = [
-        (distort(base, sigma), [AdaptiveCell(actions, params) for actions in policies])
-        for sigma in (0.0, 3.0)
-    ]
-    run_lockstep(base, groups, gamma, budget, max_len)
+    levels = [(actions, sigma) for sigma in (0.0, 3.0) for actions in policies]
+    if case == "interleaved-levels":
+        fixed, adaptive = policies
+        levels = [(fixed, 0), (adaptive, 3.0), (adaptive, 0.0), (fixed, 3.0)]
+    cells = [AdaptiveCell(actions, params, sigma, ListSink()) for actions, sigma in levels]
+    run_lockstep(base, cells, gamma, budget, max_len)
 
     closing_chunks = set()
-    for model, cells in groups:
-        for actions, cell in zip(policies, cells):
-            captions = assert_cell_matches_reference(
-                cell, model, gamma, max_len, budget
-            )
-            assert cell.state.t == budget
-            closing_chunks.add(captions[-1].image_id // IMAGE_CHUNK)
-            if case == "chunk-boundary" and len(actions) == len(grid):
-                last = captions[-1]
-                assert last.image_id == 2 * IMAGE_CHUNK - 1
-                assert len(last) == max_len and not last.truncated
+    for cell in cells:
+        model = distort(base, cell.sigma)
+        captions = assert_cell_matches_reference(cell, model, gamma, max_len, budget)
+        assert cell.state.t == budget
+        closing_chunks.add(captions[-1].image_id // IMAGE_CHUNK)
+        if case == "chunk-boundary" and len(cell.actions) == len(grid):
+            last = captions[-1]
+            assert last.image_id == 2 * IMAGE_CHUNK - 1
+            assert len(last) == max_len and not last.truncated
+        if case == "interleaved-levels":
+            alone = AdaptiveCell(cell.actions, params, cell.sigma, ListSink())
+            run_lockstep(base, [alone], gamma, budget, max_len)
+            aggregates = ("state", "hist", "reward_sum", "hits", "emitted", "sink")
+            for name in aggregates:
+                assert getattr(alone, name) == getattr(cell, name), name
     if case == "mid-chunk":
         assert len(closing_chunks) > 1
 
@@ -1277,9 +1286,9 @@ def test_lockstep_validates_each_finished_chunk(monkeypatch):
 
     monkeypatch.setattr(bandit, "finish_tokens", corrupt)
     base = SyntheticConfidenceModel(seed=5)
-    cells = [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers))]
+    cells = [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers), 0.0)]
     with pytest.raises(exitsim.TraceValidationError, match="token 8 layer 4"):
-        run_lockstep(base, [(base, cells)], 1.0, 50, 6)
+        run_lockstep(base, cells, 1.0, 50, 6)
     assert cells[0].state is None
 
 

@@ -97,20 +97,20 @@ def test_lockstep_cells_match_the_scalar_reference(case):
     params = RewardParams(n_layers=base.n_layers, mu=case["mu"], lam=case["lam"])
     gamma, max_len, budget = case["gamma"], case["max_len"], case["budget"]
 
-    def cells():
+    def cells(sigma):
         log = ListSink() if case["keep_log"] else None
         # The drawn grid, and a fixed threshold on its first arm.
         return [
-            AdaptiveCell(actions, params, log),
-            AdaptiveCell(ActionSet(case["alphas"][:1]), params),
+            AdaptiveCell(actions, params, sigma, log),
+            AdaptiveCell(ActionSet(case["alphas"][:1]), params, sigma),
         ]
 
-    groups = [(distort(base, sigma), cells()) for sigma in case["sigmas"]]
-    run_lockstep(base, groups, gamma, budget, max_len)
-    for model, group in groups:
-        for cell in group:
-            assert_cell_matches_reference(cell, model, gamma, max_len, budget)
-            assert cell.state.t == budget
+    played = [cell for sigma in case["sigmas"] for cell in cells(sigma)]
+    run_lockstep(base, played, gamma, budget, max_len)
+    for cell in played:
+        model = distort(base, cell.sigma)
+        assert_cell_matches_reference(cell, model, gamma, max_len, budget)
+        assert cell.state.t == budget
 
 
 @st.composite

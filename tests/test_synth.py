@@ -26,7 +26,13 @@ from exitsim import (
 )
 from exitsim.bandit import _ORACLE_SPAN, _pairwise_spans
 from exitsim.cli import main as cli_main
-from exitsim.synth import _MATRIX_SPAN, NO_TARGET, _sigmoid, confidence_blocks
+from exitsim.synth import (
+    _MATRIX_SPAN,
+    NO_TARGET,
+    _sigmoid,
+    check_sigma,
+    confidence_blocks,
+)
 
 from reference import (
     TokenTrace,
@@ -252,17 +258,12 @@ def test_finished_confidences_stay_in_the_unit_interval():
 
 def test_confidence_matrices_share_one_draw():
     base = SyntheticConfidenceModel(seed=4)
-    models = [distort(base, sigma) for sigma in (2.0, 0.0, 0.5)]
-    got = list(confidence_blocks(models, 300, np.random.default_rng(9), [300]))
-    for model, block in zip(models, got, strict=True):
-        want = model.confidence_matrix(300, np.random.default_rng(9))
+    sigmas = (2.0, 0.0, 0.5)
+    got = list(confidence_blocks(base, sigmas, 300, np.random.default_rng(9), [300]))
+    for sigma, block in zip(sigmas, got, strict=True):
+        want = distort(base, sigma).confidence_matrix(300, np.random.default_rng(9))
         assert block.shape == (base.n_layers, 300)
         assert block.tobytes() == want.T.tobytes()
-    with pytest.raises(ValueError, match="beyond sigma"):
-        next(confidence_blocks(
-            [base, dataclasses.replace(base, growth=2.0)], 10,
-            np.random.default_rng(0), [10],
-        ))
 
 
 @pytest.mark.parametrize(
@@ -273,16 +274,15 @@ def test_blocked_confidence_matrices_equal_one_shot_blocks(n):
     # blocks, and the generator ends in the one-span draw's state.
     base = SyntheticConfidenceModel(seed=6)
     for sigmas in ((1.5,), (0.0, 3.0)):
-        models = [distort(base, sigma) for sigma in sigmas]
         whole_rng = np.random.default_rng(n)
-        whole = list(confidence_blocks(models, n, whole_rng, [n]))
+        whole = list(confidence_blocks(base, sigmas, n, whole_rng, [n]))
         for spans in (list(_pairwise_spans(n)), [1000] * (n // 1000) + [n % 1000]):
             spans = [span for span in spans if span]
             rng = np.random.default_rng(n)
-            got = list(confidence_blocks(models, n, rng, spans))
-            assert len(got) == len(spans) * len(models)
+            got = list(confidence_blocks(base, sigmas, n, rng, spans))
+            assert len(got) == len(spans) * len(sigmas)
             for i, want in enumerate(whole):
-                block = np.concatenate(got[i :: len(models)], axis=1)
+                block = np.concatenate(got[i :: len(sigmas)], axis=1)
                 assert block.tobytes() == want.tobytes()
             assert rng.bit_generator.state == whole_rng.bit_generator.state
 
@@ -293,7 +293,7 @@ def test_blocked_confidence_matrices_equal_one_shot_blocks(n):
 def test_confidence_matrix_is_the_one_span_block_filled_span_by_span(n):
     model = SyntheticConfidenceModel(seed=6, sigma=1.5)
     whole_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
-    (want,) = confidence_blocks([model], n, whole_rng, [n])
+    (want,) = confidence_blocks(model, [model.sigma], n, whole_rng, [n])
     got = model.confidence_matrix(n, rng)
     assert got.flags.c_contiguous and got.shape == (n, model.n_layers)
     assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
@@ -358,6 +358,20 @@ def test_distort_changes_only_sigma():
     assert distort(model, model.sigma) == model
     with pytest.raises(ValueError):
         distort(model, -0.5)
+
+
+def test_check_sigma_is_the_model_rule():
+    for sigma in (0.0, -0.0, 0, 3.5):
+        check_sigma(sigma)
+        SyntheticConfidenceModel(sigma=sigma)
+    for sigma, message in (
+        (-0.5, "sigma must be >= 0, got -0.5"),
+        (float("nan"), "sigma must be finite, got nan"),
+        (float("-inf"), "sigma must be finite, got -inf"),
+    ):
+        for check in (check_sigma, lambda s: SyntheticConfidenceModel(sigma=s)):
+            with pytest.raises(ValueError, match=message):
+                check(sigma)
 
 
 @settings(max_examples=25, deadline=None)
