@@ -48,7 +48,7 @@ def oracle_landscapes(base, actions, params, samples):
 
 def committed_speedup(base, tokens):
     print("== committed fixed-0.6 speedup (sigma=0) ==")
-    conf = base.confidence_matrix(tokens, base.stream_rng(0))
+    conf = base.confidence_matrix(0.0, tokens, base.stream_rng(0))
     idx = exit_layer_indices(conf, 0.6)
     counts = np.bincount(idx, minlength=base.n_layers).tolist()
     print(f"COMMITTED_SPEEDUP_06 = {speedup_ratio(counts)!r}  ({tokens} tokens)")

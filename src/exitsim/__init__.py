@@ -27,7 +27,6 @@ from .synth import (
     TraceBatch,
     TraceFileHeader,
     TraceFormatError,
-    distort,
     draw_tokens,
     finish_tokens,
     read_traces,

@@ -21,9 +21,9 @@ from .synth import (
     IMAGE_CHUNK,
     SyntheticConfidenceModel,
     TraceBatch,
+    check_sigma,
     check_traces,
     confidence_blocks,
-    distort,
     draw_tokens,
     finish_tokens,
 )
@@ -388,13 +388,26 @@ class AdaptiveCell:
         }
 
 
-def check_max_len(max_len: int, arms: int) -> None:
-    """Refuse images too short to initialize ``arms`` arms: initialization
-    plays arm k on token k of the first image."""
+def check_run(
+    arms: int, sigmas: Iterable[float], gamma: float, tokens: int, max_len: int
+) -> None:
+    """The one rule of an adaptive run whose widest cell has ``arms`` arms.
+    Initialization plays arm k on token k of the first image, so
+    ``max_len`` must cover ``arms``, and ``tokens`` must cover them and
+    one round after; ``gamma`` must pass ``check_gamma`` and every level
+    of ``sigmas`` ``check_sigma``.  Raises ValueError otherwise."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if max_len < arms:
         raise ValueError(f"max_len must cover one token per arm: {max_len} < {arms}")
+    if tokens <= arms:
+        raise ValueError(
+            f"tokens must cover one pull per arm and one round after: "
+            f"{tokens} <= {arms}"
+        )
+    check_gamma(gamma)
+    for sigma in sigmas:
+        check_sigma(sigma)
 
 
 def run_lockstep(
@@ -408,40 +421,34 @@ def run_lockstep(
     until each has played ``tokens`` rounds.
 
     The stream is drawn once from ``base``, ``IMAGE_CHUNK`` images at a
-    time; ``base``'s own ``sigma`` is never read, as the draw holds none.
-    Each chunk is finished and validated once per distortion level of a
-    cell still under budget (``distort(base, cell.sigma)``, equal levels
-    grouped in first-seen order) and fed to each such cell of that level.
-    So every cell sees the images a run of its own over the stream would,
-    whatever its policy.  Accuracy is scored against the targets of
-    those images.
+    time.  Each chunk is finished and validated once per distortion level
+    of a cell still under budget (``cell.sigma``, equal levels grouped in
+    first-seen order) and fed to each such cell of that level.  So every
+    cell sees the images a run of its own over the stream would, whatever
+    its policy.  Accuracy is scored against the targets of those images.
 
-    Initialization plays arm k on token k of the first image, so a
-    ``max_len`` or ``tokens`` below any cell's arm count raises
-    ValueError before the first draw, and so does a cell's negative
-    ``sigma``.  A cell whose reward schedule's depth differs from its
-    model's raises ValueError on the first chunk, before any round.
+    A run that ``check_run`` refuses, for the widest cell's arm count and
+    every cell's level, raises ValueError before the first draw.  A cell
+    whose reward schedule's depth differs from ``base``'s raises
+    ValueError on the first chunk, before any round.
     """
-    arms = max((len(cell.actions) for cell in cells), default=1)
-    check_max_len(max_len, arms)
-    if tokens < arms:
-        raise ValueError(f"tokens must cover one pull per arm: {tokens} < {arms}")
     levels = {}
     for cell in cells:
         levels.setdefault(cell.sigma, []).append(cell)
-    groups = [(distort(base, sigma), group) for sigma, group in levels.items()]
+    arms = max((len(cell.actions) for cell in cells), default=1)
+    check_run(arms, levels, gamma, tokens, max_len)
     rng = base.stream_rng(0)
     start_id = 0
     while not all(cell.done(tokens) for cell in cells):
         draws = draw_tokens(base, max_len, rng, IMAGE_CHUNK)
-        for model, group in groups:
+        for sigma, group in levels.items():
             playing = [cell for cell in group if not cell.done(tokens)]
             if playing:
-                batch = finish_tokens(model, draws)
+                batch = finish_tokens(base, sigma, draws)
                 label = f"images {start_id}-{start_id + IMAGE_CHUNK - 1}"
-                check_traces(label, batch, model.vocab_size)
+                check_traces(label, batch, base.vocab_size)
                 for cell in playing:
-                    cell.play(batch, gamma, tokens, max_len, model.eos_id)
+                    cell.play(batch, gamma, tokens, max_len, base.eos_id)
         start_id += IMAGE_CHUNK
 
 
@@ -481,7 +488,7 @@ def shared_oracles(
     ``params[j]``.  All of them share one draw of the oracle's variates
     (common random numbers), so arm comparisons are paired and the argmax
     is stable at moderate sample counts; the seed is deliberately
-    independent of run seeds, and ``base``'s own ``sigma`` is never read.
+    independent of run seeds.
     No (samples, layers) matrix is held: the samples are drawn and scored
     one ``_pairwise_spans`` span at a time.
     """

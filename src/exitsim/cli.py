@@ -34,8 +34,7 @@ from .bandit import (
     BanditError,
     OracleEstimate,
     RewardParams,
-    check_gamma,
-    check_max_len,
+    check_run,
     regret_bound,
     run_lockstep,
     shared_oracles,
@@ -271,7 +270,8 @@ GEN_TRACES_SCHEMA = {
 def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
     with _configuring(config, "n_images", "max_len"):
         _check_out_name(args, config, "out")
-        model = SyntheticConfidenceModel(seed=config["seed"], sigma=config["sigma"])
+        check_sigma(config["sigma"])
+    model = SyntheticConfidenceModel(seed=config["seed"])
     rng = model.stream_rng(0)
     max_len, n_images = config["max_len"], config["n_images"]
 
@@ -280,7 +280,8 @@ def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
         # last chunk holds the images a full one would.
         for lo in range(0, n_images, IMAGE_CHUNK):
             ids = range(lo, min(lo + IMAGE_CHUNK, n_images))
-            batch = finish_tokens(model, draw_tokens(model, max_len, rng, len(ids)))
+            draws = draw_tokens(model, max_len, rng, len(ids))
+            batch = finish_tokens(model, config["sigma"], draws)
             offsets = np.arange(len(ids) + 1) * max_len
             yield dataclasses.replace(batch, image_ids=ids, offsets=offsets)
 
@@ -386,18 +387,9 @@ def _run_adaptive(
         _check_distinct("lambdas", lams)
         grid = ActionSet(tuple(config["alphas"]))
         actions = {name: ActionSet(tuple(a)) for name, a in policies.items()}
-        # Initialization pulls every arm once, on the first image's
-        # tokens, and at least one round must follow.
         arms = max(len(a) for a in actions.values())
-        if config["tokens"] <= arms:
-            raise ConfigError(
-                f"tokens must cover one pull per arm and one round after: "
-                f"{config['tokens']} <= {arms}"
-            )
-        check_max_len(config["max_len"], arms)
+        check_run(arms, sigmas, config["gamma"], config["tokens"], config["max_len"])
         base = SyntheticConfidenceModel(seed=config["seed"])
-        for sigma in sigmas:
-            check_sigma(sigma)
         shapes = [RewardParams(base.n_layers, config["mu"], lam) for lam in lams]
         # Every reported sum adds at most this many rewards, each within
         # one reward range of the others.
@@ -409,7 +401,6 @@ def _run_adaptive(
                     f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
                     f"rewards in [{lo!r}, {hi!r}] is not finite"
                 )
-        check_gamma(config["gamma"])
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
     oracles = shared_oracles(base, sigmas, grid, shapes, config["oracle_samples"])

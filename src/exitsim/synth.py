@@ -72,10 +72,11 @@ class SyntheticConfidenceModel:
     Layer i's score starts at growth * (i - d) for a difficulty d drawn
     uniformly from [difficulty_low, difficulty_high].  A clean_fraction
     of tokens refine indefinitely; the rest stall at a ceiling whose
-    logit is gaussian around logit(ceiling_center).  Distortion sigma
-    subtracts base_drop_rate * sigma from every layer's score and an
-    extra ceiling_drop_rate * sigma from the ceilings.  Confidence is
-    the logistic squash of the capped, shifted, noise-jittered score.
+    logit is gaussian around logit(ceiling_center).  A distortion level
+    sigma, an argument of the finishing step and not a field, subtracts
+    base_drop_rate * sigma from every layer's score and an extra
+    ceiling_drop_rate * sigma from the ceilings.  Confidence is the
+    logistic squash of the capped, shifted, noise-jittered score.
 
     Each layer also emits a token id: the true target with probability
     equal to that layer's confidence (one shared uniform per token, so
@@ -95,7 +96,6 @@ class SyntheticConfidenceModel:
     ceiling_spread: float = 0.35
     ceiling_drop_rate: float = 0.6
     base_drop_rate: float = 0.25
-    sigma: float = 0.0
     eos_prob: float = 0.08
     eos_id: int = 0
     seed: int = DEFAULT_SEED
@@ -132,7 +132,6 @@ class SyntheticConfidenceModel:
             )
         if self.ceiling_drop_rate < 0 or self.base_drop_rate < 0:
             raise ValueError("distortion drop rates must be >= 0")
-        check_sigma(self.sigma)
         if not 0.0 <= self.eos_prob <= 1.0:
             raise ValueError(f"eos_prob {self.eos_prob} outside [0, 1]")
         if not 0 <= self.eos_id < self.vocab_size:
@@ -144,17 +143,20 @@ class SyntheticConfidenceModel:
         """Independent deterministic stream derived from the model seed."""
         return np.random.default_rng((self.seed, offset))
 
-    def confidence_matrix(self, n_tokens: int, rng: np.random.Generator) -> np.ndarray:
+    def confidence_matrix(
+        self, sigma: float, n_tokens: int, rng: np.random.Generator
+    ) -> np.ndarray:
         """Sample a C-contiguous (n_tokens, n_layers) matrix of confidences
-        only: ``confidence_blocks`` of ``_MATRIX_SPAN`` tokens, each
-        transposed into place, which gives the bits of one span."""
+        only, at distortion level ``sigma``: ``confidence_blocks`` of
+        ``_MATRIX_SPAN`` tokens, each transposed into place, which gives
+        the bits of one span."""
         spans = [
             min(_MATRIX_SPAN, n_tokens - lo) for lo in range(0, n_tokens, _MATRIX_SPAN)
         ]
         # A count below 1 is refused by the draw, at the first block.
         out = np.empty((max(n_tokens, 0), self.n_layers))
         lo = 0
-        blocks = confidence_blocks(self, [self.sigma], n_tokens, rng, spans)
+        blocks = confidence_blocks(self, [sigma], n_tokens, rng, spans)
         for block, span in zip(blocks, spans):
             out[lo : lo + span] = block.T
             lo += span
@@ -169,17 +171,11 @@ def check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
 
 
-def distort(model: SyntheticConfidenceModel, sigma: float) -> SyntheticConfidenceModel:
-    """Copy of ``model`` at a new distortion level, all else unchanged."""
-    return dataclasses.replace(model, sigma=sigma)
-
-
 class TokenDraws(NamedTuple):
     """The stream's random variates for a block of tokens, one row each.
 
     Nothing here depends on the distortion level ``sigma``, so one draw
-    can be finished (``finish_tokens``) at any number of levels of the
-    model it was drawn from.
+    can be finished (``finish_tokens``) at any number of levels.
     """
 
     difficulty: np.ndarray  # (n,) uniform on [difficulty_low, difficulty_high]
@@ -246,30 +242,30 @@ def confidence_blocks(
     """One draw of ``n_tokens`` tokens of ``base``, its confidences at
     each of ``sigmas`` as layer-major (layers, span) blocks: for each of
     ``spans``, token counts summing to ``n_tokens``, one block per level.
-    ``base``'s own ``sigma`` is never read, as the draw holds none.  The
-    layer noise is drawn a span at a time, which gives the bits of one
+    The layer noise is drawn a span at a time, which gives the bits of one
     (n_tokens, layers) draw."""
-    models = [distort(base, sigma) for sigma in sigmas]
     variates = _token_variates(base, n_tokens, rng)
     lo = 0
     for span in spans:
         rows = [v[lo : lo + span] for v in variates]
         noise = rng.normal(0.0, base.noise_scale, (span, base.n_layers))
-        for model in models:
-            yield _confidences(model, *rows, noise)
+        for sigma in sigmas:
+            yield _confidences(base, sigma, *rows, noise)
         lo += span
 
 
 def _confidences(
     model: SyntheticConfidenceModel,
+    sigma: float,
     difficulty: np.ndarray,
     clean: np.ndarray,
     ceiling_jitter: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
     """The confidences of drawn tokens (``TokenDraws``' first four fields)
-    at ``model``'s distortion level, as a fresh layer-major (layers,
-    tokens) block."""
+    at distortion level ``sigma``, which ``check_sigma`` must pass, as a
+    fresh layer-major (layers, tokens) block."""
+    check_sigma(sigma)
     layer_index = np.arange(1, model.n_layers + 1, dtype=float)
     rise = np.subtract.outer(layer_index, difficulty)
     rise *= model.growth
@@ -277,11 +273,11 @@ def _confidences(
     ceiling = (
         center_logit
         + model.ceiling_spread * ceiling_jitter
-        - model.sigma * model.ceiling_drop_rate
+        - sigma * model.ceiling_drop_rate
     )
     ceiling = np.where(clean, np.inf, ceiling)
     z = np.minimum(rise, ceiling[None, :], out=rise)
-    z -= model.sigma * model.base_drop_rate
+    z -= sigma * model.base_drop_rate
     z += noise.T
     return _sigmoid(z)
 
@@ -303,8 +299,10 @@ class TraceBatch:
         return self.confidences.shape[0]
 
 
-def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBatch:
-    """Turn drawn variates into tokens at ``model``'s distortion level.
+def finish_tokens(
+    model: SyntheticConfidenceModel, sigma: float, draws: TokenDraws
+) -> TraceBatch:
+    """Turn drawn variates into tokens at distortion level ``sigma``.
 
     Every step is elementwise per row, so finishing a stack of blocks
     gives the rows that finishing each block alone would.  Per-layer
@@ -314,7 +312,7 @@ def finish_tokens(model: SyntheticConfidenceModel, draws: TokenDraws) -> TraceBa
     never use the eos id, keeping caption lengths governed by
     ``eos_prob`` alone.
     """
-    conf = np.ascontiguousarray(_confidences(model, *draws[:4]).T)
+    conf = np.ascontiguousarray(_confidences(model, sigma, *draws[:4]).T)
     v = model.vocab_size
     targets = np.where(draws.is_eos, model.eos_id, draws.nominal)
     collide = draws.wrong == targets

@@ -116,16 +116,17 @@ def reference_adaptive_run(images, actions, params, gamma, max_len, eos_id, budg
     return captions, log, state
 
 
-def assert_cell_matches_reference(cell, model, gamma, max_len, budget):
-    """Check an ``AdaptiveCell`` played on ``model``'s stream against
-    ``reference_adaptive_run`` over ``image_stream(model)``: state, exit
-    histogram, left-to-right reward sum, hits, emitted count, and the
-    rounds when the cell's sink is a ``ListSink``.  Returns the reference captions."""
+def assert_cell_matches_reference(cell, base, sigma, gamma, max_len, budget):
+    """Check an ``AdaptiveCell`` played on ``base``'s stream at level
+    ``sigma`` against ``reference_adaptive_run`` over ``image_stream(base,
+    sigma)``: state, exit histogram, left-to-right reward sum, hits,
+    emitted count, and the rounds when the cell's sink is a ``ListSink``.
+    Returns the reference captions."""
     images = {}
-    stream = image_stream(model, model.stream_rng(0), max_len)
+    stream = image_stream(base, sigma, base.stream_rng(0), max_len)
     captions, log, state = reference_adaptive_run(
         (images.setdefault(image.image_ids[0], image) for image in stream),
-        cell.actions, cell.params, gamma, max_len, model.eos_id, budget,
+        cell.actions, cell.params, gamma, max_len, base.eos_id, budget,
     )
     hist = [0] * cell.params.n_layers
     for layer in log.exit_layers:

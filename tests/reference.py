@@ -373,28 +373,31 @@ def image_records(blocks: Iterable[TraceBatch]) -> list[tuple]:
 
 
 def sample_image(
-    model: SyntheticConfidenceModel,
+    base: SyntheticConfidenceModel,
+    sigma: float,
     rng: np.random.Generator,
     max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
     image_id: int | str = 0,
 ) -> TraceBatch:
     """Draw one image: ``max_len`` token positions with targets, the
-    image the stream holds at that point of ``rng``."""
-    batch = finish_tokens(model, draw_tokens(model, max_len, rng))
+    image the stream holds at that point of ``rng``, at level ``sigma``."""
+    batch = finish_tokens(base, sigma, draw_tokens(base, max_len, rng))
     return dataclasses.replace(
         batch, image_ids=(image_id,), offsets=np.array([0, max_len])
     )
 
 
 def image_stream(
-    model: SyntheticConfidenceModel,
+    base: SyntheticConfidenceModel,
+    sigma: float,
     rng: np.random.Generator,
     max_len: int = DEFAULT_MAX_CAPTION_LENGTH,
 ) -> Iterator[TraceBatch]:
-    """Endless stream of one-image batches with ids 0, 1, 2, ..., drawn
-    one image at a time: the images the product draws a chunk at a time."""
+    """Endless stream of one-image batches with ids 0, 1, 2, ... at level
+    ``sigma``, drawn one image at a time: the images the product draws a
+    chunk at a time."""
     for image_id in count():
-        yield sample_image(model, rng, max_len, image_id)
+        yield sample_image(base, sigma, rng, max_len, image_id)
 
 
 def read_header(path: str) -> TraceFileHeader:

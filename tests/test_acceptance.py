@@ -158,7 +158,7 @@ def test_criterion_04_exit_rule_matches_brute_force():
 
 def test_criterion_05_threshold_monotonicity(tmp_path):
     model = SyntheticConfidenceModel()
-    conf = model.confidence_matrix(10_000, model.stream_rng(1))
+    conf = model.confidence_matrix(0.0, 10_000, model.stream_rng(1))
     grid = ActionSet.default_grid().thresholds
     layers = np.stack([exit_layer_indices(conf, a) for a in grid])
     per_token_monotone = bool(np.all(np.diff(layers, axis=0) >= 0))
@@ -346,7 +346,7 @@ def test_criterion_10_distortion_adaptation():
 
 def test_criterion_11_calibration_bracket():
     model = SyntheticConfidenceModel()
-    conf = model.confidence_matrix(200_000, model.stream_rng(0))
+    conf = model.confidence_matrix(0.0, 200_000, model.stream_rng(0))
     idx = exit_layer_indices(conf, 0.6)
     value = speedup_ratio(np.bincount(idx, minlength=model.n_layers).tolist())
     # the vectorized rule must agree with decide_exit on a slice
@@ -371,7 +371,7 @@ def test_criterion_11_calibration_bracket():
 def test_criterion_12_serialization_round_trips(tmp_path):
     model = SyntheticConfidenceModel()
     images = [
-        sample_image(model, model.stream_rng(0), max_len=4, image_id=i)
+        sample_image(model, 0.0, model.stream_rng(0), max_len=4, image_id=i)
         for i in range(10)
     ]
     trace_path = str(tmp_path / "traces.txt")

@@ -26,7 +26,6 @@ from exitsim import (
     SyntheticConfidenceModel,
     TraceBatch,
     regret_bound,
-    distort,
     run_lockstep,
     shared_oracles,
 )
@@ -288,7 +287,14 @@ NAN = float("nan")
             lambda: regret_bound(OracleEstimate((0.5,), (0.0,), 1), 10, NAN),
             id="regret-bound-gamma-nan",
         ),
-        pytest.param(lambda: SyntheticConfidenceModel(sigma=NAN), id="sigma-nan"),
+        pytest.param(
+            lambda: run_lockstep(
+                SyntheticConfidenceModel(),
+                [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=12), NAN)],
+                1.0, 10, 20,
+            ),
+            id="sigma-nan",
+        ),
         pytest.param(lambda: SyntheticConfidenceModel(growth=NAN), id="growth-nan"),
         pytest.param(
             lambda: SyntheticConfidenceModel(noise_scale=NAN), id="noise-scale-nan"
@@ -380,11 +386,11 @@ def test_initialize_single_arm_consumes_one_trace():
 # The adaptive driver: AdaptiveCell and run_lockstep
 
 
-def _drive(model, actions, params, budget, max_len, gamma=1.0, base=None):
-    """One cell with a ``ListSink`` played on ``model``'s images, drawn
-    from ``base``."""
-    cell = AdaptiveCell(actions, params, model.sigma, ListSink())
-    run_lockstep(base or model, [cell], gamma, budget, max_len)
+def _drive(model, actions, params, budget, max_len, gamma=1.0, sigma=0.0):
+    """One cell with a ``ListSink`` played on ``model``'s images at level
+    ``sigma``."""
+    cell = AdaptiveCell(actions, params, sigma, ListSink())
+    run_lockstep(model, [cell], gamma, budget, max_len)
     return cell
 
 
@@ -396,7 +402,7 @@ def test_adaptive_run_spends_first_image_on_initialization():
     params = RewardParams(n_layers=model.n_layers)
     cell = _drive(model, actions, params, budget=2 + 3 * 5, max_len=5)
     init_log = ListSink()
-    first = next(image_stream(model, model.stream_rng(0), 5))
+    first = next(image_stream(model, 0.0, model.stream_rng(0), 5))
     _initialized(actions, first, params, init_log)
     assert cell.sink.arms[:2] == [0.2, 0.5]
     assert cell.sink.exit_layers[:2] == init_log.exit_layers
@@ -417,10 +423,12 @@ def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
     assert draws == [] and cell.state is None
 
 
-def _assert_refused_before_any_draw(monkeypatch, budget, max_len, message, sigma=0.0):
-    """``run_lockstep`` over a one-arm and a three-arm cell at sigma 0.0
-    and 2.0, plus a one-arm cell at ``sigma``, raises ValueError matching
-    ``message`` with no draw made and no cell started."""
+def _assert_refused_before_any_draw(
+    monkeypatch, budget, max_len, message, sigma=0.0, gamma=1.0
+):
+    """``run_lockstep`` at ``gamma`` over a one-arm and a three-arm cell at
+    sigma 0.0 and 2.0, plus a one-arm cell at ``sigma``, raises ValueError
+    matching ``message`` with no draw made and no cell started."""
     draws = []
     monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
     base = SyntheticConfidenceModel()
@@ -432,7 +440,7 @@ def _assert_refused_before_any_draw(monkeypatch, budget, max_len, message, sigma
     ]
     cells.append(AdaptiveCell(ActionSet((0.5,)), params, sigma))
     with pytest.raises(ValueError, match=message):
-        run_lockstep(base, cells, 1.0, budget, max_len)
+        run_lockstep(base, cells, gamma, budget, max_len)
     assert draws == []
     assert all(cell.state is None for cell in cells)
 
@@ -443,18 +451,24 @@ def test_adaptive_run_rejects_a_caption_cap_below_the_arm_count(monkeypatch):
     _assert_refused_before_any_draw(monkeypatch, 50, 2, "one token per arm: 2 < 3")
 
 
-@pytest.mark.parametrize("budget", [0, 2])
+@pytest.mark.parametrize("budget", [0, 2, 3])
 def test_adaptive_run_rejects_a_budget_below_the_arm_count(monkeypatch, budget):
-    # Initialization alone plays one round per arm, so the widest cell
-    # sets the smallest budget; a budget equal to it stays legal.
-    message = f"one pull per arm: {budget} < 3"
+    # Initialization alone plays one round per arm and at least one round
+    # must follow, so the widest cell sets the smallest budget.
+    message = f"one pull per arm and one round after: {budget} <= 3"
     _assert_refused_before_any_draw(monkeypatch, budget, 20, message)
 
 
 def test_adaptive_run_rejects_a_negative_sigma_on_any_cell(monkeypatch):
-    # Every level is built from the base model before the first draw.
+    # Every level is checked before the first draw.
     message = "sigma must be >= 0, got -0.5"
     _assert_refused_before_any_draw(monkeypatch, 50, 20, message, sigma=-0.5)
+
+
+@pytest.mark.parametrize("gamma", [NAN, 0.5])
+def test_adaptive_run_rejects_a_bad_gamma_before_any_draw(monkeypatch, gamma):
+    message = f"gamma must be finite and >= 1, got {gamma}"
+    _assert_refused_before_any_draw(monkeypatch, 50, 20, message, gamma=gamma)
 
 
 def test_single_arm_adaptive_run_matches_fixed_threshold():
@@ -466,7 +480,7 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
         model, ActionSet((alpha,)), RewardParams(n_layers=model.n_layers),
         budget, max_len,
     )
-    images = image_stream(model, model.stream_rng(0), max_len)
+    images = image_stream(model, 0.0, model.stream_rng(0), max_len)
     first = next(images)
     layers = [decide_exit(token_traces(first)[0], alpha).exit_layer]
     hits = 0
@@ -489,13 +503,12 @@ def test_adaptive_run_matches_per_token_reference_loop():
     # exit rule, reward, update) bit for bit on a distorted finish of the
     # drawn stream, including a caption cut part-way by the token budget.
     base = SyntheticConfidenceModel(seed=5)
-    model = distort(base, 2.0)
     max_len, budget, gamma = 7, 101, 1.3
     actions = ActionSet((0.2, 0.4, 0.6, 0.8, 1.0))
-    params = RewardParams(n_layers=model.n_layers, lam=0.7)
-    cell = _drive(model, actions, params, budget, max_len, gamma, base)
+    params = RewardParams(n_layers=base.n_layers, lam=0.7)
+    cell = _drive(base, actions, params, budget, max_len, gamma, sigma=2.0)
 
-    images = image_stream(model, base.stream_rng(0), max_len)
+    images = image_stream(base, 2.0, base.stream_rng(0), max_len)
     log = ListSink()
     state = BanditState.fresh(actions, gamma)
     for alpha, trace in zip(actions.thresholds, token_traces(next(images))):
@@ -515,7 +528,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
             update(state, alpha, r)
             log.append(state.t, alpha, decision.exit_layer, r)
             caption_lengths[-1] += 1
-            if decision.token_id == model.eos_id:
+            if decision.token_id == base.eos_id:
                 break
 
     assert len(set(log.arms)) > 1
@@ -524,7 +537,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
         state.q, state.pulls, budget
     )
     assert cell.emitted == sum(caption_lengths)
-    assert decision.token_id != model.eos_id and caption_lengths[-1] < max_len
+    assert decision.token_id != base.eos_id and caption_lengths[-1] < max_len
 
 
 @pytest.mark.parametrize("budget", [23, 58, 97, 10_000])
@@ -536,7 +549,7 @@ def test_round_kernel_matches_the_run_caption_reference(budget):
     actions = ActionSet((0.3, 0.55, 0.7, 0.9))
     params = RewardParams(n_layers=model.n_layers, lam=0.8)
     cell = _drive(model, actions, params, budget, max_len, gamma)
-    captions = assert_cell_matches_reference(cell, model, gamma, max_len, budget)
+    captions = assert_cell_matches_reference(cell, model, 0.0, gamma, max_len, budget)
     assert any(c.terminated_by_eos and len(c) < max_len for c in captions)
     if budget < 10_000:
         assert cell.state.t == budget
@@ -553,7 +566,7 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
     model = SyntheticConfidenceModel(seed=7)
     actions, params = ActionSet((1.0,)), RewardParams(n_layers=n_layers)
     refused = f"model emits 12 layers, reward params expect {n_layers}"
-    batch = next(image_stream(model, model.stream_rng(0), 20))
+    batch = next(image_stream(model, 0.0, model.stream_rng(0), 20))
     cell = AdaptiveCell(actions, params, 0.0)
     with pytest.raises(ValueError, match=refused):
         cell.play(batch, 1.0, 100, 20, model.eos_id)
@@ -935,7 +948,7 @@ def test_oracle_estimates_equal_the_per_arm_argmax_reference():
     params.append(RewardParams(n_layers=12, mu=0.3))
     base = SyntheticConfidenceModel(seed=5)
     for sigma, samples in ((0.0, 3001), (2.0, 3001), (2.0, 9001)):
-        conf = distort(base, sigma).confidence_matrix(samples, np.random.default_rng(2))
+        conf = base.confidence_matrix(sigma, samples, np.random.default_rng(2))
         conf = np.array(conf, order="C")
         conf[::97, 3] = 0.5  # exact ties with a grid point
         conf[::89, 0] = 1.0

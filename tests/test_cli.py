@@ -27,7 +27,6 @@ from exitsim import (
     SyntheticConfidenceModel,
     ToyConfig,
     TraceBatch,
-    distort,
     draw_tokens,
     finish_tokens,
     init_cascade,
@@ -315,7 +314,7 @@ def test_sweep_needs_targets_and_traces(tmp_path, capsys):
     # Image 66 lies in the second block the reader yields.
     model = SyntheticConfidenceModel()
     draws = draw_tokens(model, 3, model.stream_rng(0), n_images=70)
-    batch = finish_tokens(model, draws)
+    batch = finish_tokens(model, 0.0, draws)
     targets = batch.targets.copy()
     targets[3 * 66 : 3 * 67] = NO_TARGET
     untargeted = TraceBatch(
@@ -1258,8 +1257,9 @@ def _check_lockstep_case(case):
 
     closing_chunks = set()
     for cell in cells:
-        model = distort(base, cell.sigma)
-        captions = assert_cell_matches_reference(cell, model, gamma, max_len, budget)
+        captions = assert_cell_matches_reference(
+            cell, base, cell.sigma, gamma, max_len, budget
+        )
         assert cell.state.t == budget
         closing_chunks.add(captions[-1].image_id // IMAGE_CHUNK)
         if case == "chunk-boundary" and len(cell.actions) == len(grid):
@@ -1279,8 +1279,8 @@ def _check_lockstep_case(case):
 def test_lockstep_validates_each_finished_chunk(monkeypatch):
     finish = bandit.finish_tokens
 
-    def corrupt(model, draws):
-        batch = finish(model, draws)
+    def corrupt(model, sigma, draws):
+        batch = finish(model, sigma, draws)
         batch.confidences[7, 3] = np.nan
         return batch
 
@@ -1807,7 +1807,7 @@ def fuzz_inputs(tmp_path_factory):
     and config files, good and bad."""
     root = tmp_path_factory.mktemp("fuzz_inputs")
     model = SyntheticConfidenceModel()
-    drawn = finish_tokens(model, draw_tokens(model, 4, model.stream_rng(0), 3))
+    drawn = finish_tokens(model, 0.0, draw_tokens(model, 4, model.stream_rng(0), 3))
     conf, ids, offsets = drawn.confidences, drawn.token_ids, np.arange(4) * 4
     batch = TraceBatch(conf, ids, drawn.targets, range(3), offsets)
     write_traces(str(root / "traces.txt"), [batch], model.n_layers, model.vocab_size)

@@ -30,7 +30,6 @@ from exitsim import (
     SyntheticConfidenceModel,
     SyntheticExample,
     ToyConfig,
-    distort,
     draw_tokens,
     finish_tokens,
     head_confidences,
@@ -65,7 +64,8 @@ def lockstep_cases(draw):
         "alphas": alphas,
         "gamma": draw(st.floats(1.0, 1e3)),
         "max_len": draw(st.integers(len(alphas), 8)),
-        "budget": draw(st.integers(len(alphas), 400)),
+        # Initialization spends one round per arm, and one must follow.
+        "budget": draw(st.integers(len(alphas) + 1, 400)),
         "sigmas": draw(
             st.lists(st.sampled_from(SIGMAS), min_size=1, max_size=3, unique=True)
         ),
@@ -108,8 +108,7 @@ def test_lockstep_cells_match_the_scalar_reference(case):
     played = [cell for sigma in case["sigmas"] for cell in cells(sigma)]
     run_lockstep(base, played, gamma, budget, max_len)
     for cell in played:
-        model = distort(base, cell.sigma)
-        assert_cell_matches_reference(cell, model, gamma, max_len, budget)
+        assert_cell_matches_reference(cell, base, cell.sigma, gamma, max_len, budget)
         assert cell.state.t == budget
 
 
@@ -138,9 +137,9 @@ def oracle_cases(draw):
 @given(oracle_cases())
 def test_oracle_estimates_match_the_per_arm_argmax_reference(case):
     n_layers, samples = case["n_layers"], case["samples"]
-    model = SyntheticConfidenceModel(n_layers=n_layers, sigma=case["sigma"])
+    model = SyntheticConfidenceModel(n_layers=n_layers)
     rng = np.random.default_rng(case["seed"])
-    conf = np.array(model.confidence_matrix(samples, rng), order="C")
+    conf = np.array(model.confidence_matrix(case["sigma"], samples, rng), order="C")
     tied = rng.random(conf.shape) < case["ties"]
     conf[tied] = rng.choice(GRID, int(tied.sum()))
     actions = ActionSet(case["thresholds"])
@@ -207,12 +206,12 @@ def test_exit_kernel_matches_decide_exit(case):
 )
 def test_finishing_a_stack_equals_finishing_each_block(seed, n_blocks, max_len, sigma):
     base = SyntheticConfidenceModel(seed=seed)
-    model = distort(base, sigma)
     stack = draw_tokens(base, max_len, base.stream_rng(0), n_blocks)
-    stacked = finish_tokens(model, stack)
+    stacked = finish_tokens(base, sigma, stack)
     rng = base.stream_rng(0)
     alone = [
-        finish_tokens(model, draw_tokens(base, max_len, rng)) for _ in range(n_blocks)
+        finish_tokens(base, sigma, draw_tokens(base, max_len, rng))
+        for _ in range(n_blocks)
     ]
     for field in ("confidences", "token_ids", "targets"):
         got = getattr(stacked, field)

@@ -14,14 +14,17 @@ from hypothesis import strategies as st
 
 from exitsim import (
     IMAGE_CHUNK,
+    ActionSet,
+    AdaptiveCell,
+    RewardParams,
     SyntheticConfidenceModel,
     TraceBatch,
     TraceFormatError,
     TraceValidationError,
-    distort,
     draw_tokens,
     finish_tokens,
     read_traces,
+    run_lockstep,
     write_traces,
 )
 from exitsim.bandit import _ORACLE_SPAN, _pairwise_spans
@@ -54,9 +57,9 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_traces.txt")
 CORPUS_SHA256 = "11112844a6d0eb559390d3c1768163cb79ceddb8162f31659f3293b1118ae162"
 
 
-def sample_tokens(model, n_tokens, rng):
-    """One block of ``n_tokens`` tokens, drawn and finished."""
-    return finish_tokens(model, draw_tokens(model, n_tokens, rng))
+def sample_tokens(model, n_tokens, rng, sigma=0.0):
+    """One block of ``n_tokens`` tokens, drawn and finished at ``sigma``."""
+    return finish_tokens(model, sigma, draw_tokens(model, n_tokens, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -73,30 +76,30 @@ def test_confidence_profile_is_a_step_at_extreme_growth():
         noise_scale=0.0,
         clean_fraction=1.0,
     )
-    conf = model.confidence_matrix(100, model.stream_rng(0))
+    conf = model.confidence_matrix(0.0, 100, model.stream_rng(0))
     assert np.all(conf[:, :2] < 1e-6)
     assert np.all(conf[:, 2:] > 1.0 - 1e-6)
 
 
 def test_confidences_live_in_unit_interval():
+    model = SyntheticConfidenceModel()
     for sigma in (0.0, 1.0, 5.0, 50.0):
-        model = SyntheticConfidenceModel(sigma=sigma)
-        conf = model.confidence_matrix(2000, model.stream_rng(0))
+        conf = model.confidence_matrix(sigma, 2000, model.stream_rng(0))
         assert np.all(conf >= 0.0) and np.all(conf <= 1.0)
         assert np.all(np.isfinite(conf))
 
 
 def test_depth_helps_at_zero_distortion():
     model = SyntheticConfidenceModel()
-    conf = model.confidence_matrix(10_000, model.stream_rng(0))
+    conf = model.confidence_matrix(0.0, 10_000, model.stream_rng(0))
     assert conf[:, -1].mean() > conf[:, 0].mean()
 
 
 def test_distortion_degrades_final_layer_confidence():
+    model = SyntheticConfidenceModel()
     means = []
     for sigma in (0.0, 0.5, 1.0, 2.0, 3.0):
-        model = SyntheticConfidenceModel(sigma=sigma)
-        conf = model.confidence_matrix(10_000, model.stream_rng(0))
+        conf = model.confidence_matrix(sigma, 10_000, model.stream_rng(0))
         means.append(conf[:, -1].mean())
     assert means[-1] < means[0]  # strict drop across the full range
     for lo, hi in zip(means[1:], means):
@@ -157,7 +160,7 @@ def test_sample_batch_shapes_and_dtypes():
 
 def test_sample_image_and_streams():
     model = SyntheticConfidenceModel()
-    image = sample_image(model, model.stream_rng(0), max_len=6, image_id="x")
+    image = sample_image(model, 0.0, model.stream_rng(0), max_len=6, image_id="x")
     assert image.image_ids == ("x",)
     assert len(image) == 6
     assert image.offsets.tolist() == [0, 6]
@@ -165,7 +168,8 @@ def test_sample_image_and_streams():
 
     assert image.confidences.shape == image.token_ids.shape == (6, model.n_layers)
 
-    ids = [img.image_ids for img in islice(image_stream(model, model.stream_rng(0), 4), 5)]
+    stream = image_stream(model, 0.0, model.stream_rng(0), 4)
+    ids = [img.image_ids for img in islice(stream, 5)]
     assert ids == [(i,) for i in range(5)]
 
 
@@ -175,7 +179,7 @@ def test_image_stream_chunks_match_per_image_draws(sigma, max_len, tmp_path, cap
     # gen-traces draws and finishes a chunk of images at once; each
     # image must be the one a per-image draw would give, including in
     # the last chunk, which holds fewer images.
-    model = distort(SyntheticConfidenceModel(seed=3), sigma)
+    model = SyntheticConfidenceModel(seed=3)
     n_images = 2 * IMAGE_CHUNK + 5
     argv = [
         "gen-traces", "--seed", "3", "--sigma", str(sigma), "--max-len",
@@ -186,7 +190,7 @@ def test_image_stream_chunks_match_per_image_draws(sigma, max_len, tmp_path, cap
     assert [len(b.image_ids) for b in blocks] == [IMAGE_CHUNK, IMAGE_CHUNK, 5]
     rng = model.stream_rng(0)
     for image_id, image in enumerate(split_images(blocks)):
-        batch = sample_tokens(model, max_len, rng)
+        batch = sample_tokens(model, max_len, rng, sigma)
         assert image.image_ids == (str(image_id),)
         assert np.array_equal(image.confidences, batch.confidences)
         assert np.array_equal(image.token_ids, batch.token_ids)
@@ -199,10 +203,9 @@ def test_one_draw_finishes_at_every_sigma():
     base = SyntheticConfidenceModel(seed=11)
     draws = draw_tokens(base, 6, base.stream_rng(0), n_images=3)
     for sigma in (0.0, 0.5, 2.0):
-        model = distort(base, sigma)
-        finished = finish_tokens(model, draws)
-        rng = model.stream_rng(0)
-        blocks = [sample_tokens(model, 6, rng) for _ in range(3)]
+        finished = finish_tokens(base, sigma, draws)
+        rng = base.stream_rng(0)
+        blocks = [sample_tokens(base, 6, rng, sigma) for _ in range(3)]
         assert np.array_equal(
             finished.confidences, np.concatenate([b.confidences for b in blocks])
         )
@@ -251,7 +254,7 @@ def test_finished_confidences_stay_in_the_unit_interval():
     assert np.all((got >= 0.0) & (got <= 1.0))
     draws = draw_tokens(SyntheticConfidenceModel(), 20, np.random.default_rng(1), 40)
     for sigma in (0.0, 5.0):
-        conf = finish_tokens(SyntheticConfidenceModel(sigma=sigma), draws).confidences
+        conf = finish_tokens(SyntheticConfidenceModel(), sigma, draws).confidences
         assert conf.flags.c_contiguous
         assert np.all((conf >= 0.0) & (conf <= 1.0))
 
@@ -261,7 +264,7 @@ def test_confidence_matrices_share_one_draw():
     sigmas = (2.0, 0.0, 0.5)
     got = list(confidence_blocks(base, sigmas, 300, np.random.default_rng(9), [300]))
     for sigma, block in zip(sigmas, got, strict=True):
-        want = distort(base, sigma).confidence_matrix(300, np.random.default_rng(9))
+        want = base.confidence_matrix(sigma, 300, np.random.default_rng(9))
         assert block.shape == (base.n_layers, 300)
         assert block.tobytes() == want.T.tobytes()
 
@@ -291,15 +294,15 @@ def test_blocked_confidence_matrices_equal_one_shot_blocks(n):
     "n", [1, _MATRIX_SPAN - 1, _MATRIX_SPAN, _MATRIX_SPAN + 1, 2 * _MATRIX_SPAN + 3]
 )
 def test_confidence_matrix_is_the_one_span_block_filled_span_by_span(n):
-    model = SyntheticConfidenceModel(seed=6, sigma=1.5)
+    model = SyntheticConfidenceModel(seed=6)
     whole_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
-    (want,) = confidence_blocks(model, [model.sigma], n, whole_rng, [n])
-    got = model.confidence_matrix(n, rng)
+    (want,) = confidence_blocks(model, [1.5], n, whole_rng, [n])
+    got = model.confidence_matrix(1.5, n, rng)
     assert got.flags.c_contiguous and got.shape == (n, model.n_layers)
     assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
     assert rng.bit_generator.state == whole_rng.bit_generator.state
     with pytest.raises(ValueError, match="n_tokens must be >= 1"):
-        model.confidence_matrix(-n, rng)
+        model.confidence_matrix(1.5, -n, rng)
 
 
 def test_confidence_matrix_peak_memory_stays_near_one_matrix():
@@ -310,7 +313,7 @@ def test_confidence_matrix_peak_memory_stays_near_one_matrix():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        model.confidence_matrix(n, model.stream_rng(0))
+        model.confidence_matrix(0.0, n, model.stream_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -341,35 +344,59 @@ def test_model_validation():
     with pytest.raises(ValueError):
         SyntheticConfidenceModel(ceiling_center=1.0)
     with pytest.raises(ValueError):
-        SyntheticConfidenceModel(sigma=-1.0)
-    with pytest.raises(ValueError):
         SyntheticConfidenceModel(eos_prob=1.5)
     with pytest.raises(ValueError):
         SyntheticConfidenceModel(eos_id=32)
     with pytest.raises(ValueError):
-        SyntheticConfidenceModel().confidence_matrix(0, np.random.default_rng(0))
+        SyntheticConfidenceModel().confidence_matrix(0.0, 0, np.random.default_rng(0))
 
 
-def test_distort_changes_only_sigma():
+def test_sigma_is_an_argument_not_a_model_field():
+    # A level reaches the stream only as an argument, so no model holds
+    # one and one draw finishes at any level.
+    assert "sigma" not in {f.name for f in dataclasses.fields(SyntheticConfidenceModel)}
+    with pytest.raises(TypeError):
+        SyntheticConfidenceModel(sigma=2.0)
     model = SyntheticConfidenceModel()
-    bumped = distort(model, 2.0)
-    assert bumped.sigma == 2.0
-    assert dataclasses.replace(bumped, sigma=model.sigma) == model
-    assert distort(model, model.sigma) == model
-    with pytest.raises(ValueError):
-        distort(model, -0.5)
+    draws = draw_tokens(model, 5, model.stream_rng(0), 2)
+    clean, bumped = (finish_tokens(model, s, draws) for s in (0.0, 2.0))
+    assert np.array_equal(clean.targets, bumped.targets)
+    assert not np.array_equal(clean.confidences, bumped.confidences)
+
+
+def _level_refusals():
+    """Every product entry point that takes a distortion level, as a
+    function of the level alone."""
+    model = SyntheticConfidenceModel()
+    draws = draw_tokens(model, 4, model.stream_rng(0))
+    rng = np.random.default_rng(0)
+
+    def lockstep(sigma):
+        cells = [
+            AdaptiveCell(ActionSet((0.5,)), RewardParams(model.n_layers), level)
+            for level in (0.0, sigma)
+        ]
+        run_lockstep(model, cells, 1.0, 10, 4)
+
+    return (
+        check_sigma,
+        lambda s: finish_tokens(model, s, draws),
+        lambda s: list(confidence_blocks(model, [0.0, s], 4, rng, [4])),
+        lambda s: model.confidence_matrix(s, 4, rng),
+        lockstep,
+    )
 
 
 def test_check_sigma_is_the_model_rule():
     for sigma in (0.0, -0.0, 0, 3.5):
-        check_sigma(sigma)
-        SyntheticConfidenceModel(sigma=sigma)
+        for check in _level_refusals():
+            check(sigma)
     for sigma, message in (
         (-0.5, "sigma must be >= 0, got -0.5"),
         (float("nan"), "sigma must be finite, got nan"),
         (float("-inf"), "sigma must be finite, got -inf"),
     ):
-        for check in (check_sigma, lambda s: SyntheticConfidenceModel(sigma=s)):
+        for check in _level_refusals():
             with pytest.raises(ValueError, match=message):
                 check(sigma)
 
@@ -381,8 +408,8 @@ def test_check_sigma_is_the_model_rule():
     n=st.integers(min_value=1, max_value=64),
 )
 def test_confidence_matrix_property(sigma, growth, n):
-    model = SyntheticConfidenceModel(sigma=sigma, growth=growth)
-    conf = model.confidence_matrix(n, model.stream_rng(0))
+    model = SyntheticConfidenceModel(growth=growth)
+    conf = model.confidence_matrix(sigma, n, model.stream_rng(0))
     assert conf.shape == (n, model.n_layers)
     assert np.all((conf >= 0.0) & (conf <= 1.0))
 
@@ -516,7 +543,7 @@ def test_conformance_fixture_parses_exactly():
 def test_write_then_read_round_trips_exactly(tmp_path):
     model = SyntheticConfidenceModel()
     images = [
-        sample_image(model, model.stream_rng(0), max_len=4, image_id=i)
+        sample_image(model, 0.0, model.stream_rng(0), max_len=4, image_id=i)
         for i in range(20)
     ]
     path = str(tmp_path / "traces.txt")
@@ -552,7 +579,7 @@ def test_failed_stream_leaves_no_trace_file(tmp_path):
     model = SyntheticConfidenceModel()
 
     def images():
-        yield next(image_stream(model, model.stream_rng(0), max_len=5))
+        yield next(image_stream(model, 0.0, model.stream_rng(0), max_len=5))
         raise RuntimeError("stream failed")
 
     path = str(tmp_path / "traces.txt")
@@ -563,7 +590,7 @@ def test_failed_stream_leaves_no_trace_file(tmp_path):
 
 def test_corpus_bytes_are_pinned(tmp_path):
     model = SyntheticConfidenceModel()
-    images = islice(image_stream(model, model.stream_rng(0), max_len=5), 200)
+    images = islice(image_stream(model, 0.0, model.stream_rng(0), max_len=5), 200)
     path = str(tmp_path / "corpus.txt")
     write_traces(path, images, model.n_layers, model.vocab_size, source="pin")
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
@@ -644,7 +671,7 @@ def test_reader_rejects_non_ascii_bytes_with_line_number(tmp_path):
 
 def test_reader_reports_correct_line_number(tmp_path):
     model = SyntheticConfidenceModel()
-    good = sample_image(model, model.stream_rng(0), max_len=2, image_id="ok")
+    good = sample_image(model, 0.0, model.stream_rng(0), max_len=2, image_id="ok")
     path = str(tmp_path / "mixed.txt")
     write_traces(path, [good], model.n_layers, model.vocab_size)
     with open(path, "a") as fh:
