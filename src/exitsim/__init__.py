@@ -12,7 +12,6 @@ from .cascade import TraceValidationError, speedup_ratio
 from .bandit import (
     ActionSet,
     AdaptiveCell,
-    BanditError,
     BanditState,
     OracleEstimate,
     RewardParams,

@@ -15,8 +15,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cascade import exit_counts, exit_layer_indices, running_max, speedup_ratio
-from .staging import check_format, read_json, staged, write_json
+from .cascade import (
+    check_thresholds,
+    exit_counts,
+    exit_layer_indices,
+    running_max,
+    speedup_ratio,
+)
 from .synth import (
     IMAGE_CHUNK,
     SyntheticConfidenceModel,
@@ -28,16 +33,9 @@ from .synth import (
     finish_tokens,
 )
 
-STATE_FORMAT = "exitsim-bandit-state"
-STATE_VERSION = 1
-
 # The oracle has its own fixed default seed: its verdict on which arm is
 # best is a property of the model, not of any particular run's seed.
 ORACLE_SEED = 1000003
-
-
-class BanditError(RuntimeError):
-    """Bandit state misuse: a non-finite state to save."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,7 @@ class ActionSet:
     def __post_init__(self) -> None:
         if not self.thresholds:
             raise ValueError("action set must contain at least one threshold")
-        for a in self.thresholds:
-            if not 0.0 <= a <= 1.0:
-                raise ValueError(f"threshold {a!r} outside [0, 1]")
+        check_thresholds(self.thresholds)
         for lo, hi in zip(self.thresholds, self.thresholds[1:]):
             if lo >= hi:
                 raise ValueError(
@@ -131,67 +127,6 @@ class BanditState:
     def fresh(cls, actions: ActionSet, gamma: float = 1.0) -> "BanditState":
         k = len(actions)
         return cls(actions, [0.0] * k, [0] * k, 0, gamma)
-
-    def to_snapshot(self) -> dict:
-        return {
-            "format": STATE_FORMAT,
-            "version": STATE_VERSION,
-            "thresholds": list(self.actions.thresholds),
-            "q": list(self.q),
-            "pulls": list(self.pulls),
-            "t": self.t,
-            "gamma": self.gamma,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: object) -> "BanditState":
-        """Rebuild a state from ``to_snapshot`` output.  What ``check_format``
-        refuses, a missing key, a field of the wrong type or a count that
-        is not an integer raises ValueError naming the key."""
-        check_format(snapshot, STATE_FORMAT, STATE_VERSION, ValueError)
-        thresholds = _snapshot_field(snapshot, "thresholds", float, True)
-        return cls(
-            actions=ActionSet(tuple(thresholds)),
-            q=_snapshot_field(snapshot, "q", float, True),
-            pulls=_snapshot_field(snapshot, "pulls", int, True),
-            t=_snapshot_field(snapshot, "t", int),
-            gamma=_snapshot_field(snapshot, "gamma", float),
-        )
-
-    def save(self, path: str) -> None:
-        """Write the snapshot as JSON, staged beside ``path``: a non-finite
-        value raises BanditError and a failed write leaves the previous
-        file whole, and neither leaves a temporary file."""
-        with staged(path) as (temp,):
-            write_json(temp, self.to_snapshot(), BanditError, indent=2)
-
-    @classmethod
-    def load(cls, path: str) -> "BanditState":
-        """Read a ``save`` file; contents that do not rebuild a state,
-        bytes that do not parse as JSON included, raise ValueError."""
-        return cls.from_snapshot(read_json(path, ValueError))
-
-
-def _snapshot_field(snapshot: dict, key: str, kind: type, many: bool = False):
-    """``snapshot[key]`` as a ``kind`` (int, or float from any JSON
-    number), or as a list of them when ``many``.  Booleans are not
-    numbers here; anything else raises ValueError naming the key."""
-    if key not in snapshot:
-        raise ValueError(f"bandit state snapshot has no {key!r}")
-    value = snapshot[key]
-    if many != isinstance(value, list):
-        shape = "a list" if many else "one number"
-        raise ValueError(f"{key}: expected {shape}, got {type(value).__name__}")
-    numbers = (int,) if kind is int else (int, float)
-    out = []
-    for x in value if many else [value]:
-        if isinstance(x, bool) or not isinstance(x, numbers):
-            raise ValueError(f"{key}: expected {kind.__name__}, got {x!r}")
-        try:
-            out.append(kind(x))
-        except OverflowError:
-            raise ValueError(f"{key}: number out of range") from None
-    return out if many else out[0]
 
 
 def _ucb_index(state: BanditState) -> int:
@@ -343,8 +278,11 @@ class AdaptiveCell:
     ) -> None:
         """Resume this cell's run over the ``max_len``-token images of a
         validated chunk until its token budget; a new run spends its
-        first image on ``initialize``.  A chunk whose depth is not the
-        reward schedule's raises ValueError before any round."""
+        first image on ``initialize``.  A new run that ``check_run``
+        refuses, or a chunk whose depth is not the reward schedule's,
+        raises ValueError before any round."""
+        if self.state is None:
+            check_run(len(self.actions), [self.sigma], gamma, tokens, max_len)
         conf = batch.confidences
         alphas = self.actions.thresholds
         table = _arm_table(conf, batch.token_ids, np.asarray(alphas), self.params)

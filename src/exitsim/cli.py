@@ -31,7 +31,6 @@ import numpy as np
 from .bandit import (
     ActionSet,
     AdaptiveCell,
-    BanditError,
     OracleEstimate,
     RewardParams,
     check_run,
@@ -688,7 +687,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return command(args, effective_config(args, schema))
     except (*_INPUT_ERRORS, OSError) as exc:
         return _fail("input", exc, 3)
-    except (TrainingError, BanditError, OutputError, MemoryError) as exc:
+    except (TrainingError, OutputError, MemoryError) as exc:
         return _fail("runtime", exc, 4)
     except ConfigError as exc:
         return _fail("config", exc, 2)

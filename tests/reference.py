@@ -24,7 +24,6 @@ import numpy as np
 
 from exitsim.bandit import (
     ActionSet,
-    BanditError,
     BanditState,
     OracleEstimate,
     RewardParams,
@@ -225,11 +224,16 @@ def reward(decision: ExitDecision, params: RewardParams) -> float:
     return gain - params.mu * params.latency[i - 1]
 
 
+class UnplayedArmError(RuntimeError):
+    """A reference UCB round before every arm is played, or a first image
+    too short to play them all."""
+
+
 def ucb_select(state: BanditState) -> float:
     """Arm with the largest Q + gamma * sqrt(ln t / pulls); ties go to the
     smallest threshold."""
     if not all(n >= 1 for n in state.pulls):
-        raise BanditError(
+        raise UnplayedArmError(
             "bandit state has unplayed arms: call initialize() before "
             "ucb_select()"
         )
@@ -258,10 +262,10 @@ def initialize(
 ) -> BanditState:
     """Play every arm exactly once, arm k on token k of ``image``: the
     pulls before the first ``ucb_select``.  An image with fewer tokens
-    than arms raises BanditError."""
+    than arms raises UnplayedArmError."""
     traces = token_traces(image)
     if len(traces) < len(actions):
-        raise BanditError(
+        raise UnplayedArmError(
             f"image {image.image_ids[0]!r} has {len(traces)} tokens: initialization "
             f"needs one per arm ({len(actions)})"
         )

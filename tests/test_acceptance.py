@@ -15,16 +15,18 @@ import pytest
 from exitsim import (
     ActionSet,
     AdaptiveCell,
-    BanditState,
+    CheckpointError,
     RewardParams,
     StepSchedule,
     SyntheticConfidenceModel,
     SyntheticExample,
     TraceFormatError,
     init_cascade,
+    load_cascade,
     read_traces,
     regret_bound,
     run_lockstep,
+    save_cascade,
     shared_oracles,
     speedup_ratio,
     train_backbone,
@@ -394,34 +396,46 @@ def test_criterion_12_serialization_round_trips(tmp_path):
     except TraceFormatError:
         version_rejected = True
 
-    state = BanditState(
-        ActionSet((0.2, 0.8)), q=[0.5, -0.25], pulls=[3, 4], t=7, gamma=1.5
+    cascade = init_cascade(ToyConfig(), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for head in cascade.exit_weights:  # fresh heads are all zero
+        head += rng.standard_normal(head.shape)
+    model_path = str(tmp_path / "model.json")
+    save_cascade(cascade, model_path)
+    reloaded = load_cascade(model_path)
+    checkpoint_ok = (
+        (reloaded.config, reloaded.frozen) == (cascade.config, cascade.frozen)
+        and backbone_bytes(reloaded) == backbone_bytes(cascade)
+        and all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                reloaded.exit_weights + reloaded.exit_biases,
+                cascade.exit_weights + cascade.exit_biases,
+            )
+        )
     )
-    state_path = str(tmp_path / "state.json")
-    state.save(state_path)
-    state_ok = BanditState.load(state_path) == state
-    snapshot = json.load(open(state_path))
-    snapshot["version"] = 99
-    json.dump(snapshot, open(state_path, "w"))
+    checkpoint = json.load(open(model_path))
+    checkpoint["version"] = 2
+    json.dump(checkpoint, open(model_path, "w"))
     try:
-        BanditState.load(state_path)
-        state_version_rejected = False
-    except ValueError:
-        state_version_rejected = True
+        load_cascade(model_path)
+        checkpoint_version_rejected = False
+    except CheckpointError:
+        checkpoint_version_rejected = True
 
     ok = (
         traces_ok
         and targets_ok
         and version_rejected
-        and state_ok
-        and state_version_rejected
+        and checkpoint_ok
+        and checkpoint_version_rejected
     )
     report(
         12,
         ok,
         "serialization round trips",
         f"trace file round-trip: {traces_ok and targets_ok}, version bump "
-        f"rejected: {version_rejected}; bandit state round-trip: {state_ok}, "
-        f"version bump rejected: {state_version_rejected}",
+        f"rejected: {version_rejected}; toy checkpoint round-trip: "
+        f"{checkpoint_ok}, version bump rejected: {checkpoint_version_rejected}",
     )
     assert ok

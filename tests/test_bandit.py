@@ -1,10 +1,6 @@
 """Reward shape, UCB selection, online loop, oracle, and regret accounting."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from itertools import islice
 
@@ -13,18 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import exitsim
 from exitsim import (
     IMAGE_CHUNK,
     ActionSet,
     AdaptiveCell,
-    BanditError,
     BanditState,
     OracleEstimate,
     RewardParams,
     StepSchedule,
     SyntheticConfidenceModel,
     TraceBatch,
+    draw_tokens,
+    finish_tokens,
     regret_bound,
     run_lockstep,
     shared_oracles,
@@ -32,6 +28,7 @@ from exitsim import (
 
 from reference import (
     ListSink,
+    UnplayedArmError,
     decide_exit,
     image_stream,
     oracle_estimates,
@@ -48,7 +45,6 @@ from exitsim.synth import confidence_blocks
 from conftest import (
     PINNED_ON,
     assert_cell_matches_reference,
-    json_values,
     make_image,
     make_trace,
     reference_oracle_means,
@@ -204,10 +200,10 @@ def test_ucb_index_of_a_one_arm_state_is_zero():
 
 def test_ucb_requires_initialization():
     state = BanditState.fresh(ActionSet((0.2, 0.4)))
-    with pytest.raises(BanditError):
+    with pytest.raises(UnplayedArmError):
         ucb_select(state)
     state.pulls = [1, 0]
-    with pytest.raises(BanditError):
+    with pytest.raises(UnplayedArmError):
         ucb_select(state)
 
 
@@ -320,12 +316,12 @@ def test_library_rejects_non_finite_numbers(build):
 
 
 def _initialized(actions, image, params, sink=None):
-    """A fresh cell played on ``image`` alone with a budget of one round
-    per arm, which its initialization spends."""
+    """A fresh cell played on ``image`` alone: its initialization spends
+    the image, so no UCB round follows."""
     targets = np.zeros(len(image), dtype=np.int64)
     batch = TraceBatch(image.confidences, image.token_ids, targets)
     cell = AdaptiveCell(actions, params, 0.0, sink)
-    cell.play(batch, 1.0, len(actions), len(image), eos_id=0)
+    cell.play(batch, 1.0, len(actions) + 1, len(image), eos_id=0)
     return cell
 
 
@@ -471,6 +467,32 @@ def test_adaptive_run_rejects_a_bad_gamma_before_any_draw(monkeypatch, gamma):
     _assert_refused_before_any_draw(monkeypatch, 50, 20, message, gamma=gamma)
 
 
+@pytest.mark.parametrize(
+    "tokens, max_len, gamma, message",
+    [
+        (10, 20, 1.0, "one pull per arm and one round after: 10 <= 10"),
+        (100, 5, 1.0, "one token per arm: 5 < 10"),
+        (100, 20, 0.5, "gamma must be finite and >= 1, got 0.5"),
+    ],
+    ids=["tokens-equal-arms", "max-len-below-arms", "gamma-below-1"],
+)
+def test_a_cell_played_directly_refuses_what_check_run_refuses(
+    tokens, max_len, gamma, message
+):
+    # A budget of one round per arm would leave metrics() dividing by no
+    # emitted token, and a cap below the arm count would spread
+    # initialization across image boundaries.
+    model = SyntheticConfidenceModel()
+    draws = draw_tokens(model, max_len, model.stream_rng(0), IMAGE_CHUNK)
+    batch = finish_tokens(model, 0.0, draws)
+    cell = AdaptiveCell(
+        ActionSet.default_grid(), RewardParams(n_layers=model.n_layers), 0.0
+    )
+    with pytest.raises(ValueError, match=message):
+        cell.play(batch, gamma, tokens, max_len, model.eos_id)
+    assert cell.state is None
+
+
 def test_single_arm_adaptive_run_matches_fixed_threshold():
     # With one arm the driver must reproduce the plain caption loop at
     # that threshold decision for decision, a budget cut included.
@@ -600,179 +622,6 @@ def test_adaptive_run_honors_token_budget():
     )
     assert cell.state.t == len(cell.sink) == 17
     assert cell.emitted == 15
-
-
-# ---------------------------------------------------------------------------
-# BanditState snapshots
-
-
-def test_state_snapshot_round_trip(tmp_path):
-    state = BanditState(
-        ActionSet((0.1, 0.9)), q=[0.25, -0.5], pulls=[3, 4], t=7, gamma=1.5
-    )
-    path = tmp_path / "state.json"
-    state.save(str(path))
-    loaded = BanditState.load(str(path))
-    assert loaded == state
-
-
-def test_state_save_refuses_non_finite_values(tmp_path):
-    # q is mutable, so a NaN reward folded in after construction can
-    # reach save(); it must raise and leave no file behind.
-    state = BanditState.fresh(ActionSet((0.1, 0.9)))
-    update(state, 0.1, float("nan"))
-    path = tmp_path / "state.json"
-    with pytest.raises(BanditError, match="not finite"):
-        state.save(str(path))
-    assert not path.exists()
-
-
-# Saves a snapshot larger than the one at argv[1] under a file-size limit
-# just above the old one's size, and prints the errno of the failed write.
-_SAVE_PAST_THE_LIMIT = """
-import errno, os, resource, signal, sys
-from exitsim import ActionSet, BanditState
-path = sys.argv[1]
-big = BanditState.fresh(ActionSet(tuple(i / 1000 for i in range(1, 1001))))
-signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 64, hard))
-try:
-    big.save(path)
-except OSError as exc:
-    print(errno.errorcode[exc.errno])
-"""
-
-
-def test_state_save_that_fails_leaves_the_previous_snapshot(tmp_path):
-    path = tmp_path / "state.json"
-    BanditState(
-        ActionSet((0.1, 0.9)), q=[0.25, -0.5], pulls=[3, 4], t=7, gamma=1.5
-    ).save(str(path))
-    old = path.read_bytes()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(exitsim.__file__))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no .pyc write under the limit
-    result = subprocess.run(
-        [sys.executable, "-c", _SAVE_PAST_THE_LIMIT, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["EFBIG"]
-    assert os.listdir(tmp_path) == ["state.json"]  # no temporary file
-    assert path.read_bytes() == old
-
-
-def test_state_snapshot_rejects_future_version(tmp_path):
-    state = BanditState.fresh(ActionSet((0.5,)))
-    snapshot = state.to_snapshot()
-    snapshot["version"] = 99
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(snapshot))
-    with pytest.raises(ValueError, match="version"):
-        BanditState.load(str(path))
-
-
-def test_state_load_rejects_deeply_nested_json(tmp_path):
-    # The parser recurses once per bracket, so nesting past the
-    # interpreter's limit raises RecursionError inside json.load.
-    path = tmp_path / "state.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    with pytest.raises(ValueError, match="not valid JSON"):
-        BanditState.load(str(path))
-
-
-@pytest.mark.parametrize(
-    "content",
-    [b'{"format": "exitsim-bandit-state", "q": [0.5\xff]}', b'{"format": "exitsim-ba'],
-    ids=["not-utf-8", "truncated"],
-)
-def test_state_load_names_the_path_of_unparseable_bytes(content, tmp_path):
-    path = tmp_path / "state.json"
-    path.write_bytes(content)
-    with pytest.raises(ValueError, match="not valid JSON") as raised:
-        BanditState.load(str(path))
-    assert str(raised.value).startswith(f"{path}: not valid JSON: ")
-
-
-def test_state_snapshot_rejects_wrong_format():
-    with pytest.raises(ValueError, match="format"):
-        BanditState.from_snapshot({"format": "something-else", "version": 1})
-
-
-def _snapshot(**changes):
-    snapshot = BanditState(
-        ActionSet((0.1, 0.9)), q=[0.25, -0.5], pulls=[3, 4], t=7, gamma=1.5
-    ).to_snapshot()
-    snapshot.update(changes)
-    return snapshot
-
-
-@pytest.mark.parametrize(
-    "snapshot, key",
-    [
-        ({k: v for k, v in _snapshot().items() if k != "q"}, "'q'"),
-        ({k: v for k, v in _snapshot().items() if k != "t"}, "'t'"),
-        (_snapshot(pulls=[None, 4]), "pulls"),
-        (_snapshot(pulls=[True, 4]), "pulls"),
-        (_snapshot(pulls=[3.0, 4]), "pulls"),
-        (_snapshot(pulls=5), "pulls"),
-        (_snapshot(thresholds=0.5), "thresholds"),
-        (_snapshot(thresholds=["0.1", 0.9]), "thresholds"),
-        (_snapshot(q={"a": 1}), "q"),
-        (_snapshot(t=1.5), "t"),
-        (_snapshot(t=False), "t"),
-        (_snapshot(t=[7]), "t"),
-        (_snapshot(gamma="1.5"), "gamma"),
-        (_snapshot(gamma=10**400), "gamma"),
-        (None, "JSON object"),
-        ([_snapshot()], "JSON object"),
-        ("exitsim-bandit-state", "JSON object"),
-        (_snapshot(version=True), "version"),  # Python's True == 1
-        (_snapshot(version=1.0), "version"),
-    ],
-)
-def test_state_snapshot_rejects_malformed_fields_naming_the_key(snapshot, key):
-    with pytest.raises(ValueError, match=key):
-        BanditState.from_snapshot(snapshot)
-
-
-_snapshot_fields = {
-    "format": st.just("exitsim-bandit-state"),
-    "version": st.just(1),
-    "thresholds": st.just([0.1, 0.9]),
-    "q": st.just([0.25, -0.5]),
-    "pulls": st.just([3, 4]),
-    "t": st.just(7),
-    "gamma": st.just(1.5),
-}
-
-
-@st.composite
-def _snapshot_like(draw):
-    """A valid snapshot with each key kept, dropped or replaced by any
-    JSON value, or any JSON value at all."""
-    if draw(st.booleans()):
-        return draw(json_values)
-    snapshot = {}
-    for key, valid in _snapshot_fields.items():
-        choice = draw(st.sampled_from(("keep", "drop", "replace")))
-        if choice != "drop":
-            snapshot[key] = draw(valid if choice == "keep" else json_values)
-    return snapshot
-
-
-@settings(max_examples=300, deadline=None)
-@given(_snapshot_like())
-def test_state_snapshot_parses_or_raises_value_error(snapshot):
-    try:
-        state = BanditState.from_snapshot(snapshot)
-    except ValueError:
-        return
-    assert BanditState.from_snapshot(state.to_snapshot()) == state
 
 
 def test_cell_hands_each_chunk_its_rounds_in_one_call():

@@ -239,7 +239,7 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
         (["bandit", "--alphas", "0.5,0.5"], "shared_oracles", "thresholds must be strictly increasing, got 0.5 before 0.5"),
         (["bandit", "--mu", "-1"], "shared_oracles", "mu must be finite and positive, got -1.0"),
         (["compare-distortion", "--sigmas", "-1"], "shared_oracles", "sigma must be >= 0, got -1.0"),
-        (["compare-distortion", "--fixed-alpha", "2"], "shared_oracles", "threshold 2.0 outside [0, 1]"),
+        (["compare-distortion", "--fixed-alpha", "2"], "shared_oracles", "exit threshold 2.0 outside [0, 1]"),
         (["ablation", "--n-classes", "1"], "init_cascade", "n_classes must be a power of two >= 2, got 1"),
         (["ablation", "--decay", "2"], "make_task", "decay must be in (0, 1], got 2.0"),
         (["gen-traces", "--sigma", "-1"], "draw_tokens", "sigma must be >= 0, got -1.0"),

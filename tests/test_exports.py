@@ -4,9 +4,8 @@ property it defines, has a caller in the product.
 A definition that only the tests use belongs in ``tests/reference.py``,
 not in the package.  The scan matches bare names, so a name collision
 hides dead code: a method passes whenever code in ``src/exitsim/`` or
-``scripts/`` reads the same name for anything else.  ``expected``,
-``index`` and ``load`` are such names (a local variable, ``list.index``
-and ``json.load``).
+``scripts/`` reads the same name for anything else.  ``expected``
+and ``index`` are such names (a local variable and ``list.index``).
 """
 
 import ast
@@ -24,7 +23,6 @@ PRODUCT_DIRS = ("src/exitsim", "scripts")
 UNREAD_ALLOWED = {
     "TokenTrace": "bench/tracer.py imports it to patch from_arrays",
     "TokenTrace.from_arrays": "bench/tracer.py wraps it as a per-layer stage",
-    "BanditState.save": "snapshots are an input boundary; criterion 12 round-trips one",
 }
 
 
