@@ -284,15 +284,13 @@ def cmd_gen_traces(args: argparse.Namespace, config: dict) -> int:
             offsets = np.arange(len(ids) + 1) * max_len
             yield dataclasses.replace(batch, image_ids=ids, offsets=offsets)
 
-    def write(path: str) -> None:
-        write_traces(
-            path,
-            blocks(),
-            n_layers=model.n_layers,
-            vocab_size=model.vocab_size,
-            source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
-        )
-
+    write = partial(
+        write_traces,
+        blocks=blocks(),
+        n_layers=model.n_layers,
+        vocab_size=model.vocab_size,
+        source=f"synthetic-seed{config['seed']}-sigma{config['sigma']}",
+    )
     fields = {"n_images": n_images, "n_tokens": n_images * max_len}
     _write_outputs(args, config, fields, config["out"], write)
     return 0

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .staging import check_format, read_json, staged, write_json
+from .staging import check_format, read_json, write_json
 from .synth import MAX_FLOATS
 
 DEFAULT_PROB_FLOOR = 1e-12
@@ -626,8 +626,9 @@ def save_cascade(model: ToyCascade, path: str) -> None:
     """Write the model as a versioned JSON checkpoint.
 
     Parameters that ``load_cascade`` would refuse (``_check_parameters``)
-    raise TrainingError before any file opens; the file is staged beside
-    ``path`` and renamed into place once written.
+    raise TrainingError before any file opens.  The file is written at
+    ``path`` itself; a caller that wants a failed write to leave the
+    previous file whole stages the write, as ``cli._write_outputs`` does.
     """
     _check_parameters(model, TrainingError)
     payload = {
@@ -640,8 +641,7 @@ def save_cascade(model: ToyCascade, path: str) -> None:
         value = getattr(model, name)
         single = isinstance(value, np.ndarray)
         payload[name] = value.tolist() if single else [part.tolist() for part in value]
-    with staged(path) as (temp,):
-        write_json(temp, payload, TrainingError)
+    write_json(path, payload, TrainingError)
 
 
 def load_cascade(path: str) -> ToyCascade:

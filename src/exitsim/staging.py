@@ -18,6 +18,9 @@ def staged(*paths: str) -> Iterator[list[str]]:
     renamed onto its path, in order.  When the block or a rename raises,
     every temporary file not yet renamed is removed: a failure leaves no
     temporary file, and a path only ever receives a file written in full.
+    The one staging layer: ``write_traces`` and ``save_cascade`` write the
+    path they are given, and ``cli._write_outputs`` (or a library caller
+    that wants the guarantee) hands them a temporary path from this block.
     """
     for path in paths:
         if os.path.isdir(path):

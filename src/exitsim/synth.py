@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .cascade import TraceValidationError
-from .staging import staged
 
 DEFAULT_SEED = 7
 
@@ -451,18 +450,17 @@ def write_traces(
     n_layers: int,
     vocab_size: int,
     source: str = "synthetic",
-) -> int:
-    """Write blocks of images to ``path`` in the trace file format;
-    returns the image count.
+) -> None:
+    """Write blocks of images to ``path`` in the trace file format.
 
-    The header is checked before the file is staged, and each block whole
+    The header is checked before the file opens, and each block whole
     (``_check_block``) before any of it is written, by the reader's rules.
-    The file is staged beside ``path`` and renamed into place once
-    complete, so a stream or block that raises leaves no file.
+    The file is written at ``path`` itself, so a stream or block that
+    raises leaves the part written before it; a caller that wants no
+    partial file stages the write, as ``cli._write_outputs`` does.
     """
     _check_header(n_layers, vocab_size, source)
-    count = 0
-    with staged(path) as (temp,), open(temp, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write(
             f"{FORMAT_NAME} {FORMAT_VERSION} layers={n_layers} "
             f"vocab={vocab_size} source={source}\n"
@@ -480,8 +478,6 @@ def write_traces(
                     fields.append("-" if target == NO_TARGET else str(target))
                     fields.extend(f"{c:.17g}:{t}" for c, t in zip(confs, ids))
                 fh.write(" ".join(fields) + "\n")
-            count += len(bounds) - 1
-    return count
 
 
 def _parse_header(line: str) -> TraceFileHeader:

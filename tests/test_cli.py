@@ -881,6 +881,82 @@ def test_directory_at_an_output_name_exits_3_and_writes_nothing(
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["gen-traces", "--n-images", "2"], ["traces.txt", "gen_traces_summary.json"]),
+        (
+            ["train-toy", *TOY_IN_A_BLINK],
+            ["toy_cascade.json", "train_toy_summary.json"],
+        ),
+    ],
+    ids=["gen-traces", "train-toy"],
+)
+def test_each_output_file_is_renamed_once(argv, names, tmp_path, monkeypatch, capsys):
+    # One staging layer: each file goes from <name>.<pid>.tmp to <name>
+    # in one rename, and nothing else is renamed.
+    renames = []
+    replace = os.replace
+
+    def recording(src, dst):
+        renames.append((src, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert run_cli([*argv, "--out-dir", str(tmp_path)], capsys)[0] == 0
+    paths = [str(tmp_path / name) for name in names]
+    assert renames == [(f"{path}.{os.getpid()}.tmp", path) for path in paths]
+
+
+def test_out_into_a_missing_directory_names_one_temporary_file(tmp_path, capsys):
+    out = os.path.join("sub", "t.txt")
+    argv = ["gen-traces", "--n-images", "2", "--out", out, "--out-dir", str(tmp_path)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 3
+    temp = os.path.join(str(tmp_path), f"{out}.{os.getpid()}.tmp")
+    assert err == f"error: input: [Errno 2] No such file or directory: {temp!r}\n"
+    assert stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
+# Runs argv[2:] through the CLI under a file-size limit of argv[1] bytes,
+# with SIGXFSZ ignored so that a write past the limit fails with EFBIG.
+_CLI_UNDER_A_SIZE_LIMIT = """
+import resource, signal, sys
+from exitsim.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_checkpoint_save_that_fails_leaves_the_previous_checkpoint(tmp_path, capsys):
+    # A train-toy run whose checkpoint outgrows the file-size limit leaves
+    # the previous run's checkpoint and summary byte for byte.
+    argv = ["train-toy", *TOY_IN_A_BLINK, "--out-dir", str(tmp_path)]
+    assert run_cli(argv, capsys)[0] == 0
+    names = sorted(os.listdir(tmp_path))
+    old = {name: (tmp_path / name).read_bytes() for name in names}
+    limit = len(old["toy_cascade.json"]) // 2
+    env = _child_env()
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no .pyc write under the limit
+    result = subprocess.run(
+        [sys.executable, "-c", _CLI_UNDER_A_SIZE_LIMIT, str(limit), *argv,
+         "--seed", "8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith(
+        f"error: input: [Errno {errno.EFBIG}] File too large"
+    )
+    assert sorted(os.listdir(tmp_path)) == names  # no temporary file
+    assert {name: (tmp_path / name).read_bytes() for name in names} == old
+
+
 def test_unreachable_margin_exits_2_at_once(tmp_path):
     # Each row would survive with probability ~5e-11: the task draw must
     # be refused before it starts, not loop forever.

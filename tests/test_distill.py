@@ -4,8 +4,6 @@ import copy
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 
@@ -832,44 +830,6 @@ def test_checkpoint_save_refuses_non_finite_parameters(tmp_path):
     with pytest.raises(TrainingError, match="non-finite"):
         save_cascade(model, str(path))
     assert not path.exists()
-
-
-# Saves a checkpoint larger than the one at argv[1] under a file-size limit
-# just above the old one's size, and prints the errno of the failed write.
-_SAVE_PAST_THE_LIMIT = """
-import errno, os, resource, signal, sys
-import numpy as np
-from exitsim import ToyConfig, init_cascade, save_cascade
-path = sys.argv[1]
-big = init_cascade(ToyConfig(), np.random.default_rng(0))
-signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 64, hard))
-try:
-    save_cascade(big, path)
-except OSError as exc:
-    print(errno.errorcode[exc.errno])
-"""
-
-
-def test_checkpoint_save_that_fails_leaves_the_previous_checkpoint(tmp_path):
-    path = tmp_path / "model.json"
-    save_cascade(small_model(), str(path))
-    old = path.read_bytes()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(distill.__file__))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no .pyc write under the limit
-    result = subprocess.run(
-        [sys.executable, "-c", _SAVE_PAST_THE_LIMIT, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["EFBIG"]
-    assert os.listdir(tmp_path) == ["model.json"]  # no temporary file
-    assert path.read_bytes() == old
 
 
 @pytest.mark.parametrize(

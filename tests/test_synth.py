@@ -29,6 +29,7 @@ from exitsim import (
 )
 from exitsim.bandit import _ORACLE_SPAN, _pairwise_spans
 from exitsim.cli import main as cli_main
+from exitsim.staging import staged
 from exitsim.synth import (
     _MATRIX_SPAN,
     NO_TARGET,
@@ -60,6 +61,11 @@ CORPUS_SHA256 = "11112844a6d0eb559390d3c1768163cb79ceddb8162f31659f3293b1118ae16
 def sample_tokens(model, n_tokens, rng, sigma=0.0):
     """One block of ``n_tokens`` tokens, drawn and finished at ``sigma``."""
     return finish_tokens(model, sigma, draw_tokens(model, n_tokens, rng))
+
+
+def images_read(path):
+    """The number of images ``read_traces`` reads back from ``path``."""
+    return sum(len(block.image_ids) for block in read_traces(path))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +433,8 @@ def test_image_traces_validation(tmp_path):
         write_traces(path, [image_from_traces(0, (trace,), targets=(1, 2))], 2, 8)
     image = image_from_traces(0, (trace,), targets=(1,))
     assert len(image) == 1
-    assert write_traces(path, [image], 2, 8) == 1
+    write_traces(path, [image], 2, 8)
+    assert images_read(path) == 1
 
 
 def test_image_traces_rejects_bad_arrays(tmp_path):
@@ -547,8 +554,8 @@ def test_write_then_read_round_trips_exactly(tmp_path):
         for i in range(20)
     ]
     path = str(tmp_path / "traces.txt")
-    count = write_traces(path, images, model.n_layers, model.vocab_size)
-    assert count == 20
+    write_traces(path, images, model.n_layers, model.vocab_size)
+    assert images_read(path) == 20
     loaded = list(read_traces(path))
     assert len(loaded) == 1 and loaded[0].image_ids == tuple(map(str, range(20)))
     # image ids come back as strings; everything else must be bit-equal
@@ -570,7 +577,8 @@ def test_round_trip_without_targets(tmp_path):
 
 def test_empty_file_is_header_only(tmp_path):
     path = str(tmp_path / "empty.txt")
-    assert write_traces(path, [], 12, 32) == 0
+    write_traces(path, [], 12, 32)
+    assert images_read(path) == 0
     assert len(open(path).readlines()) == 1
     assert list(read_traces(path)) == []
 
@@ -584,7 +592,8 @@ def test_failed_stream_leaves_no_trace_file(tmp_path):
 
     path = str(tmp_path / "traces.txt")
     with pytest.raises(RuntimeError, match="stream failed"):
-        write_traces(path, images(), model.n_layers, model.vocab_size)
+        with staged(path) as (temp,):
+            write_traces(temp, images(), model.n_layers, model.vocab_size)
     assert os.listdir(tmp_path) == []  # no partial file, no temp file
 
 
@@ -803,12 +812,13 @@ def _write_call(draw):
 @given(call=_write_call())
 def test_write_traces_refuses_or_writes_what_reads_back(call):
     # The writer runs the reader's rules, so it never writes a file the
-    # reader refuses, and a refusal leaves the directory as it was.
+    # reader refuses, and a staged refusal leaves the directory as it was.
     blocks, n_layers, vocab, source = call
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traces.txt")
         try:
-            write_traces(path, blocks, n_layers, vocab, source)
+            with staged(path) as (temp,):
+                write_traces(temp, blocks, n_layers, vocab, source)
         except ValueError:
             assert os.listdir(tmp) == []
             return
@@ -860,7 +870,8 @@ def test_write_then_read_round_trips_any_blocks(
             TraceBatch(conf[rows], tokens[rows], targets[rows], ids[lo:hi], bounds)
         )
     path = str(tmp_path / "traces.txt")
-    assert write_traces(path, blocks, n_layers, 9) == n_images
+    write_traces(path, blocks, n_layers, 9)
+    assert images_read(path) == n_images
     loaded = list(read_traces(path))
     assert [len(block.image_ids) for block in loaded] == [
         min(IMAGE_CHUNK, n_images - lo) for lo in range(0, n_images, IMAGE_CHUNK)
