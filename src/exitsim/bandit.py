@@ -101,42 +101,14 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
 
 
-@dataclass
-class BanditState:
-    """Per-arm running means and pull counts plus the round counter."""
-
-    actions: ActionSet
-    q: list[float]
-    pulls: list[int]
-    t: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        k = len(self.actions)
-        if len(self.q) != k or len(self.pulls) != k:
-            raise ValueError(
-                f"state arrays must match the {k}-arm action set"
-            )
-        check_gamma(self.gamma)
-        if not all(math.isfinite(x) for x in self.q):
-            raise ValueError(f"q values must be finite, got {self.q}")
-        if self.t < 0 or any(n < 0 for n in self.pulls):
-            raise ValueError("counters must be nonnegative")
-
-    @classmethod
-    def fresh(cls, actions: ActionSet, gamma: float = 1.0) -> "BanditState":
-        k = len(actions)
-        return cls(actions, [0.0] * k, [0] * k, 0, gamma)
-
-
-def _ucb_index(state: BanditState) -> int:
+def _ucb_index(cell: AdaptiveCell) -> int:
     """Index of the arm with the largest Q + gamma * sqrt(ln t / pulls);
     ties go to the smallest.  Every arm must have been pulled.  A scan
-    over one arm always picks it, so a one-arm state skips the index."""
-    q, pulls, gamma = state.q, state.pulls, state.gamma
+    over one arm always picks it, so a one-arm cell skips the index."""
+    q, pulls, gamma = cell.q, cell.pulls, cell.gamma
     if len(q) == 1:
         return 0
-    log_t = math.log(state.t)
+    log_t = math.log(cell.t)
     best_index = 0
     best_value = -math.inf
     for k in range(len(q)):
@@ -147,10 +119,10 @@ def _ucb_index(state: BanditState) -> int:
     return best_index
 
 
-def _fold(state: BanditState, k: int, observed_reward: float) -> None:
-    state.pulls[k] += 1
-    state.q[k] += (observed_reward - state.q[k]) / state.pulls[k]
-    state.t += 1
+def _fold(cell: AdaptiveCell, k: int, observed_reward: float) -> None:
+    cell.pulls[k] += 1
+    cell.q[k] += (observed_reward - cell.q[k]) / cell.pulls[k]
+    cell.t += 1
 
 
 def sum_left_to_right(values: Iterable[float]) -> float:
@@ -221,22 +193,23 @@ def _arm_table(
 
 def initialize(
     cell: AdaptiveCell, table: _ArmTable, gamma: float, rows: list | None
-) -> BanditState:
-    """Pull every arm of ``cell`` once, arm k on row k of its first
-    chunk's ``table``, into a fresh state and the cell's histogram and
-    reward sum, appending each round to ``rows`` unless it is None: each
-    Q is then one observed reward, as the selection rule needs before its
-    first real round."""
-    state = BanditState.fresh(cell.actions, gamma)
+) -> AdaptiveCell:
+    """Start ``cell``'s run at exploration width ``gamma``: pull every arm
+    once, arm k on row k of its first chunk's ``table``, into the cell's
+    means, counts, histogram and reward sum, appending each round to
+    ``rows`` unless it is None.  Each Q is then one observed reward, as
+    the selection rule needs before its first real round.  Returns the
+    cell."""
+    cell.gamma = gamma
     exits, _, rewards, width = table
     for k, alpha in enumerate(cell.actions.thresholds):
         i = k * width + k
-        _fold(state, k, rewards[i])
+        _fold(cell, k, rewards[i])
         cell.hist[exits[i]] += 1
         cell.reward_sum += rewards[i]
         if rows is not None:
-            rows.append((state.t, alpha, exits[i] + 1, rewards[i]))
-    return state
+            rows.append((cell.t, alpha, exits[i] + 1, rewards[i]))
+    return cell
 
 
 @dataclass
@@ -244,29 +217,36 @@ class AdaptiveCell:
     """One policy's run over a command's shared image stream, finished at
     distortion level ``sigma``.
 
-    A cell keeps running aggregates: its exit histogram, reward sum,
-    hits and emitted count.  With a ``sink`` it also hands over every
-    round, initialization included: one call per chunk, with a list of
-    ``(t, arm, exit layer, reward)`` rows in round order, t counting from
-    1 and the exit layer from 1.  The cell holds no round past its chunk,
-    so its memory stays bounded and a command's cells can all run at once.
+    A cell is its run's UCB1 state: each arm's mean reward ``q`` and pull
+    count ``pulls``, the round counter ``t`` (0 until the run starts) and
+    the exploration width ``gamma`` the run started with.  It also keeps
+    running aggregates: its exit histogram, reward sum, hits and emitted
+    count.  With a ``sink`` it hands over every round, initialization
+    included: one call per chunk, with a list of ``(t, arm, exit layer,
+    reward)`` rows in round order, t counting from 1 and the exit layer
+    from 1.  The cell holds no round past its chunk, so its memory stays
+    bounded and a command's cells can all run at once.
     """
 
     actions: ActionSet
     params: RewardParams
     sigma: float
     sink: Callable[[list[tuple[int, float, int, float]]], object] | None = None
-    state: BanditState | None = field(default=None, init=False)
+    q: list[float] = field(init=False)
+    pulls: list[int] = field(init=False)
+    t: int = field(default=0, init=False)
+    gamma: float | None = field(default=None, init=False)
     reward_sum: float = field(default=0.0, init=False)
     hits: int = field(default=0, init=False)
     emitted: int = field(default=0, init=False)
     hist: list[int] = field(init=False)  # exits per layer, index 0 = layer 1
 
     def __post_init__(self) -> None:
+        self.q, self.pulls = [0.0] * len(self.actions), [0] * len(self.actions)
         self.hist = [0] * self.params.n_layers
 
     def done(self, tokens: int) -> bool:
-        return self.state is not None and self.state.t >= tokens
+        return self.t >= tokens
 
     def play(
         self,
@@ -278,10 +258,11 @@ class AdaptiveCell:
     ) -> None:
         """Resume this cell's run over the ``max_len``-token images of a
         validated chunk until its token budget; a new run spends its
-        first image on ``initialize``.  A new run that ``check_run``
-        refuses, or a chunk whose depth is not the reward schedule's,
-        raises ValueError before any round."""
-        if self.state is None:
+        first image on ``initialize``, and its rounds use the ``gamma`` it
+        started with, whatever a later chunk passes.  A new run that
+        ``check_run`` refuses, or a chunk whose depth is not the reward
+        schedule's, raises ValueError before any round."""
+        if self.t == 0:
             check_run(len(self.actions), [self.sigma], gamma, tokens, max_len)
         conf = batch.confidences
         alphas = self.actions.thresholds
@@ -289,29 +270,28 @@ class AdaptiveCell:
         exits, emitted, rewards, width = table
         rows = None if self.sink is None else []
         start = 0
-        if self.state is None:
+        if self.t == 0:
             # Called through the module global: bench/tracer.py counts init rounds here.
-            self.state = initialize(self, table, gamma, rows)
+            initialize(self, table, gamma, rows)
             start = max_len
-        state = self.state
         counts = self.hist
         reward_sum, hits, n_emitted = self.reward_sum, self.hits, self.emitted
         targets = batch.targets.tolist()
         # The round kernel: one UCB round per token of each image, until
         # an emitted eos, the length cap or the token budget.
         for lo in range(start, len(conf), max_len):
-            if state.t >= tokens:
+            if self.t >= tokens:
                 break
-            for row in range(lo, lo + min(max_len, tokens - state.t)):
-                k = _ucb_index(state)
+            for row in range(lo, lo + min(max_len, tokens - self.t)):
+                k = _ucb_index(self)
                 i = row * width + k
-                _fold(state, k, rewards[i])
+                _fold(self, k, rewards[i])
                 counts[exits[i]] += 1
                 reward_sum += rewards[i]
                 hits += emitted[i] == targets[row]
                 n_emitted += 1
                 if rows is not None:
-                    rows.append((state.t, alphas[k], exits[i] + 1, rewards[i]))
+                    rows.append((self.t, alphas[k], exits[i] + 1, rewards[i]))
                 if emitted[i] == eos_id:
                     break
         self.reward_sum, self.hits, self.emitted = reward_sum, hits, n_emitted
@@ -322,7 +302,7 @@ class AdaptiveCell:
         return {
             "speedup": speedup_ratio(self.hist),
             "accuracy": self.hits / self.emitted,
-            "mean_reward": self.reward_sum / self.state.t,
+            "mean_reward": self.reward_sum / self.t,
         }
 
 

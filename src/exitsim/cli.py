@@ -319,9 +319,9 @@ def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
         confidences, token_ids = head_confidences(model, task.heldout)
         blocks = [TraceBatch(confidences, token_ids, task.heldout.targets)]
 
-    # Integer sums per threshold, block by block: exits per layer, hits
-    # and 0-based exit layers.  Every printed number is a ratio of them.
-    n_tokens = hists = hits = exit_sums = 0
+    # Integer sums per threshold, block by block: exits per layer and
+    # hits.  Every printed number is a ratio of them.
+    n_tokens = hists = hits = 0
     for batch in blocks:
         missing = np.flatnonzero(batch.targets == NO_TARGET)
         if len(missing):
@@ -338,14 +338,14 @@ def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
         )
         emitted = np.take_along_axis(batch.token_ids, exits, axis=1)
         hits = hits + (emitted == batch.targets[:, None]).sum(axis=0)
-        exit_sums = exit_sums + exits.sum(axis=0)
     if not n_tokens:
         raise TraceFormatError(f"{config['traces']}: no traces found")
     rows = [
-        (alpha, speedup_ratio(hist), hit / n_tokens, (exit_sum + n_tokens) / n_tokens)
-        for alpha, hist, hit, exit_sum in zip(
-            config["alphas"], hists.tolist(), hits.tolist(), exit_sums.tolist()
+        (
+            alpha, speedup_ratio(hist), hit / n_tokens,
+            sum(layer * n for layer, n in enumerate(hist, 1)) / n_tokens,
         )
+        for alpha, hist, hit in zip(config["alphas"], hists.tolist(), hits.tolist())
     ]
     columns = ["alpha", "speedup_ratio", "token_accuracy", "mean_exit_layer"]
     write = _csv(config, columns, rows)
@@ -376,8 +376,8 @@ def _run_adaptive(
     ``(oracles, play)``: ``oracles[i][j]`` is the estimate at ``sigmas[i]``
     and ``lams[j]``, and ``play(sink=None)`` runs every policy at every
     pair over one image stream, each cell handing its rounds to ``sink``
-    when given, and returns one ``(sigma, lam, cells, oracle)`` per pair,
-    sigma-major, where ``cells`` maps each policy name to its cell.
+    when given, and returns one ``(cells, oracle)`` per pair, sigma-major,
+    where ``cells`` maps each policy name to its cell.
     """
     with _configuring(config, "oracle_samples"):
         _check_distinct("sigmas", sigmas)
@@ -404,12 +404,12 @@ def _run_adaptive(
 
     def play(sink=None):
         runs = [
-            (sigma, lam, {name: AdaptiveCell(a, params, sigma, sink)
-                          for name, a in actions.items()}, oracle)
+            ({name: AdaptiveCell(a, params, sigma, sink)
+              for name, a in actions.items()}, oracle)
             for sigma, estimates in zip(sigmas, oracles)
-            for lam, params, oracle in zip(lams, shapes, estimates)
+            for params, oracle in zip(shapes, estimates)
         ]
-        cells = [cell for _, _, by_name, _ in runs for cell in by_name.values()]
+        cells = [cell for by_name, _ in runs for cell in by_name.values()]
         run_lockstep(base, cells, config["gamma"], config["tokens"], config["max_len"])
         return runs
 
@@ -445,11 +445,11 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
             fh.write("".join(lines))
 
         with _csv_file(path, config, columns) as fh:
-            [(_, _, cells, _)] = play(sink)
+            [(cells, _)] = play(sink)
         cell = cells["adaptive"]
-        thresholds, pulls = cell.actions.thresholds, cell.state.pulls
+        thresholds, pulls = cell.actions.thresholds, cell.pulls
         return {
-            "rounds": cell.state.t,
+            "rounds": cell.t,
             "arm_frequencies": {repr(a): n for a, n in zip(thresholds, pulls)},
             "oracle_best_arm": oracle.best_threshold,
             "oracle_expected_rewards": {
@@ -460,7 +460,7 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
             "empirical_best_arm": thresholds[pulls.index(max(pulls))],
             "mean_reward": cell.metrics()["mean_reward"],
             "pseudo_regret": regret,
-            "regret_bound": regret_bound(oracle, cell.state.t, config["gamma"]),
+            "regret_bound": regret_bound(oracle, cell.t, config["gamma"]),
         }
 
     _write_outputs(args, config, {}, "bandit_log.csv", write)
@@ -488,7 +488,8 @@ def cmd_compare_distortion(args: argparse.Namespace, config: dict) -> int:
     rows = []
     margins = {}
     oracle_best = {}
-    for sigma, _, cells, oracle in runs:
+    for cells, oracle in runs:
+        sigma = cells["adaptive"].sigma
         metrics = {policy: cell.metrics() for policy, cell in cells.items()}
         for policy, m in metrics.items():
             rows.append(
@@ -601,7 +602,8 @@ def cmd_lambda_sweep(args: argparse.Namespace, config: dict) -> int:
     rows = []
     oracle_best = {}
     mean_rewards = {}
-    for _, lam, cells, oracle in runs:
+    for cells, oracle in runs:
+        lam = cells["adaptive"].params.lam
         metrics = cells["adaptive"].metrics()
         rows.append((lam, metrics["speedup"], metrics["accuracy"]))
         oracle_best[repr(lam)] = oracle.best_threshold

@@ -139,9 +139,7 @@ def assert_cell_matches_reference(cell, base, sigma, gamma, max_len, budget):
         for caption in captions
         for pos, decision in enumerate(caption.tokens)
     )
-    assert (cell.state.q, cell.state.pulls, cell.state.t) == (
-        state.q, state.pulls, state.t
-    )
+    assert (cell.q, cell.pulls, cell.t) == (state.q, state.pulls, state.t)
     assert cell.hist == hist
     assert cell.reward_sum == reward_sum
     assert cell.hits == hits

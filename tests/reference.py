@@ -24,7 +24,6 @@ import numpy as np
 
 from exitsim.bandit import (
     ActionSet,
-    BanditState,
     OracleEstimate,
     RewardParams,
     _check_layers,
@@ -224,12 +223,30 @@ def reward(decision: ExitDecision, params: RewardParams) -> float:
     return gain - params.mu * params.latency[i - 1]
 
 
+@dataclass
+class UcbState:
+    """The reference's UCB1 state: per-arm running means and pull counts,
+    the round counter and the exploration width.  A plain record: the
+    package keeps the same four in each ``AdaptiveCell``."""
+
+    actions: ActionSet
+    q: list[float]
+    pulls: list[int]
+    t: int
+    gamma: float
+
+    @classmethod
+    def fresh(cls, actions: ActionSet, gamma: float = 1.0) -> "UcbState":
+        k = len(actions)
+        return cls(actions, [0.0] * k, [0] * k, 0, gamma)
+
+
 class UnplayedArmError(RuntimeError):
     """A reference UCB round before every arm is played, or a first image
     too short to play them all."""
 
 
-def ucb_select(state: BanditState) -> float:
+def ucb_select(state: UcbState) -> float:
     """Arm with the largest Q + gamma * sqrt(ln t / pulls); ties go to the
     smallest threshold."""
     if not all(n >= 1 for n in state.pulls):
@@ -245,7 +262,7 @@ def ucb_select(state: BanditState) -> float:
     return state.actions.thresholds[values.index(max(values))]
 
 
-def update(state: BanditState, alpha: float, observed_reward: float) -> None:
+def update(state: UcbState, alpha: float, observed_reward: float) -> None:
     """Fold one observed reward into the chosen arm's running mean."""
     k = state.actions.thresholds.index(alpha)
     state.pulls[k] += 1
@@ -259,7 +276,7 @@ def initialize(
     params: RewardParams,
     gamma: float = 1.0,
     log: ListSink | None = None,
-) -> BanditState:
+) -> UcbState:
     """Play every arm exactly once, arm k on token k of ``image``: the
     pulls before the first ``ucb_select``.  An image with fewer tokens
     than arms raises UnplayedArmError."""
@@ -269,7 +286,7 @@ def initialize(
             f"image {image.image_ids[0]!r} has {len(traces)} tokens: initialization "
             f"needs one per arm ({len(actions)})"
         )
-    state = BanditState.fresh(actions, gamma)
+    state = UcbState.fresh(actions, gamma)
     for alpha, trace in zip(actions.thresholds, traces):
         decision = decide_exit(trace, alpha)
         r = reward(decision, params)

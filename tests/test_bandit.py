@@ -13,7 +13,6 @@ from exitsim import (
     IMAGE_CHUNK,
     ActionSet,
     AdaptiveCell,
-    BanditState,
     OracleEstimate,
     RewardParams,
     StepSchedule,
@@ -28,6 +27,7 @@ from exitsim import (
 
 from reference import (
     ListSink,
+    UcbState,
     UnplayedArmError,
     decide_exit,
     image_stream,
@@ -157,7 +157,7 @@ def test_ucb_prefers_underexplored_arm():
     # Two arms at t=12, gamma=1: Q=0.5 with 10 pulls scores
     # 0.5 + sqrt(ln 12 / 10) = 0.9985 while Q=0.4 with 2 pulls scores
     # 0.4 + sqrt(ln 12 / 2) = 1.5147, so the weaker-mean arm wins.
-    state = BanditState(
+    state = UcbState(
         actions=ActionSet((0.4, 0.8)), q=[0.5, 0.4], pulls=[10, 2], t=12, gamma=1.0
     )
     index_a = 0.5 + math.sqrt(math.log(12) / 10)
@@ -169,7 +169,7 @@ def test_ucb_prefers_underexplored_arm():
 
 def test_ucb_tie_goes_to_smallest_threshold():
     # Dyadic values keep the two indices bit-for-bit identical.
-    state = BanditState(
+    state = UcbState(
         actions=ActionSet((0.25, 0.5, 0.75)),
         q=[0.25, 0.25, 0.25],
         pulls=[4, 4, 4],
@@ -181,8 +181,8 @@ def test_ucb_tie_goes_to_smallest_threshold():
 
 def test_ucb_argmax_is_shift_invariant():
     actions = ActionSet((0.2, 0.4, 0.6))
-    base = BanditState(actions, q=[0.25, 0.75, 0.5], pulls=[3, 3, 3], t=9, gamma=1.0)
-    shifted = BanditState(
+    base = UcbState(actions, q=[0.25, 0.75, 0.5], pulls=[3, 3, 3], t=9, gamma=1.0)
+    shifted = UcbState(
         actions, q=[q + 0.125 for q in base.q], pulls=[3, 3, 3], t=9, gamma=1.0
     )
     assert ucb_select(base) == ucb_select(shifted)
@@ -190,16 +190,17 @@ def test_ucb_argmax_is_shift_invariant():
 
 def test_ucb_index_of_a_one_arm_state_is_zero():
     # A scan over one arm always picks it, so its index is never formed:
-    # not even ln 0 or a division by zero pulls.
-    state = BanditState(ActionSet((0.6,)), q=[0.5], pulls=[3], t=2**80, gamma=1.0)
-    state.q[0] = math.nan
-    assert bandit._ucb_index(state) == 0
+    # not even ln 0, a division by zero pulls or a run's unset gamma.
+    cell = AdaptiveCell(ActionSet((0.6,)), RewardParams(n_layers=3), 0.0)
+    assert bandit._ucb_index(cell) == 0
+    cell.q[0], cell.pulls[0], cell.t = math.nan, 3, 2**80
+    assert bandit._ucb_index(cell) == 0
+    state = UcbState(ActionSet((0.6,)), q=[math.nan], pulls=[3], t=2**80, gamma=1.0)
     assert ucb_select(state) == 0.6
-    assert bandit._ucb_index(BanditState.fresh(ActionSet((0.6,)))) == 0
 
 
 def test_ucb_requires_initialization():
-    state = BanditState.fresh(ActionSet((0.2, 0.4)))
+    state = UcbState.fresh(ActionSet((0.2, 0.4)))
     with pytest.raises(UnplayedArmError):
         ucb_select(state)
     state.pulls = [1, 0]
@@ -208,7 +209,7 @@ def test_ucb_requires_initialization():
 
 
 def test_update_running_mean_worked_example():
-    state = BanditState.fresh(ActionSet((0.3, 0.6)))
+    state = UcbState.fresh(ActionSet((0.3, 0.6)))
     update(state, 0.3, 0.4)
     assert state.q[0] == 0.4 and state.pulls[0] == 1 and state.t == 1
     update(state, 0.3, 0.0)
@@ -217,7 +218,7 @@ def test_update_running_mean_worked_example():
 
 
 def test_update_mean_of_three():
-    state = BanditState.fresh(ActionSet((0.5,)))
+    state = UcbState.fresh(ActionSet((0.5,)))
     for r in (0.1, 0.2, 0.3):
         update(state, 0.5, r)
     assert abs(state.q[0] - 0.2) < 1e-12
@@ -225,7 +226,7 @@ def test_update_mean_of_three():
 
 
 def test_update_rejects_unknown_arm():
-    state = BanditState.fresh(ActionSet((0.5,)))
+    state = UcbState.fresh(ActionSet((0.5,)))
     with pytest.raises(ValueError):
         update(state, 0.6, 0.1)
     assert state.pulls == [0] and state.q == [0.0] and state.t == 0
@@ -242,7 +243,7 @@ def test_update_bookkeeping_invariants(rewards, picks):
     # After any pull sequence: pulls sum to t and each Q is the exact
     # running mean of that arm's observed rewards.
     actions = ActionSet((0.2, 0.5, 0.8))
-    state = BanditState.fresh(actions)
+    state = UcbState.fresh(actions)
     seen = {a: [] for a in actions.thresholds}
     for r in rewards:
         arm = picks.draw(st.sampled_from(actions.thresholds))
@@ -258,11 +259,6 @@ def test_update_bookkeeping_invariants(rewards, picks):
             assert state.q[k] == 0.0
 
 
-def test_state_gamma_floor():
-    with pytest.raises(ValueError):
-        BanditState.fresh(ActionSet((0.5,)), gamma=0.5)
-
-
 NAN = float("nan")
 
 
@@ -273,12 +269,6 @@ NAN = float("nan")
         pytest.param(lambda: RewardParams(n_layers=3, lam=math.inf), id="lam-inf"),
         pytest.param(lambda: RewardParams(n_layers=3, mu=NAN), id="mu-nan"),
         pytest.param(lambda: RewardParams(n_layers=3, lam=1e308), id="lam-overflow"),
-        pytest.param(
-            lambda: BanditState.fresh(ActionSet((0.5,)), gamma=NAN), id="gamma-nan"
-        ),
-        pytest.param(
-            lambda: BanditState(ActionSet((0.5,)), [NAN], [1], 1, 1.0), id="q-nan"
-        ),
         pytest.param(
             lambda: regret_bound(OracleEstimate((0.5,), (0.0,), 1), 10, NAN),
             id="regret-bound-gamma-nan",
@@ -331,9 +321,8 @@ def test_initialize_plays_every_arm_once():
     params = RewardParams(n_layers=3)
     log = ListSink()
     cell = _initialized(actions, image, params, log)
-    state = cell.state
-    assert state.pulls == [1, 1, 1]
-    assert state.t == 3
+    assert cell.pulls == [1, 1, 1]
+    assert cell.t == 3
     assert len(log) == 3
     assert log.rounds == [1, 2, 3]
     assert log.arms == [0.2, 0.5, 0.8]
@@ -350,10 +339,10 @@ def test_initialize_q_values_are_the_observed_rewards():
     # (0.9-0.3 - 1 = -0.4).
     actions = ActionSet((0.2, 0.5, 0.8))
     image = make_image([[0.3, 0.6, 0.9]] * 3)
-    state = _initialized(actions, image, RewardParams(n_layers=3)).state
-    assert state.q[0] == 0.0
-    assert state.q[1] == pytest.approx((0.6 - 0.3) - 2.0 / 3.0, abs=1e-12)
-    assert state.q[2] == pytest.approx((0.9 - 0.3) - 1.0, abs=1e-12)
+    cell = _initialized(actions, image, RewardParams(n_layers=3))
+    assert cell.q[0] == 0.0
+    assert cell.q[1] == pytest.approx((0.6 - 0.3) - 2.0 / 3.0, abs=1e-12)
+    assert cell.q[2] == pytest.approx((0.9 - 0.3) - 1.0, abs=1e-12)
 
 
 def test_initialize_plays_arm_k_on_token_k():
@@ -362,20 +351,20 @@ def test_initialize_plays_arm_k_on_token_k():
     actions = ActionSet((0.5, 0.7))
     rows = [[0.6, 0.8, 0.9], [0.1, 0.2, 0.95], [0.9, 0.9, 0.9]]
     log = ListSink()
-    state = _initialized(actions, make_image(rows), RewardParams(n_layers=3), log).state
+    cell = _initialized(actions, make_image(rows), RewardParams(n_layers=3), log)
     assert log.exit_layers == [1, 3]  # token 1 at 0.5, token 2 at 0.7
-    assert state.q[0] == 0.0
-    assert state.q[1] == pytest.approx((0.95 - 0.1) - 1.0, abs=1e-12)
+    assert cell.q[0] == 0.0
+    assert cell.q[1] == pytest.approx((0.95 - 0.1) - 1.0, abs=1e-12)
 
 
 def test_initialize_single_arm_consumes_one_trace():
     log = ListSink()
-    state = _initialized(
+    cell = _initialized(
         ActionSet((0.5,)), make_image([[0.3, 0.6], [0.7, 0.4]]),
         RewardParams(n_layers=2), log,
-    ).state
-    assert state.t == 1 and log.exit_layers == [2]  # token 2 never played
-    assert state.q == [(0.6 - 0.3) - 0.5 * 2.0]
+    )
+    assert cell.t == 1 and log.exit_layers == [2]  # token 2 never played
+    assert cell.q == [(0.6 - 0.3) - 0.5 * 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +392,9 @@ def test_adaptive_run_spends_first_image_on_initialization():
     assert cell.sink.arms[:2] == [0.2, 0.5]
     assert cell.sink.exit_layers[:2] == init_log.exit_layers
     assert cell.sink.rewards[:2] == init_log.rewards
-    assert cell.state.t == len(cell.sink) == 2 + 3 * 5
+    assert cell.t == len(cell.sink) == 2 + 3 * 5
     assert cell.emitted == 3 * 5
-    assert sum(cell.hist) == cell.state.t
+    assert sum(cell.hist) == cell.t
 
 
 def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
@@ -416,7 +405,7 @@ def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_len must be >= 1"):
             run_lockstep(model, [cell], 1.0, 50, cap)
-    assert draws == [] and cell.state is None
+    assert draws == [] and cell.t == 0
 
 
 def _assert_refused_before_any_draw(
@@ -438,7 +427,7 @@ def _assert_refused_before_any_draw(
     with pytest.raises(ValueError, match=message):
         run_lockstep(base, cells, gamma, budget, max_len)
     assert draws == []
-    assert all(cell.state is None for cell in cells)
+    assert all(cell.t == 0 for cell in cells)
 
 
 def test_adaptive_run_rejects_a_caption_cap_below_the_arm_count(monkeypatch):
@@ -490,7 +479,7 @@ def test_a_cell_played_directly_refuses_what_check_run_refuses(
     )
     with pytest.raises(ValueError, match=message):
         cell.play(batch, gamma, tokens, max_len, model.eos_id)
-    assert cell.state is None
+    assert cell.t == 0
 
 
 def test_single_arm_adaptive_run_matches_fixed_threshold():
@@ -532,7 +521,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
 
     images = image_stream(base, 2.0, base.stream_rng(0), max_len)
     log = ListSink()
-    state = BanditState.fresh(actions, gamma)
+    state = UcbState.fresh(actions, gamma)
     for alpha, trace in zip(actions.thresholds, token_traces(next(images))):
         decision = decide_exit(trace, alpha)
         r = reward(decision, params)
@@ -555,9 +544,7 @@ def test_adaptive_run_matches_per_token_reference_loop():
 
     assert len(set(log.arms)) > 1
     assert cell.sink == log
-    assert (cell.state.q, cell.state.pulls, cell.state.t) == (
-        state.q, state.pulls, budget
-    )
+    assert (cell.q, cell.pulls, cell.t) == (state.q, state.pulls, budget)
     assert cell.emitted == sum(caption_lengths)
     assert decision.token_id != base.eos_id and caption_lengths[-1] < max_len
 
@@ -574,7 +561,7 @@ def test_round_kernel_matches_the_run_caption_reference(budget):
     captions = assert_cell_matches_reference(cell, model, 0.0, gamma, max_len, budget)
     assert any(c.terminated_by_eos and len(c) < max_len for c in captions)
     if budget < 10_000:
-        assert cell.state.t == budget
+        assert cell.t == budget
         assert captions[-1].truncated
     else:
         assert captions[-1].image_id >= IMAGE_CHUNK
@@ -592,11 +579,11 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
     cell = AdaptiveCell(actions, params, 0.0)
     with pytest.raises(ValueError, match=refused):
         cell.play(batch, 1.0, 100, 20, model.eos_id)
-    assert cell.state is None
+    assert cell.t == 0
     cell = AdaptiveCell(actions, params, 0.0)
     with pytest.raises(ValueError, match=refused):
         run_lockstep(model, [cell], 1.0, 100, 20)
-    assert cell.state is None
+    assert cell.t == 0
     with pytest.raises(ValueError, match=refused):
         shared_oracles(model, [0.0], actions, [params], samples=10)
     matched = _drive(model, actions, RewardParams(n_layers=12), 100, 20)
@@ -608,7 +595,7 @@ def test_adaptive_run_is_deterministic():
     args = (model, ActionSet((0.2, 0.5, 0.8)), RewardParams(n_layers=model.n_layers))
     a, b = _drive(*args, 500, 12), _drive(*args, 500, 12)
     assert a.sink == b.sink
-    assert a.state == b.state
+    assert (a.q, a.pulls, a.t) == (b.q, b.pulls, b.t)
     assert (a.hist, a.reward_sum, a.hits, a.emitted) == (
         b.hist, b.reward_sum, b.hits, b.emitted
     )
@@ -620,8 +607,31 @@ def test_adaptive_run_honors_token_budget():
     cell = _drive(
         model, ActionSet((0.2, 0.5)), RewardParams(n_layers=model.n_layers), 17, 10
     )
-    assert cell.state.t == len(cell.sink) == 17
+    assert cell.t == len(cell.sink) == 17
     assert cell.emitted == 15
+
+
+def test_a_run_keeps_the_gamma_it_started_with():
+    # The exploration width belongs to the run: a later chunk played at
+    # another gamma plays the rounds the starting gamma gives.
+    model = SyntheticConfidenceModel(seed=6)
+    max_len = 12
+    budget = 2 * IMAGE_CHUNK * max_len
+    rng = model.stream_rng(0)
+    chunks = [
+        finish_tokens(model, 0.0, draw_tokens(model, max_len, rng, IMAGE_CHUNK))
+        for _ in range(2)
+    ]
+    params = RewardParams(n_layers=model.n_layers)
+    kept, changed = (AdaptiveCell(ActionSet.default_grid(), params, 0.0) for _ in "ab")
+    for cell, second_gamma in ((kept, 1.0), (changed, 3.0)):
+        cell.play(chunks[0], 1.0, budget, max_len, model.eos_id)
+        first_rounds = cell.t
+        cell.play(chunks[1], second_gamma, budget, max_len, model.eos_id)
+        assert first_rounds < cell.t < budget
+    assert (changed.q, changed.pulls, changed.t, changed.hist) == (
+        kept.q, kept.pulls, kept.t, kept.hist
+    )
 
 
 def test_cell_hands_each_chunk_its_rounds_in_one_call():

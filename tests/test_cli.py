@@ -800,6 +800,29 @@ def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, capsys):
     assert got == want.getvalue().encode("ascii")
 
 
+def test_bandit_log_rows_are_the_bytes_csv_writer_writes(tmp_path, capsys):
+    # The bandit sink formats each row itself; reading its rows back and
+    # writing them through csv.writer, floats as their repr, gives the file.
+    out = str(tmp_path)
+    argv = ["bandit", "--seed", "1", "--tokens", "3000", "--oracle-samples", "500"]
+    assert run_cli([*argv, "--out-dir", out], capsys)[0] == 0
+    with open(os.path.join(out, "bandit_log.csv"), "rb") as fh:
+        got = fh.read()
+    lines = got.decode("ascii").splitlines(keepends=True)
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = read_csv_rows(os.path.join(out, "bandit_log.csv"))
+    assert len(rows) == 3000
+    want = io.StringIO(newline="")
+    want.write("".join(comments))
+    writer = csv.writer(want)
+    writer.writerow(header)
+    kinds = (int, float, int, float, float)
+    for row in rows:
+        values = [kind(v) for kind, v in zip(kinds, row, strict=True)]
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
+    assert got == want.getvalue().encode("ascii")
+
+
 def test_staged_replaces_only_after_the_block(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")
@@ -1336,7 +1359,7 @@ def _check_lockstep_case(case):
         captions = assert_cell_matches_reference(
             cell, base, cell.sigma, gamma, max_len, budget
         )
-        assert cell.state.t == budget
+        assert cell.t == budget
         closing_chunks.add(captions[-1].image_id // IMAGE_CHUNK)
         if case == "chunk-boundary" and len(cell.actions) == len(grid):
             last = captions[-1]
@@ -1345,7 +1368,7 @@ def _check_lockstep_case(case):
         if case == "interleaved-levels":
             alone = AdaptiveCell(cell.actions, params, cell.sigma, ListSink())
             run_lockstep(base, [alone], gamma, budget, max_len)
-            aggregates = ("state", "hist", "reward_sum", "hits", "emitted", "sink")
+            aggregates = ("q", "pulls", "t", "hist", "reward_sum", "hits", "emitted", "sink")
             for name in aggregates:
                 assert getattr(alone, name) == getattr(cell, name), name
     if case == "mid-chunk":
@@ -1365,7 +1388,7 @@ def test_lockstep_validates_each_finished_chunk(monkeypatch):
     cells = [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers), 0.0)]
     with pytest.raises(exitsim.TraceValidationError, match="token 8 layer 4"):
         run_lockstep(base, cells, 1.0, 50, 6)
-    assert cells[0].state is None
+    assert cells[0].t == 0
 
 
 # ---------------------------------------------------------------------------

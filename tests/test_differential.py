@@ -109,7 +109,7 @@ def test_lockstep_cells_match_the_scalar_reference(case):
     run_lockstep(base, played, gamma, budget, max_len)
     for cell in played:
         assert_cell_matches_reference(cell, base, cell.sigma, gamma, max_len, budget)
-        assert cell.state.t == budget
+        assert cell.t == budget
 
 
 @st.composite

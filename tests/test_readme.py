@@ -23,6 +23,6 @@ def test_library_sketch_runs_at_small_counts(capsys):
     namespace = {}
     exec(compile(code, "README.md (Library sketch)", "exec"), namespace)
     assert capsys.readouterr().out
-    assert namespace["cell"].state.t == 2_000
-    assert [c.state.t for c in namespace["cells"]] == [2_000] * 4
+    assert namespace["cell"].t == 2_000
+    assert [c.t for c in namespace["cells"]] == [2_000] * 4
     assert len(namespace["estimates"]) == len(namespace["sigmas"])
