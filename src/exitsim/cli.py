@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -147,9 +147,9 @@ def effective_config(
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             config[key] = _coerce(key, flag_value, kind)
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    config["seed"] = args.seed
+    config["seed"] = _coerce("seed", args.seed, "int")
+    if config["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     return config
 
 
@@ -662,28 +662,36 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses bad argv with ConfigError, so the
+    refusal leaves through ``main`` like any other."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The exitsim parser.  Flag values stay strings: ``effective_config``
+    parses them with the config file's values."""
+    parser = _Parser(
         prog="exitsim",
         description="Early-exit inference experiments on synthetic traces.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    types = {"int": int, "float": float}
     for name, (_, schema) in COMMANDS.items():
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="JSON config file", default=None)
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sub.add_argument("--seed", default=DEFAULT_SEED)
         sub.add_argument("--out-dir", default=".")
-        for key, (kind, _) in schema.items():
-            flag = "--" + key.replace("_", "-")
-            sub.add_argument(flag, type=types.get(kind, str), default=None, dest=key)
+        for key in schema:
+            sub.add_argument("--" + key.replace("_", "-"), default=None, dest=key)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command, schema = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        command, schema = COMMANDS[args.command]
         return command(args, effective_config(args, schema))
     except (*_INPUT_ERRORS, OSError) as exc:
         return _fail("input", exc, 3)

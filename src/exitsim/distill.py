@@ -313,17 +313,17 @@ def _ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return probs
 
 
-# Per-layer states, teacher logits, g_h, g_z: see _backbone_buffers.
-_BackboneBuffers = tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]
+# Per-layer states, teacher logits, g_h: see _backbone_buffers.
+_BackboneBuffers = tuple[list[np.ndarray], np.ndarray, np.ndarray]
 
 
 def _backbone_buffers(config: ToyConfig, rows: int) -> _BackboneBuffers:
     """Scratch for ``_backbone_backward`` on a block of ``rows`` rows: the
-    per-layer states, the teacher logits, and the g_h / g_z rows."""
+    per-layer states, the teacher logits, and the g_h rows."""
     hidden = (rows, config.hidden_dim)
     states = [np.empty(hidden) for _ in range(config.n_layers)]
     logits = np.empty((rows, config.vocab_size))
-    return states, logits, np.empty(hidden), np.empty(hidden)
+    return states, logits, np.empty(hidden)
 
 
 def _backbone_backward(
@@ -336,7 +336,7 @@ def _backbone_backward(
     Every (rows, width) intermediate lives in ``buffers`` (from
     ``_backbone_buffers``); the returned gradients are fresh arrays.
     """
-    states, logits, g_h, g_z = buffers
+    states, logits, g_h = buffers
     features, targets = example.features, example.targets
     for _ in _hidden_states(model, features, states):
         pass
@@ -353,8 +353,9 @@ def _backbone_backward(
     g_weights: list[np.ndarray] = [None] * len(model.layer_weights)  # type: ignore[list-item]
     g_biases: list[np.ndarray] = [None] * len(model.layer_biases)  # type: ignore[list-item]
     for i in range(len(model.layer_weights) - 1, -1, -1):
-        # g_h * (1 - s**2); s**2 is np.square(s), which is s * s.
-        np.multiply(states[i], states[i], out=g_z)
+        # g_h * (1 - s**2); s**2 is np.square(s), which is s * s.  Nothing
+        # reads layer i's state after this, so g_z takes its buffer.
+        g_z = np.multiply(states[i], states[i], out=states[i])
         np.subtract(1.0, g_z, out=g_z)
         g_z *= g_h
         below = features if i == 0 else states[i - 1]
@@ -368,13 +369,14 @@ def _backbone_backward(
 def _frozen_inputs(
     model: ToyCascade, example: SyntheticExample, loss_terms: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Check ``loss_terms``, then run the frozen backbone once: the
-    per-layer states and the teacher's floored log-probabilities, the
-    two things stage two reads."""
+    """Check ``loss_terms``, then run the frozen backbone once: the exit
+    layers' states and the teacher's floored log-probabilities, the two
+    things stage two reads."""
     check_loss_terms(loss_terms)
     states = list(_hidden_states(model, example.features))
-    teacher = _softmax(states[-1] @ model.teacher_weight + model.teacher_bias)
-    return states, _floored_log(teacher, out=teacher)
+    log_q = np.matmul(states.pop(), model.teacher_weight)
+    log_q += model.teacher_bias
+    return states, _floored_log(_softmax(log_q, out=log_q), out=log_q)
 
 
 def _exits_backward(

@@ -144,6 +144,32 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys):
     assert "tokens" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare-distortion", "--tokens", "abc"], "tokens: expected int, got 'abc'"),
+        (["bandit", "--seed", "abc"], "seed: expected int, got 'abc'"),
+        (["bandit", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["bandit", "--tokens"], "argument --tokens: expected one argument"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "bad-seed", "unknown-flag", "no-value", "unknown-command", "no-command"],
+)
+def test_argv_the_parser_refuses_exits_2_through_main(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    # Refused argv leaves main as a return value and one error line, not
+    # as SystemExit with a usage block; the default --out-dir is the cwd.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: config: {message}")
+    assert len(err.splitlines()) == 1
+    assert out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_out_dir_is_created_on_demand(tmp_path, capsys):
     out = str(tmp_path / "a" / "b")
     code, _, _ = run_cli(
@@ -1971,15 +1997,14 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(
             if flag in ("--traces", "--model", "--config"):
                 value = str(fuzz_inputs / value.format(command))
             argv.append(f"{flag}={value}")
-        try:
-            code = main([*argv, "--out-dir", str(out)])
-        except SystemExit as exc:  # argparse refused a flag
-            code = exc.code
+        code = main([*argv, "--out-dir", str(out)])
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), (argv, err)
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == (code != 0), (argv, err)
+        category = {2: "config", 3: "input", 4: "runtime"}.get(code)
+        assert all(e.startswith(f"error: {category}: ") for e in errors), (argv, err)
         written = [name for _, _, names in os.walk(out) for name in names]
         if code:
             assert written == [], (argv, err)
