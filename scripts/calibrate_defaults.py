@@ -29,7 +29,7 @@ from exitsim import (
     speedup_ratio,
 )
 from exitsim.cascade import exit_layer_indices
-from exitsim.cli import ABLATION_SCHEMA, _train_ablation
+from exitsim.cli import ABLATION_SCHEMA, train_ablation
 
 
 def oracle_landscapes(base, actions, params, samples):
@@ -106,7 +106,7 @@ def ablation_constants(quick):
         config.update(stage1_epochs=100, stage2_epochs=80, decay_every=40)
         print("(quick mode: epochs reduced, numbers NOT commit-grade)")
     started = time.monotonic()
-    accuracies = _train_ablation(config)
+    accuracies = train_ablation(config)
     deepest = len(accuracies["ce"]) - 2
     spread = max(
         abs(accuracies["both"][deepest] - accuracies["ce"][deepest]),

@@ -224,16 +224,18 @@ def _write_outputs(
     write: Callable[[str], dict | None],
 ) -> None:
     """Write the data file ``name`` and ``<command>_summary.json`` into
-    --out-dir, then echo the summary to stdout: the only way a command's
+    --out-dir and echo the summary to stdout: the only way a command's
     files reach --out-dir.
 
     ``write(temp)`` writes the data file to a temporary path and may
     return more summary fields, those of work it ran while writing.  The
     summary holds ``config``, ``fields``, those and both output names; it
     is serialized as strict JSON into another temporary path, so a
-    non-finite number raises OutputError.  Both are renamed into place
-    only once both are written in full: a failure anywhere (``write``
-    raising mid-stream, say) leaves neither behind.
+    non-finite number raises OutputError.  The summary is then echoed,
+    flushed, and only after that are both files renamed into place: a
+    failure anywhere before (``write`` raising mid-stream, or a closed
+    stdout, say) leaves neither behind.  Only a rename that fails after
+    the echo leaves the echo, and possibly the data file, behind.
     """
     summary_name = _summary_name(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -251,7 +253,7 @@ def _write_outputs(
             lambda message: OutputError(f"{summary_name}: {message}"),
             indent=2,
         )
-    print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(summary, sort_keys=True), flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +365,27 @@ ADAPTIVE_SCHEMA = {
 
 
 def _run_adaptive(
-    config: dict,
-    sigmas: Sequence[float],
-    lams: Sequence[float],
-    policies: dict[str, Sequence[float]],
-) -> tuple[list[list[OracleEstimate]], Callable[..., list]]:
+    config: dict, sigmas: Sequence[float], lams: Sequence[float]
+) -> tuple[
+    SyntheticConfidenceModel, ActionSet, list[RewardParams], list[list[OracleEstimate]]
+]:
     """Check the flags of an ADAPTIVE_SCHEMA config plus ``tokens`` (the
     reward ranges they give included), then estimate the oracle over the
     ``alphas`` grid at every distortion level and latency cost.
 
-    ``policies`` maps each policy name to its thresholds.  Returns
-    ``(oracles, play)``: ``oracles[i][j]`` is the estimate at ``sigmas[i]``
-    and ``lams[j]``, and ``play(sink=None)`` runs every policy at every
-    pair over one image stream, each cell handing its rounds to ``sink``
-    when given, and returns one ``(cells, oracle)`` per pair, sigma-major,
-    where ``cells`` maps each policy name to its cell.
+    Returns ``(base, grid, shapes, oracles)``: the model of the image
+    stream, the checked grid, one reward shape per entry of ``lams`` and
+    ``oracles[i][j]``, the estimate at ``sigmas[i]`` and ``lams[j]``.  The
+    caller builds its cells from these and plays them with one
+    ``run_lockstep``; none may have more arms than ``grid``.
     """
     with _configuring(config, "oracle_samples"):
         _check_distinct("sigmas", sigmas)
         _check_distinct("lambdas", lams)
         grid = ActionSet(tuple(config["alphas"]))
-        actions = {name: ActionSet(tuple(a)) for name, a in policies.items()}
-        arms = max(len(a) for a in actions.values())
-        check_run(arms, sigmas, config["gamma"], config["tokens"], config["max_len"])
+        check_run(
+            len(grid), sigmas, config["gamma"], config["tokens"], config["max_len"]
+        )
         base = SyntheticConfidenceModel(seed=config["seed"])
         shapes = [RewardParams(base.n_layers, config["mu"], lam) for lam in lams]
         # Every reported sum adds at most this many rewards, each within
@@ -401,19 +401,7 @@ def _run_adaptive(
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
     oracles = shared_oracles(base, sigmas, grid, shapes, config["oracle_samples"])
-
-    def play(sink=None):
-        runs = [
-            ({name: AdaptiveCell(a, params, sigma, sink)
-              for name, a in actions.items()}, oracle)
-            for sigma, estimates in zip(sigmas, oracles)
-            for params, oracle in zip(shapes, estimates)
-        ]
-        cells = [cell for by_name, _ in runs for cell in by_name.values()]
-        run_lockstep(base, cells, config["gamma"], config["tokens"], config["max_len"])
-        return runs
-
-    return oracles, play
+    return base, grid, shapes, oracles
 
 
 BANDIT_SCHEMA = {
@@ -425,8 +413,8 @@ BANDIT_SCHEMA = {
 
 
 def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
-    [[oracle]], play = _run_adaptive(
-        config, [config["sigma"]], [config["lam"]], {"adaptive": config["alphas"]}
+    base, grid, [params], [[oracle]] = _run_adaptive(
+        config, [config["sigma"]], [config["lam"]]
     )
     gap_of = dict(zip(oracle.thresholds, oracle.gaps))
     columns = ["t", "arm", "exit_layer", "reward", "cumulative_pseudo_regret"]
@@ -444,10 +432,12 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
                 lines.append("%d,%r,%d,%r,%r\r\n" % (t, arm, layer, r, regret))
             fh.write("".join(lines))
 
+        cell = AdaptiveCell(grid, params, config["sigma"], sink)
         with _csv_file(path, config, columns) as fh:
-            [(cells, _)] = play(sink)
-        cell = cells["adaptive"]
-        thresholds, pulls = cell.actions.thresholds, cell.pulls
+            run_lockstep(
+                base, [cell], config["gamma"], config["tokens"], config["max_len"]
+            )
+        thresholds, pulls = grid.thresholds, cell.pulls
         return {
             "rounds": cell.t,
             "arm_frequencies": {repr(a): n for a, n in zip(thresholds, pulls)},
@@ -477,27 +467,27 @@ COMPARE_SCHEMA = {
 
 
 def cmd_compare_distortion(args: argparse.Namespace, config: dict) -> int:
-    fixed_name = f"fixed-{config['fixed_alpha']:g}"
-    _, play = _run_adaptive(
-        config,
-        config["sigmas"],
-        [config["lam"]],
-        {fixed_name: (config["fixed_alpha"],), "adaptive": config["alphas"]},
+    with _configuring(config):  # its own flag, before the shared checks
+        fixed = ActionSet((config["fixed_alpha"],))
+    base, grid, [params], oracles = _run_adaptive(
+        config, config["sigmas"], [config["lam"]]
     )
-    runs = play()
+    names = (f"fixed-{config['fixed_alpha']:g}", "adaptive")
+    pairs = [
+        [AdaptiveCell(actions, params, sigma) for actions in (fixed, grid)]
+        for sigma in config["sigmas"]
+    ]
+    cells = [cell for pair in pairs for cell in pair]
+    run_lockstep(base, cells, config["gamma"], config["tokens"], config["max_len"])
     rows = []
     margins = {}
     oracle_best = {}
-    for cells, oracle in runs:
-        sigma = cells["adaptive"].sigma
-        metrics = {policy: cell.metrics() for policy, cell in cells.items()}
-        for policy, m in metrics.items():
-            rows.append(
-                (sigma, policy, m["speedup"], m["accuracy"], m["mean_reward"])
-            )
-        margins[repr(sigma)] = (
-            metrics["adaptive"]["mean_reward"] - metrics[fixed_name]["mean_reward"]
-        )
+    for sigma, pair, [oracle] in zip(config["sigmas"], pairs, oracles):
+        metrics = [cell.metrics() for cell in pair]
+        for name, m in zip(names, metrics):
+            rows.append((sigma, name, m["speedup"], m["accuracy"], m["mean_reward"]))
+        fixed_m, adaptive_m = metrics
+        margins[repr(sigma)] = adaptive_m["mean_reward"] - fixed_m["mean_reward"]
         oracle_best[repr(sigma)] = oracle.best_threshold
     columns = ["sigma", "policy", "speedup", "token_accuracy", "mean_reward"]
     _write_outputs(
@@ -552,7 +542,7 @@ def _stage_one(
     return task, model, schedule, history
 
 
-def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
+def train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
     """Train the backbone once, then each loss variant from a fresh copy."""
     task, model, schedule, _ = _stage_one(config)
     accuracies = {}
@@ -566,7 +556,7 @@ def _train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
 
 
 def cmd_ablation(args: argparse.Namespace, config: dict) -> int:
-    accuracies = _train_ablation(config)
+    accuracies = train_ablation(config)
     n_layers = len(accuracies["ce"])
     rows = [
         (layer + 1, *(accuracies[terms][layer] for terms in ("ce", "kl", "both")))
@@ -595,16 +585,16 @@ LAMBDA_SCHEMA = {
 
 
 def cmd_lambda_sweep(args: argparse.Namespace, config: dict) -> int:
-    _, play = _run_adaptive(
-        config, [config["sigma"]], config["lambdas"], {"adaptive": config["alphas"]}
+    base, grid, shapes, [oracles] = _run_adaptive(
+        config, [config["sigma"]], config["lambdas"]
     )
-    runs = play()
+    cells = [AdaptiveCell(grid, params, config["sigma"]) for params in shapes]
+    run_lockstep(base, cells, config["gamma"], config["tokens"], config["max_len"])
     rows = []
     oracle_best = {}
     mean_rewards = {}
-    for cells, oracle in runs:
-        lam = cells["adaptive"].params.lam
-        metrics = cells["adaptive"].metrics()
+    for lam, cell, oracle in zip(config["lambdas"], cells, oracles):
+        metrics = cell.metrics()
         rows.append((lam, metrics["speedup"], metrics["accuracy"]))
         oracle_best[repr(lam)] = oracle.best_threshold
         mean_rewards[repr(lam)] = metrics["mean_reward"]

@@ -33,7 +33,7 @@ from exitsim import (
     write_traces,
 )
 from exitsim.cascade import exit_layer_indices
-from exitsim.cli import ABLATION_SCHEMA, _train_ablation, main as cli_main
+from exitsim.cli import ABLATION_SCHEMA, train_ablation, main as cli_main
 from exitsim.distill import ToyConfig
 
 from reference import (
@@ -286,7 +286,7 @@ def test_criterion_09_ablation_direction():
     config = {key: default for key, (_, default) in ABLATION_SCHEMA.items()}
     config["seed"] = 7
     started = time.monotonic()
-    accuracies = _train_ablation(config)
+    accuracies = train_ablation(config)
     elapsed = time.monotonic() - started
     layer1_margin = accuracies["both"][0] - accuracies["ce"][0]
     deepest = len(accuracies["ce"]) - 2

@@ -311,6 +311,35 @@ def test_late_checked_flags_exit_2_before_any_work(
     assert not out.exists()
 
 
+# compare-distortion checks its own --fixed-alpha before the shared
+# adaptive checks, so with a bad fixed threshold that is the one fault
+# reported.  While the shared setup also built the fixed policy's action
+# set, between the grid and the run's bounds, three of these reported the
+# shared fault instead:
+#   --sigmas 0,0        sigmas: duplicate value 0.0
+#   --alphas 0.5,0.4    thresholds must be strictly increasing, got 0.5 before 0.4
+#   --oracle-samples 0  oracle_samples must be >= 1, got 0
+@pytest.mark.parametrize(
+    "flags, alone",
+    [
+        (["--sigmas", "0,0"], "sigmas: duplicate value 0.0"),
+        (["--alphas", "0.5,0.4"], "thresholds must be strictly increasing, got 0.5 before 0.4"),
+        (["--oracle-samples", "0"], "oracle_samples must be >= 1, got 0"),
+        (["--tokens", "5"], "tokens must cover one pull per arm and one round after: 5 <= 10"),
+        (["--mu", "1e308"], "mu 1e+308 and lam 1.0: a sum of 200000 rewards in [-inf, 1.0] is not finite"),
+    ],
+    ids=["sigmas", "alphas", "oracle-samples", "tokens", "mu"],
+)
+def test_compare_distortion_reports_a_bad_fixed_alpha_first(
+    flags, alone, tmp_path, capsys
+):
+    argv = ["compare-distortion", *flags, "--out-dir", str(tmp_path / "out")]
+    assert run_cli(argv, capsys) == (2, "", f"error: config: {alone}\n")
+    both = run_cli([*argv, "--fixed-alpha", "2"], capsys)
+    assert both == (2, "", "error: config: exit threshold 2.0 outside [0, 1]\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_adds_up_blocks_as_one_pass(tmp_path, monkeypatch, capsys):
     # 150 images are read as three blocks; summed block by block, every
     # printed ratio must be the one-block sweep's, bit for bit.
@@ -803,6 +832,34 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
         cli._write_outputs(args, {}, {}, "bandit_log.csv", cli._csv({}, ["t"], rows()))
     assert os.listdir(tmp_path) == []  # no CSV, no summary, no temp file
     assert capsys.readouterr().out == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_failed_summary_echo_leaves_no_output(failing, tmp_path, monkeypatch, capsys):
+    # The summary is echoed, flushed, before the outputs are renamed into
+    # place, so a run refused for its echo leaves nothing in --out-dir.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(failing))
+    code = main(["gen-traces", "--n-images", "3", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: input: [Errno 32] Broken pipe\n"
+    assert os.listdir(tmp_path) == []  # no traces, no summary, no temp file
 
 
 def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, capsys):

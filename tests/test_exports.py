@@ -6,6 +6,9 @@ not in the package.  The scan matches bare names, so a name collision
 hides dead code: a method passes whenever code in ``src/exitsim/`` or
 ``scripts/`` reads the same name for anything else.  ``expected``
 and ``index`` are such names (a local variable and ``list.index``).
+
+No product module imports a ``_``-prefixed name from another ``exitsim``
+module: a name another module needs is public.
 """
 
 import ast
@@ -109,6 +112,54 @@ def test_docstrings_are_not_uses(tmp_path):
         "from exitsim.cascade import exit_counts\n"
     )
     assert names_used(str(path)) == {"speedup_ratio", "h", "total", "exit_counts"}
+
+
+def private_imports(path):
+    """``(module, name)`` of every ``_``-prefixed name that ``path``
+    imports from an ``exitsim`` module, relative imports included; a
+    relative module is written with its leading dots."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    return [
+        ("." * node.level + (node.module or ""), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "exitsim")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # The tests may reach into a module; product code may not.
+    paths = [*product_files(), os.path.join(PACKAGE_DIR, "__init__.py")]
+    found = [
+        (os.path.relpath(path, ROOT), *hit)
+        for path in paths
+        for hit in private_imports(path)
+    ]
+    assert found == []
+
+
+def test_private_imports_are_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        '"""from exitsim.cli import _quoted"""\n'
+        "from exitsim.cli import ABLATION_SCHEMA, _helper\n"
+        "from .bandit import _fold as fold\n"
+        "from . import _module\n"
+        "from exitsim import cli as _cli\n"
+        "from numpy import _private\n"
+        "from exitsimulator import _other\n"
+        "def f():\n"
+        "    from exitsim.synth import _MATRIX_SPAN\n"
+    )
+    assert private_imports(str(path)) == [
+        ("exitsim.cli", "_helper"),
+        (".bandit", "_fold"),
+        (".", "_module"),
+        ("exitsim.synth", "_MATRIX_SPAN"),
+    ]
 
 
 # Installs the benchmark's tracer over the package under test and checks
