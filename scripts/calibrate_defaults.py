@@ -29,7 +29,7 @@ from exitsim import (
     speedup_ratio,
 )
 from exitsim.cascade import exit_layer_indices
-from exitsim.cli import ABLATION_SCHEMA, train_ablation
+from exitsim.cli import ABLATION_SCHEMA, ablation_summary, train_ablation
 
 
 def oracle_landscapes(base, actions, params, samples):
@@ -106,15 +106,9 @@ def ablation_constants(quick):
         config.update(stage1_epochs=100, stage2_epochs=80, decay_every=40)
         print("(quick mode: epochs reduced, numbers NOT commit-grade)")
     started = time.monotonic()
-    accuracies = train_ablation(config)
-    deepest = len(accuracies["ce"]) - 2
-    spread = max(
-        abs(accuracies["both"][deepest] - accuracies["ce"][deepest]),
-        abs(accuracies["kl"][deepest] - accuracies["ce"][deepest]),
-    )
-    print(f"teacher_accuracy      = {accuracies['ce'][-1]!r}")
-    print(f"layer1_both_minus_ce  = {accuracies['both'][0] - accuracies['ce'][0]!r}")
-    print(f"deepest_exit_spread   = {spread!r}")
+    summary = ablation_summary(train_ablation(config))
+    for key in ("teacher_accuracy", "layer1_both_minus_ce", "deepest_exit_spread"):
+        print(f"{key:<22}= {summary[key]!r}")
     print(f"(suggested DEEP_EXIT_EPSILON: ~10x the spread, currently 0.02)")
     print(f"({time.monotonic() - started:.0f}s)")
 

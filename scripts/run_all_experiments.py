@@ -11,8 +11,9 @@ Drives the installed CLI in-process, one subdirectory per experiment:
       lambda/      latency-cost sweep
       toy/         two-stage trained toy checkpoint + sweep over its exits
 
-`--quick` shrinks horizons ~100x for a fast smoke pass; default sizes
-reproduce the committed experiment numbers in a few minutes.
+`--quick` shrinks horizons ~100x for a fast smoke pass; without it every
+command runs at its CLI defaults, which reproduce the committed
+experiment numbers in a few minutes.
 """
 
 import argparse
@@ -32,14 +33,12 @@ def main():
     )
     args = parser.parse_args()
 
+    # Full mode runs every command at its CLI defaults.
+    bandit = compare = toy = []
     if args.quick:
-        bandit_tokens, compare_tokens, oracle = "1000", "2000", "2000"
-        stage1, stage2, every = "100", "80", "40"
-    else:
-        bandit_tokens, compare_tokens, oracle = "100000", "200000", "200000"
-        stage1, stage2, every = "800", "600", "200"
-    bandit = ["--tokens", bandit_tokens, "--oracle-samples", oracle]
-    toy = ["--stage1-epochs", stage1, "--stage2-epochs", stage2, "--decay-every", every]
+        bandit = ["--tokens", "1000", "--oracle-samples", "2000"]
+        compare = ["--tokens", "2000", "--oracle-samples", "2000"]
+        toy = ["--stage1-epochs", "100", "--stage2-epochs", "80", "--decay-every", "40"]
     traces = os.path.join(args.out, "traces", "traces.txt")
     checkpoint = os.path.join(args.out, "toy", "toy_cascade.json")
 
@@ -48,12 +47,7 @@ def main():
         ("gen-traces", "gen-traces", "traces", []),
         ("sweep-threshold", "sweep-threshold", "traces", ["--traces", traces]),
         ("bandit", "bandit", "bandit", bandit),
-        (
-            "compare-distortion",
-            "compare-distortion",
-            "compare",
-            ["--tokens", compare_tokens, "--oracle-samples", oracle],
-        ),
+        ("compare-distortion", "compare-distortion", "compare", compare),
         ("ablation", "ablation", "ablation", toy),
         ("lambda-sweep", "lambda-sweep", "lambda", bandit),
         ("train-toy", "train-toy", "toy", toy),

@@ -8,7 +8,7 @@ import os
 # share: a second OpenBLAS thread mostly spins.  Set before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cascade import TraceValidationError, speedup_ratio
+from .cascade import TraceFormatError, speedup_ratio
 from .bandit import (
     ActionSet,
     AdaptiveCell,
@@ -24,7 +24,6 @@ from .synth import (
     TokenDraws,
     TraceBatch,
     TraceFileHeader,
-    TraceFormatError,
     draw_tokens,
     finish_tokens,
     read_traces,

@@ -19,8 +19,8 @@ import numpy as np
 DEFAULT_MAX_CAPTION_LENGTH = 20
 
 
-class TraceValidationError(ValueError):
-    """A token trace violates its structural invariants."""
+class TraceFormatError(ValueError):
+    """A trace read, written or played breaks the trace rules."""
 
 
 # Test-only scalar records, kept here because bench/tracer.py patches TokenTrace.
@@ -42,16 +42,16 @@ class TokenTrace:
 
     def __post_init__(self) -> None:
         if len(self.layers) < 2:
-            raise TraceValidationError(
+            raise TraceFormatError(
                 f"trace needs at least 2 layers, got {len(self.layers)}"
             )
         for i, layer in enumerate(self.layers, start=1):
             if not 0.0 <= layer.confidence <= 1.0:
-                raise TraceValidationError(
+                raise TraceFormatError(
                     f"layer {i} confidence {layer.confidence!r} outside [0, 1]"
                 )
             if layer.token_id < 0:
-                raise TraceValidationError(
+                raise TraceFormatError(
                     f"layer {i} token id {layer.token_id!r} is negative"
                 )
 
@@ -60,7 +60,7 @@ class TokenTrace:
         cls, confidences: Sequence[float], token_ids: Sequence[int]
     ) -> "TokenTrace":
         if len(confidences) != len(token_ids):
-            raise TraceValidationError(
+            raise TraceFormatError(
                 f"{len(confidences)} confidences vs {len(token_ids)} token ids"
             )
         return cls(

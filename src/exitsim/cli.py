@@ -7,8 +7,9 @@ no timestamps and use sorted keys, so a rerun at the same seed is
 byte-identical.
 
 Exit codes: 0 success, 2 configuration problems, 3 unreadable or
-malformed inputs, 4 runtime failures.  Failures print one line to
-stderr of the form ``error: <category>: <message>``.  Any other
+malformed inputs and failed writes of outputs (an ``OSError`` such as a
+full disk under --out-dir), 4 runtime failures.  Failures print one
+line to stderr of the form ``error: <category>: <message>``.  Any other
 exception is a bug and exits 1 with its traceback.
 """
 
@@ -40,7 +41,7 @@ from .bandit import (
 )
 from .cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
-    TraceValidationError,
+    TraceFormatError,
     check_thresholds,
     exit_layer_indices,
     speedup_ratio,
@@ -70,7 +71,6 @@ from .synth import (
     NO_TARGET,
     SyntheticConfidenceModel,
     TraceBatch,
-    TraceFormatError,
     check_sigma,
     draw_tokens,
     finish_tokens,
@@ -89,7 +89,7 @@ class OutputError(RuntimeError):
     in a JSON summary."""
 
 
-_INPUT_ERRORS = (TraceFormatError, CheckpointError, TraceValidationError)
+_INPUT_ERRORS = (TraceFormatError, CheckpointError)
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +555,25 @@ def train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
     return accuracies
 
 
+def ablation_summary(accuracies: dict[str, tuple[float, ...]]) -> dict[str, float]:
+    """The numbers derived from ``train_ablation``'s accuracies: both loss
+    terms' layer-1 gain over CE alone, the largest gap to CE at the deepest
+    exit, and the teacher's accuracy."""
+    ce, kl, both = (accuracies[terms] for terms in ("ce", "kl", "both"))
+    return {
+        "layer1_both_minus_ce": both[0] - ce[0],
+        "deepest_exit_spread": max(abs(both[-2] - ce[-2]), abs(kl[-2] - ce[-2])),
+        "teacher_accuracy": ce[-1],
+    }
+
+
 def cmd_ablation(args: argparse.Namespace, config: dict) -> int:
     accuracies = train_ablation(config)
-    n_layers = len(accuracies["ce"])
     rows = [
         (layer + 1, *(accuracies[terms][layer] for terms in ("ce", "kl", "both")))
-        for layer in range(n_layers)
+        for layer in range(len(accuracies["ce"]))
     ]
-    deepest = n_layers - 2
-    fields = {
-        "layer1_both_minus_ce": accuracies["both"][0] - accuracies["ce"][0],
-        "deepest_exit_spread": max(
-            abs(accuracies["both"][deepest] - accuracies["ce"][deepest]),
-            abs(accuracies["kl"][deepest] - accuracies["ce"][deepest]),
-        ),
-        "teacher_accuracy": accuracies["ce"][-1],
-    }
+    fields = ablation_summary(accuracies)
     columns = ["layer", "accuracy_ce_only", "accuracy_kl_only", "accuracy_both"]
     _write_outputs(args, config, fields, "ablation.csv", _csv(config, columns, rows))
     return 0

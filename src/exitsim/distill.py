@@ -510,10 +510,8 @@ def layer_accuracies(
     model: ToyCascade, example: SyntheticExample
 ) -> tuple[float, ...]:
     """Exact-match accuracy of every head, exits first, teacher last."""
-    return tuple(
-        float((probs.argmax(axis=1) == example.targets).mean())
-        for probs in _head_probs(model, example)
-    )
+    _, token_ids = head_confidences(model, example)
+    return tuple((token_ids == example.targets[:, None]).mean(axis=0).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cascade import TraceValidationError
+from .cascade import TraceFormatError
 
 DEFAULT_SEED = 7
 
@@ -45,10 +45,6 @@ MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 FORMAT_NAME = "exitsim-traces"
 FORMAT_VERSION = 1
-
-
-class TraceFormatError(ValueError):
-    """A trace file failed structural validation; message cites the line."""
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -325,32 +321,31 @@ def finish_tokens(
     )
 
 
-def check_traces(
-    label: str,
-    batch: TraceBatch,
-    vocab_size: int,
-    error: Callable[[str], Exception] = TraceValidationError,
-) -> None:
+def check_traces(label: str, batch: TraceBatch, vocab_size: int) -> None:
     """The one rule for traces: at least one token and two layers,
     matching shapes, confidences in [0, 1], integer token ids in [0,
     vocab_size), and integer targets in [0, vocab_size) or ``NO_TARGET``
     for all of an image's tokens or none.  A batch without offsets is one
-    image.  Raises ``error(message)`` naming a bad value's image (``label``
+    image.  Raises TraceFormatError naming a bad value's image (``label``
     if the batch has one, else ``image <id>``), 1-based token and layer.
     """
     conf, ids, targets = batch.confidences, batch.token_ids, batch.targets
     if conf.ndim != 2 or len(conf) < 1:
-        raise error(f"{label} has no traces")
+        raise TraceFormatError(f"{label} has no traces")
     if conf.shape[1] < 2:
-        raise error(f"{label}: traces need at least 2 layers, got {conf.shape[1]}")
+        raise TraceFormatError(
+            f"{label}: traces need at least 2 layers, got {conf.shape[1]}"
+        )
     if ids.shape != conf.shape or targets.shape != conf.shape[:1]:
-        raise error(
+        raise TraceFormatError(
             f"{label}: {conf.shape} confidences vs {ids.shape} token ids and "
             f"{targets.shape} targets"
         )
     for kind, values in (("token ids", ids), ("targets", targets)):
         if not np.issubdtype(values.dtype, np.integer):
-            raise error(f"{label}: {kind} must be integers, got {values.dtype}")
+            raise TraceFormatError(
+                f"{label}: {kind} must be integers, got {values.dtype}"
+            )
     bounds = np.array([0, len(conf)]) if batch.offsets is None else batch.offsets
     vocab = f"outside the vocab [0, {vocab_size})"
     for kind, values, low, high, rule in (
@@ -363,7 +358,7 @@ def check_traces(
             at = tuple(np.argwhere(~((values >= low) & (values <= high)))[0])
             image = np.searchsorted(bounds, at[0], side="right") - 1
             layer = f" layer {at[1] + 1}" if len(at) == 2 else ""
-            raise error(
+            raise TraceFormatError(
                 f"{_image_name(label, batch, image)}: token "
                 f"{at[0] - bounds[image] + 1}{layer} {kind} {values[at].item()!r} "
                 f"{rule}"
@@ -371,7 +366,7 @@ def check_traces(
     given = np.add.reduceat(targets != NO_TARGET, bounds[:-1], dtype=np.intp)
     partial = (given > 0) & (given < np.diff(bounds))
     if partial.any():
-        raise error(
+        raise TraceFormatError(
             f"{_image_name(label, batch, partial.argmax())}: targets for some "
             f"tokens only; an image has them for all tokens or none"
         )
@@ -407,14 +402,16 @@ class TraceFileHeader:
 def _check_name(kind: str, name: str) -> None:
     """Refuse a name that would not read back as one field."""
     if not name or not name.isascii() or any(ch.isspace() for ch in name):
-        raise ValueError(f"{kind} {name!r} is empty, not ASCII or contains whitespace")
+        raise TraceFormatError(
+            f"{kind} {name!r} is empty, not ASCII or contains whitespace"
+        )
 
 
 def _check_header(n_layers: int, vocab_size: int, source: str) -> None:
     """The header rule.  Token ids, all below the vocab, are read into
     int64 arrays, so the largest vocab is 2**63."""
     if n_layers < 2 or not 2 <= vocab_size <= 2**63:
-        raise ValueError(f"layers={n_layers} vocab={vocab_size} out of range")
+        raise TraceFormatError(f"layers={n_layers} vocab={vocab_size} out of range")
     _check_name("source tag", source)
 
 
@@ -429,7 +426,7 @@ def _check_block(batch: TraceBatch, n_layers: int, vocab_size: int) -> None:
         or offsets[-1] != len(batch)
         or (np.diff(offsets) < 1).any()
     ):
-        raise ValueError(
+        raise TraceFormatError(
             f"{len(batch.image_ids)} image ids and offsets {batch.offsets} do "
             f"not fit {len(batch)} traces"
         )
@@ -438,7 +435,7 @@ def _check_block(batch: TraceBatch, n_layers: int, vocab_size: int) -> None:
     label = f"images {batch.image_ids[0]}-{batch.image_ids[-1]}"
     check_traces(label, batch, vocab_size)
     if batch.confidences.shape[1] != n_layers:
-        raise ValueError(
+        raise TraceFormatError(
             f"{label}: traces have {batch.confidences.shape[1]} layers, file "
             f"header says {n_layers}"
         )
@@ -454,7 +451,8 @@ def write_traces(
     """Write blocks of images to ``path`` in the trace file format.
 
     The header is checked before the file opens, and each block whole
-    (``_check_block``) before any of it is written, by the reader's rules.
+    (``_check_block``) before any of it is written, by the reader's rules;
+    either refuses with TraceFormatError.
     The file is written at ``path`` itself, so a stream or block that
     raises leaves the part written before it; a caller that wants no
     partial file stages the write, as ``cli._write_outputs`` does.
@@ -602,8 +600,7 @@ def read_traces(path: str) -> Iterator[TraceBatch]:
         for lineno, line in lines:
             if line.strip():
                 image = _parse_image_line(line, lineno, header.n_layers)
-                label = f"line {lineno}"
-                check_traces(label, image, header.vocab_size, TraceFormatError)
+                check_traces(f"line {lineno}", image, header.vocab_size)
                 yield image
 
     records = images()

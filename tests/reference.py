@@ -32,7 +32,7 @@ from exitsim.bandit import (
 from exitsim.cascade import (
     DEFAULT_MAX_CAPTION_LENGTH,
     TokenTrace,
-    TraceValidationError,
+    TraceFormatError,
     exit_counts,
     running_max,
 )
@@ -337,7 +337,7 @@ def image_from_traces(
     traces = tuple(traces)
     widths = sorted({trace.n_layers for trace in traces})
     if len(widths) > 1:
-        raise TraceValidationError(
+        raise TraceFormatError(
             f"image {image_id!r}: traces mix layer counts {widths}"
         )
     shape = (len(traces), widths[0] if widths else 0)

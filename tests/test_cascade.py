@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitsim import TraceValidationError, speedup_ratio
+from exitsim import TraceFormatError, speedup_ratio
 from exitsim.cascade import exit_layer_indices
 
 from reference import (
@@ -120,18 +120,18 @@ def test_exit_layer_indices_equal_a_first_clearing_scan(n_layers):
 
 
 def test_trace_needs_two_layers():
-    with pytest.raises(TraceValidationError):
+    with pytest.raises(TraceFormatError):
         TokenTrace.from_arrays([0.5], [1])
 
 
 def test_trace_rejects_bad_confidence_and_token():
-    with pytest.raises(TraceValidationError):
+    with pytest.raises(TraceFormatError):
         make_trace([0.5, 1.2])
-    with pytest.raises(TraceValidationError):
+    with pytest.raises(TraceFormatError):
         make_trace([-0.1, 0.5])
-    with pytest.raises(TraceValidationError):
+    with pytest.raises(TraceFormatError):
         TokenTrace.from_arrays([0.5, 0.5], [1, -2])
-    with pytest.raises(TraceValidationError):
+    with pytest.raises(TraceFormatError):
         TokenTrace.from_arrays([0.5, 0.5, 0.5], [1, 2])
 
 

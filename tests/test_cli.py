@@ -1469,7 +1469,7 @@ def test_lockstep_validates_each_finished_chunk(monkeypatch):
     monkeypatch.setattr(bandit, "finish_tokens", corrupt)
     base = SyntheticConfidenceModel(seed=5)
     cells = [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=base.n_layers), 0.0)]
-    with pytest.raises(exitsim.TraceValidationError, match="token 8 layer 4"):
+    with pytest.raises(exitsim.TraceFormatError, match="token 8 layer 4"):
         run_lockstep(base, cells, 1.0, 50, 6)
     assert cells[0].t == 0
 

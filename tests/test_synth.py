@@ -20,7 +20,6 @@ from exitsim import (
     SyntheticConfidenceModel,
     TraceBatch,
     TraceFormatError,
-    TraceValidationError,
     draw_tokens,
     finish_tokens,
     read_traces,
@@ -35,6 +34,7 @@ from exitsim.synth import (
     NO_TARGET,
     _sigmoid,
     check_sigma,
+    check_traces,
     confidence_blocks,
 )
 
@@ -427,9 +427,9 @@ def test_confidence_matrix_property(sigma, growth, n):
 def test_image_traces_validation(tmp_path):
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
     path = str(tmp_path / "t.txt")
-    with pytest.raises(ValueError):
+    with pytest.raises(TraceFormatError):
         write_traces(path, [image_from_traces(0, ())], 2, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(TraceFormatError):
         write_traces(path, [image_from_traces(0, (trace,), targets=(1, 2))], 2, 8)
     image = image_from_traces(0, (trace,), targets=(1,))
     assert len(image) == 1
@@ -450,39 +450,39 @@ def test_image_traces_rejects_bad_arrays(tmp_path):
 
     nan = ok.copy()
     nan[1, 2] = np.nan
-    with pytest.raises(TraceValidationError, match="token 2 layer 3"):
+    with pytest.raises(TraceFormatError, match="token 2 layer 3"):
         write(nan, ids)
-    with pytest.raises(TraceValidationError, match="outside"):
+    with pytest.raises(TraceFormatError, match="outside"):
         write(ok + 0.6, ids)
     negative = ids.copy()
     negative[0, 1] = -1
-    with pytest.raises(TraceValidationError, match="negative"):
+    with pytest.raises(TraceFormatError, match="negative"):
         write(ok, negative)
-    with pytest.raises(TraceValidationError, match="2 layers"):
+    with pytest.raises(TraceFormatError, match="2 layers"):
         write(ok[:, :1], ids[:, :1])
-    with pytest.raises(TraceValidationError):
+    with pytest.raises(TraceFormatError):
         write(ok, ids[:, :2])
-    with pytest.raises(TraceValidationError, match="integers"):
+    with pytest.raises(TraceFormatError, match="integers"):
         write(ok, ids.astype(float))
-    with pytest.raises(ValueError, match="do not fit 0 traces"):
+    with pytest.raises(TraceFormatError, match="do not fit 0 traces"):
         write(ok[:0], ids[:0], unknown[:0])
-    with pytest.raises(ValueError, match="targets"):
+    with pytest.raises(TraceFormatError, match="targets"):
         write(ok, ids, np.array([1]))
-    with pytest.raises(ValueError, match="targets"):
+    with pytest.raises(TraceFormatError, match="targets"):
         write(ok, ids, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="target -2 outside"):
+    with pytest.raises(TraceFormatError, match="target -2 outside"):
         write(ok, ids, np.array([1, -2]))
     # Targets are all-or-none per image, and the offsets must split the
     # rows into one nonempty run per image.
-    with pytest.raises(ValueError, match="some tokens only"):
+    with pytest.raises(TraceFormatError, match="some tokens only"):
         write(ok, ids, np.array([1, NO_TARGET]))
     write(ok, ids, np.array([1, NO_TARGET]), ("a", "b"), np.array([0, 1, 2]))
     for offsets in ([0, 2, 2], [0, 1], [1, 1, 2], [0, 1, 3]):
-        with pytest.raises(ValueError, match="offsets"):
+        with pytest.raises(TraceFormatError, match="offsets"):
             write(ok, ids, unknown, ("a", "b"), np.array(offsets))
-    with pytest.raises(ValueError, match="offsets None"):
+    with pytest.raises(TraceFormatError, match="offsets None"):
         write_traces(str(tmp_path / "t.txt"), [TraceBatch(ok, ids, unknown)], 3, 8)
-    with pytest.raises(ValueError, match="0 image ids"):
+    with pytest.raises(TraceFormatError, match="0 image ids"):
         write(ok, ids, unknown, ())
     assert os.listdir(tmp_path) == ["t.txt"]  # the one good block
 
@@ -497,7 +497,7 @@ def test_image_traces_is_a_value():
     untargeted = image_from_traces("a", token_traces(image))
     assert image_records([image]) != image_records([untargeted])
     assert token_traces(image)[1] == TokenTrace.from_arrays([0.5, 1.0], [0, 0])
-    with pytest.raises(TraceValidationError, match="layer counts"):
+    with pytest.raises(TraceFormatError, match="layer counts"):
         image_from_traces(
             0, [TokenTrace.from_arrays([0.5, 0.5], [1, 1]),
                 TokenTrace.from_arrays([0.5, 0.5, 0.5], [1, 1, 1])]
@@ -662,6 +662,68 @@ def test_reader_flags_malformed_records(tmp_path, record, fragment):
         fh.write(record + "\n")
     with pytest.raises(TraceFormatError, match=fragment):
         list(read_traces(path))
+
+
+_ONE_TOKEN = TraceBatch(
+    np.full((1, 2), 0.5), np.ones((1, 2), dtype=np.int64), np.array([1]),
+    (0,), np.array([0, 1]),
+)
+
+
+def _read_bad_line(path):
+    with open(path, "w") as fh:
+        fh.write("exitsim-traces 1 layers=2 vocab=8 source=x\nimg 1 3 0.5:1\n")
+    list(read_traces(path))
+
+
+def _play_overflowing_model(path):
+    # The scores and the drop at sigma = 2 overflow to infinities whose
+    # difference, each confidence, is NaN.
+    model = SyntheticConfidenceModel(growth=1e308, base_drop_rate=1e308)
+    cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(model.n_layers), 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_lockstep(model, [cell], 1.0, 10, 4)
+
+
+@pytest.mark.parametrize(
+    "refuse, fragment",
+    [
+        (_read_bad_line, "line 2"),
+        (lambda path: write_traces(path, [_ONE_TOKEN], 1, 8), "layers=1"),
+        (
+            lambda path: write_traces(
+                path, [dataclasses.replace(_ONE_TOKEN, offsets=np.array([0, 2]))], 2, 8
+            ),
+            "do not fit 1 traces",
+        ),
+        (
+            lambda path: write_traces(
+                path, [dataclasses.replace(_ONE_TOKEN, image_ids=("a b",))], 2, 8
+            ),
+            "whitespace",
+        ),
+        (
+            lambda path: check_traces(
+                "x", dataclasses.replace(_ONE_TOKEN, confidences=np.full((1, 2), 1.5)), 8
+            ),
+            r"x: token 1 layer 1 confidence 1.5 outside \[0, 1\]",
+        ),
+        (
+            lambda path: TokenTrace.from_arrays([1.5, 0.5], [1, 1]),
+            r"layer 1 confidence 1.5 outside \[0, 1\]",
+        ),
+        (_play_overflowing_model, "images 0-63: token 1 layer 10 confidence nan"),
+    ],
+    ids=[
+        "read", "write-header", "write-offsets", "write-image-id", "check_traces",
+        "TokenTrace", "run_lockstep",
+    ],
+)
+def test_every_trace_refusal_is_a_trace_format_error(tmp_path, refuse, fragment):
+    """Reading, writing, checking and playing traces refuse through one
+    exception class."""
+    with pytest.raises(TraceFormatError, match=fragment):
+        refuse(str(tmp_path / "t.txt"))
 
 
 def test_reader_rejects_non_ascii_bytes_with_line_number(tmp_path):
@@ -889,15 +951,15 @@ def test_writer_validates_against_header(tmp_path):
     trace = TokenTrace.from_arrays([0.5, 0.5], [1, 2])
     image = image_from_traces(0, (trace,))
     path = str(tmp_path / "bad.txt")
-    with pytest.raises(ValueError, match="layers"):
+    with pytest.raises(TraceFormatError, match="layers"):
         write_traces(path, [image], 3, 8)
-    with pytest.raises(ValueError, match="vocab"):
+    with pytest.raises(TraceFormatError, match="vocab"):
         write_traces(path, [image], 2, 2)
-    with pytest.raises(ValueError, match="source"):
+    with pytest.raises(TraceFormatError, match="source"):
         write_traces(path, [image], 2, 8, source="two words")
     spaced = image_from_traces("a b", (trace,))
-    with pytest.raises(ValueError, match="whitespace"):
+    with pytest.raises(TraceFormatError, match="whitespace"):
         write_traces(path, [spaced], 2, 8)
     bad_target = image_from_traces(1, (trace,), targets=(9,))
-    with pytest.raises(ValueError, match="target"):
+    with pytest.raises(TraceFormatError, match="target"):
         write_traces(path, [bad_target], 2, 8)
