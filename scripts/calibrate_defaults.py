@@ -109,7 +109,7 @@ def ablation_constants(quick):
     summary = ablation_summary(train_ablation(config))
     for key in ("teacher_accuracy", "layer1_both_minus_ce", "deepest_exit_spread"):
         print(f"{key:<22}= {summary[key]!r}")
-    print(f"(suggested DEEP_EXIT_EPSILON: ~10x the spread, currently 0.02)")
+    print("(suggested DEEP_EXIT_EPSILON: ~10x the spread)")
     print(f"({time.monotonic() - started:.0f}s)")
 
 

@@ -14,7 +14,6 @@ from .bandit import (
     AdaptiveCell,
     OracleEstimate,
     RewardParams,
-    regret_bound,
     run_lockstep,
     shared_oracles,
 )

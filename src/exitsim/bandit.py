@@ -94,6 +94,17 @@ class RewardParams:
         """Hard reward range [-1 - mu * o_N, 1]."""
         return (-1.0 - self.mu * self.latency[-1], 1.0)
 
+    def check_sums(self, terms: int) -> None:
+        """Refuse a shape whose sums of ``terms`` rewards may overflow: the
+        range holds 0, so each such sum is within ``terms`` ranges of it.
+        Raises ValueError."""
+        lo, hi = self.bounds()
+        if not math.isfinite(terms * (hi - lo)):
+            raise ValueError(
+                f"mu {self.mu!r} and lam {self.lam!r}: a sum of {terms} "
+                f"rewards in [{lo!r}, {hi!r}] is not finite"
+            )
+
 
 def check_gamma(gamma: float) -> None:
     """Refuse a UCB exploration width that is not finite or is below 1."""
@@ -123,19 +134,6 @@ def _fold(cell: AdaptiveCell, k: int, observed_reward: float) -> None:
     cell.pulls[k] += 1
     cell.q[k] += (observed_reward - cell.q[k]) / cell.pulls[k]
     cell.t += 1
-
-
-def sum_left_to_right(values: Iterable[float]) -> float:
-    """Plain left-to-right float sum.
-
-    Bit-identical to ``sum()`` on Python 3.11; from 3.12 ``sum()`` uses
-    compensated summation, which would move the last bits of reported
-    means.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
@@ -260,10 +258,12 @@ class AdaptiveCell:
         validated chunk until its token budget; a new run spends its
         first image on ``initialize``, and its rounds use the ``gamma`` it
         started with, whatever a later chunk passes.  A new run that
-        ``check_run`` refuses, or a chunk whose depth is not the reward
-        schedule's, raises ValueError before any round."""
+        ``check_run`` or its reward shape's ``check_sums`` refuses, or a
+        chunk whose depth is not the reward schedule's, raises ValueError
+        before any round."""
         if self.t == 0:
             check_run(len(self.actions), [self.sigma], gamma, tokens, max_len)
+            self.params.check_sums(tokens)
         conf = batch.confidences
         alphas = self.actions.thresholds
         table = _arm_table(conf, batch.token_ids, np.asarray(alphas), self.params)
@@ -346,7 +346,8 @@ def run_lockstep(
     its policy.  Accuracy is scored against the targets of those images.
 
     A run that ``check_run`` refuses, for the widest cell's arm count and
-    every cell's level, raises ValueError before the first draw.  A cell
+    every cell's level, or a cell whose reward shape's ``check_sums``
+    refuses ``tokens``, raises ValueError before the first draw.  A cell
     whose reward schedule's depth differs from ``base``'s raises
     ValueError on the first chunk, before any round.
     """
@@ -355,6 +356,8 @@ def run_lockstep(
         levels.setdefault(cell.sigma, []).append(cell)
     arms = max((len(cell.actions) for cell in cells), default=1)
     check_run(arms, levels, gamma, tokens, max_len)
+    for cell in cells:
+        cell.params.check_sums(tokens)
     rng = base.stream_rng(0)
     start_id = 0
     while not all(cell.done(tokens) for cell in cells):
@@ -408,10 +411,14 @@ def shared_oracles(
     is stable at moderate sample counts; the seed is deliberately
     independent of run seeds.
     No (samples, layers) matrix is held: the samples are drawn and scored
-    one ``_pairwise_spans`` span at a time.
+    one ``_pairwise_spans`` span at a time.  A sample count below 1, or
+    one that a shape's ``check_sums`` refuses, raises ValueError before
+    the first draw.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    for p in params:
+        p.check_sums(samples)
     rng = np.random.default_rng(seed)
     blocks = confidence_blocks(base, sigmas, samples, rng, _pairwise_spans(samples))
     sums = (
@@ -477,32 +484,3 @@ def _span_sums(
         for j, p in enumerate(params):
             sums[j, k] = np.add.reduce(_rewards(gain, exits, p))
     return sums
-
-
-def regret_bound(oracle: OracleEstimate, horizon: int, gamma: float) -> float:
-    """UCB1's logarithmic pseudo-regret curve at a horizon, as a reference.
-
-    4 * gamma * sum over suboptimal arms of ln(T) / gap, plus
-    (pi^2 / 3 + 1) times the sum of the gaps.  Arms whose estimated gap
-    is exactly zero are treated as co-optimal and contribute nothing.
-
-    This is the UCB1 form (Auer, Cesa-Bianchi & Fischer, 2002), derived
-    for rewards in [0, 1] and an exploration width of sqrt(2 ln t / n).
-    This simulator's rewards span [-1 - mu * o_N, 1] (``RewardParams.bounds``)
-    and its width is gamma * sqrt(ln t / n), so those preconditions do not
-    hold: the value is a reference curve to compare regret against, not
-    a guarantee.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    check_gamma(gamma)
-    log_t = math.log(horizon)
-    exploration = sum_left_to_right(
-        log_t / g for k, g in enumerate(oracle.gaps)
-        if k != oracle.best_index and g > 0.0
-    )
-    slack = sum_left_to_right(
-        g for k, g in enumerate(oracle.gaps)
-        if k != oracle.best_index
-    )
-    return 4.0 * gamma * exploration + (math.pi ** 2 / 3.0 + 1.0) * slack

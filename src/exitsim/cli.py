@@ -35,7 +35,6 @@ from .bandit import (
     OracleEstimate,
     RewardParams,
     check_run,
-    regret_bound,
     run_lockstep,
     shared_oracles,
 )
@@ -388,16 +387,9 @@ def _run_adaptive(
         )
         base = SyntheticConfidenceModel(seed=config["seed"])
         shapes = [RewardParams(base.n_layers, config["mu"], lam) for lam in lams]
-        # Every reported sum adds at most this many rewards, each within
-        # one reward range of the others.
-        terms = max(config["tokens"], config["oracle_samples"])
+        # Every reported sum adds at most this many rewards.
         for params in shapes:
-            lo, hi = params.bounds()
-            if not math.isfinite(terms * (hi - lo)):
-                raise ConfigError(
-                    f"mu {params.mu!r} and lam {params.lam!r}: a sum of {terms} "
-                    f"rewards in [{lo!r}, {hi!r}] is not finite"
-                )
+            params.check_sums(max(config["tokens"], config["oracle_samples"]))
     # The oracle has its own seed, so scoring it first changes no output,
     # and a sample count too large to hold fails before any round.
     oracles = shared_oracles(base, sigmas, grid, shapes, config["oracle_samples"])
@@ -450,7 +442,6 @@ def cmd_bandit(args: argparse.Namespace, config: dict) -> int:
             "empirical_best_arm": thresholds[pulls.index(max(pulls))],
             "mean_reward": cell.metrics()["mean_reward"],
             "pseudo_regret": regret,
-            "regret_bound": regret_bound(oracle, cell.t, config["gamma"]),
         }
 
     _write_outputs(args, config, {}, "bandit_log.csv", write)

@@ -111,6 +111,11 @@ class SyntheticConfidenceModel:
                 f"difficulty_low {self.difficulty_low} > difficulty_high "
                 f"{self.difficulty_high}"
             )
+        if not math.isfinite(self.difficulty_high - self.difficulty_low):
+            raise ValueError(
+                f"difficulty range [{self.difficulty_low}, {self.difficulty_high}] "
+                f"must have a finite width"
+            )
         if self.noise_scale < 0:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not 0.0 <= self.clean_fraction <= 1.0:

@@ -8,7 +8,8 @@ that keeps every round and the whole-run regret curve over it, the
 oracle scored over its whole sample at once, per-image sampling, the
 stacked toy-cascade forward pass and the flat-vector gradient harness.
 No production path calls them; the tests use them as the independent
-answer.
+answer.  ``ucb1_curve`` is the one exception: the package has no
+counterpart, and the acceptance gate measures realized regret against it.
 """
 
 from __future__ import annotations
@@ -212,6 +213,28 @@ def regret_curve(log: ListSink, oracle: OracleEstimate) -> np.ndarray:
                 f"oracle"
             ) from None
     return np.cumsum(gaps)
+
+
+def ucb1_curve(oracle: OracleEstimate, horizon: int, gamma: float) -> float:
+    """UCB1's logarithmic pseudo-regret curve at a horizon, as a yardstick.
+
+    4 * gamma * sum over suboptimal arms of ln(T) / gap, plus
+    (pi^2 / 3 + 1) times the sum of the gaps.  Arms whose estimated gap
+    is exactly zero are treated as co-optimal and contribute nothing to
+    the first sum.  This is the form of Auer, Cesa-Bianchi & Fischer
+    (2002), derived for rewards in [0, 1] and a width of sqrt(2 ln t / n);
+    the package's rewards and width break both, so it is no bound here.
+    Each sum adds left to right, whatever ``sum()`` does on the Python
+    that runs it.
+    """
+    log_t = math.log(horizon)
+    exploration = slack = 0.0
+    for k, g in enumerate(oracle.gaps):
+        if k != oracle.best_index:
+            if g > 0.0:
+                exploration += log_t / g
+            slack += g
+    return 4.0 * gamma * exploration + (math.pi ** 2 / 3.0 + 1.0) * slack
 
 
 def reward(decision: ExitDecision, params: RewardParams) -> float:

@@ -20,7 +20,6 @@ from exitsim import (
     TraceBatch,
     draw_tokens,
     finish_tokens,
-    regret_bound,
     run_lockstep,
     shared_oracles,
 )
@@ -36,6 +35,7 @@ from reference import (
     reward,
     run_caption,
     token_traces,
+    ucb1_curve,
     ucb_select,
     update,
 )
@@ -270,10 +270,6 @@ NAN = float("nan")
         pytest.param(lambda: RewardParams(n_layers=3, mu=NAN), id="mu-nan"),
         pytest.param(lambda: RewardParams(n_layers=3, lam=1e308), id="lam-overflow"),
         pytest.param(
-            lambda: regret_bound(OracleEstimate((0.5,), (0.0,), 1), 10, NAN),
-            id="regret-bound-gamma-nan",
-        ),
-        pytest.param(
             lambda: run_lockstep(
                 SyntheticConfidenceModel(),
                 [AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers=12), NAN)],
@@ -292,6 +288,27 @@ NAN = float("nan")
         pytest.param(
             lambda: SyntheticConfidenceModel(difficulty_high=math.inf),
             id="difficulty-high-inf",
+        ),
+        pytest.param(
+            lambda: SyntheticConfidenceModel(
+                difficulty_low=-1e308, difficulty_high=1e308
+            ),
+            id="difficulty-range-overflow",
+        ),
+        pytest.param(
+            lambda: run_lockstep(
+                SyntheticConfidenceModel(),
+                [AdaptiveCell(ActionSet((0.5,)), RewardParams(12, mu=1e307), 0.0)],
+                1.0, 2000, 20,
+            ),
+            id="run-reward-sum-overflow",
+        ),
+        pytest.param(
+            lambda: shared_oracles(
+                SyntheticConfidenceModel(), [0.0], ActionSet.default_grid(),
+                [RewardParams(12, mu=1e307)], samples=2000,
+            ),
+            id="oracle-reward-sum-overflow",
         ),
         pytest.param(lambda: StepSchedule(initial=NAN), id="schedule-initial-nan"),
     ],
@@ -457,25 +474,30 @@ def test_adaptive_run_rejects_a_bad_gamma_before_any_draw(monkeypatch, gamma):
 
 
 @pytest.mark.parametrize(
-    "tokens, max_len, gamma, message",
+    "tokens, max_len, gamma, mu, message",
     [
-        (10, 20, 1.0, "one pull per arm and one round after: 10 <= 10"),
-        (100, 5, 1.0, "one token per arm: 5 < 10"),
-        (100, 20, 0.5, "gamma must be finite and >= 1, got 0.5"),
+        (10, 20, 1.0, None, "one pull per arm and one round after: 10 <= 10"),
+        (100, 5, 1.0, None, "one token per arm: 5 < 10"),
+        (100, 20, 0.5, None, "gamma must be finite and >= 1, got 0.5"),
+        (100, 20, 1.0, 1e307, "a sum of 100 rewards .* is not finite"),
     ],
-    ids=["tokens-equal-arms", "max-len-below-arms", "gamma-below-1"],
+    ids=[
+        "tokens-equal-arms", "max-len-below-arms", "gamma-below-1",
+        "reward-sum-overflow",
+    ],
 )
 def test_a_cell_played_directly_refuses_what_check_run_refuses(
-    tokens, max_len, gamma, message
+    tokens, max_len, gamma, mu, message
 ):
     # A budget of one round per arm would leave metrics() dividing by no
-    # emitted token, and a cap below the arm count would spread
-    # initialization across image boundaries.
+    # emitted token, a cap below the arm count would spread
+    # initialization across image boundaries, and a reward shape whose
+    # sums overflow would leave a mean reward of -inf.
     model = SyntheticConfidenceModel()
     draws = draw_tokens(model, max_len, model.stream_rng(0), IMAGE_CHUNK)
     batch = finish_tokens(model, 0.0, draws)
     cell = AdaptiveCell(
-        ActionSet.default_grid(), RewardParams(n_layers=model.n_layers), 0.0
+        ActionSet.default_grid(), RewardParams(model.n_layers, mu), 0.0
     )
     with pytest.raises(ValueError, match=message):
         cell.play(batch, gamma, tokens, max_len, model.eos_id)
@@ -877,7 +899,7 @@ def test_regret_bound_hand_value():
     oracle = OracleEstimate(
         (0.3, 0.5, 0.7), (0.4, 0.3, 0.2), samples=1
     )  # gaps (0, 0.1, 0.2)
-    got = regret_bound(oracle, horizon=1000, gamma=1.5)
+    got = ucb1_curve(oracle, horizon=1000, gamma=1.5)
     log_t = math.log(1000)
     gaps = oracle.gaps
     want = 4.0 * 1.5 * (log_t / gaps[1] + log_t / gaps[2])
@@ -887,15 +909,8 @@ def test_regret_bound_hand_value():
 
 def test_regret_bound_skips_co_optimal_arms():
     oracle = OracleEstimate((0.3, 0.5, 0.7), (0.3, 0.3, 0.2), samples=1)
-    got = regret_bound(oracle, horizon=100, gamma=1.0)
+    got = ucb1_curve(oracle, horizon=100, gamma=1.0)
     gap = oracle.gaps[2]
     want = 4.0 * math.log(100) / gap + (math.pi**2 / 3.0 + 1.0) * gap
     assert got == pytest.approx(want, rel=1e-12)
 
-
-def test_regret_bound_validation():
-    oracle = OracleEstimate((0.5,), (0.0,), samples=1)
-    with pytest.raises(ValueError):
-        regret_bound(oracle, horizon=0, gamma=1.0)
-    with pytest.raises(ValueError):
-        regret_bound(oracle, horizon=10, gamma=0.9)

@@ -800,7 +800,12 @@ def test_null_config_value_keeps_the_default_and_nul_is_refused(tmp_path, capsys
 def test_non_finite_summary_exits_4_and_writes_no_summary(
     tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "regret_bound", lambda *args: float("nan"))
+    metrics = bandit.AdaptiveCell.metrics
+    monkeypatch.setattr(
+        bandit.AdaptiveCell,
+        "metrics",
+        lambda cell: {**metrics(cell), "mean_reward": float("nan")},
+    )
     code, out, err = run_cli(
         ["bandit", *FAST_BANDIT, "--out-dir", str(tmp_path)], capsys
     )
@@ -1633,7 +1638,7 @@ PINNED_OUTPUTS = {
         [["bandit", *FAST_BANDIT]],
         {
             "bandit_log.csv": "e629ce59b86afbbd29b5f066af0a63700b73f0e73c1da51674ab49f29cc78e66",
-            "bandit_summary.json": "794a1aba465c046a69abc17fe3fc0f85be150fe2bd482446b305da9f8e76a423",
+            "bandit_summary.json": "0262a355b9025fb841cae5b5eafc2c6925b5c83472ea0f2d8636c59f7323e789",
         },
     ),
     "compare-distortion": (
