@@ -28,23 +28,23 @@ from .synth import (
     read_traces,
     write_traces,
 )
-from .distill import (
-    CheckpointError,
-    StepSchedule,
-    SyntheticExample,
-    ToyCascade,
-    ToyConfig,
-    ToyTask,
-    TrainingError,
-    finetune_loss,
-    head_confidences,
-    init_cascade,
-    layer_accuracies,
-    load_cascade,
-    make_task,
-    save_cascade,
-    train_backbone,
-    train_exits,
-)
+from .staging import CheckpointError, TrainingError
+
+# The toy cascade loads on first use (PEP 562), so the simulator
+# commands never compile it.
+_DISTILL_EXPORTS = frozenset({
+    "StepSchedule", "SyntheticExample", "ToyCascade", "ToyConfig", "ToyTask",
+    "finetune_loss", "head_confidences", "init_cascade", "layer_accuracies",
+    "load_cascade", "make_task", "save_cascade", "train_backbone", "train_exits",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name not in _DISTILL_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import distill
+
+    return getattr(distill, name)
+
 
 __version__ = "0.1.0"

@@ -411,9 +411,9 @@ def shared_oracles(
     is stable at moderate sample counts; the seed is deliberately
     independent of run seeds.
     No (samples, layers) matrix is held: the samples are drawn and scored
-    one ``_pairwise_spans`` span at a time.  A sample count below 1, or
-    one that a shape's ``check_sums`` refuses, raises ValueError before
-    the first draw.
+    one ``_pairwise_spans`` span and one level at a time.  A sample count
+    below 1, or one that a shape's ``check_sums`` refuses, raises
+    ValueError before the first draw.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -421,9 +421,9 @@ def shared_oracles(
         p.check_sums(samples)
     rng = np.random.default_rng(seed)
     blocks = confidence_blocks(base, sigmas, samples, rng, _pairwise_spans(samples))
-    sums = (
-        np.array([_span_sums(block, actions, params) for block in span])
-        for span in zip(*[blocks] * len(sigmas))  # a span's blocks, one per level
+    sums = (  # each level's block is scored as it is drawn, then dropped
+        np.array([_span_sums(next(blocks), actions, params) for _ in sigmas])
+        for _ in _pairwise_spans(samples)
     )
     means = _pairwise_sum(samples, sums) / samples
     return [

@@ -25,7 +25,9 @@ import math
 import os
 import sys
 from functools import partial
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO,
+)
 
 import numpy as np
 
@@ -45,25 +47,6 @@ from .cascade import (
     exit_layer_indices,
     speedup_ratio,
 )
-from .distill import (
-    LOSS_TERM_CHOICES,
-    CheckpointError,
-    StepSchedule,
-    ToyConfig,
-    ToyCascade,
-    ToyTask,
-    TrainingError,
-    check_epochs,
-    check_loss_terms,
-    head_confidences,
-    init_cascade,
-    layer_accuracies,
-    load_cascade,
-    make_task,
-    save_cascade,
-    train_backbone,
-    train_exits,
-)
 from .synth import (
     DEFAULT_SEED,
     IMAGE_CHUNK,
@@ -76,7 +59,10 @@ from .synth import (
     read_traces,
     write_traces,
 )
-from .staging import read_json, staged, write_json
+from .staging import CheckpointError, TrainingError, read_json, staged, write_json
+
+if TYPE_CHECKING:  # only the toy commands' paths load exitsim.distill
+    from .distill import StepSchedule, ToyCascade, ToyTask
 
 
 class ConfigError(ValueError):
@@ -312,6 +298,8 @@ def cmd_sweep_threshold(args: argparse.Namespace, config: dict) -> int:
     if config["traces"] is not None:
         blocks = read_traces(config["traces"])
     else:
+        from .distill import head_confidences, load_cascade, make_task
+
         model = load_cascade(config["model"])
         try:
             task = make_task(model.config, np.random.default_rng(config["seed"]))
@@ -513,6 +501,11 @@ def _stage_one(
     """Check a TOY_SCHEMA config and the stage-two ``loss_terms``, build
     the toy task, cascade and schedule, then train and freeze the
     backbone."""
+    from .distill import (
+        StepSchedule, ToyConfig, check_epochs, check_loss_terms, init_cascade,
+        make_task, train_backbone,
+    )
+
     toy = ToyConfig()
     rng = np.random.default_rng(config["seed"])
     task_keys = (
@@ -535,6 +528,8 @@ def _stage_one(
 
 def train_ablation(config: dict) -> dict[str, tuple[float, ...]]:
     """Train the backbone once, then each loss variant from a fresh copy."""
+    from .distill import LOSS_TERM_CHOICES, layer_accuracies, train_exits
+
     task, model, schedule, _ = _stage_one(config)
     accuracies = {}
     for terms in LOSS_TERM_CHOICES:
@@ -606,6 +601,8 @@ TRAIN_TOY_SCHEMA = {
 
 
 def cmd_train_toy(args: argparse.Namespace, config: dict) -> int:
+    from .distill import layer_accuracies, save_cascade, train_exits
+
     _check_out_name(args, config, "checkpoint")
     task, model, schedule, stage1 = _stage_one(config, config["loss_terms"])
     stage2 = train_exits(

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .staging import check_format, read_json, write_json
+from .staging import CheckpointError, TrainingError, check_format, read_json, write_json
 from .synth import MAX_FLOATS
 
 DEFAULT_PROB_FLOOR = 1e-12
@@ -35,15 +35,6 @@ LOSS_TERM_CHOICES = ("ce", "kl", "both")
 # make_task refuses a margin that keeps fewer drawn rows than this share:
 # its rejection loop would run ~1/share times longer than at no margin.
 MIN_ROW_ACCEPTANCE = 1e-3
-
-
-class TrainingError(RuntimeError):
-    """Training aborted: bad state, a non-finite loss, or a non-finite
-    parameter to save."""
-
-
-class CheckpointError(ValueError):
-    """Model checkpoint file is malformed or has the wrong version."""
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""The file boundary: staged writes and the one JSON reader, writer and format check."""
+"""The file boundary: staged writes, the one JSON reader, writer and
+format check, and the errors of a checkpoint and of a training run, which
+``cli`` maps to exit codes without loading the toy cascade."""
 
 from __future__ import annotations
 
@@ -7,6 +9,15 @@ import errno
 import json
 import os
 from typing import Callable, Iterator
+
+
+class TrainingError(RuntimeError):
+    """Training aborted: bad state, a non-finite loss, or a non-finite
+    parameter to save."""
+
+
+class CheckpointError(ValueError):
+    """Model checkpoint file is malformed or has the wrong version."""
 
 
 @contextlib.contextmanager

@@ -43,6 +43,10 @@ _MATRIX_SPAN = 4096
 # count to fit an intp.
 MAX_FLOATS = np.iinfo(np.intp).max // 8
 
+# Bounds a score term's largest multiple of its scale: a standard normal
+# draw from numpy's ziggurat stays within 14, and rounding adds little.
+_SCORE_HEADROOM = 64.0
+
 FORMAT_NAME = "exitsim-traces"
 FORMAT_VERSION = 1
 
@@ -116,6 +120,19 @@ class SyntheticConfidenceModel:
                 f"difficulty range [{self.difficulty_low}, {self.difficulty_high}] "
                 f"must have a finite width"
             )
+        # A score term that a draw scales stays finite, so only the drops
+        # can overflow.  They push a score to -inf, confidence 0, where
+        # two infinities of opposite sign would meet as NaN.
+        rise = self.growth * max(
+            self.n_layers - self.difficulty_low, self.difficulty_high - 1
+        )
+        for name, scale in (
+            ("growth * (layer - difficulty)", rise),
+            ("ceiling_spread", self.ceiling_spread),
+            ("noise_scale", self.noise_scale),
+        ):
+            if not math.isfinite(scale * _SCORE_HEADROOM):
+                raise ValueError(f"{name} can overflow a confidence score: {scale!r}")
         if self.noise_scale < 0:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not 0.0 <= self.clean_fraction <= 1.0:
@@ -318,12 +335,9 @@ def finish_tokens(
     collide = draws.wrong == targets
     wrong = np.where(collide, 1 + (draws.wrong % (v - 1)), draws.wrong)
     correct = draws.u_correct[:, None] < conf
+    # int64 throughout: the draws' integers are, and so is every np.where.
     token_ids = np.where(correct, targets[:, None], wrong[:, None])
-    return TraceBatch(
-        confidences=conf,
-        token_ids=token_ids.astype(np.int64),
-        targets=targets.astype(np.int64),
-    )
+    return TraceBatch(confidences=conf, token_ids=token_ids, targets=targets)
 
 
 def check_traces(label: str, batch: TraceBatch, vocab_size: int) -> None:

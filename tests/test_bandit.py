@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -803,22 +804,50 @@ def test_pairwise_span_sums_are_numpys_reduce_and_mean(n):
     assert (total / n).tobytes() == values.mean().tobytes(), PINNED_ON
 
 
-def test_oracle_peak_memory_stays_under_one_matrix():
-    # No (samples, layers) matrix and no whole noise block: the
-    # per-sample variates and one span's blocks and temporaries.
+@pytest.mark.parametrize(
+    "sigmas",
+    [(0.0,), (0.0, 2.0), (0.0, 1.0, 2.0)],
+    ids=["1-level", "2-levels", "3-levels"],
+)
+def test_oracle_peak_memory_stays_under_one_matrix(sigmas):
+    # No (samples, layers) matrix, no whole noise block and one level's
+    # block at a time: the per-sample variates and one span's noise,
+    # block and temporaries, whatever the number of levels.
     base = SyntheticConfidenceModel()
     samples = 50_000
+    score = partial(shared_oracles, base, sigmas, ActionSet.default_grid())
+    score([RewardParams(12)], samples=100)  # numpy.random's lazy imports
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        shared_oracles(
-            base, (0.0, 2.0), ActionSet.default_grid(), [RewardParams(12)],
-            samples=samples,
-        )
+        score([RewardParams(12)], samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0 * samples * base.n_layers * 8
+    assert peak <= 0.45 * samples * base.n_layers * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(allow_nan=False, allow_infinity=False),
+    lam=st.floats(allow_nan=False, allow_infinity=False),
+    terms=st.integers(min_value=11, max_value=400),
+)
+def test_reward_sums_are_finite_or_refused(mu, lam, terms):
+    """A reward shape and a term count either raise ValueError, at
+    construction or in check_sums, or give a run of that many tokens and
+    an oracle of that many samples whose means are all finite."""
+    try:
+        params = RewardParams(12, mu, lam)
+        params.check_sums(terms)
+    except ValueError:
+        return
+    model, grid = SyntheticConfidenceModel(), ActionSet.default_grid()
+    cell = AdaptiveCell(grid, params, 0.0)
+    run_lockstep(model, [cell], 1.0, terms, 12)
+    [[oracle]] = shared_oracles(model, [0.0], grid, [params], terms)
+    assert math.isfinite(cell.metrics()["mean_reward"])
+    assert all(map(math.isfinite, oracle.expected_rewards))
 
 
 def test_oracle_estimates_equal_the_per_arm_argmax_reference():

@@ -37,7 +37,7 @@ from exitsim import (
     shared_oracles,
     write_traces,
 )
-from exitsim import bandit, cli
+from exitsim import bandit, cli, distill
 from exitsim.cli import main
 from exitsim.synth import NO_TARGET
 from exitsim.staging import staged
@@ -252,6 +252,12 @@ def test_sweep_threshold_outside_unit_interval_exits_2(tmp_path, capsys):
     assert err.startswith("error: config:")
 
 
+def patch_work(monkeypatch, name, work):
+    """Replace ``name`` where the CLI looks it up: in ``cli``, or in
+    ``exitsim.distill``, which only the toy commands' paths import."""
+    monkeypatch.setattr(cli if hasattr(cli, name) else distill, name, work)
+
+
 @pytest.mark.parametrize(
     "argv, first_work, message",
     [
@@ -301,7 +307,7 @@ def test_late_checked_flags_exit_2_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError(f"{first_work} ran before the flags were checked")
 
-    monkeypatch.setattr(cli, first_work, no_work)
+    patch_work(monkeypatch, first_work, no_work)
     out = tmp_path / "out"
     if argv[0] == "sweep-threshold":
         argv = [*argv, "--traces", str(tmp_path / "traces.txt")]
@@ -773,7 +779,7 @@ def test_a_value_error_mid_run_is_not_a_config_error(
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, work, broken)
+    patch_work(monkeypatch, work, broken)
     with pytest.raises(ValueError, match="internal fault"):
         main([*argv, "--out-dir", str(tmp_path)])
     assert "error:" not in capsys.readouterr().err
@@ -1530,7 +1536,7 @@ def test_model_sweep_matches_the_stacked_forward(tmp_path, monkeypatch, capsys):
         probs = forward(model, example)
         return probs.max(axis=2), probs.argmax(axis=2)
 
-    monkeypatch.setattr(cli, "head_confidences", stacked)
+    patch_work(monkeypatch, "head_confidences", stacked)
     assert got == sweep(tmp_path / "stacked")
 
 
@@ -1540,7 +1546,7 @@ def test_train_toy_refuses_unknown_loss_terms_before_training(
     def no_training(*args, **kwargs):
         raise AssertionError("stage one ran")
 
-    monkeypatch.setattr(cli, "train_backbone", no_training)
+    patch_work(monkeypatch, "train_backbone", no_training)
     out = tmp_path / "out"
     code, _, err = run_cli(
         ["train-toy", "--loss-terms", "bogus", "--out-dir", str(out)], capsys

@@ -26,6 +26,7 @@ PRODUCT_DIRS = ("src/exitsim", "scripts")
 UNREAD_ALLOWED = {
     "TokenTrace": "bench/tracer.py imports it to patch from_arrays",
     "TokenTrace.from_arrays": "bench/tracer.py wraps it as a per-layer stage",
+    "__getattr__": "Python calls it for a name exitsim does not hold (PEP 562)",
 }
 
 
@@ -76,6 +77,8 @@ def product_names():
 
 
 def exported_names():
+    """The names ``exitsim`` imports at the top level, and those it loads
+    from ``exitsim.distill`` on first use."""
     with open(exitsim.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     return {
@@ -83,7 +86,7 @@ def exported_names():
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    }
+    } | exitsim._DISTILL_EXPORTS
 
 
 def test_every_export_has_a_product_caller():
@@ -189,3 +192,53 @@ def test_the_bench_tracer_installs_over_the_package():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["1"]
+
+
+# Runs simulator commands, then the ablation, through cli.main and prints
+# after each whether the toy cascade's module has loaded, then the
+# identities the lazy exports keep.
+_IMPORT_PROBE = """
+import contextlib, io, os, sys
+import exitsim
+from exitsim.cli import main
+out = ["--out-dir", sys.argv[1]]
+for argv in (
+    ["gen-traces", "--n-images", "2", "--max-len", "4"],
+    ["sweep-threshold", "--traces", os.path.join(sys.argv[1], "traces.txt")],
+    ["bandit", "--tokens", "30", "--oracle-samples", "40"],
+    ["compare-distortion", "--tokens", "30", "--oracle-samples", "40"],
+    ["lambda-sweep", "--tokens", "30", "--oracle-samples", "40"],
+    ["ablation", "--stage1-epochs", "1", "--stage2-epochs", "1",
+     "--n-train", "16", "--n-heldout", "16"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + out) == 0, argv
+    print(argv[0], "exitsim.distill" in sys.modules)
+print(exitsim.make_task is exitsim.distill.make_task)
+print(exitsim.distill.CheckpointError is exitsim.CheckpointError)
+print(exitsim.distill.TrainingError is exitsim.TrainingError)
+"""
+
+
+def test_only_the_toy_commands_load_the_toy_cascade(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(exitsim.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "gen-traces False",
+        "sweep-threshold False",
+        "bandit False",
+        "compare-distortion False",
+        "lambda-sweep False",
+        "ablation True",
+        "True",
+        "True",
+        "True",
+    ]

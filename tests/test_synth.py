@@ -6,10 +6,11 @@ import os
 import tempfile
 import tracemalloc
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from exitsim import (
@@ -26,6 +27,7 @@ from exitsim import (
     run_lockstep,
     write_traces,
 )
+from exitsim import bandit
 from exitsim.bandit import _ORACLE_SPAN, _pairwise_spans
 from exitsim.cli import main as cli_main
 from exitsim.staging import staged
@@ -420,6 +422,52 @@ def test_confidence_matrix_property(sigma, growth, n):
     assert np.all((conf >= 0.0) & (conf <= 1.0))
 
 
+# Where a float field of the model must be positive, non-negative or a
+# probability, it is drawn only there; any other is drawn over every
+# finite float.
+_FIELD_DOMAINS = {
+    "growth": {"min_value": 0.0, "exclude_min": True},
+    "noise_scale": {"min_value": 0.0},
+    "clean_fraction": {"min_value": 0.0, "max_value": 1.0},
+    "ceiling_center": {
+        "min_value": 0.0, "max_value": 1.0, "exclude_min": True, "exclude_max": True
+    },
+    "ceiling_spread": {"min_value": 0.0},
+    "ceiling_drop_rate": {"min_value": 0.0},
+    "base_drop_rate": {"min_value": 0.0},
+    "eos_prob": {"min_value": 0.0, "max_value": 1.0},
+}
+_MODEL_FLOATS = {
+    f.name: st.floats(
+        allow_nan=False, allow_infinity=False, **_FIELD_DOMAINS.get(f.name, {})
+    )
+    for f in dataclasses.fields(SyntheticConfidenceModel)
+    if f.type == "float"
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=st.fixed_dictionaries(_MODEL_FLOATS), sigma=st.floats())
+@example(
+    fields={"growth": 1e308, "base_drop_rate": 1e308}, sigma=2.0
+).via("the inf - inf of an unbounded rise and drop")
+@example(
+    fields={"ceiling_spread": 1e308, "ceiling_drop_rate": 1e308}, sigma=2.0
+).via("the inf - inf of an unbounded ceiling jitter and drop")
+def test_model_confidences_are_finite_or_refused(fields, sigma):
+    """A model and a level either raise ValueError, at construction or in
+    check_sigma, or give confidences that are all finite and in [0, 1]."""
+    try:
+        model = SyntheticConfidenceModel(**fields)
+        check_sigma(sigma)
+    except ValueError:
+        return
+    draws = draw_tokens(model, 16, model.stream_rng(0), 4)
+    with np.errstate(over="ignore"):  # a score may overflow to -inf or +inf
+        conf = finish_tokens(model, sigma, draws).confidences
+    assert np.all((conf >= 0.0) & (conf <= 1.0)), conf  # False at NaN
+
+
 # ---------------------------------------------------------------------------
 # Images' traces: one-image blocks, checked whole when written
 
@@ -676,12 +724,18 @@ def _read_bad_line(path):
     list(read_traces(path))
 
 
-def _play_overflowing_model(path):
-    # The scores and the drop at sigma = 2 overflow to infinities whose
-    # difference, each confidence, is NaN.
-    model = SyntheticConfidenceModel(growth=1e308, base_drop_rate=1e308)
+def _play_unplayable_traces(path):
+    # A model cannot make a confidence outside [0, 1] (see
+    # test_model_confidences_are_finite_or_refused), so a stub finishes
+    # the lockstep's tokens at 1.5.
+    def finish_outside(model, sigma, draws):
+        batch = finish_tokens(model, sigma, draws)
+        outside = np.full_like(batch.confidences, 1.5)
+        return dataclasses.replace(batch, confidences=outside)
+
+    model = SyntheticConfidenceModel()
     cell = AdaptiveCell(ActionSet((0.5,)), RewardParams(model.n_layers), 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with mock.patch.object(bandit, "finish_tokens", finish_outside):
         run_lockstep(model, [cell], 1.0, 10, 4)
 
 
@@ -712,7 +766,10 @@ def _play_overflowing_model(path):
             lambda path: TokenTrace.from_arrays([1.5, 0.5], [1, 1]),
             r"layer 1 confidence 1.5 outside \[0, 1\]",
         ),
-        (_play_overflowing_model, "images 0-63: token 1 layer 10 confidence nan"),
+        (
+            _play_unplayable_traces,
+            r"images 0-63: token 1 layer 1 confidence 1.5 outside \[0, 1\]",
+        ),
     ],
     ids=[
         "read", "write-header", "write-offsets", "write-image-id", "check_traces",
