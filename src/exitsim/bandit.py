@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,17 +106,11 @@ class RewardParams:
             )
 
 
-def check_gamma(gamma: float) -> None:
-    """Refuse a UCB exploration width that is not finite or is below 1."""
-    if not math.isfinite(gamma) or gamma < 1.0:
-        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
-
-
-def _ucb_index(cell: AdaptiveCell) -> int:
+def _ucb_index(cell: AdaptiveCell, gamma: float) -> int:
     """Index of the arm with the largest Q + gamma * sqrt(ln t / pulls);
     ties go to the smallest.  Every arm must have been pulled.  A scan
     over one arm always picks it, so a one-arm cell skips the index."""
-    q, pulls, gamma = cell.q, cell.pulls, cell.gamma
+    q, pulls = cell.q, cell.pulls
     if len(q) == 1:
         return 0
     log_t = math.log(cell.t)
@@ -136,70 +130,32 @@ def _fold(cell: AdaptiveCell, k: int, observed_reward: float) -> None:
     cell.t += 1
 
 
-def _gains(conf: np.ndarray, exits: np.ndarray) -> np.ndarray:
-    """Confidence gain over layer 1 at 0-based ``exits`` of a (tokens,
-    layers) confidence array; ``exits`` is (tokens,) or (tokens, K)."""
-    rows = np.arange(len(conf)).reshape((-1,) + (1,) * (exits.ndim - 1))
-    return conf[rows, exits] - conf[rows, 0]
-
-
 def _rewards(gain: np.ndarray, exits: np.ndarray, params: RewardParams) -> np.ndarray:
     """``gain`` minus the scaled latency of 0-based ``exits``: the float64
     operations of the scalar reward, so bit-identical to it."""
     return gain - params.mu * np.asarray(params.latency).take(exits)
 
 
-def _check_layers(conf: np.ndarray, params: RewardParams) -> None:
-    """Refuse (rows, layers) confidences whose depth is not the reward
-    schedule's, before any of their exits is scored."""
-    if conf.shape[1] != params.n_layers:
+def _check_layers(n_layers: int, params: RewardParams) -> None:
+    """Refuse a reward schedule whose depth is not ``n_layers``, the depth
+    of the confidences it is to score."""
+    if n_layers != params.n_layers:
         raise ValueError(
-            f"model emits {conf.shape[1]} layers, reward params expect "
-            f"{params.n_layers}"
+            f"model emits {n_layers} layers, reward params expect {params.n_layers}"
         )
 
 
-class _ArmTable(NamedTuple):
-    """Every arm's outcome on every row of a block, as flat row-major
-    lists: arm k on row r is entry ``r * width + k``.  Flat lists keep
-    the garbage collector off a chunk's rows."""
-
-    exits: list  # 0-based exit layer
-    emitted: list  # emitted token id
-    rewards: list
-    width: int  # the arm count K
-
-
-def _arm_table(
-    conf: np.ndarray,
-    token_ids: np.ndarray,
-    thresholds: np.ndarray,
-    params: RewardParams,
-) -> _ArmTable:
-    """The outcome of every arm on every row of a (rows, layers) block of
-    confidences and token ids, from one running max.  A block whose depth
-    is not ``params.n_layers`` raises ValueError."""
-    _check_layers(conf, params)
-    exits = exit_layer_indices(conf, thresholds)
-    emitted = np.take_along_axis(token_ids, exits, axis=1)
-    rewards = _rewards(_gains(conf, exits), exits, params)
-    return _ArmTable(
-        exits.ravel().tolist(), emitted.ravel().tolist(),
-        rewards.ravel().tolist(), len(thresholds),
-    )
-
-
 def initialize(
-    cell: AdaptiveCell, table: _ArmTable, gamma: float, rows: list | None
+    cell: AdaptiveCell, exits: list, rewards: list, rows: list | None
 ) -> AdaptiveCell:
-    """Start ``cell``'s run at exploration width ``gamma``: pull every arm
-    once, arm k on row k of its first chunk's ``table``, into the cell's
+    """Start ``cell``'s run: pull every arm once, arm k on row k of its
+    first chunk, whose 0-based ``exits`` and ``rewards`` are flat
+    row-major lists (arm k on row r at ``r * K + k``), into the cell's
     means, counts, histogram and reward sum, appending each round to
     ``rows`` unless it is None.  Each Q is then one observed reward, as
     the selection rule needs before its first real round.  Returns the
     cell."""
-    cell.gamma = gamma
-    exits, _, rewards, width = table
+    width = len(cell.actions)
     for k, alpha in enumerate(cell.actions.thresholds):
         i = k * width + k
         _fold(cell, k, rewards[i])
@@ -210,20 +166,68 @@ def initialize(
     return cell
 
 
+def _play(
+    cell: AdaptiveCell, batch: TraceBatch, gamma: float, tokens: int,
+    max_len: int, eos_id: int,
+) -> None:
+    """Play ``cell``'s run over the ``max_len``-token images of a
+    validated chunk until its token budget; a new run spends its first
+    image on ``initialize``.  Every arm's exit, emitted token id and
+    reward on every row come from one running max, as flat row-major
+    lists (arm k on row r at ``r * K + k``): one list per field keeps the
+    garbage collector off a chunk's rows."""
+    conf = batch.confidences
+    alphas = cell.actions.thresholds
+    width = len(alphas)
+    exit_array = exit_layer_indices(conf, np.asarray(alphas))
+    gain = np.take_along_axis(conf, exit_array, axis=1) - conf[:, :1]
+    rewards = _rewards(gain, exit_array, cell.params).ravel().tolist()
+    emitted = np.take_along_axis(batch.token_ids, exit_array, axis=1).ravel().tolist()
+    exits = exit_array.ravel().tolist()
+    rows = None if cell.sink is None else []
+    start = 0
+    if cell.t == 0:
+        # Called through the module global: bench/tracer.py counts init rounds here.
+        initialize(cell, exits, rewards, rows)
+        start = max_len
+    counts = cell.hist
+    reward_sum, hits, n_emitted = cell.reward_sum, cell.hits, cell.emitted
+    targets = batch.targets.tolist()
+    # The round kernel: one UCB round per token of each image, until an
+    # emitted eos, the length cap or the token budget.
+    for lo in range(start, len(conf), max_len):
+        if cell.t >= tokens:
+            break
+        for row in range(lo, lo + min(max_len, tokens - cell.t)):
+            k = _ucb_index(cell, gamma)
+            i = row * width + k
+            _fold(cell, k, rewards[i])
+            counts[exits[i]] += 1
+            reward_sum += rewards[i]
+            hits += emitted[i] == targets[row]
+            n_emitted += 1
+            if rows is not None:
+                rows.append((cell.t, alphas[k], exits[i] + 1, rewards[i]))
+            if emitted[i] == eos_id:
+                break
+    cell.reward_sum, cell.hits, cell.emitted = reward_sum, hits, n_emitted
+    if rows:
+        cell.sink(rows)
+
+
 @dataclass
 class AdaptiveCell:
     """One policy's run over a command's shared image stream, finished at
-    distortion level ``sigma``.
+    distortion level ``sigma``; ``run_lockstep`` plays it, once.
 
     A cell is its run's UCB1 state: each arm's mean reward ``q`` and pull
-    count ``pulls``, the round counter ``t`` (0 until the run starts) and
-    the exploration width ``gamma`` the run started with.  It also keeps
-    running aggregates: its exit histogram, reward sum, hits and emitted
-    count.  With a ``sink`` it hands over every round, initialization
-    included: one call per chunk, with a list of ``(t, arm, exit layer,
-    reward)`` rows in round order, t counting from 1 and the exit layer
-    from 1.  The cell holds no round past its chunk, so its memory stays
-    bounded and a command's cells can all run at once.
+    count ``pulls`` and the round counter ``t`` (0 until the run starts).
+    It also keeps running aggregates: its exit histogram, reward sum,
+    hits and emitted count.  With a ``sink`` it hands over every round,
+    initialization included: one call per chunk, with a list of ``(t,
+    arm, exit layer, reward)`` rows in round order, t counting from 1 and
+    the exit layer from 1.  The cell holds no round past its chunk, so
+    its memory stays bounded and a command's cells can all run at once.
     """
 
     actions: ActionSet
@@ -233,7 +237,6 @@ class AdaptiveCell:
     q: list[float] = field(init=False)
     pulls: list[int] = field(init=False)
     t: int = field(default=0, init=False)
-    gamma: float | None = field(default=None, init=False)
     reward_sum: float = field(default=0.0, init=False)
     hits: int = field(default=0, init=False)
     emitted: int = field(default=0, init=False)
@@ -242,61 +245,6 @@ class AdaptiveCell:
     def __post_init__(self) -> None:
         self.q, self.pulls = [0.0] * len(self.actions), [0] * len(self.actions)
         self.hist = [0] * self.params.n_layers
-
-    def done(self, tokens: int) -> bool:
-        return self.t >= tokens
-
-    def play(
-        self,
-        batch: TraceBatch,
-        gamma: float,
-        tokens: int,
-        max_len: int,
-        eos_id: int,
-    ) -> None:
-        """Resume this cell's run over the ``max_len``-token images of a
-        validated chunk until its token budget; a new run spends its
-        first image on ``initialize``, and its rounds use the ``gamma`` it
-        started with, whatever a later chunk passes.  A new run that
-        ``check_run`` or its reward shape's ``check_sums`` refuses, or a
-        chunk whose depth is not the reward schedule's, raises ValueError
-        before any round."""
-        if self.t == 0:
-            check_run(len(self.actions), [self.sigma], gamma, tokens, max_len)
-            self.params.check_sums(tokens)
-        conf = batch.confidences
-        alphas = self.actions.thresholds
-        table = _arm_table(conf, batch.token_ids, np.asarray(alphas), self.params)
-        exits, emitted, rewards, width = table
-        rows = None if self.sink is None else []
-        start = 0
-        if self.t == 0:
-            # Called through the module global: bench/tracer.py counts init rounds here.
-            initialize(self, table, gamma, rows)
-            start = max_len
-        counts = self.hist
-        reward_sum, hits, n_emitted = self.reward_sum, self.hits, self.emitted
-        targets = batch.targets.tolist()
-        # The round kernel: one UCB round per token of each image, until
-        # an emitted eos, the length cap or the token budget.
-        for lo in range(start, len(conf), max_len):
-            if self.t >= tokens:
-                break
-            for row in range(lo, lo + min(max_len, tokens - self.t)):
-                k = _ucb_index(self)
-                i = row * width + k
-                _fold(self, k, rewards[i])
-                counts[exits[i]] += 1
-                reward_sum += rewards[i]
-                hits += emitted[i] == targets[row]
-                n_emitted += 1
-                if rows is not None:
-                    rows.append((self.t, alphas[k], exits[i] + 1, rewards[i]))
-                if emitted[i] == eos_id:
-                    break
-        self.reward_sum, self.hits, self.emitted = reward_sum, hits, n_emitted
-        if rows:
-            self.sink(rows)
 
     def metrics(self) -> dict:
         return {
@@ -312,8 +260,8 @@ def check_run(
     """The one rule of an adaptive run whose widest cell has ``arms`` arms.
     Initialization plays arm k on token k of the first image, so
     ``max_len`` must cover ``arms``, and ``tokens`` must cover them and
-    one round after; ``gamma`` must pass ``check_gamma`` and every level
-    of ``sigmas`` ``check_sigma``.  Raises ValueError otherwise."""
+    one round after; ``gamma`` must be finite and at least 1, and every
+    level of ``sigmas`` pass ``check_sigma``.  Raises ValueError otherwise."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if max_len < arms:
@@ -323,7 +271,8 @@ def check_run(
             f"tokens must cover one pull per arm and one round after: "
             f"{tokens} <= {arms}"
         )
-    check_gamma(gamma)
+    if not math.isfinite(gamma) or gamma < 1.0:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     for sigma in sigmas:
         check_sigma(sigma)
 
@@ -346,10 +295,10 @@ def run_lockstep(
     its policy.  Accuracy is scored against the targets of those images.
 
     A run that ``check_run`` refuses, for the widest cell's arm count and
-    every cell's level, or a cell whose reward shape's ``check_sums``
-    refuses ``tokens``, raises ValueError before the first draw.  A cell
-    whose reward schedule's depth differs from ``base``'s raises
-    ValueError on the first chunk, before any round.
+    every cell's level, a cell that has started a run already, and a cell
+    whose reward shape's ``check_sums`` refuses ``tokens`` or whose
+    reward schedule's depth differs from ``base``'s all raise ValueError
+    before the first draw.
     """
     levels = {}
     for cell in cells:
@@ -357,19 +306,22 @@ def run_lockstep(
     arms = max((len(cell.actions) for cell in cells), default=1)
     check_run(arms, levels, gamma, tokens, max_len)
     for cell in cells:
+        if cell.t:
+            raise ValueError(f"a cell is one run: this one has played {cell.t} rounds")
         cell.params.check_sums(tokens)
+        _check_layers(base.n_layers, cell.params)
     rng = base.stream_rng(0)
     start_id = 0
-    while not all(cell.done(tokens) for cell in cells):
+    while any(cell.t < tokens for cell in cells):
         draws = draw_tokens(base, max_len, rng, IMAGE_CHUNK)
         for sigma, group in levels.items():
-            playing = [cell for cell in group if not cell.done(tokens)]
+            playing = [cell for cell in group if cell.t < tokens]
             if playing:
                 batch = finish_tokens(base, sigma, draws)
                 label = f"images {start_id}-{start_id + IMAGE_CHUNK - 1}"
                 check_traces(label, batch, base.vocab_size)
                 for cell in playing:
-                    cell.play(batch, gamma, tokens, max_len, base.eos_id)
+                    _play(cell, batch, gamma, tokens, max_len, base.eos_id)
         start_id += IMAGE_CHUNK
 
 
@@ -412,13 +364,14 @@ def shared_oracles(
     independent of run seeds.
     No (samples, layers) matrix is held: the samples are drawn and scored
     one ``_pairwise_spans`` span and one level at a time.  A sample count
-    below 1, or one that a shape's ``check_sums`` refuses, raises
-    ValueError before the first draw.
+    below 1, or a shape whose ``check_sums`` refuses it or whose depth is
+    not ``base``'s, raises ValueError before the first draw.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     for p in params:
         p.check_sums(samples)
+        _check_layers(base.n_layers, p)
     rng = np.random.default_rng(seed)
     blocks = confidence_blocks(base, sigmas, samples, rng, _pairwise_spans(samples))
     sums = (  # each level's block is scored as it is drawn, then dropped
@@ -469,8 +422,6 @@ def _span_sums(
     token's first clearing layer the running max is that layer's own
     confidence, and the final row and layer 1 keep theirs, so each arm's
     banked confidences are one gather from the block at its exits."""
-    for p in params:
-        _check_layers(block.T, p)
     block = np.ascontiguousarray(block)
     samples = block.shape[1]
     top = running_max(block[:-1])

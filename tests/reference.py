@@ -327,7 +327,7 @@ def oracle_estimates(
     one running max, then per arm one gather and one ``.mean()`` of the
     full reward vector.  The block is not modified."""
     for p in params:
-        _check_layers(block.T, p)
+        _check_layers(len(block), p)
     block = np.array(block, order="C")
     samples = block.shape[1]
     top = running_max(block[:-1])

@@ -19,8 +19,6 @@ from exitsim import (
     StepSchedule,
     SyntheticConfidenceModel,
     TraceBatch,
-    draw_tokens,
-    finish_tokens,
     run_lockstep,
     shared_oracles,
 )
@@ -41,7 +39,7 @@ from reference import (
     update,
 )
 
-from exitsim import bandit
+from exitsim import bandit, synth
 from exitsim.synth import confidence_blocks
 from conftest import (
     PINNED_ON,
@@ -191,11 +189,11 @@ def test_ucb_argmax_is_shift_invariant():
 
 def test_ucb_index_of_a_one_arm_state_is_zero():
     # A scan over one arm always picks it, so its index is never formed:
-    # not even ln 0, a division by zero pulls or a run's unset gamma.
+    # not even ln 0, a division by zero pulls or a NaN gamma.
     cell = AdaptiveCell(ActionSet((0.6,)), RewardParams(n_layers=3), 0.0)
-    assert bandit._ucb_index(cell) == 0
+    assert bandit._ucb_index(cell, gamma=math.nan) == 0
     cell.q[0], cell.pulls[0], cell.t = math.nan, 3, 2**80
-    assert bandit._ucb_index(cell) == 0
+    assert bandit._ucb_index(cell, gamma=math.nan) == 0
     state = UcbState(ActionSet((0.6,)), q=[math.nan], pulls=[3], t=2**80, gamma=1.0)
     assert ucb_select(state) == 0.6
 
@@ -329,7 +327,7 @@ def _initialized(actions, image, params, sink=None):
     targets = np.zeros(len(image), dtype=np.int64)
     batch = TraceBatch(image.confidences, image.token_ids, targets)
     cell = AdaptiveCell(actions, params, 0.0, sink)
-    cell.play(batch, 1.0, len(actions) + 1, len(image), eos_id=0)
+    bandit._play(cell, batch, 1.0, len(actions) + 1, len(image), eos_id=0)
     return cell
 
 
@@ -427,11 +425,13 @@ def test_adaptive_run_rejects_nonpositive_caption_cap(monkeypatch):
 
 
 def _assert_refused_before_any_draw(
-    monkeypatch, budget, max_len, message, sigma=0.0, gamma=1.0
+    monkeypatch, budget, max_len, message, sigma=0.0, gamma=1.0, n_layers=12
 ):
     """``run_lockstep`` at ``gamma`` over a one-arm and a three-arm cell at
-    sigma 0.0 and 2.0, plus a one-arm cell at ``sigma``, raises ValueError
-    matching ``message`` with no draw made and no cell started."""
+    sigma 0.0 and 2.0, plus a one-arm cell at ``sigma`` with a reward
+    schedule of ``n_layers`` layers, on the 12-layer default model,
+    raises ValueError matching ``message`` with no draw made and no cell
+    started."""
     draws = []
     monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
     base = SyntheticConfidenceModel()
@@ -441,7 +441,7 @@ def _assert_refused_before_any_draw(
         for level in (0.0, 2.0)
         for actions in (ActionSet((0.5,)), ActionSet((0.2, 0.5, 0.8)))
     ]
-    cells.append(AdaptiveCell(ActionSet((0.5,)), params, sigma))
+    cells.append(AdaptiveCell(ActionSet((0.5,)), RewardParams(n_layers), sigma))
     with pytest.raises(ValueError, match=message):
         run_lockstep(base, cells, gamma, budget, max_len)
     assert draws == []
@@ -474,37 +474,6 @@ def test_adaptive_run_rejects_a_bad_gamma_before_any_draw(monkeypatch, gamma):
     _assert_refused_before_any_draw(monkeypatch, 50, 20, message, gamma=gamma)
 
 
-@pytest.mark.parametrize(
-    "tokens, max_len, gamma, mu, message",
-    [
-        (10, 20, 1.0, None, "one pull per arm and one round after: 10 <= 10"),
-        (100, 5, 1.0, None, "one token per arm: 5 < 10"),
-        (100, 20, 0.5, None, "gamma must be finite and >= 1, got 0.5"),
-        (100, 20, 1.0, 1e307, "a sum of 100 rewards .* is not finite"),
-    ],
-    ids=[
-        "tokens-equal-arms", "max-len-below-arms", "gamma-below-1",
-        "reward-sum-overflow",
-    ],
-)
-def test_a_cell_played_directly_refuses_what_check_run_refuses(
-    tokens, max_len, gamma, mu, message
-):
-    # A budget of one round per arm would leave metrics() dividing by no
-    # emitted token, a cap below the arm count would spread
-    # initialization across image boundaries, and a reward shape whose
-    # sums overflow would leave a mean reward of -inf.
-    model = SyntheticConfidenceModel()
-    draws = draw_tokens(model, max_len, model.stream_rng(0), IMAGE_CHUNK)
-    batch = finish_tokens(model, 0.0, draws)
-    cell = AdaptiveCell(
-        ActionSet.default_grid(), RewardParams(model.n_layers, mu), 0.0
-    )
-    with pytest.raises(ValueError, match=message):
-        cell.play(batch, gamma, tokens, max_len, model.eos_id)
-    assert cell.t == 0
-
-
 def test_single_arm_adaptive_run_matches_fixed_threshold():
     # With one arm the driver must reproduce the plain caption loop at
     # that threshold decision for decision, a budget cut included.
@@ -533,9 +502,10 @@ def test_single_arm_adaptive_run_matches_fixed_threshold():
 
 
 def test_adaptive_run_matches_per_token_reference_loop():
-    # The chunk arm tables must replay the plain per-token loop (select,
-    # exit rule, reward, update) bit for bit on a distorted finish of the
-    # drawn stream, including a caption cut part-way by the token budget.
+    # A chunk's flat arm lists must replay the plain per-token loop
+    # (select, exit rule, reward, update) bit for bit on a distorted
+    # finish of the drawn stream, including a caption cut part-way by
+    # the token budget.
     base = SyntheticConfidenceModel(seed=5)
     max_len, budget, gamma = 7, 101, 1.3
     actions = ActionSet((0.2, 0.4, 0.6, 0.8, 1.0))
@@ -598,11 +568,6 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
     model = SyntheticConfidenceModel(seed=7)
     actions, params = ActionSet((1.0,)), RewardParams(n_layers=n_layers)
     refused = f"model emits 12 layers, reward params expect {n_layers}"
-    batch = next(image_stream(model, 0.0, model.stream_rng(0), 20))
-    cell = AdaptiveCell(actions, params, 0.0)
-    with pytest.raises(ValueError, match=refused):
-        cell.play(batch, 1.0, 100, 20, model.eos_id)
-    assert cell.t == 0
     cell = AdaptiveCell(actions, params, 0.0)
     with pytest.raises(ValueError, match=refused):
         run_lockstep(model, [cell], 1.0, 100, 20)
@@ -611,6 +576,36 @@ def test_every_entry_point_refuses_a_reward_schedule_of_another_depth(n_layers):
         shared_oracles(model, [0.0], actions, [params], samples=10)
     matched = _drive(model, actions, RewardParams(n_layers=12), 100, 20)
     assert matched.metrics()["speedup"] == 1.0
+
+
+@pytest.mark.parametrize("n_layers", [14, 11], ids=["deeper", "shallower"])
+def test_the_depth_rule_runs_before_any_draw(monkeypatch, n_layers):
+    refused = f"model emits 12 layers, reward params expect {n_layers}"
+    _assert_refused_before_any_draw(monkeypatch, 50, 20, refused, n_layers=n_layers)
+    variates = []
+    monkeypatch.setattr(synth, "_token_variates", lambda *args: variates.append(args))
+    with pytest.raises(ValueError, match=refused):
+        shared_oracles(
+            SyntheticConfidenceModel(), [0.0, 1.0], ActionSet((0.5,)),
+            [RewardParams(n_layers=12), RewardParams(n_layers)], samples=10,
+        )
+    assert variates == []
+
+
+def test_a_started_cell_is_refused(monkeypatch):
+    # A cell is one run: a second run over it would replay the stream
+    # from image 0 into the state the first one left.
+    model = SyntheticConfidenceModel(seed=6)
+    params = RewardParams(n_layers=model.n_layers)
+    cell = _drive(model, ActionSet((0.2, 0.5, 0.8)), params, 50, 10)
+    state = (list(cell.q), list(cell.pulls), cell.t, list(cell.hist))
+    draws = []
+    monkeypatch.setattr(bandit, "draw_tokens", lambda *args: draws.append(args))
+    fresh = AdaptiveCell(ActionSet((0.5,)), params, 0.0)
+    with pytest.raises(ValueError, match="a cell is one run: .* played 50 rounds"):
+        run_lockstep(model, [fresh, cell], 1.0, 100, 10)
+    assert (cell.q, cell.pulls, cell.t, cell.hist) == state
+    assert draws == [] and fresh.t == 0
 
 
 def test_adaptive_run_is_deterministic():
@@ -632,29 +627,6 @@ def test_adaptive_run_honors_token_budget():
     )
     assert cell.t == len(cell.sink) == 17
     assert cell.emitted == 15
-
-
-def test_a_run_keeps_the_gamma_it_started_with():
-    # The exploration width belongs to the run: a later chunk played at
-    # another gamma plays the rounds the starting gamma gives.
-    model = SyntheticConfidenceModel(seed=6)
-    max_len = 12
-    budget = 2 * IMAGE_CHUNK * max_len
-    rng = model.stream_rng(0)
-    chunks = [
-        finish_tokens(model, 0.0, draw_tokens(model, max_len, rng, IMAGE_CHUNK))
-        for _ in range(2)
-    ]
-    params = RewardParams(n_layers=model.n_layers)
-    kept, changed = (AdaptiveCell(ActionSet.default_grid(), params, 0.0) for _ in "ab")
-    for cell, second_gamma in ((kept, 1.0), (changed, 3.0)):
-        cell.play(chunks[0], 1.0, budget, max_len, model.eos_id)
-        first_rounds = cell.t
-        cell.play(chunks[1], second_gamma, budget, max_len, model.eos_id)
-        assert first_rounds < cell.t < budget
-    assert (changed.q, changed.pulls, changed.t, changed.hist) == (
-        kept.q, kept.pulls, kept.t, kept.hist
-    )
 
 
 def test_cell_hands_each_chunk_its_rounds_in_one_call():
@@ -877,12 +849,6 @@ def test_shared_oracles_validation():
         shared_oracles(model, [0.0], ActionSet((0.5,)), [RewardParams(12)], samples=0)
     with pytest.raises(ValueError, match="layers"):
         shared_oracles(model, [0.0], ActionSet((0.5,)), [RewardParams(6)], samples=10)
-
-
-def test_oracle_rejects_layer_mismatch():
-    block = _tiled_block(np.ones((2, 6)), 10)
-    with pytest.raises(ValueError):
-        span_scored(block, ActionSet((0.5,)), [RewardParams(n_layers=4)])
 
 
 def test_oracle_unknown_arm_lookup_raises():
