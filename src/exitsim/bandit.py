@@ -146,24 +146,30 @@ def _check_layers(n_layers: int, params: RewardParams) -> None:
 
 
 def initialize(
-    cell: AdaptiveCell, exits: list, rewards: list, rows: list | None
+    cell: AdaptiveCell, rewards: memoryview, played: list[int]
 ) -> AdaptiveCell:
     """Start ``cell``'s run: pull every arm once, arm k on row k of its
-    first chunk, whose 0-based ``exits`` and ``rewards`` are flat
-    row-major lists (arm k on row r at ``r * K + k``), into the cell's
-    means, counts, histogram and reward sum, appending each round to
-    ``rows`` unless it is None.  Each Q is then one observed reward, as
-    the selection rule needs before its first real round.  Returns the
-    cell."""
+    first chunk, whose ``rewards`` are flat and row-major (arm k on row r
+    at ``r * K + k``), into the cell's means and counts, appending each
+    pull's flat index to ``played``.  Each Q is then one observed
+    reward, as the selection rule needs before its first real round.
+    Returns the cell."""
     width = len(cell.actions)
-    for k, alpha in enumerate(cell.actions.thresholds):
-        i = k * width + k
-        _fold(cell, k, rewards[i])
-        cell.hist[exits[i]] += 1
-        cell.reward_sum += rewards[i]
-        if rows is not None:
-            rows.append((cell.t, alpha, exits[i] + 1, rewards[i]))
+    for k in range(width):
+        _fold(cell, k, rewards[k * width + k])
+        played.append(k * width + k)
     return cell
+
+
+def _caption_rows(stops: np.ndarray, max_len: int, budget: int) -> np.ndarray:
+    """The rows, in order, that a one-arm cell plays over images of
+    ``max_len`` rows whose emitted eos flags are ``stops``: each image's
+    rows up to its first stop, ``budget`` rows in all at most."""
+    stops = stops.reshape(-1, max_len)
+    lengths = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1, max_len)
+    before = np.cumsum(lengths) - lengths
+    lengths = np.clip(min(budget, stops.size) - before, 0, lengths)
+    return np.flatnonzero(np.arange(max_len) < lengths[:, None])
 
 
 def _play(
@@ -174,45 +180,61 @@ def _play(
     validated chunk until its token budget; a new run spends its first
     image on ``initialize``.  Every arm's exit, emitted token id and
     reward on every row come from one running max, as flat row-major
-    lists (arm k on row r at ``r * K + k``): one list per field keeps the
-    garbage collector off a chunk's rows."""
+    arrays (arm k on row r at ``r * K + k``).  A round reads its arm's
+    reward and eos flag through memoryviews and lists its flat index; a
+    one-arm cell, which makes no choice, finds its rounds as arrays.  The
+    histogram, reward sum, hits and sink rows are scored from the list."""
     conf = batch.confidences
     alphas = cell.actions.thresholds
     width = len(alphas)
-    exit_array = exit_layer_indices(conf, np.asarray(alphas))
-    gain = np.take_along_axis(conf, exit_array, axis=1) - conf[:, :1]
-    rewards = _rewards(gain, exit_array, cell.params).ravel().tolist()
-    emitted = np.take_along_axis(batch.token_ids, exit_array, axis=1).ravel().tolist()
-    exits = exit_array.ravel().tolist()
-    rows = None if cell.sink is None else []
+    exits = exit_layer_indices(conf, np.asarray(alphas))
+    gain = np.take_along_axis(conf, exits, axis=1) - conf[:, :1]
+    rewards = _rewards(gain, exits, cell.params).ravel()
+    emitted = np.take_along_axis(batch.token_ids, exits, axis=1).ravel()
+    stops = emitted == eos_id
+    t0 = cell.t
+    played = []
     start = 0
     if cell.t == 0:
         # Called through the module global: bench/tracer.py counts init rounds here.
-        initialize(cell, exits, rewards, rows)
+        initialize(cell, memoryview(rewards), played)
         start = max_len
-    counts = cell.hist
-    reward_sum, hits, n_emitted = cell.reward_sum, cell.hits, cell.emitted
-    targets = batch.targets.tolist()
-    # The round kernel: one UCB round per token of each image, until an
-    # emitted eos, the length cap or the token budget.
-    for lo in range(start, len(conf), max_len):
-        if cell.t >= tokens:
-            break
-        for row in range(lo, lo + min(max_len, tokens - cell.t)):
-            k = _ucb_index(cell, gamma)
-            i = row * width + k
-            _fold(cell, k, rewards[i])
-            counts[exits[i]] += 1
-            reward_sum += rewards[i]
-            hits += emitted[i] == targets[row]
-            n_emitted += 1
-            if rows is not None:
-                rows.append((cell.t, alphas[k], exits[i] + 1, rewards[i]))
-            if emitted[i] == eos_id:
+    n_init = len(played)
+    if width == 1:
+        rows = start + _caption_rows(stops[start:], max_len, tokens - cell.t)
+        q, pulls = cell.q[0], cell.pulls[0]
+        for r in rewards.take(rows).tolist():
+            pulls += 1
+            q += (r - q) / pulls
+        cell.q[0], cell.pulls[0], cell.t = q, pulls, cell.t + len(rows)
+        played.extend(rows.tolist())
+    else:
+        # The round kernel: one UCB round per token of each image, until
+        # an emitted eos, the length cap or the token budget.
+        reward_at, stop_at = memoryview(rewards), memoryview(stops)
+        for lo in range(start * width, len(rewards), max_len * width):
+            if cell.t >= tokens:
                 break
-    cell.reward_sum, cell.hits, cell.emitted = reward_sum, hits, n_emitted
-    if rows:
-        cell.sink(rows)
+            for row in range(lo, lo + min(max_len, tokens - cell.t) * width, width):
+                k = _ucb_index(cell, gamma)
+                _fold(cell, k, reward_at[row + k])
+                played.append(row + k)
+                if stop_at[row + k]:
+                    break
+    played = np.array(played, dtype=np.intp)
+    layers = exits.ravel().take(played)
+    cell.hist = (np.bincount(layers, minlength=len(cell.hist)) + cell.hist).tolist()
+    got = rewards.take(played)
+    # Left to right, as the rounds came: np.sum would add pairwise.
+    cell.reward_sum = np.add.accumulate(np.append(cell.reward_sum, got))[-1].item()
+    scored = played[n_init:]
+    right = emitted.take(scored) == batch.targets.take(scored // width)
+    cell.hits += int(np.count_nonzero(right))
+    cell.emitted += len(scored)
+    if cell.sink is not None and len(played):
+        arms = [alphas[k] for k in (played % width).tolist()]
+        t = range(t0 + 1, cell.t + 1)
+        cell.sink(list(zip(t, arms, (layers + 1).tolist(), got.tolist())))
 
 
 @dataclass

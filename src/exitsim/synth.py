@@ -205,34 +205,33 @@ class TokenDraws(NamedTuple):
     wrong: np.ndarray  # (n,) wrong-guess candidates
 
 
-def _token_variates(
-    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Draw order is part of the stream contract: difficulty, clean mask
-    # and ceiling jitter open every block, then the (tokens, layers)
-    # layer noise, then the correctness uniform, eos mask, nominal
-    # targets and wrong guesses.  Tests pin stream content by seed.
+def _check_tokens(n_tokens: int, n_layers: int) -> None:
+    """Refuse a draw of fewer than 1 token, or of more (tokens, layers)
+    floats than one array can hold, before any allocation: numpy would
+    raise ValueError, not MemoryError."""
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be >= 1, got {n_tokens}")
-    if n_tokens * model.n_layers > MAX_FLOATS:  # else numpy's ValueError
-        raise MemoryError(f"{n_tokens} tokens of {model.n_layers} layers cannot fit")
-    difficulty = rng.uniform(model.difficulty_low, model.difficulty_high, n_tokens)
-    clean = rng.random(n_tokens) < model.clean_fraction
-    return difficulty, clean, rng.normal(0.0, 1.0, n_tokens)
+    if n_tokens * n_layers > MAX_FLOATS:
+        raise MemoryError(f"{n_tokens} tokens of {n_layers} layers cannot fit")
 
 
-def _draw_block(
-    model: SyntheticConfidenceModel, n_tokens: int, rng: np.random.Generator
-) -> TokenDraws:
-    difficulty, clean, ceiling_jitter = _token_variates(model, n_tokens, rng)
-    noise = rng.normal(0.0, model.noise_scale, (n_tokens, model.n_layers))
-    u_correct = rng.random(n_tokens)
-    is_eos = rng.random(n_tokens) < model.eos_prob
-    nominal = rng.integers(1, model.vocab_size, n_tokens)
-    wrong = rng.integers(1, model.vocab_size, n_tokens)
-    return TokenDraws(
-        difficulty, clean, ceiling_jitter, noise, u_correct, is_eos, nominal, wrong
-    )
+def _token_variates(
+    model: SyntheticConfidenceModel,
+    u_difficulty: np.ndarray,
+    u_clean: np.ndarray,
+    z_jitter: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Difficulty, clean mask and ceiling jitter, flattened, from their
+    standard uniforms and normals.  Numpy's ``uniform(low, high)`` is
+    ``low + (high - low) * U`` and its ``normal(loc, scale)`` is ``loc +
+    scale * Z``, so these are the bits those calls would draw.  Written
+    over ``u_difficulty`` and ``z_jitter``."""
+    low, high = float(model.difficulty_low), float(model.difficulty_high)
+    u_difficulty *= high - low
+    u_difficulty += low
+    z_jitter += 0.0  # normal(0.0, 1.0): 0.0 + 1.0 * Z turns -0.0 into 0.0
+    clean = u_clean < model.clean_fraction
+    return u_difficulty.reshape(-1), clean.reshape(-1), z_jitter.reshape(-1)
 
 
 def draw_tokens(
@@ -242,11 +241,38 @@ def draw_tokens(
     n_images: int = 1,
 ) -> TokenDraws:
     """Draw ``n_images`` blocks of ``n_tokens`` tokens, one block after
-    another in stream order, stacked into one set of rows."""
+    another in stream order, stacked into one set of rows.  The stream
+    contract draws the fields in ``TokenDraws`` order, one call each; a
+    block's five calls draw those variates, pinned by seed in the tests:
+    uniforms for the difficulty and clean mask, normals for the jitter
+    and layer noise, uniforms for correctness and eos, then the two
+    ``integers`` fields."""
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
-    blocks = [_draw_block(model, n_tokens, rng) for _ in range(n_images)]
-    return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
+    n, layers = n_tokens, model.n_layers
+    _check_tokens(n, layers)
+    if n_images * n * (layers + 1) > MAX_FLOATS:  # the chunk's normals
+        raise MemoryError(
+            f"{n_images} images of {n} tokens of {layers} layers cannot fit"
+        )
+    first = np.empty((n_images, 2, n))
+    normals = np.empty((n_images, n * (layers + 1)))
+    last = np.empty((n_images, 2, n))
+    nominal = np.empty((n_images, n), np.int64)
+    wrong = np.empty((n_images, n), np.int64)
+    for i in range(n_images):
+        rng.random(out=first[i])
+        rng.standard_normal(out=normals[i])
+        rng.random(out=last[i])
+        nominal[i] = rng.integers(1, model.vocab_size, n)
+        wrong[i] = rng.integers(1, model.vocab_size, n)
+    noise = float(model.noise_scale) * normals[:, n:]
+    noise += 0.0  # normal(0.0, scale) is 0.0 + scale * Z
+    rest = (last[:, 0], last[:, 1] < model.eos_prob, nominal, wrong)
+    return TokenDraws(
+        *_token_variates(model, first[:, 0], first[:, 1], normals[:, :n]),
+        noise.reshape(-1, layers), *(field.reshape(-1) for field in rest),
+    )
 
 
 def confidence_blocks(
@@ -261,7 +287,11 @@ def confidence_blocks(
     ``spans``, token counts summing to ``n_tokens``, one block per level.
     The layer noise is drawn a span at a time, which gives the bits of one
     (n_tokens, layers) draw."""
-    variates = _token_variates(base, n_tokens, rng)
+    _check_tokens(n_tokens, base.n_layers)
+    # Drawn left to right, in stream order; the frame keeps no raw draw.
+    variates = _token_variates(
+        base, rng.random(n_tokens), rng.random(n_tokens), rng.standard_normal(n_tokens)
+    )
     lo = 0
     for span in spans:
         rows = [v[lo : lo + span] for v in variates]

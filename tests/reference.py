@@ -52,6 +52,7 @@ from exitsim.distill import (
 from exitsim.synth import (
     NO_TARGET,
     SyntheticConfidenceModel,
+    TokenDraws,
     TraceBatch,
     TraceFileHeader,
     _ascii_lines,
@@ -414,6 +415,32 @@ def image_records(blocks: Iterable[TraceBatch]) -> list[tuple]:
             None if NO_TARGET in targets else targets,
         ))
     return records
+
+
+def draw_blocks(
+    model: SyntheticConfidenceModel,
+    n_tokens: int,
+    rng: np.random.Generator,
+    n_images: int = 1,
+) -> TokenDraws:
+    """``n_images`` blocks of ``n_tokens`` tokens drawn one after another,
+    eight Generator calls per block, one per field in stream order, and
+    concatenated field by field: the variates that ``draw_tokens`` draws
+    with five calls per block."""
+    blocks = []
+    for _ in range(n_images):
+        difficulty = rng.uniform(model.difficulty_low, model.difficulty_high, n_tokens)
+        clean = rng.random(n_tokens) < model.clean_fraction
+        ceiling_jitter = rng.normal(0.0, 1.0, n_tokens)
+        noise = rng.normal(0.0, model.noise_scale, (n_tokens, model.n_layers))
+        u_correct = rng.random(n_tokens)
+        is_eos = rng.random(n_tokens) < model.eos_prob
+        nominal = rng.integers(1, model.vocab_size, n_tokens)
+        wrong = rng.integers(1, model.vocab_size, n_tokens)
+        blocks.append(TokenDraws(
+            difficulty, clean, ceiling_jitter, noise, u_correct, is_eos, nominal, wrong
+        ))
+    return TokenDraws(*(np.concatenate(field) for field in zip(*blocks)))
 
 
 def sample_image(

@@ -470,6 +470,9 @@ def test_oracle_too_large_to_hold_exits_4_before_any_round(
 
 
 TOKENS_PAST_INTP = "100000000000000000000 tokens of 12 layers"
+# One image of these fits in an array, but not a chunk of IMAGE_CHUNK.
+CHUNK_MAX_LEN = str(2 * 10**15)
+CHUNK_PAST_INTP = f"{IMAGE_CHUNK} images of {CHUNK_MAX_LEN} tokens of 12 layers"
 
 
 @pytest.mark.parametrize(
@@ -485,10 +488,18 @@ TOKENS_PAST_INTP = "100000000000000000000 tokens of 12 layers"
             ["train-toy", "--n-train", str(10**20)],
             "100000000000000000000 examples of 8 tokens of 16 features",
         ),
+        (
+            ["gen-traces", "--n-images", str(IMAGE_CHUNK), "--max-len", CHUNK_MAX_LEN],
+            CHUNK_PAST_INTP,
+        ),
+        (
+            ["bandit", "--max-len", CHUNK_MAX_LEN, "--oracle-samples", "100"],
+            CHUNK_PAST_INTP,
+        ),
     ],
     ids=[
         "gen-traces-max-len", "bandit-oracle-samples", "lambda-sweep-max-len",
-        "train-toy-n-train",
+        "train-toy-n-train", "gen-traces-chunk", "bandit-chunk",
     ],
 )
 def test_counts_past_the_address_space_exit_4(argv, prefix, tmp_path, capsys):

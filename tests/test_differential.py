@@ -9,7 +9,9 @@ the same images.  Each oracle case scores one confidence block span by
 span, as ``shared_oracles`` does, and with ``reference_oracle_means``,
 the per-arm argmax.  Each exit case runs the kernel over a block with NaN
 cells and exact ties and checks every token against ``decide_exit``; each
-stream case finishes a stack of drawn blocks and each block alone.  Each
+stream case finishes a stack of drawn blocks and each block alone, and
+each draw case checks ``draw_tokens`` and the oracle's draw against
+``draw_blocks``, one Generator call per field.  Each
 head case checks ``head_confidences`` and ``layer_accuracies`` against
 the stacked ``forward``.  Seeding is fixed, so the suite stays
 deterministic.
@@ -29,6 +31,7 @@ from exitsim import (
     RewardParams,
     SyntheticConfidenceModel,
     SyntheticExample,
+    TokenDraws,
     ToyConfig,
     draw_tokens,
     finish_tokens,
@@ -38,9 +41,10 @@ from exitsim import (
     run_lockstep,
 )
 from exitsim.cascade import LayerOutcome, exit_counts, exit_layer_indices, running_max
+from exitsim.synth import confidence_blocks
 
 from conftest import assert_cell_matches_reference, reference_oracle_means, span_scored
-from reference import ListSink, decide_exit, forward
+from reference import ListSink, decide_exit, draw_blocks, forward
 
 GRID = ActionSet.default_grid().thresholds
 SIGMAS = (0.0, 0.5, 3.0)
@@ -91,6 +95,11 @@ def fixed_case(alphas, max_len, budget, eos_prob=0.0):
 @example(fixed_case((0.2, 0.5, 0.8), 3, 2 * 3 * IMAGE_CHUNK))
 @example(fixed_case((0.1, 0.35, 0.6, 0.65, 1.0), 5, 400, eos_prob=0.08))
 @example(fixed_case((*TIED, 0.5), 4, 300, eos_prob=0.08))
+# The one-arm cell's budget ends mid-caption in its second chunk: its
+# first holds 1 + (IMAGE_CHUNK - 1) * 3 rounds, then 3 and 2 more.
+@example(fixed_case((0.3, 0.7), 3, 1 + (IMAGE_CHUNK - 1) * 3 + 5))
+# One-token captions: one round per image, eos or not.
+@example(fixed_case((0.9,), 1, 2 * IMAGE_CHUNK + 7, eos_prob=0.08))
 def test_lockstep_cells_match_the_scalar_reference(case):
     base = SyntheticConfidenceModel(seed=case["seed"], eos_prob=case["eos_prob"])
     actions = ActionSet(case["alphas"])
@@ -98,11 +107,11 @@ def test_lockstep_cells_match_the_scalar_reference(case):
     gamma, max_len, budget = case["gamma"], case["max_len"], case["budget"]
 
     def cells(sigma):
-        log = ListSink() if case["keep_log"] else None
-        # The drawn grid, and a fixed threshold on its first arm.
+        # The drawn grid, and a fixed threshold on its first arm, each
+        # with its own log when one is kept.
         return [
-            AdaptiveCell(actions, params, sigma, log),
-            AdaptiveCell(ActionSet(case["alphas"][:1]), params, sigma),
+            AdaptiveCell(arms, params, sigma, ListSink() if case["keep_log"] else None)
+            for arms in (actions, ActionSet(case["alphas"][:1]))
         ]
 
     played = [cell for sigma in case["sigmas"] for cell in cells(sigma)]
@@ -218,6 +227,53 @@ def test_finishing_a_stack_equals_finishing_each_block(seed, n_blocks, max_len, 
         want = np.concatenate([getattr(batch, field) for batch in alone])
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def draw_cases(draw):
+    low = draw(st.floats(-10.0, 20.0))
+    model = SyntheticConfidenceModel(
+        n_layers=draw(st.integers(2, 12)),
+        # At 2 numpy's integers draw nothing; past 2**32 they draw 64 bits.
+        vocab_size=draw(st.sampled_from((2, 3, 32, 2**31 - 1, 2**40))),
+        difficulty_low=low,
+        difficulty_high=low + draw(st.just(0.0) | st.floats(0.0, 20.0)),
+        noise_scale=draw(st.just(0.0) | st.floats(0.0, 5.0)),
+        clean_fraction=draw(st.floats(0.0, 1.0)),
+        eos_prob=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return model, draw(st.integers(1, 30)), draw(st.integers(1, 4))
+
+
+def draw_case(n_tokens, n_images, **fields):
+    return SyntheticConfidenceModel(**fields), n_tokens, n_images
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(draw_cases())
+# Odd counts: the integers calls leave a spare 32-bit half in the
+# generator's state, which the next image's calls use.
+@example(draw_case(5, 3, vocab_size=32))
+@example(draw_case(7, 1, vocab_size=2**31 - 1, eos_prob=0.5))
+@example(draw_case(4, 2, vocab_size=2, noise_scale=0.0, clean_fraction=0.9))
+@example(draw_case(3, 4, difficulty_low=2.5, difficulty_high=2.5, eos_prob=1.0))
+def test_draw_matches_one_call_per_field(case):
+    # Five calls per image give the bits of eight, one per field, and
+    # leave the generator where the eight leave it.
+    model, n_tokens, n_images = case
+    got_rng, want_rng = model.stream_rng(0), model.stream_rng(0)
+    got = draw_tokens(model, n_tokens, got_rng, n_images)
+    want = draw_blocks(model, n_tokens, want_rng, n_images)
+    for name, g, w in zip(TokenDraws._fields, got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # The oracle's draw opens with the same four fields of one block.
+    rows = n_tokens * n_images
+    (block,) = confidence_blocks(model, [2.0], rows, model.stream_rng(0), [rows])
+    first = draw_blocks(model, rows, model.stream_rng(0))
+    assert block.T.tobytes() == finish_tokens(model, 2.0, first).confidences.tobytes()
 
 
 @st.composite
